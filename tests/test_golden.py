@@ -1,0 +1,90 @@
+"""Exact stdout bytes of shallow CLI calls, one case per set family.
+
+The expected bytes live in ``cli_golden.json`` next to this file. They
+were recorded once and are never regenerated to make a change pass: a
+refactor that keeps behavior keeps every byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from cantordensity.cli import main
+
+GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
+
+DOCS = {
+    "clopen": {"kind": "clopen", "words": ["01", "110", "0011", "1011"]},
+    "dualistic": {"kind": "dualistic", "measure": "3/5"},
+    "countable": {"kind": "countable-range", "values": ["1/3", "3/4", "1/5"]},
+    "composed": {
+        "kind": "compose",
+        "complemented": True,
+        "parts": [
+            {"prefix": "0", "set": {"kind": "dualistic", "measure": "1/5"}},
+            {"prefix": "10", "set": {"kind": "clopen", "words": ["1", "01"]}},
+        ],
+    },
+    "second": {"kind": "reduction", "which": "second"},
+    "first": {
+        "kind": "reduction",
+        "which": "first",
+        "function": {"preset": "constant", "value": "1/3"},
+    },
+    "third": {
+        "kind": "reduction",
+        "which": "third",
+        "function": {"preset": "injective", "eps": "1/8"},
+    },
+    "offspring": {
+        "kind": "offspring",
+        "tree": {"nodes": ["", "0", "1", "10"], "policies": {"0": "full", "10": {"periodic": "1"}}},
+        "labels": {"": "1/4", "1": "5/8", "10": "3/16"},
+        "default_label": "3/8",
+    },
+    # 0110 followed by (10)^w
+    "tail10": {"kind": "ev_periodic", "head": "0110", "period": "10"},
+    # 0^2 1^2 0^w, the designated point of the second value
+    "designated": {"kind": "ev_periodic", "head": "0011", "period": "0"},
+    "inside-graft": {"kind": "ev_periodic", "head": "101", "period": "1"},
+    "stretch10": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "10"}},
+    "stretch1": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}},
+    "stretch-offspring": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "1", "period": "0"}},
+}
+
+CASES = {
+    "clopen-measure-prefix": ("measure", "--set", "@clopen", "--prefix", "0"),
+    "dualistic-trace": ("trace", "--set", "@dualistic", "--branch", "@tail10", "--steps", "24"),
+    "countable-classify": ("classify", "--set", "@countable", "--branch", "@designated"),
+    "compose-measure": ("measure", "--set", "@composed"),
+    "compose-classify": ("classify", "--set", "@composed", "--branch", "@inside-graft"),
+    "second-trace": ("trace", "--set", "@second", "--branch", "@stretch10", "--steps", "22"),
+    "first-classify": (
+        "classify", "--set", "@first", "--branch", "@stretch1", "--max-depth", "30",
+    ),
+    "third-measure": ("measure", "--set", "@third", "--budget", "10"),
+    "offspring-trace": (
+        "trace", "--set", "@offspring", "--branch", "@stretch-offspring", "--steps", "16",
+    ),
+}
+
+
+def run_case(name, folder):
+    argv = []
+    for arg in CASES[name]:
+        if arg.startswith("@"):
+            path = folder / f"{arg[1:]}.json"
+            path.write_text(json.dumps(DOCS[arg[1:]]), encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    return CliRunner().invoke(main, argv)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, tmp_path):
+    result = run_case(name, tmp_path)
+    assert result.exit_code == 0, result.output
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert result.stdout == golden[name]
