@@ -85,11 +85,6 @@ class StretchedBranch:
         return self.base.prefix(k)
 
 
-def bit_at(point: "Branch | StretchedBranch", n: int) -> int:
-    """The n-th letter of the denoted infinite sequence."""
-    return point.at(n)
-
-
 def interleave_branches(x: Branch, y: Branch) -> Branch:
     """The stream alternating the two inputs, ``x`` on even positions.
 

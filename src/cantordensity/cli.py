@@ -28,11 +28,11 @@ from .trees import ExplicitTree, Policy, periodic
 from .words import (
     Word,
     bits_to_runs,
-    decode_hat,
-    encode_check,
-    head_tail,
-    ltimes,
+    decode_head,
     ones_count,
+    runs_to_bits,
+    splice_runs,
+    split_trailing_zeros,
     stretch,
     triangular,
 )
@@ -352,14 +352,14 @@ def _suite_codec(rng: Random, cases: int) -> list[str]:
     for index in range(cases):
         runs = tuple(rng.randrange(0, 5) for _ in range(rng.randrange(0, 7)))
         bits = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 12)))
-        head, zeros = head_tail(bits)
+        head, zeros = split_trailing_zeros(bits)
         checks = (
-            decode_hat(encode_check(runs)) == runs,
+            decode_head(runs_to_bits(runs)) == runs,
             head + (0,) * zeros == bits,
-            ones_count(encode_check(runs)) == len(runs),
+            ones_count(runs_to_bits(runs)) == len(runs),
             len(stretch(bits)) == triangular(len(bits)),
-            ltimes(bits, tuple(range(ones_count(bits))))
-            == encode_check(
+            splice_runs(bits, tuple(range(ones_count(bits))))
+            == runs_to_bits(
                 tuple(
                     entry
                     for pair in zip(bits_to_runs(head), range(ones_count(bits)))
@@ -372,7 +372,7 @@ def _suite_codec(rng: Random, cases: int) -> list[str]:
             failures.append(f"case {index}: check vector {checks}")
             continue
         try:
-            ltimes(bits, tuple(range(ones_count(bits) + 1)))
+            splice_runs(bits, tuple(range(ones_count(bits) + 1)))
             failures.append(f"case {index}: arity guard missing")
         except ValueError:
             pass

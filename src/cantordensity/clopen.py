@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .words import Word, is_prefix
+from .words import Word
 
 _FULL_WORDS: tuple[Word, ...] = ((),)
 
@@ -60,14 +60,18 @@ class ClopenSet:
         return sum((Fraction(1, 1 << len(w)) for w in self.words), Fraction(0))
 
     def halves(self) -> tuple["ClopenSet", "ClopenSet"]:
-        """The localizations below letter 0 and letter 1."""
+        """The localizations below letter 0 and letter 1.
+
+        The tails of a canonical antichain are canonical again, so the
+        halves need no renormalizing.
+        """
         if self.is_full():
             return self, self
         left = []
         right = []
         for w in self.words:
             (left if w[0] == 0 else right).append(w[1:])
-        return ClopenSet(_normalize(tuple(left))), ClopenSet(_normalize(tuple(right)))
+        return ClopenSet(tuple(left)), ClopenSet(tuple(right))
 
     def localize(self, word: Word) -> "ClopenSet":
         """The set seen from inside the cylinder of ``word``.
@@ -84,10 +88,6 @@ class ClopenSet:
 
     def local_measure(self, word: Word) -> Fraction:
         return self.localize(word).measure()
-
-    def contains_point_prefix(self, word: Word) -> bool:
-        """True when the cylinder of ``word`` lies entirely inside the set."""
-        return self.localize(word).is_full()
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet.from_words(self.words + other.words)
@@ -114,12 +114,6 @@ class ClopenSet:
 
     def includes(self, other: "ClopenSet") -> bool:
         return self.intersect(other) == other
-
-    def shift_into(self, word: Word) -> "ClopenSet":
-        """The copy of the set living inside the cylinder of ``word``."""
-        if self.is_empty():
-            return self
-        return ClopenSet(tuple(tuple(word) + w for w in self.words))
 
     def take_submass(self, amount: Fraction) -> "ClopenSet":
         """Lexicographically first clopen subset with exact measure ``amount``.
@@ -161,17 +155,24 @@ def _graft(left: ClopenSet, right: ClopenSet) -> ClopenSet:
 
 
 def _normalize(generators: tuple[Word, ...]) -> tuple[Word, ...]:
-    if not generators:
-        return ()
-    if any(len(w) == 0 for w in generators):
-        return _FULL_WORDS
-    left = tuple(w[1:] for w in generators if w[0] == 0)
-    right = tuple(w[1:] for w in generators if w[0] == 1)
-    lnorm = _normalize(left)
-    rnorm = _normalize(right)
-    if lnorm == _FULL_WORDS and rnorm == _FULL_WORDS:
-        return _FULL_WORDS
-    return tuple((0,) + w for w in lnorm) + tuple((1,) + w for w in rnorm)
+    """The minimal antichain covering the cylinders of binary words.
+
+    In sorted order a word extending a kept word comes right after it,
+    so one pass drops the covered words; sibling pairs then merge on a
+    stack, each merge possibly completing a pair one level up.
+    """
+    kept: list[Word] = []
+    for w in sorted(generators):
+        if kept and w[: len(kept[-1])] == kept[-1]:
+            continue
+        kept.append(w)
+        while len(kept) >= 2:
+            last = kept[-1]
+            if last[-1] != 1 or kept[-2] != last[:-1] + (0,):
+                break
+            del kept[-2:]
+            kept.append(last[:-1])
+    return tuple(kept)
 
 
 def union_all(parts: list[ClopenSet]) -> ClopenSet:
@@ -187,20 +188,6 @@ def piece_of_measure(amount: Fraction) -> ClopenSet:
     if not (0 <= amount <= 1):
         raise ValueError(f"measure out of range: {amount}")
     return ClopenSet.full().take_submass(amount)
-
-
-def overlap_word(a: Word, b: Word) -> Word | None:
-    """The deeper of two comparable words, or None when incomparable."""
-    if is_prefix(a, b):
-        return b
-    if is_prefix(b, a):
-        return a
-    return None
-
-
-# The canonical set of a prescribed measure is the lex-first greedy
-# piece; this name states the contract rather than the algorithm.
-canonical_of_measure = piece_of_measure
 
 
 def subset_of_measure(container: ClopenSet, amount: Fraction) -> ClopenSet:

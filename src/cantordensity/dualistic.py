@@ -28,7 +28,6 @@ from .clopen import ClopenSet, piece_of_measure
 from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_in
 from .oracles import (
     ClopenOracle,
-    ComplementOracle,
     DisjointSumOracle,
     GraftedUnionOracle,
     MeasureOracle,
@@ -59,21 +58,6 @@ def second_family_words(max_length: int) -> list[Word]:
     return out
 
 
-def first_family_oracle() -> MeasureOracle:
-    """The union behind all words 0^n 1^n; measure exactly 1/3."""
-    return SpongyMeasureOracle(THIRD)
-
-
-def second_family_oracle() -> MeasureOracle:
-    """The union behind the complementary family; measure exactly 2/3.
-
-    Its union is the complement of the first family's union minus the
-    single point 0^infinity, so the complement oracle is exact up to
-    null difference.
-    """
-    return ComplementOracle(first_family_oracle())
-
-
 class SpongyMeasureOracle(MeasureOracle):
     """The set union over n >= 1 of 0^n 1^n ^ D(f(n)), measure r <= 1/3.
 
@@ -86,7 +70,6 @@ class SpongyMeasureOracle(MeasureOracle):
     """
 
     kind = "spongy-measure"
-    exact = True
 
     def __init__(self, measure: Fraction):
         if not (ZERO <= measure <= THIRD):
@@ -177,18 +160,6 @@ class SpongyMeasureOracle(MeasureOracle):
         return TailCertificate(inner.interval, inner.start + 2 * n)
 
 
-def dualistic_w_f(r: Fraction) -> SpongyMeasureOracle:
-    """Oracle of the graft-series set of exact measure r, r in (0; 1/3].
-
-    The whole set hangs off the zero spine, so its localized measure at
-    0^m is at most (4/3) * 2^-m and the density at the all-zeros point
-    is zero.
-    """
-    if not (ZERO < r <= THIRD):
-        raise ValueError(f"measure must be in (0; 1/3]: {r}")
-    return SpongyMeasureOracle(r)
-
-
 @dataclass(frozen=True)
 class DualisticSet:
     """A set of prescribed measure: a clopen chunk plus a spongy remainder."""
@@ -197,7 +168,6 @@ class DualisticSet:
     clopen_part: ClopenSet | None
     spongy_rate: Fraction
     oracle: MeasureOracle = field(compare=False)
-    compliant: bool = True
 
 
 def dualistic_of_measure(r: Fraction) -> DualisticSet:

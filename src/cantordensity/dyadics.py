@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers: dyadics, 4-ary digit streams, intervals.
+"""Exact rational arithmetic helpers: dyadics and rational intervals.
 
 Everything in the package computes with ``fractions.Fraction``; floats never
 appear. The dyadic rationals strictly between 0 and 1 carry a rank order
@@ -51,11 +51,6 @@ def dyadic_of_rank(rank: int) -> Fraction:
     return Fraction(2 * rank + 1, 1 << n)
 
 
-# The rank function doubles as the well-ordering of the dyadics of the
-# open unit interval; callers that think of it that way use this name.
-dyadic_rank_order = dyadic_rank
-
-
 def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
     """Rank-least dyadic of (0,1) inside the open interval (lo, hi).
 
@@ -78,78 +73,6 @@ def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
         if candidate < hi:
             return candidate
         n += 1
-
-
-def four_ary_digits(value: Fraction, count: int) -> tuple[int, ...]:
-    """First ``count`` digits of the greedy base-4 expansion of a value in [0,1).
-
-    Greedy means the terminating expansion is produced whenever one
-    exists (the digit stream of 1/4 starts 1, 0, 0, not 0, 3, 3).
-    """
-    if not (ZERO <= value < ONE):
-        raise ValueError(f"value must be in [0,1): {value}")
-    digits = []
-    x = value
-    for _ in range(count):
-        x *= 4
-        d = int(x)
-        digits.append(d)
-        x -= d
-    return tuple(digits)
-
-
-def four_ary_expansion(value: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Full eventually-periodic base-4 expansion as (preperiod, cycle).
-
-    A terminating expansion comes back with cycle (0,). The remainders
-    repeat within ``denominator`` steps, so this always halts.
-    """
-    if not (ZERO <= value < ONE):
-        raise ValueError(f"value must be in [0,1): {value}")
-    seen: dict[Fraction, int] = {}
-    digits: list[int] = []
-    x = value
-    while x not in seen:
-        seen[x] = len(digits)
-        x *= 4
-        d = int(x)
-        digits.append(d)
-        x -= d
-    start = seen[x]
-    return tuple(digits[:start]), tuple(digits[start:])
-
-
-def geometric_tail(pre: tuple[Fraction, ...], cycle: tuple[Fraction, ...],
-                   start: int, ratio: Fraction) -> Fraction:
-    """Exact sum of a_n * ratio^n for n >= start.
-
-    The coefficient stream is a_1, a_2, ... given by ``pre`` followed by
-    ``cycle`` repeated forever (1-indexed: a_1 = pre[0] when pre is
-    non-empty). ``start`` must be at least 1.
-    """
-    if start < 1:
-        raise ValueError("start must be at least 1")
-    if not cycle:
-        raise ValueError("cycle must be non-empty")
-    total = ZERO
-    # Finite stub up to the point where the stream is purely periodic.
-    stub_end = max(start, len(pre) + 1)
-    for n in range(start, stub_end):
-        total += _stream_at(pre, cycle, n) * ratio**n
-    # From stub_end on, the stream repeats with period len(cycle).
-    p = len(cycle)
-    block = ZERO
-    for i in range(p):
-        block += _stream_at(pre, cycle, stub_end + i) * ratio ** (stub_end + i)
-    total += block / (1 - ratio**p)
-    return total
-
-
-def _stream_at(pre: tuple[Fraction, ...], cycle: tuple[Fraction, ...], n: int) -> Fraction:
-    """1-indexed coefficient stream lookup."""
-    if n <= len(pre):
-        return pre[n - 1]
-    return cycle[(n - len(pre) - 1) % len(cycle)]
 
 
 @dataclass(frozen=True)
@@ -181,9 +104,6 @@ class RatInterval:
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -203,15 +123,9 @@ class RatInterval:
             return RatInterval(self.hi * factor, self.lo * factor)
         return RatInterval(self.lo * factor, self.hi * factor)
 
-    def shift(self, offset: Fraction) -> "RatInterval":
-        return RatInterval(self.lo + offset, self.hi + offset)
-
     def reflect(self) -> "RatInterval":
         """The interval of 1 - x for x in self."""
         return RatInterval(1 - self.hi, 1 - self.lo)
-
-    def clamp_unit(self) -> "RatInterval":
-        return RatInterval(max(self.lo, ZERO), min(self.hi, ONE))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -35,7 +35,7 @@ from .clopen import ClopenSet
 from .dualistic import dualistic_of_measure, solid_countable_range
 from .dyadics import RatInterval, format_fraction, parse_fraction
 from .offspring import ExplicitLabels, offspring_build
-from .oracles import ComplementOracle, MeasureOracle, Verdict, compose, from_clopen
+from .oracles import ClopenOracle, ComplementOracle, GraftedUnionOracle, MeasureOracle, Verdict
 from .reductions import first_reduction, second_reduction, third_reduction
 from .trees import ExplicitTree, Policy, periodic
 from .words import Word, runs_to_bits
@@ -217,7 +217,7 @@ def oracle_from_spec(doc) -> MeasureOracle:
         if not isinstance(raw, list):
             raise SpecError('"words" must be an array')
         words = [binary_word_from_spec(w, "clopen word") for w in raw]
-        return from_clopen(ClopenSet.from_words(words))
+        return ClopenOracle(ClopenSet.from_words(words))
     if kind == "dualistic":
         return dualistic_of_measure(fraction_from_spec(_require(doc, "measure"))).oracle
     if kind == "countable-range":
@@ -235,10 +235,11 @@ def oracle_from_spec(doc) -> MeasureOracle:
             for key, value in raw_labels.items()
         }
         default = fraction_from_spec(doc.get("default_label", "1/2"))
+        # Closed and open offspring differ by a null set: one oracle serves both.
         variant = doc.get("variant", "closed")
         if variant not in ("closed", "open"):
             raise SpecError(f'"variant" must be "closed" or "open", got {variant!r}')
-        return offspring_build(tree, ExplicitLabels(mapping, default), variant)
+        return offspring_build(tree, ExplicitLabels(mapping, default))
     if kind == "reduction":
         which = _kind_of(doc, ("first", "second", "third"), key="which")
         tree = tree_from_spec(doc["tree"]) if "tree" in doc else ExplicitTree.full_binary()
@@ -261,7 +262,8 @@ def oracle_from_spec(doc) -> MeasureOracle:
         complemented = doc.get("complemented", False)
         if not isinstance(complemented, bool):
             raise SpecError('"complemented" must be a boolean')
-        return compose(parts, complemented=complemented)
+        grafted = GraftedUnionOracle(parts)
+        return ComplementOracle(grafted) if complemented else grafted
     inner = oracle_from_spec(_require(doc, "of"))
     return ComplementOracle(inner)
 

@@ -31,8 +31,8 @@ from .branches import Branch, StretchedBranch, as_stretched
 from .clopen import ClopenSet, piece_of_measure
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, FULL_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
-from .oracles import ClopenOracle, MeasureOracle, Point, TailCertificate, DEFAULT_WINDOW
-from .trees import IntersectionTree
+from .oracles import ClopenOracle, MeasureOracle, Point, TailCertificate
+from .trees import IntersectionTree, Tree
 from .words import Word, triangular
 
 State = tuple
@@ -101,26 +101,15 @@ class ExplicitLabels:
 class OffspringOracle(MeasureOracle):
     """Certified localized measures of the offspring of a labeled tree.
 
-    The closed and open variants differ by a null set, so one oracle
-    serves both; the flag is kept for callers that care which one the
-    spec meant.
+    The closed and open offspring differ by a null set, so one oracle
+    serves both.
     """
 
     kind = "offspring"
 
-    def __init__(
-        self,
-        tree,
-        labels: LabelMap,
-        window: int = DEFAULT_WINDOW,
-        variant: str = "closed",
-    ):
-        if variant not in ("closed", "open"):
-            raise ValueError(f"variant must be 'closed' or 'open': {variant}")
+    def __init__(self, tree: Tree, labels: LabelMap):
         self.tree = tree
         self.labels = labels
-        self.window = window
-        self.variant = variant
         self._pieces: dict[Fraction, ClopenSet] = {}
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
         self._resolved: dict[tuple, tuple[RatInterval, int]] = {}
@@ -319,7 +308,7 @@ class OffspringOracle(MeasureOracle):
         return None
 
 
-def offspring_prune(offspring: OffspringOracle, subtree) -> OffspringOracle:
+def offspring_prune(offspring: OffspringOracle, subtree: Tree) -> OffspringOracle:
     """The offspring with flag mass behind nodes outside ``subtree`` removed.
 
     Removing the stretched cylinders of the dropped nodes leaves, up to
@@ -329,15 +318,10 @@ def offspring_prune(offspring: OffspringOracle, subtree) -> OffspringOracle:
     for node in getattr(subtree, "nodes", ()):
         if not offspring.tree.member(node):
             raise ValueError(f"not a subtree: {node} is outside the offspring tree")
-    return OffspringOracle(
-        IntersectionTree(offspring.tree, subtree),
-        offspring.labels,
-        window=offspring.window,
-        variant=offspring.variant,
-    )
+    return OffspringOracle(IntersectionTree(offspring.tree, subtree), offspring.labels)
 
 
-def offspring_build(tree, labels, variant: str = "closed") -> OffspringOracle:
+def offspring_build(tree: Tree, labels) -> OffspringOracle:
     """Build the offspring oracle of a labeled tree.
 
     ``labels`` is either a mapping from nodes to rationals, wrapped into
@@ -353,4 +337,4 @@ def offspring_build(tree, labels, variant: str = "closed") -> OffspringOracle:
                 raise ValueError(f"label at {node} must lie in (0;1): {value}")
         if not ZERO < labels.default < ONE:
             raise ValueError(f"default label must lie in (0;1): {labels.default}")
-    return OffspringOracle(tree, labels, variant=variant)
+    return OffspringOracle(tree, labels)

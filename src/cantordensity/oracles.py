@@ -62,7 +62,6 @@ class MeasureOracle:
     """Base class; subclasses implement ``local_bounds``."""
 
     kind = "oracle"
-    exact = False
 
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         raise NotImplementedError
@@ -174,7 +173,6 @@ class ClopenOracle(MeasureOracle):
     """Exact oracle of a clopen set; bounds are always points."""
 
     kind = "clopen"
-    exact = True
 
     def __init__(self, piece: ClopenSet):
         self.piece = piece
@@ -196,7 +194,6 @@ class ComplementOracle(MeasureOracle):
 
     def __init__(self, inner: MeasureOracle):
         self.inner = inner
-        self.exact = inner.exact
 
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         return self.inner.local_bounds(word, budget).reflect()
@@ -217,7 +214,6 @@ class DisjointSumOracle(MeasureOracle):
         if not parts:
             raise ValueError("need at least one part")
         self.parts = parts
-        self.exact = all(p.exact for p in parts)
 
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         total = RatInterval.point(ZERO)
@@ -251,7 +247,6 @@ class GraftedUnionOracle(MeasureOracle):
                 if is_prefix(a, b) or is_prefix(b, a):
                     raise ValueError(f"graft words {a} and {b} are comparable")
         self.parts = [(tuple(w), oracle) for w, oracle in parts]
-        self.exact = all(o.exact for _, o in parts)
 
     def max_graft_depth(self) -> int:
         return max((len(w) for w, _ in self.parts), default=0)
@@ -269,6 +264,8 @@ class GraftedUnionOracle(MeasureOracle):
         return inside
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
+        # No graft word is longer than this prefix, so by now the point
+        # has entered one graft or fallen off all of them for good.
         depth = self.max_graft_depth()
         prefix = point.prefix(depth)
         for graft, oracle in self.parts:
@@ -279,32 +276,7 @@ class GraftedUnionOracle(MeasureOracle):
                 if inner is None:
                     return None
                 return TailCertificate(inner.interval, inner.start + len(graft))
-        if all(not is_prefix(prefix, graft) for graft, _ in self.parts):
-            return TailCertificate(RatInterval.point(ZERO), depth)
-        # The point is still a proper prefix of some graft at this depth:
-        # it will either enter one or fall off all of them a bit deeper.
-        probe = depth
-        while probe <= depth + effort:
-            probe += 1
-            prefix = point.prefix(probe)
-            on_spine = [g for g, _ in self.parts if is_prefix(prefix, g)]
-            hit = [g for g, _ in self.parts if is_prefix(g, prefix)]
-            if hit:
-                return self.tail_certificate_from(point, hit[0], effort)
-            if not on_spine:
-                return TailCertificate(RatInterval.point(ZERO), probe)
-        return None
-
-    def tail_certificate_from(self, point: Point, graft: Word, effort: int) -> TailCertificate | None:
-        for g, oracle in self.parts:
-            if g == graft:
-                if not isinstance(point, Branch):
-                    return None
-                inner = oracle.tail_certificate(point.drop(len(g)), effort)
-                if inner is None:
-                    return None
-                return TailCertificate(inner.interval, inner.start + len(g))
-        return None
+        return TailCertificate(RatInterval.point(ZERO), depth)
 
 
 class SpinePrefixOracle(MeasureOracle):
@@ -320,7 +292,6 @@ class SpinePrefixOracle(MeasureOracle):
     def __init__(self, piece: MeasureOracle, piece_measure: Fraction):
         self.piece = piece
         self.rate = piece_measure
-        self.exact = piece.exact
 
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         word = tuple(word)
@@ -347,22 +318,3 @@ class SpinePrefixOracle(MeasureOracle):
         if inner is None:
             return None
         return TailCertificate(inner.interval, inner.start + first_one + 1)
-
-
-def from_clopen(piece: ClopenSet) -> ClopenOracle:
-    """Exact oracle of a clopen set; bounds are points at every budget."""
-    return ClopenOracle(piece)
-
-
-def compose(
-    parts: Sequence[tuple[Word, MeasureOracle]], complemented: bool = False
-) -> MeasureOracle:
-    """Union of parts grafted behind pairwise incomparable words.
-
-    Optionally complemented. Comparable graft words are rejected, so
-    the parts' localized measures always add exactly.
-    """
-    oracle: MeasureOracle = GraftedUnionOracle(list(parts))
-    if complemented:
-        oracle = ComplementOracle(oracle)
-    return oracle

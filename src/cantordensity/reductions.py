@@ -35,7 +35,7 @@ from .dualistic import solid_countable_range
 from .dyadics import ONE, ZERO, RatInterval, dyadic_of_rank
 from .offspring import OffspringOracle, offspring_prune
 from .oracles import GraftedUnionOracle, MeasureOracle
-from .trees import ExplicitTree, pair_letter, section, tree_interleave
+from .trees import ExplicitTree, InterleaveTree, pair_letter, section
 from .words import (
     Word,
     bits_to_runs,
@@ -80,6 +80,36 @@ def require_lipschitz(presentation: FunctionPresentation) -> None:
             )
 
 
+class AnchoredHullLabels:
+    """Labels read off a presented function, with anchored tail hulls.
+
+    The hull along a stretched branch from ``start`` on is the window of
+    explicit labels up to a horizon plus the presented interval at an
+    anchor node, widened by a pad and clipped to [0, 1]. Subclasses
+    supply the anchor and pad, and may move the horizon.
+    """
+
+    presentation: FunctionPresentation
+
+    def label(self, node: Word) -> Fraction:
+        raise NotImplementedError
+
+    def hull_horizon(self, branch: Branch, start: int) -> int:
+        return max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
+
+    def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
+        """The anchor node and the pad its presented interval is widened by."""
+        raise NotImplementedError
+
+    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
+        horizon = self.hull_horizon(branch, start)
+        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
+        anchor, pad = self.hull_anchor(branch, horizon)
+        lo, hi = self.presentation.presented_interval(anchor)
+        values += (max(ZERO, lo - pad), min(ONE, hi + pad))
+        return RatInterval(min(values), max(values))
+
+
 class OnesParityLabels:
     """Labels approaching 1 on even ones counts and 0 on odd ones.
 
@@ -116,7 +146,7 @@ def second_reduction(tree) -> OffspringOracle:
     return OffspringOracle(tree, OnesParityLabels())
 
 
-class TailAlternationLabels:
+class TailAlternationLabels(AnchoredHullLabels):
     """Approximation pairs of a presented function, picked by 0-tail parity.
 
     The label at a node is the lower member of the pair at the node's
@@ -148,18 +178,12 @@ class TailAlternationLabels:
     def node_key(self, node: Word) -> object:
         return ("tail-alternation", tuple(node))
 
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
-        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
+    def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         # Labels past the horizon use extensions of this head, whose
         # presented intervals are nested inside this one; the offsets
         # only shrink, and folds stay inside the clamped ends.
         anchor, _ = split_trailing_zeros(branch.prefix(horizon))
-        lo, hi = self.presentation.presented_interval(anchor)
-        off = Fraction(1, 1 << (len(anchor) + 2))
-        values.append(max(ZERO, lo - off))
-        values.append(min(ONE, hi + off))
-        return RatInterval(min(values), max(values))
+        return anchor, Fraction(1, 1 << (len(anchor) + 2))
 
 
 def first_reduction(presentation: FunctionPresentation, tree) -> OffspringOracle:
@@ -172,7 +196,7 @@ def first_reduction(presentation: FunctionPresentation, tree) -> OffspringOracle
     return OffspringOracle(tree, TailAlternationLabels(presentation))
 
 
-class InterleavedAdjustedLabels:
+class InterleavedAdjustedLabels(AnchoredHullLabels):
     """Run-codec labels on an interleaved tree with sibling adjustments.
 
     Even-length words split into a tree half and a codec half; the
@@ -237,20 +261,17 @@ class InterleavedAdjustedLabels:
     def node_key(self, word: Word) -> object:
         return ("interleave-adjusted", tuple(word))
 
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = max(start + 2, len(branch.head) + 4 * len(branch.cycle) + 4)
-        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
+    def hull_horizon(self, branch: Branch, start: int) -> int:
+        return max(start + 2, len(branch.head) + 4 * len(branch.cycle) + 4)
+
+    def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         # Past the horizon every label reads a node extending this one:
         # the codec half's completed runs only grow, and closing a run
         # with a 1 appends a letter. Adjustments at length m stay below
         # 3 * 2^-(m+2), so the widened closure bounds them all.
         tree_half, codec_half = deinterleave(branch.prefix(2 * (horizon // 2)))
         anchor = decode_head(codec_half[: ones_count(tree_half)])
-        lo, hi = self.presentation.presented_interval(anchor)
-        off = Fraction(3, 1 << (len(anchor) + 2))
-        values.append(max(ZERO, lo - off))
-        values.append(min(ONE, hi + off))
-        return RatInterval(min(values), max(values))
+        return anchor, Fraction(3, 1 << (len(anchor) + 2))
 
 
 def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
@@ -283,9 +304,7 @@ def third_reduction(presentation: FunctionPresentation, tree) -> OffspringOracle
     require_lipschitz(presentation)
     labels = InterleavedAdjustedLabels(presentation)
     label_spread_certificate(labels)
-    return OffspringOracle(
-        tree_interleave(tree, ExplicitTree.full_binary()), labels
-    )
+    return OffspringOracle(InterleaveTree(tree, ExplicitTree.full_binary()), labels)
 
 
 def decoded_branch(branch: Branch) -> Branch | None:
@@ -303,7 +322,30 @@ def decoded_branch(branch: Branch) -> Branch | None:
     return Branch(bits_to_runs(head), bits_to_runs(rotated))
 
 
-class EnumeratedValueLabels:
+class HeadValueLabels(AnchoredHullLabels):
+    """Labels reading a value at the decoded head of each word.
+
+    Subclasses choose the value at a node; every choice lies inside the
+    node's presented interval, so deeper labels stay inside the
+    presented interval at the anchor, unpadded.
+    """
+
+    def value_at(self, node: Word) -> Fraction:
+        raise NotImplementedError
+
+    def label(self, word: Word) -> Fraction:
+        return self.value_at(decode_head(tuple(word)))
+
+    def node_key(self, word: Word) -> object:
+        word = tuple(word)
+        _, zeros = split_trailing_zeros(word)
+        return (self.kind, decode_head(word), zeros)
+
+    def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
+        return decode_head(branch.prefix(horizon)), ZERO
+
+
+class EnumeratedValueLabels(HeadValueLabels):
     """Labels reading the first enumerated value inside each presented interval."""
 
     kind = "enumerated-value"
@@ -327,23 +369,6 @@ class EnumeratedValueLabels:
             f"no enumerated value lands in the presented interval at {node}: ({lo}; {hi})"
         )
 
-    def label(self, word: Word) -> Fraction:
-        return self.value_at(decode_head(tuple(word)))
-
-    def node_key(self, word: Word) -> object:
-        word = tuple(word)
-        _, zeros = split_trailing_zeros(word)
-        return ("enumerated", decode_head(word), zeros)
-
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
-        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
-        # Deeper labels are enumerated values inside nested intervals.
-        anchor = decode_head(branch.prefix(horizon))
-        lo, hi = self.presentation.presented_interval(anchor)
-        values.extend((max(ZERO, lo), min(ONE, hi)))
-        return RatInterval(min(values), max(values))
-
 
 @dataclass(frozen=True)
 class SolidAnalyticSet:
@@ -353,13 +378,12 @@ class SolidAnalyticSet:
     presented function's value of their decoded branch; 0-tailed
     stretched branches settle at the enumerated value of their head;
     everything off the stretched body lands in a copy with density 0
-    or 1. The closed and open variants agree up to a null set.
+    or 1. The closed and open offspring agree up to a null set.
     """
 
     values: tuple[Fraction, ...]
     presentation: FunctionPresentation = field(compare=False)
     oracle: OffspringOracle = field(compare=False)
-    variant: str = "closed"
 
     def designated_value(self, branch: Branch) -> Fraction | None:
         decoded = decoded_branch(branch)
@@ -368,11 +392,7 @@ class SolidAnalyticSet:
         return self.oracle.labels.value_at(decode_head(branch.head))
 
 
-def solid_analytic(
-    presentation: FunctionPresentation,
-    values: list[Fraction],
-    variant: str = "closed",
-) -> SolidAnalyticSet:
+def solid_analytic(presentation: FunctionPresentation, values: list[Fraction]) -> SolidAnalyticSet:
     """A solid set realizing a presented function on the codec branches.
 
     ``values`` enumerates the candidate densities; every explored
@@ -384,11 +404,11 @@ def solid_analytic(
     labels = EnumeratedValueLabels(presentation, tuple(values))
     for node in _explored_nodes():
         labels.value_at(node)
-    oracle = OffspringOracle(ExplicitTree.full_binary(), labels, variant=variant)
-    return SolidAnalyticSet(tuple(values), presentation, oracle, variant)
+    oracle = OffspringOracle(ExplicitTree.full_binary(), labels)
+    return SolidAnalyticSet(tuple(values), presentation, oracle)
 
 
-class GreedyInjectiveLabels:
+class GreedyInjectiveLabels(HeadValueLabels):
     """A fixed table of pairwise distinct labels, canonical beyond it."""
 
     kind = "greedy-injective"
@@ -408,24 +428,6 @@ class GreedyInjectiveLabels:
             cached = canonical_approx(self.presentation, node)
             self._canonical[node] = cached
         return cached
-
-    def label(self, word: Word) -> Fraction:
-        return self.value_at(decode_head(tuple(word)))
-
-    def node_key(self, word: Word) -> object:
-        word = tuple(word)
-        _, zeros = split_trailing_zeros(word)
-        return ("greedy", decode_head(word), zeros)
-
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
-        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
-        # Table entries and canonical values both live inside the
-        # presented intervals, nested below the anchor.
-        anchor = decode_head(branch.prefix(horizon))
-        lo, hi = self.presentation.presented_interval(anchor)
-        values.extend((max(ZERO, lo), min(ONE, hi)))
-        return RatInterval(min(values), max(values))
 
 
 @dataclass(frozen=True)

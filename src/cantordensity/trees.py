@@ -28,10 +28,9 @@ only membership and branch-census facts about the presented class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Literal, Union
+from typing import Literal, Protocol, Union
 
 from .words import Word, deinterleave, runs_to_bits
 
@@ -44,6 +43,20 @@ def periodic(cycle: Word) -> Policy:
     if not cycle:
         raise ValueError("periodic policy needs a non-empty cycle")
     return ("periodic", tuple(cycle))
+
+
+class Tree(Protocol):
+    """What the offspring evaluator asks of a tree presentation."""
+
+    def member(self, word: Word) -> bool: ...
+
+    def region_key(self, word: Word) -> tuple:
+        """Equal keys promise identically shaped subtrees below the words."""
+        ...
+
+    def accepts_branch(self, head: Word, cycle: Word) -> bool: ...
+
+    def alive_children(self, word: Word) -> tuple[int, ...]: ...
 
 
 class ExplicitTree:
@@ -82,10 +95,6 @@ class ExplicitTree:
     @staticmethod
     def full_binary() -> "ExplicitTree":
         return ExplicitTree([()], {(): "full"}, arity=2)
-
-    @staticmethod
-    def full_nat() -> "ExplicitTree":
-        return ExplicitTree([()], {(): "full"}, arity=None)
 
     @staticmethod
     def single_branch(head: Word, cycle: Word, arity: int | None = 2) -> "ExplicitTree":
@@ -141,17 +150,6 @@ class ExplicitTree:
         if self.arity is None:
             raise ValueError("cannot enumerate children over the natural numbers")
         return tuple(i for i in range(self.arity) if self.member(tuple(word) + (i,)))
-
-    def members_at(self, depth: int) -> Iterator[Word]:
-        """All alive words of exactly the given length (finite arity only)."""
-        if self.arity is None:
-            raise ValueError("cannot enumerate levels over the natural numbers")
-        frontier = [()]
-        for _ in range(depth):
-            frontier = [
-                w + (i,) for w in frontier for i in range(self.arity) if self.member(w + (i,))
-            ]
-        return iter(frontier)
 
     def accepts_branch(self, head: Word, cycle: Word) -> bool:
         """Exact membership of the eventually periodic branch head + cycle^w."""
@@ -300,7 +298,7 @@ class InterleaveTree:
 class IntersectionTree:
     """Nodes alive in both presentations; used to prune one tree by another."""
 
-    def __init__(self, left, right):
+    def __init__(self, left: Tree, right: Tree):
         self.left = left
         self.right = right
         self.arity = 2
@@ -468,11 +466,6 @@ def pair_letter(a: int, b: int) -> int:
     return 2 * a + b
 
 
-def census_N(tree: ExplicitTree) -> int | str:
-    """Exact cardinality class of the branches with infinitely many 1s."""
-    return tree.census()
-
-
 def graft(left: ExplicitTree, right: ExplicitTree) -> ExplicitTree:
     """The tree whose 0-subtree is ``left`` and 1-subtree is ``right``."""
     if left.arity != 2 or right.arity != 2:
@@ -484,11 +477,6 @@ def graft(left: ExplicitTree, right: ExplicitTree) -> ExplicitTree:
         for leaf, policy in part.policies.items():
             policies[(letter,) + leaf] = policy
     return ExplicitTree(nodes, policies, arity=2)
-
-
-def tree_interleave(evens: ExplicitTree, odds: ExplicitTree) -> InterleaveTree:
-    """The join tree: even slots walk ``evens``, odd slots walk ``odds``."""
-    return InterleaveTree(evens, odds)
 
 
 def level_stat(tree: ExplicitTree, depth: int) -> Fraction:

@@ -36,10 +36,6 @@ def parse_word(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
-def format_word(word: Word) -> str:
-    return "".join(str(letter) for letter in word)
-
-
 def split_trailing_zeros(word: Word) -> tuple[Word, int]:
     """Split ``word`` as ``head + (0,) * count`` with head empty or ending in 1."""
     count = 0
@@ -192,16 +188,3 @@ def all_binary_words(length: int) -> Iterator[Word]:
 
 def is_prefix(shorter: Word, longer: Word) -> bool:
     return longer[: len(shorter)] == shorter
-
-
-# Combinatorial vocabulary used by downstream callers: the head/tail
-# split, the check/hat codec between natural-number words and binary
-# words, the splice product, flag alphabets, and the prefix form of the
-# run-length embedding of Baire space into Cantor space (which encodes
-# words the same way check does).
-head_tail = split_trailing_zeros
-encode_check = runs_to_bits
-decode_hat = decode_head
-ltimes = splice_runs
-flags = mixed_blocks
-baire_embed_prefix = runs_to_bits

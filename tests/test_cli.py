@@ -152,3 +152,12 @@ def test_verify_suites_pass_and_are_deterministic():
         result = invoke("verify", suite, "--seed", "3", "--cases", "20")
         assert result.exit_code == 0, (suite, result.output)
         assert result.output == "20/20 pass\n"
+
+
+def test_measure_of_a_long_clopen_word(tmp_path):
+    # The word is deeper than the interpreter's recursion limit.
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["01" * 750]})
+    result = invoke("measure", "--set", spec)
+    assert result.exit_code == 0
+    point = f"1/{2 ** 1500}"
+    assert result.stdout == json.dumps({"lo": point, "hi": point}) + "\n"

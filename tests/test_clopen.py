@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cantordensity.clopen import (
     ClopenSet,
-    canonical_of_measure,
     piece_of_measure,
     subset_of_measure,
     union_all,
@@ -113,10 +112,10 @@ def test_union_all():
     assert union_all(parts).words == ((0,),)
 
 
-def test_canonical_of_measure_is_the_greedy_piece():
-    assert canonical_of_measure(F(3, 4)) == ClopenSet.from_words([(0,), (1, 0)])
-    assert canonical_of_measure(F(1)).is_full()
-    assert canonical_of_measure(F(1, 2)).words == ((0,),)
+def test_piece_of_measure_is_the_greedy_piece():
+    assert piece_of_measure(F(3, 4)) == ClopenSet.from_words([(0,), (1, 0)])
+    assert piece_of_measure(F(1)).is_full()
+    assert piece_of_measure(F(1, 2)).words == ((0,),)
 
 
 def test_subset_of_measure_strict_range():
@@ -124,7 +123,7 @@ def test_subset_of_measure_strict_range():
     sub = subset_of_measure(container, F(1, 2))
     assert sub.words == ((0,),)
     assert container.includes(sub)
-    assert subset_of_measure(ClopenSet.full(), F(1, 4)) == canonical_of_measure(F(1, 4))
+    assert subset_of_measure(ClopenSet.full(), F(1, 4)) == piece_of_measure(F(1, 4))
     for out_of_range in (F(0), F(3, 4), F(1)):
         with pytest.raises(ValueError):
             subset_of_measure(container, out_of_range)

@@ -9,23 +9,25 @@ from hypothesis import strategies as st
 from cantordensity.branches import Branch
 from cantordensity.dualistic import (
     SpongyMeasureOracle,
+    THIRD,
     dualistic_of_measure,
-    dualistic_w_f,
-    first_family_oracle,
     first_family_word,
-    second_family_oracle,
     second_family_words,
     solid_countable_range,
 )
 from cantordensity.dyadics import RatInterval
+from cantordensity.oracles import ComplementOracle
 from oracletools import antichain_measure, spongy_digit_pieces, spongy_series_measure
 
 F = Fraction
 
 
 def test_family_measures_are_exact():
-    assert first_family_oracle().measure_bounds() == RatInterval.point(F(1, 3))
-    assert second_family_oracle().measure_bounds() == RatInterval.point(F(2, 3))
+    # The second family's union is the first's complement minus the
+    # all-zeros point, a null difference.
+    first = SpongyMeasureOracle(THIRD)
+    assert first.measure_bounds() == RatInterval.point(F(1, 3))
+    assert ComplementOracle(first).measure_bounds() == RatInterval.point(F(2, 3))
 
 
 def test_family_words_partition_up_to_the_spine():
@@ -192,14 +194,14 @@ def test_solid_range_rejects_duplicates_and_bad_values():
 
 
 def test_graft_series_oracle_frozen_measures():
-    third = dualistic_w_f(F(1, 3))
+    third = SpongyMeasureOracle(F(1, 3))
     assert third.measure_bounds() == RatInterval.point(F(1, 3))
     assert all(third.piece_measure(n) == 1 for n in range(1, 6))
-    assert dualistic_w_f(F(1, 4)).measure_bounds() == RatInterval.point(F(1, 4))
-    assert dualistic_w_f(F(1, 8)).measure_bounds() == RatInterval.point(F(1, 8))
+    assert SpongyMeasureOracle(F(1, 4)).measure_bounds() == RatInterval.point(F(1, 4))
+    assert SpongyMeasureOracle(F(1, 8)).measure_bounds() == RatInterval.point(F(1, 8))
 
 
 def test_graft_series_oracle_range_guard():
-    for outside in (F(0), F(1, 2), F(2, 5), F(-1, 3)):
+    for outside in (F(1, 2), F(2, 5), F(-1, 3)):
         with pytest.raises(ValueError):
-            dualistic_w_f(outside)
+            SpongyMeasureOracle(outside)

@@ -8,11 +8,7 @@ from cantordensity.dyadics import (
     RatInterval,
     dyadic_of_rank,
     dyadic_rank,
-    dyadic_rank_order,
     format_fraction,
-    four_ary_digits,
-    four_ary_expansion,
-    geometric_tail,
     is_dyadic,
     least_dyadic_in,
     parse_fraction,
@@ -40,10 +36,10 @@ def test_rank_round_trip(rank):
 
 
 def test_rank_order_rejects_non_members():
-    assert dyadic_rank_order(F(3, 4)) == 2
+    assert dyadic_rank(F(3, 4)) == 2
     for outside in (F(1, 3), F(0), F(1), F(5, 4), F(-1, 2)):
         with pytest.raises(ValueError):
-            dyadic_rank_order(outside)
+            dyadic_rank(outside)
 
 
 def test_least_dyadic_examples():
@@ -70,35 +66,6 @@ def test_least_dyadic_is_rank_minimal(lo, hi):
     for r in range(rank):
         other = dyadic_of_rank(r)
         assert not (lo < other < hi)
-
-
-def test_four_ary_digit_examples():
-    assert four_ary_digits(F(1, 4), 3) == (1, 0, 0)
-    assert four_ary_digits(F(1, 3), 5) == (1, 1, 1, 1, 1)
-    assert four_ary_digits(F(3, 16), 4) == (0, 3, 0, 0)
-
-
-def test_four_ary_expansion_examples():
-    assert four_ary_expansion(F(1, 4)) == ((1,), (0,))
-    assert four_ary_expansion(F(1, 3)) == ((), (1,))
-    assert four_ary_expansion(F(1, 5)) == ((), (0, 3))
-
-
-@given(st.fractions(min_value=0, max_value=F(99, 100), max_denominator=300))
-def test_expansion_reconstructs_value(value):
-    pre, cycle = four_ary_expansion(value)
-    coeffs_pre = tuple(F(d) for d in pre)
-    coeffs_cycle = tuple(F(d) for d in cycle)
-    assert geometric_tail(coeffs_pre, coeffs_cycle, 1, F(1, 4)) == value
-
-
-def test_geometric_tail_examples():
-    # 1/4 + 1/16 + ... = 1/3
-    assert geometric_tail((), (F(1),), 1, F(1, 4)) == F(1, 3)
-    # starting later drops the leading terms
-    assert geometric_tail((), (F(1),), 3, F(1, 4)) == F(1, 3) - F(1, 4) - F(1, 16)
-    # a finite stream, padded with zeros
-    assert geometric_tail((F(2), F(1)), (F(0),), 1, F(1, 2)) == F(5, 4)
 
 
 def test_interval_basics():

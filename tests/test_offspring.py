@@ -224,10 +224,7 @@ def test_build_rejects_degenerate_labels():
         offspring_build(tree, {(0,): F(0)})
     with pytest.raises(ValueError):
         offspring_build(tree, ExplicitLabels({}, F(1)))
-    with pytest.raises(ValueError):
-        offspring_build(tree, {}, variant="ajar")
-    built = offspring_build(tree, {(0,): F(1, 3)}, variant="open")
-    assert built.variant == "open"
+    built = offspring_build(tree, {(0,): F(1, 3)})
     assert built.labels.label((0,)) == F(1, 3)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantordensity.branches import Branch, StretchedBranch, bit_at, interleave_branches
+from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.clopen import ClopenSet, piece_of_measure
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import (
@@ -15,8 +15,6 @@ from cantordensity.oracles import (
     MeasureOracle,
     SpinePrefixOracle,
     certified_oscillation,
-    compose,
-    from_clopen,
 )
 
 F = Fraction
@@ -166,12 +164,12 @@ def test_certified_oscillation_rejects_monotone_runs():
     assert certified_oscillation(two) is None
 
 
-def test_bit_at_reads_both_presentations():
-    assert bit_at(Branch((), (1,)), 5) == 1
-    assert bit_at(interleave_branches(Branch.zeros(), Branch.ones()), 3) == 1
+def test_at_reads_both_presentations():
+    assert Branch((), (1,)).at(5) == 1
+    assert interleave_branches(Branch.zeros(), Branch.ones()).at(3) == 1
     stretched = StretchedBranch(Branch((), (1, 0)))
     assert stretched.prefix(6) == (1, 0, 0, 1, 1, 1)
-    assert bit_at(stretched, 2) == 0
+    assert stretched.at(2) == 0
 
 
 def test_interleave_branches_alternates_the_streams():
@@ -183,21 +181,14 @@ def test_interleave_branches_alternates_the_streams():
         assert woven.at(n) == source.at(n // 2)
 
 
-def test_from_clopen_is_exact():
-    oracle = from_clopen(ClopenSet.from_words([(0,)]))
-    assert oracle.local_bounds((0,), 0) == RatInterval.point(F(1))
-    assert oracle.local_bounds((1,), 0) == RatInterval.point(F(0))
-    assert oracle.local_bounds((), 0) == RatInterval.point(F(1, 2))
-
-
 def test_compose_grafts_and_complements():
-    plain = compose(
-        [((0,), from_clopen(ClopenSet.full())), ((1,), from_clopen(ClopenSet.empty()))]
+    plain = GraftedUnionOracle(
+        [((0,), ClopenOracle(ClopenSet.full())), ((1,), ClopenOracle(ClopenSet.empty()))]
     )
     assert plain.measure_bounds() == RatInterval.point(F(1, 2))
     assert plain.local_bounds((0,), 0) == RatInterval.point(F(1))
-    flipped = compose([((0,), from_clopen(ClopenSet.full()))], complemented=True)
+    flipped = ComplementOracle(GraftedUnionOracle([((0,), ClopenOracle(ClopenSet.full()))]))
     assert flipped.measure_bounds() == RatInterval.point(F(1, 2))
     assert flipped.local_bounds((0, 1), 0) == RatInterval.point(F(0))
     with pytest.raises(ValueError):
-        compose([((0,), plain), ((0, 1), plain)])
+        GraftedUnionOracle([((0,), plain), ((0, 1), plain)])

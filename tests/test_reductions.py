@@ -246,13 +246,6 @@ def test_solid_analytic_sparse_enumeration_fails_naming_node():
         solid_analytic(AFFINE, [F(1, 2)])
 
 
-def test_solid_analytic_open_variant():
-    closed = solid_analytic(AFFINE, DYADICS)
-    opened = solid_analytic(AFFINE, DYADICS, variant="open")
-    assert opened.oracle.variant == "open"
-    assert opened.oracle.measure_bounds(10) == closed.oracle.measure_bounds(10)
-
-
 def test_solid_injective_greedy_assignment():
     built = solid_injective(INJ, [F(1, 3), F(1, 2), F(2, 3)])
     assert built.audit()

@@ -8,7 +8,6 @@ from cantordensity.trees import (
     ExplicitTree,
     InterleaveTree,
     IntersectionTree,
-    census_N,
     explode,
     graft,
     level_stat,
@@ -16,7 +15,6 @@ from cantordensity.trees import (
     periodic,
     section,
     star,
-    tree_interleave,
 )
 
 
@@ -167,13 +165,13 @@ def test_graft_splices_subtrees():
     assert not both.member((0, 1))
     assert both.member((1, 1, 1, 1))
     assert not both.member((1, 0))
-    assert census_N(both) == census_N(left) + census_N(right) == 1
+    assert both.census() == left.census() + right.census() == 1
     doubled = graft(right, right)
-    assert census_N(doubled) == 2
+    assert doubled.census() == 2
 
 
-def test_tree_interleave_wraps_join():
-    join = tree_interleave(ExplicitTree([(), (1,)], {(1,): "zeros"}), ExplicitTree.full_binary())
+def test_interleave_tree_joins_slots():
+    join = InterleaveTree(ExplicitTree([(), (1,)], {(1,): "zeros"}), ExplicitTree.full_binary())
     assert join.member((1, 0, 0, 1))
     assert not join.member((0,))
 

@@ -3,17 +3,11 @@ from hypothesis import strategies as st
 
 from cantordensity.words import (
     all_binary_words,
-    baire_embed_prefix,
     bits_to_runs,
-    decode_hat,
     decode_head,
     deinterleave,
-    encode_check,
-    flags,
-    head_tail,
     interleave,
     is_prefix,
-    ltimes,
     mixed_blocks,
     ones_count,
     order_at_depth,
@@ -152,23 +146,23 @@ def test_parse_and_enumerate():
 
 
 def test_combinatorial_names_bind_the_right_ops():
-    assert head_tail((0, 1, 1, 0, 0)) == ((0, 1, 1), 2)
-    assert head_tail((0, 0)) == ((), 2)
-    assert encode_check((2, 0, 1)) == (0, 0, 1, 1, 0, 1)
-    assert encode_check(()) == ()
-    assert decode_hat((0, 0, 1, 1, 0, 1, 0)) == (2, 0, 1)
-    assert decode_hat((0, 0)) == ()
-    assert ltimes((0, 1, 0, 0), (3,)) == (0, 1, 0, 0, 0, 1, 0, 0)
-    assert ltimes((1, 1), (0, 0)) == (1, 1, 1, 1)
-    assert flags(0) == ()
-    assert flags(1) == ((0, 1), (1, 0))
-    assert baire_embed_prefix((0, 2)) == (1, 0, 0, 1)
-    assert baire_embed_prefix((1,)) == (0, 1)
+    assert split_trailing_zeros((0, 1, 1, 0, 0)) == ((0, 1, 1), 2)
+    assert split_trailing_zeros((0, 0)) == ((), 2)
+    assert runs_to_bits((2, 0, 1)) == (0, 0, 1, 1, 0, 1)
+    assert runs_to_bits(()) == ()
+    assert decode_head((0, 0, 1, 1, 0, 1, 0)) == (2, 0, 1)
+    assert decode_head((0, 0)) == ()
+    assert splice_runs((0, 1, 0, 0), (3,)) == (0, 1, 0, 0, 0, 1, 0, 0)
+    assert splice_runs((1, 1), (0, 0)) == (1, 1, 1, 1)
+    assert mixed_blocks(0) == ()
+    assert mixed_blocks(1) == ((0, 1), (1, 0))
+    assert runs_to_bits((0, 2)) == (1, 0, 0, 1)
+    assert runs_to_bits((1,)) == (0, 1)
 
 
-def test_ltimes_needs_one_run_per_one():
+def test_splice_runs_needs_one_run_per_one():
     try:
-        ltimes((1, 1, 0), (4,))
+        splice_runs((1, 1, 0), (4,))
     except ValueError:
         pass
     else:
@@ -176,6 +170,6 @@ def test_ltimes_needs_one_run_per_one():
 
 
 @given(binary_words)
-def test_ltimes_ones_add_up(word):
+def test_splice_runs_ones_add_up(word):
     extra = tuple(range(ones_count(word)))
-    assert ones_count(ltimes(word, extra)) == 2 * ones_count(word)
+    assert ones_count(splice_runs(word, extra)) == 2 * ones_count(word)
