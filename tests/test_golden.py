@@ -44,6 +44,14 @@ DOCS = {
         "labels": {"": "1/4", "1": "5/8", "10": "3/16"},
         "default_label": "3/8",
     },
+    # Non-dyadic labels along the branch: copies flagged at 1 and 10 hang
+    # measured stand-in sets instead of clopen pieces.
+    "offspring-thirds": {
+        "kind": "offspring",
+        "tree": {"nodes": ["", "0", "1", "10"], "policies": {"0": "full", "10": {"periodic": "1"}}},
+        "labels": {"": "1/4", "0": "5/8", "1": "1/3", "10": "2/7"},
+        "default_label": "3/8",
+    },
     # 0110 followed by (10)^w
     "tail10": {"kind": "ev_periodic", "head": "0110", "period": "10"},
     # 0^2 1^2 0^w, the designated point of the second value
@@ -52,6 +60,7 @@ DOCS = {
     "stretch10": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "10"}},
     "stretch1": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}},
     "stretch-offspring": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "1", "period": "0"}},
+    "stretch-thirds": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "10", "period": "1"}},
 }
 
 CASES = {
@@ -65,8 +74,12 @@ CASES = {
         "classify", "--set", "@first", "--branch", "@stretch1", "--max-depth", "30",
     ),
     "third-measure": ("measure", "--set", "@third", "--budget", "10"),
+    "third-trace": ("trace", "--set", "@third", "--branch", "@stretch10", "--steps", "20"),
     "offspring-trace": (
         "trace", "--set", "@offspring", "--branch", "@stretch-offspring", "--steps", "16",
+    ),
+    "offspring-thirds-trace": (
+        "trace", "--set", "@offspring-thirds", "--branch", "@stretch-thirds", "--steps", "24",
     ),
 }
 
