@@ -81,7 +81,11 @@ class ConstantPresentation:
 
 
 def _bit_sum(bits: Word) -> Fraction:
-    return sum((Fraction(b, 2 ** (n + 1)) for n, b in enumerate(bits)), Fraction(0))
+    """Sum of bits[n] 2^-(n+1), folded as one integer numerator."""
+    value = 0
+    for b in bits:
+        value = 2 * value + b
+    return Fraction(value, 1 << len(bits))
 
 
 def _branch_bit_value(head: Word, cycle: Word) -> Fraction:

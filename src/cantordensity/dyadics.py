@@ -62,16 +62,17 @@ def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
     hi = min(hi, ONE)
     if lo >= hi:
         raise ValueError(f"no dyadic in empty interval ({lo}, {hi})")
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
     n = 1
     while True:
-        scale = 1 << n
-        # lo >= 0 here, so int() is floor; floor+1 is the least strict bound.
-        first = int(lo * scale) + 1
+        # lo >= 0 here, so // is floor; floor+1 is the least strict bound.
+        first = (a << n) // b + 1
         if first % 2 == 0:
             first += 1
-        candidate = Fraction(first, scale)
-        if candidate < hi:
-            return candidate
+        # first / 2^n < c / d, without building the candidate.
+        if first * d < c << n:
+            return Fraction(first, 1 << n)
         n += 1
 
 

@@ -15,6 +15,13 @@ cell enumeration to the horizon depth gives. Non-dyadic labels hang
 measured stand-in sets instead of clopen pieces; those copy regions
 answer exactly at every depth, tighter than any enumeration.
 
+With h letters of lookahead left the evaluator carries the bounds as
+numerators over 2^h: integers while every region met is dyadic, exact
+Fractions once a stand-in's value enters. Children add their
+numerators, and one division by 2^h at the end gives the interval.
+States are walked on an explicit stack, so a deep horizon costs no
+interpreter recursion.
+
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
 completions of the next block carry the label's copies and everything
@@ -30,12 +37,15 @@ from typing import Protocol
 from .branches import Branch, StretchedBranch, as_stretched
 from .clopen import ClopenSet, piece_of_measure
 from .dualistic import dualistic_of_measure
-from .dyadics import EMPTY_MASS, FULL_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
+from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
 from .oracles import ClopenOracle, MeasureOracle, Point, TailCertificate
 from .trees import IntersectionTree, Tree
 from .words import Word, triangular
 
 State = tuple
+# (lo, hi, cost): numerators over 2^h of the bounds at h letters of
+# lookahead, and the lookahead an exact value needed (None if inexact).
+Bounds = tuple[int | Fraction, int | Fraction, int | None]
 
 
 def _join_cost(left: int | None, right: int | None) -> int | None:
@@ -112,7 +122,7 @@ class OffspringOracle(MeasureOracle):
         self.labels = labels
         self._pieces: dict[Fraction, ClopenSet] = {}
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
-        self._resolved: dict[tuple, tuple[RatInterval, int]] = {}
+        self._resolved: dict[tuple, Bounds] = {}
 
     # ----- the block state machine -------------------------------------
     #
@@ -187,58 +197,97 @@ class OffspringOracle(MeasureOracle):
         label_key = self.labels.node_key(t)
         return (kind, len(t), state[2:], region, label_key)
 
-    def _eval(self, state: State, h: int, memo: dict) -> tuple[RatInterval, int | None]:
+    def _eval(self, state: State, h: int, memo: dict) -> Bounds:
         """Bounds at a state with h letters of lookahead left.
 
-        The second component is the lookahead actually needed when the
-        value is exact, or None when the horizon was hit. Exact values
-        are kept across calls but only reused when the current horizon
-        could have reproduced them, so the answers stay equal to honest
-        exhaustive enumeration at the horizon depth.
+        The answer is (lo, hi, cost): the localized measure lies in
+        [lo / 2^h, hi / 2^h]. The numerators are integers while every
+        region met is dyadic; a non-dyadic copy adds its stand-in's
+        exact value times 2^h, a Fraction. cost is the lookahead
+        actually needed when the value is exact, or None when the
+        horizon was hit. Exact values are kept across calls at scale
+        2^cost and only reused when the current horizon could have
+        reproduced them, so the answers stay equal to honest exhaustive
+        enumeration at the horizon depth.
+
+        The children of a state are evaluated letter 0 first, on an
+        explicit stack of frames (state, key, h, 0-child bounds), so the
+        lookahead is not limited by the interpreter's recursion depth.
         """
-        key = self._key(state)
-        settled = self._resolved.get(key)
-        if settled is not None and settled[1] <= h:
-            return settled
-        step_key = (key, h)
-        cached = memo.get(step_key)
-        if cached is not None:
-            return cached
+        resolved = self._resolved
+        frames: list[list] = []
+        while True:
+            key = self._key(state)
+            settled = resolved.get(key)
+            if settled is not None and settled[2] <= h:
+                scale = 1 << (h - settled[2])
+                out = (settled[0] * scale, settled[1] * scale, settled[2])
+            else:
+                out = memo.get((key, h))
+                if out is None:
+                    out = self._leaf(state, h)
+                    if out is None:
+                        frames.append([state, key, h, None])
+                        state = self._step(state, 0)
+                        h -= 1
+                        continue
+                    self._keep(key, h, out, memo)
+            # Hand the answer up until a frame still needs its 1-child.
+            while frames:
+                frame = frames[-1]
+                parent, parent_key, parent_h, left = frame
+                if left is None and parent[0] != "mixed":
+                    frame[3] = out
+                    state = self._step(parent, 1)
+                    h = parent_h - 1
+                    break
+                frames.pop()
+                if left is None:
+                    # Both continuations of a mixed state land in the
+                    # same state; no averaging.
+                    lo, hi, cost = out
+                    out = (2 * lo, 2 * hi, None if cost is None else cost + 1)
+                else:
+                    out = (left[0] + out[0], left[1] + out[1], _join_cost(left[2], out[2]))
+                self._keep(parent_key, parent_h, out, memo)
+            else:
+                return out
+
+    def _leaf(self, state: State, h: int) -> Bounds | None:
+        """Bounds of a state that needs no lookahead, or None when its
+        children must be evaluated."""
         kind = state[0]
         if kind == "dead":
-            out: tuple[RatInterval, int | None] = (EMPTY_MASS, 0)
-        elif kind == "copy":
+            return (0, 0, 0)
+        if kind == "copy":
             _, t, v = state
             value = self.labels.label(t)
             if not is_dyadic(value):
                 # The stand-in set answers exactly at every depth.
-                out = (self._stand_in(value).local_bounds(v, len(v)), 0)
+                bounds = self._stand_in(value).local_bounds(v, len(v))
+                scale = 1 << h
+                return (bounds.lo * scale, bounds.hi * scale, 0)
+            localized = self._piece(value).localize(v)
+            if localized.is_empty():
+                return (0, 0, 0)
+            if localized.is_full():
+                return (1 << h, 1 << h, 0)
+        if h <= 0:
+            # The horizon (h is 0 here): all of [0, 1] stays open.
+            return (0, 1, None)
+        return None
+
+    def _keep(self, key: tuple, h: int, out: Bounds, memo: dict) -> None:
+        memo[(key, h)] = out
+        lo, hi, cost = out
+        if cost is not None:
+            # A value settled with cost c is a multiple of 2^-c unless a
+            # stand-in Fraction went into it, so the shift is exact.
+            shift = h - cost
+            if type(lo) is int:
+                self._resolved[key] = (lo >> shift, hi >> shift, cost)
             else:
-                localized = self._piece(value).localize(v)
-                if localized.is_empty():
-                    out = (EMPTY_MASS, 0)
-                elif localized.is_full():
-                    out = (FULL_MASS, 0)
-                elif h <= 0:
-                    out = (UNIT, None)
-                else:
-                    left, lcost = self._eval(("copy", t, v + (0,)), h - 1, memo)
-                    right, rcost = self._eval(("copy", t, v + (1,)), h - 1, memo)
-                    out = ((left + right).scale(HALF), _join_cost(lcost, rcost))
-        elif h <= 0:
-            out = (UNIT, None)
-        elif kind == "mixed":
-            # Both continuations land in the same state; no averaging.
-            value, cost = self._eval(self._step(state, 0), h - 1, memo)
-            out = (value, None if cost is None else cost + 1)
-        else:
-            left, lcost = self._eval(self._step(state, 0), h - 1, memo)
-            right, rcost = self._eval(self._step(state, 1), h - 1, memo)
-            out = ((left + right).scale(HALF), _join_cost(lcost, rcost))
-        if out[1] is not None:
-            self._resolved[key] = out
-        memo[step_key] = out
-        return out
+                self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
 
     def _walk(self, word: Word) -> State:
         state: State = ("node", ())
@@ -251,9 +300,9 @@ class OffspringOracle(MeasureOracle):
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         word = tuple(word)
         horizon = max(budget, len(word))
-        state = self._walk(word)
-        bounds, _ = self._eval(state, horizon - len(word), {})
-        return bounds
+        h = horizon - len(word)
+        lo, hi, _ = self._eval(self._walk(word), h, {})
+        return RatInterval(Fraction(lo, 1 << h), Fraction(hi, 1 << h))
 
     # ----- tail certificates --------------------------------------------
 

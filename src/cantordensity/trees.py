@@ -85,6 +85,9 @@ class ExplicitTree:
         for w in node_set:
             if w:
                 self._children[w[:-1]].append(w[-1])
+        for w in self.policies:
+            if w not in node_set:
+                raise ValueError(f"policy at {w} is not a tree node")
         for w in node_set:
             if w in self.policies:
                 if self._children[w]:
@@ -105,12 +108,17 @@ class ExplicitTree:
         return max(len(w) for w in self.nodes)
 
     def _governing(self, word: Word) -> tuple[Word, Policy] | None:
-        """The policy leaf whose region a non-explicit word falls under."""
-        for cut in range(len(word), -1, -1):
+        """The policy leaf whose region a non-explicit word falls under.
+
+        Policy leaves are nodes without explicit children, so the walk
+        from the root meets at most one and stops within the explicit
+        depth.
+        """
+        for cut in range(len(word) + 1):
             prefix = word[:cut]
             if prefix in self.policies:
                 return prefix, self.policies[prefix]
-            if prefix in self.nodes:
+            if prefix not in self.nodes:
                 return None
         return None
 

@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, and output determinism."""
 
 import json
+from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -161,3 +162,18 @@ def test_measure_of_a_long_clopen_word(tmp_path):
     assert result.exit_code == 0
     point = f"1/{2 ** 1500}"
     assert result.stdout == json.dumps({"lo": point, "hi": point}) + "\n"
+
+
+def test_deep_budget_measure_answers(tmp_path):
+    # A lookahead of 1200 letters is deeper than the interpreter's
+    # recursion limit; the bounds must nest inside shallower ones.
+    spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "second"})
+    bounds = {}
+    for budget in ("800", "1200"):
+        result = invoke("measure", "--set", spec, "--budget", budget)
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.stdout)
+        bounds[budget] = (Fraction(record["lo"]), Fraction(record["hi"]))
+    lo, hi = bounds["1200"]
+    shallow_lo, shallow_hi = bounds["800"]
+    assert shallow_lo <= lo <= hi <= shallow_hi

@@ -14,6 +14,10 @@ from cantordensity.words import triangular
 from oracletools import offspring_cell_bounds
 
 HALF_TABLE = ExplicitLabels({}, F(1, 2))
+EIGHTHS = tuple(F(k, 8) for k in range(9))
+# Non-dyadic labels hang measured stand-in sets, whose values enter the
+# evaluator as Fraction numerators.
+WITH_THIRDS = EIGHTHS + (F(1, 3), F(2, 5), F(5, 7))
 
 
 def full_half() -> OffspringOracle:
@@ -46,13 +50,13 @@ def _random_tree(rng: random.Random) -> ExplicitTree:
     return ExplicitTree(node_set, policies)
 
 
-def _random_labels(rng: random.Random) -> ExplicitLabels:
+def _random_labels(rng: random.Random, values: tuple = EIGHTHS) -> ExplicitLabels:
     mapping = {}
     for depth in range(3):
         for bits in itertools.product((0, 1), repeat=depth):
             if rng.random() < 0.5:
-                mapping[bits] = F(rng.randrange(9), 8)
-    return ExplicitLabels(mapping, F(rng.randrange(9), 8))
+                mapping[bits] = rng.choice(values)
+    return ExplicitLabels(mapping, rng.choice(values))
 
 
 # ----- hand-checked small values -----------------------------------------
@@ -108,20 +112,41 @@ def test_interleave_tree_matches_enumeration():
         assert (got.lo, got.hi) == (lo, hi), word
 
 
+def test_stand_ins_answer_inside_cell_enumeration():
+    # Enumeration reads a copy as the cells below its label at the
+    # horizon; a stand-in copy answers its exact mass, inside that slack.
+    rng = random.Random(1913)
+    tighter = 0
+    for _ in range(4):
+        tree = _random_tree(rng)
+        labels = _random_labels(rng, WITH_THIRDS)
+        oracle = OffspringOracle(tree, labels)
+        for word in _binary_words(3):
+            lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
+            got = oracle.local_bounds(word, 11)
+            assert lo <= got.lo <= got.hi <= hi, (word, sorted(tree.nodes))
+            tighter += (got.lo, got.hi) != (lo, hi)
+    assert tighter > 0
+
+
 def test_reuse_respects_horizon():
     # Deep calls settle regions exactly; later shallow calls must still
-    # answer as a fresh oracle would at the shallow horizon.
+    # answer as a fresh oracle would at the shallow horizon. Stand-in
+    # values settle as Fractions and are rescaled on reuse.
     rng = random.Random(77)
-    for _ in range(6):
-        tree = _random_tree(rng)
-        labels = _random_labels(rng)
-        warm = OffspringOracle(tree, labels)
-        for word in _binary_words(3):
-            warm.local_bounds(word, 12)
-        for word in _binary_words(3):
-            for budget in (0, 3, 6):
-                cold = OffspringOracle(tree, labels)
-                assert warm.local_bounds(word, budget) == cold.local_bounds(word, budget)
+    for values in (EIGHTHS, WITH_THIRDS):
+        for _ in range(6):
+            _check_reuse(_random_tree(rng), _random_labels(rng, values))
+
+
+def _check_reuse(tree, labels):
+    warm = OffspringOracle(tree, labels)
+    for word in _binary_words(3):
+        warm.local_bounds(word, 12)
+    for word in _binary_words(3):
+        for budget in (0, 3, 6):
+            cold = OffspringOracle(tree, labels)
+            assert warm.local_bounds(word, budget) == cold.local_bounds(word, budget)
 
 
 def test_bounds_tighten_with_budget():

@@ -25,6 +25,8 @@ def test_validation_catches_gaps():
         ExplicitTree([(), (0,)], {})  # leaf without policy
     with pytest.raises(ValueError):
         ExplicitTree([()], {(): "stop"})  # stop needs the nat alphabet
+    with pytest.raises(ValueError):
+        ExplicitTree([(), (0,)], {(0,): "full", (1, 1): "zeros"})  # policy off the nodes
 
 
 def test_membership_through_policies():
