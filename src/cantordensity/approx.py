@@ -43,22 +43,30 @@ def canonical_approx(presentation: FunctionPresentation, node: Word) -> Fraction
     return least_dyadic_in(lo, hi)
 
 
-def approx_pair(presentation: FunctionPresentation, node: Word) -> tuple[Fraction, Fraction]:
-    """Dyadics strictly below and above the canonical value at a node.
+def fold_into_unit(value: Fraction, anchor: Fraction) -> Fraction:
+    """Pull a value poking out of (0;1) back to the midpoint between its
+    anchor and the boundary it crossed."""
+    if value >= 1:
+        return (1 + anchor) / 2
+    if value <= 0:
+        return anchor / 2
+    return value
 
-    The offsets shrink with depth, and ends poking out of (0;1) fold
-    back to the midpoint toward the nearer boundary, so both members
-    stay strictly inside (0;1) and the gap stays below 2^-|node|.
+
+def nudged_pair(middle: Fraction, depth: int) -> tuple[Fraction, Fraction]:
+    """Values strictly below and above a middle inside (0;1).
+
+    The offset is 2^-(depth+2), and ends poking out of (0;1) fold back
+    toward the boundary they crossed, so both members stay strictly
+    inside (0;1) and the gap stays below 2^-depth.
     """
-    middle = canonical_approx(presentation, node)
-    offset = Fraction(1, 2 ** (len(node) + 2))
-    below = middle - offset
-    above = middle + offset
-    if below <= 0:
-        below = middle / 2
-    if above >= 1:
-        above = (1 + middle) / 2
-    return below, above
+    offset = Fraction(1, 1 << (depth + 2))
+    return fold_into_unit(middle - offset, middle), fold_into_unit(middle + offset, middle)
+
+
+def approx_pair(presentation: FunctionPresentation, node: Word) -> tuple[Fraction, Fraction]:
+    """Dyadics strictly below and above the canonical value at a node."""
+    return nudged_pair(canonical_approx(presentation, node), len(node))
 
 
 @dataclass(frozen=True)

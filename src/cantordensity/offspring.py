@@ -39,10 +39,12 @@ from .clopen import ClopenSet, piece_of_measure
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
 from .oracles import ClopenOracle, MeasureOracle, Point, TailCertificate
-from .trees import IntersectionTree, Tree
+from .trees import DEAD, IntersectionTree, Tree
 from .words import Word, triangular
 
-State = tuple
+# (key, t): see the block state machine in OffspringOracle.
+State = tuple[tuple, Word]
+_DEAD: State = (DEAD, ())
 # (lo, hi, cost): numerators over 2^h of the bounds at h letters of
 # lookahead, and the lookahead an exact value needed (None if inexact).
 Bounds = tuple[int | Fraction, int | Fraction, int | None]
@@ -126,11 +128,20 @@ class OffspringOracle(MeasureOracle):
 
     # ----- the block state machine -------------------------------------
     #
-    # ("dead",)                  off the tree, or flagged into an empty piece
-    # ("node", t)                at the block boundary of tree node t
-    # ("pure", t, letter, m)     m letters into t's block, all equal
-    # ("mixed", t, m)            m letters into t's block, both letters seen
-    # ("copy", t, v)             flagged at t, v letters into the copy
+    # A state is a pair (key, t). The key holds everything the state's
+    # future depends on, so it is the memo key; t is the tree node whose
+    # block is being read, kept only to ask the tree and the labels about
+    # its children. A node's keys share ctx = (len(t), region, label key),
+    # computed once when the walk enters t.
+    #
+    # ("dead",)                  off the tree
+    # ("node", ctx)              at the block boundary of tree node t
+    # ("pure", ctx, letter, m)   m letters into t's block, all equal
+    # ("mixed", ctx, m)          m letters into t's block, both letters seen
+    # ("copy", piece)            flagged with a dyadic label: what is left
+    #                            of its clopen piece
+    # ("stand-in", value, v)     flagged with any other label, v letters
+    #                            into the stand-in set
 
     def _piece(self, value: Fraction) -> ClopenSet:
         piece = self._pieces.get(value)
@@ -147,55 +158,44 @@ class OffspringOracle(MeasureOracle):
             self._stand_ins[value] = oracle
         return oracle
 
-    def _child(self, t: Word, letter: int) -> State:
-        child = t + (letter,)
-        if self.tree.member(child):
-            return ("node", child)
-        return ("dead",)
+    def _enter(self, t: Word) -> State:
+        region = self.tree.region_key(t)
+        if region == DEAD:
+            return _DEAD
+        return (("node", (len(t), region, self.labels.node_key(t))), t)
+
+    def _flag(self, t: Word) -> State:
+        value = self.labels.label(t)
+        if is_dyadic(value):
+            return (("copy", self._piece(value)), t)
+        return (("stand-in", value, ()), t)
 
     def _step(self, state: State, letter: int) -> State:
-        kind = state[0]
+        key, t = state
+        kind = key[0]
         if kind == "dead":
             return state
         if kind == "copy":
-            return ("copy", state[1], state[2] + (letter,))
+            return (("copy", key[1].halves()[letter]), t)
+        if kind == "stand-in":
+            return (("stand-in", key[1], key[2] + (letter,)), t)
         if kind == "node":
-            t = state[1]
             if len(t) == 0:
                 # The root block has a single letter; it is always pure.
-                return self._child(t, letter)
-            return ("pure", t, letter, 1)
+                return self._enter(t + (letter,))
+            return (("pure", key[1], letter, 1), t)
+        size = len(t) + 1
         if kind == "pure":
-            _, t, first, m = state
-            size = len(t) + 1
+            _, ctx, first, m = key
             if letter == first:
                 if m + 1 == size:
-                    return self._child(t, first)
-                return ("pure", t, first, m + 1)
-            if m + 1 == size:
-                return ("copy", t, ())
-            return ("mixed", t, m + 1)
-        _, t, m = state
-        if m + 1 == len(t) + 1:
-            return ("copy", t, ())
-        return ("mixed", t, m + 1)
-
-    def _key(self, state: State) -> tuple:
-        kind = state[0]
-        if kind == "dead":
-            return state
-        if kind == "copy":
-            _, t, v = state
-            value = self.labels.label(t)
-            if not is_dyadic(value):
-                return ("copy-exact", value, v)
-            localized = self._piece(value).localize(v)
-            # The copy's future depends only on what is left of the piece.
-            return ("copy", localized.words)
-        t = state[1]
-        region = self.tree.region_key(t)
-        label_key = self.labels.node_key(t)
-        return (kind, len(t), state[2:], region, label_key)
+                    return self._enter(t + (first,))
+                return (("pure", ctx, first, m + 1), t)
+        else:
+            _, ctx, m = key
+        if m + 1 == size:
+            return self._flag(t)
+        return (("mixed", ctx, m + 1), t)
 
     def _eval(self, state: State, h: int, memo: dict) -> Bounds:
         """Bounds at a state with h letters of lookahead left.
@@ -211,13 +211,13 @@ class OffspringOracle(MeasureOracle):
         enumeration at the horizon depth.
 
         The children of a state are evaluated letter 0 first, on an
-        explicit stack of frames (state, key, h, 0-child bounds), so the
+        explicit stack of frames (state, h, 0-child bounds), so the
         lookahead is not limited by the interpreter's recursion depth.
         """
         resolved = self._resolved
         frames: list[list] = []
         while True:
-            key = self._key(state)
+            key = state[0]
             settled = resolved.get(key)
             if settled is not None and settled[2] <= h:
                 scale = 1 << (h - settled[2])
@@ -227,7 +227,7 @@ class OffspringOracle(MeasureOracle):
                 if out is None:
                     out = self._leaf(state, h)
                     if out is None:
-                        frames.append([state, key, h, None])
+                        frames.append([state, h, None])
                         state = self._step(state, 0)
                         h -= 1
                         continue
@@ -235,9 +235,9 @@ class OffspringOracle(MeasureOracle):
             # Hand the answer up until a frame still needs its 1-child.
             while frames:
                 frame = frames[-1]
-                parent, parent_key, parent_h, left = frame
-                if left is None and parent[0] != "mixed":
-                    frame[3] = out
+                parent, parent_h, left = frame
+                if left is None and parent[0][0] != "mixed":
+                    frame[2] = out
                     state = self._step(parent, 1)
                     h = parent_h - 1
                     break
@@ -249,28 +249,27 @@ class OffspringOracle(MeasureOracle):
                     out = (2 * lo, 2 * hi, None if cost is None else cost + 1)
                 else:
                     out = (left[0] + out[0], left[1] + out[1], _join_cost(left[2], out[2]))
-                self._keep(parent_key, parent_h, out, memo)
+                self._keep(parent[0], parent_h, out, memo)
             else:
                 return out
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
         """Bounds of a state that needs no lookahead, or None when its
         children must be evaluated."""
-        kind = state[0]
+        key = state[0]
+        kind = key[0]
         if kind == "dead":
             return (0, 0, 0)
+        if kind == "stand-in":
+            # The stand-in set answers exactly at every depth.
+            _, value, v = key
+            bounds = self._stand_in(value).local_bounds(v, len(v))
+            scale = 1 << h
+            return (bounds.lo * scale, bounds.hi * scale, 0)
         if kind == "copy":
-            _, t, v = state
-            value = self.labels.label(t)
-            if not is_dyadic(value):
-                # The stand-in set answers exactly at every depth.
-                bounds = self._stand_in(value).local_bounds(v, len(v))
-                scale = 1 << h
-                return (bounds.lo * scale, bounds.hi * scale, 0)
-            localized = self._piece(value).localize(v)
-            if localized.is_empty():
+            if key[1].is_empty():
                 return (0, 0, 0)
-            if localized.is_full():
+            if key[1].is_full():
                 return (1 << h, 1 << h, 0)
         if h <= 0:
             # The horizon (h is 0 here): all of [0, 1] stays open.
@@ -290,10 +289,10 @@ class OffspringOracle(MeasureOracle):
                 self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
 
     def _walk(self, word: Word) -> State:
-        state: State = ("node", ())
+        state = self._enter(())
         for letter in word:
             state = self._step(state, letter)
-            if state[0] == "dead":
+            if state is _DEAD:
                 return state
         return state
 
@@ -339,17 +338,14 @@ class OffspringOracle(MeasureOracle):
     def _walking_certificate(self, point: Branch, guard: int, effort: int) -> TailCertificate | None:
         """Follow the point letter by letter; dead walks and flagged walks
         settle into exact sub-certificates."""
-        state: State = ("node", ())
+        state = self._enter(())
         for pos in range(guard):
             state = self._step(state, point.at(pos))
-            if state[0] == "dead":
+            key = state[0]
+            if key[0] == "dead":
                 return TailCertificate(EMPTY_MASS, pos + 1)
-            if state[0] == "copy":
-                value = self.labels.label(state[1])
-                if is_dyadic(value):
-                    inside: MeasureOracle = ClopenOracle(self._piece(value))
-                else:
-                    inside = self._stand_in(value)
+            if key[0] in ("copy", "stand-in"):
+                inside = ClopenOracle(key[1]) if key[0] == "copy" else self._stand_in(key[1])
                 inner = inside.tail_certificate(point.drop(pos + 1), effort)
                 if inner is None:
                     return TailCertificate(UNIT, pos + 1)

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .approx import FunctionPresentation, approx_pair, canonical_approx
+from .approx import (
+    FunctionPresentation,
+    approx_pair,
+    canonical_approx,
+    fold_into_unit,
+    nudged_pair,
+)
 from .branches import Branch
 from .dualistic import solid_countable_range
 from .dyadics import ONE, ZERO, RatInterval, dyadic_of_rank
@@ -52,15 +58,6 @@ EXPLORE_LETTERS = 4
 EXPLORE_DEPTH = 3
 
 GREEDY_RANK_CAP = 4096
-
-
-def _fold_into_unit(value: Fraction, anchor: Fraction) -> Fraction:
-    """Pull a value poking out of (0;1) back toward its anchor."""
-    if value >= ONE:
-        return (ONE + anchor) / 2
-    if value <= ZERO:
-        return anchor / 2
-    return value
 
 
 def _explored_nodes() -> list[Word]:
@@ -232,26 +229,18 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
         if node:
             offset = Fraction(1, 1 << (len(node) + 1))
             shifted = base + offset if node[-1] % 2 == 0 else base - offset
-            value = _fold_into_unit(shifted, base)
+            value = fold_into_unit(shifted, base)
         else:
             value = base
         self._adjusted[node] = value
         return value
-
-    def adjusted_pair(self, node: Word) -> tuple[Fraction, Fraction]:
-        """The adjusted value nudged strictly below and above itself."""
-        middle = self.adjusted(node)
-        offset = Fraction(1, 1 << (len(node) + 2))
-        below = _fold_into_unit(middle - offset, middle)
-        above = _fold_into_unit(middle + offset, middle)
-        return below, above
 
     def label(self, word: Word) -> Fraction:
         word = tuple(word)
         if len(word) % 2 == 0:
             tree_half, codec_half = deinterleave(word)
             node = decode_head(codec_half[: ones_count(tree_half)])
-            below, above = self.adjusted_pair(node)
+            below, above = nudged_pair(self.adjusted(node), len(node))
             _, zeros = split_trailing_zeros(tree_half)
             return above if zeros % 2 == 0 else below
         tree_half, codec_half = deinterleave(word[:-1])

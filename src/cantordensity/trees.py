@@ -30,13 +30,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Literal, Protocol, Union
+from typing import Literal, Union
 
 from .words import Word, deinterleave, runs_to_bits
 
 Policy = Union[Literal["zeros", "full", "stop", "fan_stop"], tuple[Literal["periodic"], Word]]
 
 CONTINUUM = "continuum"
+
+DEAD = ("dead",)
 
 
 def periodic(cycle: Word) -> Policy:
@@ -45,21 +47,35 @@ def periodic(cycle: Word) -> Policy:
     return ("periodic", tuple(cycle))
 
 
-class Tree(Protocol):
-    """What the offspring evaluator asks of a tree presentation."""
+class Tree:
+    """What the offspring evaluator asks of a tree presentation.
 
-    def member(self, word: Word) -> bool: ...
+    ``region_key`` is the one primitive: it returns ``DEAD``, the key
+    ``("dead",)``, exactly for words off the tree, and equal keys promise
+    identically shaped subtrees below the words. Membership and children
+    derive from it.
+    ``arity`` is the alphabet size, or None for the natural numbers.
+    """
+
+    arity: int | None
 
     def region_key(self, word: Word) -> tuple:
-        """Equal keys promise identically shaped subtrees below the words."""
-        ...
+        raise NotImplementedError
 
-    def accepts_branch(self, head: Word, cycle: Word) -> bool: ...
+    def accepts_branch(self, head: Word, cycle: Word) -> bool:
+        raise NotImplementedError
 
-    def alive_children(self, word: Word) -> tuple[int, ...]: ...
+    def member(self, word: Word) -> bool:
+        return self.region_key(word) != DEAD
+
+    def alive_children(self, word: Word) -> tuple[int, ...]:
+        if self.arity is None:
+            raise ValueError("cannot enumerate children over the natural numbers")
+        word = tuple(word)
+        return tuple(i for i in range(self.arity) if self.member(word + (i,)))
 
 
-class ExplicitTree:
+class ExplicitTree(Tree):
     """A pruned tree given by explicit nodes plus frontier policies.
 
     ``arity`` is the alphabet size, or None for the natural numbers.
@@ -122,20 +138,8 @@ class ExplicitTree:
                 return None
         return None
 
-    def member(self, word: Word) -> bool:
-        word = tuple(word)
-        if self.arity is not None and any(l >= self.arity or l < 0 for l in word):
-            return False
-        if word in self.nodes:
-            return True
-        found = self._governing(word)
-        if found is None:
-            return False
-        leaf, policy = found
-        return _policy_accepts(policy, word[len(leaf):])
-
     def region_key(self, word: Word) -> tuple:
-        """A key identifying the shape of the subtree below an alive word.
+        """A key identifying the shape of the subtree below a word.
 
         Subtrees inside a policy region look alike regardless of where
         the word sits, which is what makes deep evaluations cacheable.
@@ -147,17 +151,12 @@ class ExplicitTree:
             return ("node", word)
         found = self._governing(word)
         if found is None:
-            return ("dead",)
+            return DEAD
         leaf, policy = found
         suffix = word[len(leaf):]
-        if not _policy_accepts(policy, suffix):
-            return ("dead",)
+        if not _policy_accepts(policy, suffix, self.arity):
+            return DEAD
         return _policy_key(policy, len(suffix))
-
-    def alive_children(self, word: Word) -> tuple[int, ...]:
-        if self.arity is None:
-            raise ValueError("cannot enumerate children over the natural numbers")
-        return tuple(i for i in range(self.arity) if self.member(tuple(word) + (i,)))
 
     def accepts_branch(self, head: Word, cycle: Word) -> bool:
         """Exact membership of the eventually periodic branch head + cycle^w."""
@@ -215,11 +214,12 @@ def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
     raise ValueError(f"unknown policy {policy!r} at {at}")
 
 
-def _policy_accepts(policy: Policy, suffix: Word) -> bool:
+def _policy_accepts(policy: Policy, suffix: Word, arity: int | None) -> bool:
     if policy == "zeros":
         return all(l == 0 for l in suffix)
     if policy == "full":
-        return True
+        # The one region open to every letter: the alphabet bounds it.
+        return arity is None or not suffix or (min(suffix) >= 0 and max(suffix) < arity)
     if policy == "stop":
         return len(suffix) == 0
     if policy == "fan_stop":
@@ -234,9 +234,10 @@ def _policy_key(policy: Policy, offset: int) -> tuple:
     if policy == "full":
         return ("full",)
     if policy == "stop":
-        return ("dead",)
+        return ("stop",)
     if policy == "fan_stop":
-        return ("fan_stop",) if offset == 0 else ("dead",)
+        # A fan_stop child is alive without children, like a stop leaf.
+        return ("fan_stop",) if offset == 0 else ("stop",)
     cycle = policy[1]
     return ("periodic", cycle, offset % len(cycle))
 
@@ -259,7 +260,7 @@ def _policy_accepts_branch(policy, leaf: Word, head: Word, cycle: Word, at) -> b
     return all(at(n) == q[(n - start) % len(q)] for n in range(start, horizon))
 
 
-class InterleaveTree:
+class InterleaveTree(Tree):
     """Lazy join: letters at even slots come from one tree, odd slots from the other.
 
     Membership is exact at every depth, which a depth-bounded
@@ -273,21 +274,14 @@ class InterleaveTree:
         self.odds = odds
         self.arity = 2
 
-    def member(self, word: Word) -> bool:
-        e, o = deinterleave(tuple(word))
-        return self.evens.member(e) and self.odds.member(o)
-
     def region_key(self, word: Word) -> tuple:
         word = tuple(word)
         e, o = deinterleave(word)
         ke = self.evens.region_key(e)
         ko = self.odds.region_key(o)
-        if ke == ("dead",) or ko == ("dead",):
-            return ("dead",)
+        if ke == DEAD or ko == DEAD:
+            return DEAD
         return ("join", ke, ko, len(word) % 2)
-
-    def alive_children(self, word: Word) -> tuple[int, ...]:
-        return tuple(i for i in (0, 1) if self.member(tuple(word) + (i,)))
 
     def accepts_branch(self, head: Word, cycle: Word) -> bool:
         head, cycle = tuple(head), tuple(cycle)
@@ -303,7 +297,7 @@ class InterleaveTree:
         )
 
 
-class IntersectionTree:
+class IntersectionTree(Tree):
     """Nodes alive in both presentations; used to prune one tree by another."""
 
     def __init__(self, left: Tree, right: Tree):
@@ -311,21 +305,16 @@ class IntersectionTree:
         self.right = right
         self.arity = 2
 
-    def member(self, word: Word) -> bool:
-        return self.left.member(word) and self.right.member(word)
-
     def region_key(self, word: Word) -> tuple:
         kl = self.left.region_key(word)
         kr = self.right.region_key(word)
-        if kl == ("dead",) or kr == ("dead",):
-            return ("dead",)
+        if kl == DEAD or kr == DEAD:
+            return DEAD
         return ("meet", kl, kr)
 
     def accepts_branch(self, head: Word, cycle: Word) -> bool:
         return self.left.accepts_branch(head, cycle) and self.right.accepts_branch(head, cycle)
 
-    def alive_children(self, word: Word) -> tuple[int, ...]:
-        return tuple(i for i in (0, 1) if self.member(tuple(word) + (i,)))
 
 
 def explode(tree: ExplicitTree, depth: int) -> ExplicitTree:

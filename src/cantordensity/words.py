@@ -17,8 +17,6 @@ from typing import Iterator
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 def is_binary(word: Word) -> bool:
     return all(letter in (0, 1) for letter in word)

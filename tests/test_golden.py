@@ -52,6 +52,18 @@ DOCS = {
         "labels": {"": "1/4", "0": "5/8", "1": "1/3", "10": "2/7"},
         "default_label": "3/8",
     },
+    # A natural-number tree read through binary streams: the stop leaf 0
+    # and the fan_stop leaf 10 are alive nodes without binary children.
+    "offspring-nat": {
+        "kind": "offspring",
+        "tree": {
+            "arity": None,
+            "nodes": ["", "0", "1", "10", "11"],
+            "policies": {"0": "stop", "10": "fan_stop", "11": {"periodic": "01"}},
+        },
+        "labels": {"": "1/3", "1": "3/8", "11": "1/3"},
+        "default_label": "3/8",
+    },
     # 0110 followed by (10)^w
     "tail10": {"kind": "ev_periodic", "head": "0110", "period": "10"},
     # 0^2 1^2 0^w, the designated point of the second value
@@ -61,6 +73,7 @@ DOCS = {
     "stretch1": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}},
     "stretch-offspring": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "1", "period": "0"}},
     "stretch-thirds": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "10", "period": "1"}},
+    "stretch-nat": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "11", "period": "01"}},
 }
 
 CASES = {
@@ -80,6 +93,10 @@ CASES = {
     ),
     "offspring-thirds-trace": (
         "trace", "--set", "@offspring-thirds", "--branch", "@stretch-thirds", "--steps", "24",
+    ),
+    "offspring-nat-measure": ("measure", "--set", "@offspring-nat", "--budget", "12"),
+    "offspring-nat-trace": (
+        "trace", "--set", "@offspring-nat", "--branch", "@stretch-nat", "--steps", "24",
     ),
 }
 

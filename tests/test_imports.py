@@ -1,11 +1,13 @@
-"""Every name a source module imports is used in that module."""
+"""Every name a source module imports is used in that module, and every
+name it defines at top level is used somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cantordensity").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "cantordensity").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +32,57 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants, without click commands
+    (the CLI reaches them through the group) and dunder names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                and d.func.attr in ("command", "group")
+                for d in node.decorator_list
+            ):
+                continue
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes looked up and names imported in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unused_definitions() -> list[str]:
+    files = [p for folder in ("src", "tests", "bench") for p in sorted((ROOT / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    referenced = {path: referenced_names(tree) for path, tree in trees.items()}
+    unused = []
+    for path in SOURCES:
+        for name in defined_names(trees[path]):
+            if not any(name in names for names in referenced.values()):
+                unused.append(f"{path.name}: {name}")
+    return unused
+
+
+def test_detector_flags_an_unused_definition():
+    tree = ast.parse("A = 1\nB = A\ndef f(): ...\n@main.command()\ndef g(): ...\n")
+    assert defined_names(tree) == ["A", "B", "f"]
+    assert referenced_names(tree) == {"A", "main", "command"}
+
+
+def test_every_definition_is_used():
+    assert unused_definitions() == []

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 
 from cantordensity.branches import Branch, StretchedBranch, as_stretched
+from cantordensity.cli import random_tree
 from cantordensity.trees import (
     CONTINUUM,
+    DEAD,
     ExplicitTree,
     InterleaveTree,
     IntersectionTree,
@@ -61,6 +65,35 @@ def test_alive_children():
     t = ExplicitTree([(), (1,)], {(1,): "zeros"})
     assert t.alive_children(()) == (1,)
     assert t.alive_children((1,)) == (0,)
+
+
+def _contract_trees():
+    rng = Random(5)
+    trees = [random_tree(rng, 4) for _ in range(12)]
+    nat = ExplicitTree(
+        [(), (0,), (1,), (2,), (1, 0), (1, 1)],
+        {(0,): "stop", (2,): "fan_stop", (1, 0): "full", (1, 1): periodic((3, 1))},
+        arity=None,
+    )
+    evens = ExplicitTree([(), (1,)], {(1,): "zeros"})
+    halves = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): periodic((1, 0))})
+    trees += [nat, InterleaveTree(evens, halves), IntersectionTree(trees[0], halves)]
+    return trees
+
+
+@pytest.mark.parametrize("tree", _contract_trees())
+def test_region_key_is_dead_exactly_off_the_tree(tree):
+    # One letter past a finite alphabet checks that it bounds the tree.
+    letters = range(4) if tree.arity is None else range(tree.arity + 1)
+    for length in range(7):
+        for word in product(letters, repeat=length):
+            assert tree.member(word) == (tree.region_key(word) != DEAD), word
+
+
+def test_stop_regions_are_alive_and_childless():
+    nat = ExplicitTree([(), (0,), (1,)], {(0,): "stop", (1,): "fan_stop"}, arity=None)
+    assert nat.region_key((0,)) == nat.region_key((1, 7)) == ("stop",)
+    assert nat.member((1, 7)) and not nat.member((1, 7, 0)) and not nat.member((0, 0))
 
 
 def test_accepts_branch_exact():
