@@ -159,12 +159,17 @@ class InjectivePresentation:
             raise ValueError(f"margin must be in (0; 1/2): {self.margin}")
 
     def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
+        # margin + squeeze * [v, v + 1]/2^L widened by margin/2^(L+1),
+        # for margin p/q and image bits v: integers over q * 2^(L+1).
         image = runs_to_bits(node)
-        squeeze = 1 - 2 * self.margin
-        base = self.margin + squeeze * _bit_sum(image)
-        hull_width = squeeze / 2 ** len(image)
-        pad = self.margin / 2 ** (len(image) + 1)
-        return base - pad, base + hull_width + pad
+        p, q = self.margin.numerator, self.margin.denominator
+        squeeze = q - 2 * p
+        value = 0
+        for b in image:
+            value = 2 * value + b
+        base = (p << (len(image) + 1)) + 2 * squeeze * value
+        scale = q << (len(image) + 1)
+        return Fraction(base - p, scale), Fraction(base + 2 * squeeze + p, scale)
 
     def value(self, point: Branch) -> Fraction:
         head = runs_to_bits(point.head)
@@ -218,8 +223,3 @@ class ReparamPresentation:
 
     def value(self, point: Branch) -> Fraction | None:
         return None
-
-
-def lipschitz_reparam(presentation: FunctionPresentation, max_pad: int = 64) -> ReparamPresentation:
-    """Reparametrize until presented widths beat 2^-depth at every node."""
-    return ReparamPresentation(presentation, max_pad)

@@ -2,10 +2,10 @@
 
 Set specs and branches arrive as JSON files; results leave as JSON on
 stdout, one object per line for traces. Exit codes: 0 on success, 1
-when a construction rejects its values (the module's message is
-printed verbatim), 2 when a document or the command line itself is
-malformed. All randomness in the verify suites is seeded, so equal
-invocations print equal bytes.
+when a construction rejects its values or a tail certificate is
+contradicted (the module's message is printed verbatim), 2 when a
+document or the command line itself is malformed. All randomness in
+the verify suites is seeded, so equal invocations print equal bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _guarded(fn):
         except jsonio.SpecError as err:
             click.echo(f"spec error: {err}", err=True)
             sys.exit(2)
-        except ValueError as err:
+        except (ValueError, RuntimeError) as err:
             click.echo(str(err), err=True)
             sys.exit(1)
 

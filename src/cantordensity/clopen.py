@@ -179,17 +179,6 @@ def union_all(parts: list[ClopenSet]) -> ClopenSet:
     return reduce(ClopenSet.union, parts, ClopenSet.empty())
 
 
-def piece_of_measure(amount: Fraction) -> ClopenSet:
-    """The canonical clopen set of a prescribed dyadic measure in [0, 1].
-
-    Greedy and lexicographically first: measure 1/2 is the cylinder of
-    (0,), measure 3/4 is {(0,), (1,0)}, measure 1/4 is {(0,0)}.
-    """
-    if not (0 <= amount <= 1):
-        raise ValueError(f"measure out of range: {amount}")
-    return ClopenSet.full().take_submass(amount)
-
-
 def subset_of_measure(container: ClopenSet, amount: Fraction) -> ClopenSet:
     """Lex-first clopen subset of ``container`` with exact dyadic measure.
 

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branches import Branch, StretchedBranch
-from .clopen import ClopenSet, piece_of_measure
+from .clopen import ClopenSet
 from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_in
 from .oracles import (
     ClopenOracle,
     DisjointSumOracle,
     GraftedUnionOracle,
     MeasureOracle,
+    SegmentOracle,
     SpinePrefixOracle,
     TailCertificate,
 )
@@ -134,8 +135,7 @@ class SpongyMeasureOracle(MeasureOracle):
         if len(rest) <= ones_needed:
             # Still on the way into the graft site.
             return self.piece_measure(n) * Fraction(1 << len(word), 1 << (2 * n))
-        piece = piece_of_measure(self.piece_measure(n))
-        return piece.local_measure(rest[ones_needed:])
+        return SegmentOracle(self.piece_measure(n)).local_measure(rest[ones_needed:])
 
     def tail_certificate(self, point, effort: int) -> TailCertificate | None:
         if isinstance(point, StretchedBranch):
@@ -154,9 +154,7 @@ class SpongyMeasureOracle(MeasureOracle):
         for j in range(n + 1, 2 * n):
             if probe.at(j) != 1:
                 return TailCertificate(RatInterval.point(ZERO), j + 1)
-        piece = piece_of_measure(self.piece_measure(n))
-        inner = ClopenOracle(piece).tail_certificate(probe.drop(2 * n), effort)
-        assert inner is not None
+        inner = SegmentOracle(self.piece_measure(n)).tail_certificate(probe.drop(2 * n), effort)
         return TailCertificate(inner.interval, inner.start + 2 * n)
 
 
@@ -258,15 +256,9 @@ def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     if len(set(values)) != len(values):
         raise ValueError("density values must be pairwise distinct")
     if not values:
-        return SolidCountableRange((), ClopenOracle(piece_of_measure(Fraction(1, 2))))
+        return SolidCountableRange((), SegmentOracle(Fraction(1, 2)))
     parts: list[tuple[Word, MeasureOracle]] = []
     for n, value in enumerate(values, start=1):
-        parts.append((first_family_word(n), SpinePrefixOracle(_exact_piece(value), value)))
+        piece = SegmentOracle(value) if is_dyadic(value) else dualistic_of_measure(value).oracle
+        parts.append((first_family_word(n), SpinePrefixOracle(piece, value)))
     return SolidCountableRange(tuple(values), GraftedUnionOracle(parts))
-
-
-def _exact_piece(value: Fraction) -> MeasureOracle:
-    """An exact oracle of a set with the exact given measure."""
-    if is_dyadic(value):
-        return ClopenOracle(piece_of_measure(value))
-    return dualistic_of_measure(value).oracle

@@ -58,12 +58,13 @@ def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
     dyadics strictly between 0 and 1. Raises when the clipped interval
     is empty.
     """
-    lo = max(lo, ZERO)
-    hi = min(hi, ONE)
-    if lo >= hi:
-        raise ValueError(f"no dyadic in empty interval ({lo}, {hi})")
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a < 0:
+        a, b = 0, 1
+    if c > d:
+        c, d = 1, 1
+    if a * d >= c * b:
+        raise ValueError(f"no dyadic in empty interval ({Fraction(a, b)}, {Fraction(c, d)})")
     n = 1
     while True:
         # lo >= 0 here, so // is floor; floor+1 is the least strict bound.

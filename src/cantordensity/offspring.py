@@ -4,16 +4,21 @@ Membership reads a stream in blocks of growing size: block k carries
 k + 1 letters. A block written with a single letter walks from the
 current tree node to the matching child; the first block mixing both
 letters flags the stream, and from the next position membership is
-decided inside a clopen piece whose measure is the flagged node's
-label. Streams walking into nodes outside the tree are out.
+decided inside a copy whose measure m is the flagged node's label.
+Streams walking into nodes outside the tree are out.
+
+A dyadic label m is copied as the segment [0, m) of points read as
+binary expansions, the lexicographically first clopen set of that
+measure. It is carried as the number m, which each letter moves by
+the doubling map m -> clamp(2m - letter, 0, 1).
 
 The evaluator returns certified interval bounds: regions resolved
 within the horizon (dead nodes, settled copies) contribute exact mass,
 every unresolved region contributes its full [0, 1] of slack. With
 dyadic labels the bounds agree, at tolerance zero, with what exhaustive
 cell enumeration to the horizon depth gives. Non-dyadic labels hang
-measured stand-in sets instead of clopen pieces; those copy regions
-answer exactly at every depth, tighter than any enumeration.
+measured stand-in sets instead of segments; those copy regions answer
+exactly at every depth, tighter than any enumeration.
 
 With h letters of lookahead left the evaluator carries the bounds as
 numerators over 2^h: integers while every region met is dyadic, exact
@@ -35,10 +40,9 @@ from fractions import Fraction
 from typing import Protocol
 
 from .branches import Branch, StretchedBranch, as_stretched
-from .clopen import ClopenSet, piece_of_measure
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
-from .oracles import ClopenOracle, MeasureOracle, Point, TailCertificate
+from .oracles import MeasureOracle, Point, SegmentOracle, TailCertificate, segment_step
 from .trees import DEAD, IntersectionTree, Tree
 from .words import Word, triangular
 
@@ -62,9 +66,9 @@ class LabelMap(Protocol):
     kind: str
 
     def label(self, node: Word) -> Fraction:
-        """The copy measure at a node, in [0, 1]. Dyadic values get
-        canonical clopen copies; anything else a measured stand-in set
-        of exactly that mass."""
+        """The copy measure at a node, in [0, 1]. A dyadic value m gets
+        the segment [0, m) as its copy; anything else a measured
+        stand-in set of exactly that mass."""
         ...
 
     def node_key(self, node: Word) -> object:
@@ -122,7 +126,6 @@ class OffspringOracle(MeasureOracle):
     def __init__(self, tree: Tree, labels: LabelMap):
         self.tree = tree
         self.labels = labels
-        self._pieces: dict[Fraction, ClopenSet] = {}
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
         self._resolved: dict[tuple, Bounds] = {}
 
@@ -138,17 +141,11 @@ class OffspringOracle(MeasureOracle):
     # ("node", ctx)              at the block boundary of tree node t
     # ("pure", ctx, letter, m)   m letters into t's block, all equal
     # ("mixed", ctx, m)          m letters into t's block, both letters seen
-    # ("copy", piece)            flagged with a dyadic label: what is left
-    #                            of its clopen piece
+    # ("copy", a, k)             flagged with a dyadic label: the segment
+    #                            [0, a/2^k) of its copy seen from here,
+    #                            a/2^k reduced; (0, 0) empty, (1, 0) full
     # ("stand-in", value, v)     flagged with any other label, v letters
     #                            into the stand-in set
-
-    def _piece(self, value: Fraction) -> ClopenSet:
-        piece = self._pieces.get(value)
-        if piece is None:
-            piece = piece_of_measure(value)
-            self._pieces[value] = piece
-        return piece
 
     def _stand_in(self, value: Fraction) -> MeasureOracle:
         """An exact oracle of the given non-dyadic mass, for copy regions."""
@@ -167,7 +164,7 @@ class OffspringOracle(MeasureOracle):
     def _flag(self, t: Word) -> State:
         value = self.labels.label(t)
         if is_dyadic(value):
-            return (("copy", self._piece(value)), t)
+            return (("copy", value.numerator, value.denominator.bit_length() - 1), t)
         return (("stand-in", value, ()), t)
 
     def _step(self, state: State, letter: int) -> State:
@@ -176,7 +173,7 @@ class OffspringOracle(MeasureOracle):
         if kind == "dead":
             return state
         if kind == "copy":
-            return (("copy", key[1].halves()[letter]), t)
+            return (("copy",) + segment_step(key[1], key[2], letter), t)
         if kind == "stand-in":
             return (("stand-in", key[1], key[2] + (letter,)), t)
         if kind == "node":
@@ -267,10 +264,12 @@ class OffspringOracle(MeasureOracle):
             scale = 1 << h
             return (bounds.lo * scale, bounds.hi * scale, 0)
         if kind == "copy":
-            if key[1].is_empty():
-                return (0, 0, 0)
-            if key[1].is_full():
-                return (1 << h, 1 << h, 0)
+            # Exact after k letters; before that one partial cell per level.
+            _, a, k = key
+            if k <= h:
+                return (a << (h - k), a << (h - k), k)
+            lo = a >> (k - h)
+            return (lo, lo + 1, None)
         if h <= 0:
             # The horizon (h is 0 here): all of [0, 1] stays open.
             return (0, 1, None)
@@ -345,7 +344,8 @@ class OffspringOracle(MeasureOracle):
             if key[0] == "dead":
                 return TailCertificate(EMPTY_MASS, pos + 1)
             if key[0] in ("copy", "stand-in"):
-                inside = ClopenOracle(key[1]) if key[0] == "copy" else self._stand_in(key[1])
+                inside = (SegmentOracle(Fraction(key[1], 1 << key[2])) if key[0] == "copy"
+                          else self._stand_in(key[1]))
                 inner = inside.tail_certificate(point.drop(pos + 1), effort)
                 if inner is None:
                     return TailCertificate(UNIT, pos + 1)
@@ -371,8 +371,9 @@ def offspring_build(tree: Tree, labels) -> OffspringOracle:
 
     ``labels`` is either a mapping from nodes to rationals, wrapped into
     an explicit table over the default 1/2, or a ready-made label map.
-    Explicit labels must lie strictly between 0 and 1; dyadic ones get
-    canonical clopen copies, the rest exact measured stand-ins.
+    Explicit labels must lie strictly between 0 and 1; a dyadic one m
+    gets the segment [0, m) as its copy, the rest exact measured
+    stand-ins.
     """
     if isinstance(labels, dict):
         labels = ExplicitLabels(labels)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
-from .dyadics import ONE, ZERO, RatInterval
+from .dyadics import ONE, ZERO, RatInterval, dyadic_exponent
 from .words import Word, is_prefix
 
 Point = Branch | StretchedBranch
@@ -187,6 +187,50 @@ class ClopenOracle(MeasureOracle):
         localized = self.piece.localize(point.prefix(depth))
         value = ONE if localized.is_full() else ZERO
         return TailCertificate(RatInterval.point(value), depth)
+
+
+def segment_step(a: int, k: int, letter: int) -> tuple[int, int]:
+    """The segment [0, a/2^k), reduced, seen from inside a letter's
+    cylinder: the doubling map m -> clamp(2m - letter, 0, 1)."""
+    if k == 0:
+        return a, 0
+    half = 1 << (k - 1)
+    if letter == 0:
+        return (a, k - 1) if a < half else (1, 0)
+    return (a - half, k - 1) if a > half else (0, 0)
+
+
+class SegmentOracle(MeasureOracle):
+    """Exact oracle of the initial segment [0, m) of a dyadic m in [0, 1].
+
+    Reading points as binary expansions, the lexicographically first
+    clopen set of measure m is exactly [0, m). Its localized measures
+    follow the doubling map and settle at 0 or 1 after as many letters
+    as m's exponent, so the set is never built.
+    """
+
+    kind = "segment"
+
+    def __init__(self, measure: Fraction):
+        if not ZERO <= measure <= ONE:
+            raise ValueError(f"measure out of range: {measure}")
+        self.k = dyadic_exponent(measure)
+        self.a = measure.numerator
+
+    def local_measure(self, word: Word) -> Fraction:
+        a, k = self.a, self.k
+        for letter in word:
+            if k == 0:
+                break
+            a, k = segment_step(a, k, letter)
+        return Fraction(a, 1 << k)
+
+    def local_bounds(self, word: Word, budget: int) -> RatInterval:
+        return RatInterval.point(self.local_measure(word))
+
+    def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
+        value = self.local_measure(point.prefix(self.k))
+        return TailCertificate(RatInterval.point(value), self.k)
 
 
 class ComplementOracle(MeasureOracle):

@@ -12,7 +12,6 @@ empty word) decodes uniquely; ``bits_to_runs`` is the left inverse.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -20,18 +19,6 @@ Word = tuple[int, ...]
 
 def is_binary(word: Word) -> bool:
     return all(letter in (0, 1) for letter in word)
-
-
-def parse_word(text: str) -> Word:
-    """Turn a string of digits such as ``"0110"`` into a word.
-
-    The empty string is the empty word. Digits beyond 1 are accepted so
-    the same parser serves Baire-tree nodes written with single-digit
-    entries; multi-digit entries must be built as tuples directly.
-    """
-    if not text.isdigit() and text != "":
-        raise ValueError(f"not a word: {text!r}")
-    return tuple(int(ch) for ch in text)
 
 
 def split_trailing_zeros(word: Word) -> tuple[Word, int]:
@@ -162,26 +149,6 @@ def stretch_prefix(word_letters: Iterator[int] | Word, depth: int) -> Word:
     if len(out) < depth:
         raise ValueError("word too short for requested stretch depth")
     return tuple(out)
-
-
-def mixed_blocks(order: int) -> tuple[Word, ...]:
-    """All binary words of length order+1 containing both letters, in lex order.
-
-    Empty for order 0: length-1 words are single letters.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order == 0:
-        return ()
-    out = []
-    for block in product((0, 1), repeat=order + 1):
-        if 0 in block and 1 in block:
-            out.append(block)
-    return tuple(out)
-
-
-def all_binary_words(length: int) -> Iterator[Word]:
-    return iter(product((0, 1), repeat=length))
 
 
 def is_prefix(shorter: Word, longer: Word) -> bool:

@@ -8,6 +8,8 @@ the unit tests freeze against the same independent code.
 
 from fractions import Fraction
 
+from cantordensity.clopen import ClopenSet
+
 F = Fraction
 THIRD = F(1, 3)
 
@@ -65,6 +67,43 @@ def points_at_depth(depth: int):
     """All binary words of the given length, as tuples."""
     for code in range(1 << depth):
         yield tuple((code >> (depth - 1 - i)) & 1 for i in range(depth))
+
+
+def parse_word(text: str):
+    """Turn a string of digits such as ``"0110"`` into a word.
+
+    The empty string is the empty word. Digits beyond 1 are accepted so
+    the same parser serves Baire-tree nodes written with single-digit
+    entries; multi-digit entries must be built as tuples directly.
+    """
+    if not text.isdigit() and text != "":
+        raise ValueError(f"not a word: {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
+def mixed_blocks(order: int):
+    """All binary words of length order+1 containing both letters, in lex order.
+
+    Empty for order 0: length-1 words are single letters.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order == 0:
+        return ()
+    return tuple(block for block in points_at_depth(order + 1) if 0 in block and 1 in block)
+
+
+def piece_of_measure(amount: Fraction) -> ClopenSet:
+    """The lexicographically first clopen set of a dyadic measure in [0, 1].
+
+    Built as cylinders by the clopen layer's greedy submass: measure 1/2
+    is the cylinder of (0,), measure 3/4 is {(0,), (1,0)}, measure 1/4
+    is {(0,0)}. The reference the package's segment oracle is checked
+    against.
+    """
+    if not (0 <= amount <= 1):
+        raise ValueError(f"measure out of range: {amount}")
+    return ClopenSet.full().take_submass(amount)
 
 
 def cylinder_local_measure(words, at, depth: int) -> Fraction:

@@ -11,9 +11,9 @@ from cantordensity.approx import (
     AffineImagePresentation,
     ConstantPresentation,
     InjectivePresentation,
+    ReparamPresentation,
     approx_pair,
     canonical_approx,
-    lipschitz_reparam,
 )
 from cantordensity.branches import Branch
 
@@ -130,7 +130,7 @@ class _Slow:
 
 
 def test_reparam_restores_the_modulus():
-    fast = lipschitz_reparam(_Slow())
+    fast = ReparamPresentation(_Slow())
     for node in binary_nodes(6):
         lo, hi = fast.presented_interval(node)
         assert hi - lo < F(1, 2 ** len(node))
@@ -149,7 +149,7 @@ class _Stuck:
 
 def test_reparam_reports_non_shrinking_nodes():
     with pytest.raises(ValueError, match="do not shrink"):
-        lipschitz_reparam(_Stuck(), max_pad=8).presented_interval((0,))
+        ReparamPresentation(_Stuck(), max_pad=8).presented_interval((0,))
 
 
 def test_preset_validation():

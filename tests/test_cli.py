@@ -6,6 +6,8 @@ from fractions import Fraction
 from click.testing import CliRunner
 
 from cantordensity.cli import main
+from cantordensity.dyadics import RatInterval
+from cantordensity.oracles import ClopenOracle, TailCertificate
 
 
 def invoke(*args):
@@ -78,6 +80,24 @@ def test_domain_error_exits_one_with_module_message(tmp_path):
     result = invoke("measure", "--set", spec)
     assert result.exit_code == 1
     assert "measure must be in (0;1): 3/2" in result.stderr
+
+
+def test_contradicted_certificate_exits_one_without_traceback(tmp_path, monkeypatch):
+    # The set {0...} reads 1/2 at the root and 0 along 1^w; a certificate
+    # claiming 1 from depth 0 on fails the cross-check at once.
+    def lying(self, point, effort):
+        return TailCertificate(RatInterval.point(Fraction(1)), 0)
+
+    monkeypatch.setattr(ClopenOracle, "tail_certificate", lying)
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "1"})
+    result = invoke("classify", "--set", spec, "--branch", branch)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "contradicts certified bounds" in result.stderr
 
 
 def test_parse_errors_exit_two(tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from cantordensity.clopen import (
     ClopenSet,
-    piece_of_measure,
     subset_of_measure,
     union_all,
 )
+from oracletools import piece_of_measure
 
 F = Fraction
 

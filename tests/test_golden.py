@@ -64,11 +64,23 @@ DOCS = {
         "labels": {"": "1/3", "1": "3/8", "11": "1/3"},
         "default_label": "3/8",
     },
+    # A copy with a fine dyadic label: flagged at node 1, its exponent 12
+    # sits above shallow budgets, so those answers stay inexact.
+    "offspring-fine": {
+        "kind": "offspring",
+        "tree": {"nodes": ["", "0", "1", "10"], "policies": {"0": "full", "10": {"periodic": "1"}}},
+        "labels": {"": "1/4", "1": "1365/4096", "10": "3/16"},
+        "default_label": "3/8",
+    },
+    "countable-dyadic": {"kind": "countable-range", "values": ["1/3", "3/8", "1/5"]},
     # 0110 followed by (10)^w
     "tail10": {"kind": "ev_periodic", "head": "0110", "period": "10"},
     # 0^2 1^2 0^w, the designated point of the second value
     "designated": {"kind": "ev_periodic", "head": "0011", "period": "0"},
     "inside-graft": {"kind": "ev_periodic", "head": "101", "period": "1"},
+    # 101 flags into the copy at node 1; (01)^w then reads the label's
+    # binary digits, so the copy empties only after all twelve.
+    "walk-fine": {"kind": "ev_periodic", "head": "101", "period": "01"},
     "stretch10": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "10"}},
     "stretch1": {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}},
     "stretch-offspring": {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "1", "period": "0"}},
@@ -80,6 +92,9 @@ CASES = {
     "clopen-measure-prefix": ("measure", "--set", "@clopen", "--prefix", "0"),
     "dualistic-trace": ("trace", "--set", "@dualistic", "--branch", "@tail10", "--steps", "24"),
     "countable-classify": ("classify", "--set", "@countable", "--branch", "@designated"),
+    "countable-dyadic-trace": (
+        "trace", "--set", "@countable-dyadic", "--branch", "@designated", "--steps", "12",
+    ),
     "compose-measure": ("measure", "--set", "@composed"),
     "compose-classify": ("classify", "--set", "@composed", "--branch", "@inside-graft"),
     "second-trace": ("trace", "--set", "@second", "--branch", "@stretch10", "--steps", "22"),
@@ -94,6 +109,10 @@ CASES = {
     "offspring-thirds-trace": (
         "trace", "--set", "@offspring-thirds", "--branch", "@stretch-thirds", "--steps", "24",
     ),
+    "offspring-fine-measure": (
+        "measure", "--set", "@offspring-fine", "--prefix", "1010", "--budget", "8",
+    ),
+    "offspring-fine-classify": ("classify", "--set", "@offspring-fine", "--branch", "@walk-fine"),
     "offspring-nat-measure": ("measure", "--set", "@offspring-nat", "--budget", "12"),
     "offspring-nat-trace": (
         "trace", "--set", "@offspring-nat", "--branch", "@stretch-nat", "--steps", "24",

@@ -86,3 +86,32 @@ def test_detector_flags_an_unused_definition():
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Modules a package source imports from, relative imports resolved."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                found.add(f"cantordensity.{node.module}")
+            elif node.level:
+                found.update(f"cantordensity.{alias.name}" for alias in node.names)
+            else:
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_detector_resolves_relative_imports():
+    assert "cantordensity.clopen" in imported_modules("from .clopen import ClopenSet\n")
+    assert "cantordensity.clopen" in imported_modules("from . import clopen\n")
+    assert "cantordensity.clopen" in imported_modules("import cantordensity.clopen\n")
+
+
+def test_offspring_copies_do_not_build_clopen_sets():
+    # Dyadic copies are segments [0, m) carried as numbers; a piece-based
+    # copy would bring the clopen layer back into the evaluator.
+    source = (ROOT / "src" / "cantordensity" / "offspring.py").read_text(encoding="utf-8")
+    assert "cantordensity.clopen" not in imported_modules(source)

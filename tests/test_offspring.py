@@ -101,6 +101,22 @@ def test_bounds_equal_cell_enumeration():
             assert (got.lo, got.hi) == (lo, hi), (word, sorted(tree.nodes))
 
 
+def test_fine_labels_equal_cell_enumeration():
+    # Label exponents 12-14 exceed every lookahead left at horizon 11, so
+    # each copy answers by its inexact closed form: the cells wholly
+    # below the label plus one partial cell.
+    rng = random.Random(4096)
+    fine = tuple(F(rng.randrange(1, 1 << k, 2), 1 << k) for k in (12, 13, 14) for _ in range(4))
+    for _ in range(4):
+        tree = _random_tree(rng)
+        labels = _random_labels(rng, fine)
+        oracle = OffspringOracle(tree, labels)
+        for word in _binary_words(3):
+            lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
+            got = oracle.local_bounds(word, 11)
+            assert (got.lo, got.hi) == (lo, hi), (word, sorted(tree.nodes))
+
+
 def test_interleave_tree_matches_enumeration():
     zeros = ExplicitTree([()], {(): "zeros"})
     tree = InterleaveTree(ExplicitTree.full_binary(), zeros)

@@ -1,11 +1,12 @@
 """Oracle framework: exact clopen oracles, combinators, classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cantordensity.branches import Branch, StretchedBranch, interleave_branches
-from cantordensity.clopen import ClopenSet, piece_of_measure
+from cantordensity.clopen import ClopenSet
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import (
     ClopenOracle,
@@ -13,9 +14,11 @@ from cantordensity.oracles import (
     DisjointSumOracle,
     GraftedUnionOracle,
     MeasureOracle,
+    SegmentOracle,
     SpinePrefixOracle,
     certified_oscillation,
 )
+from oracletools import piece_of_measure
 
 F = Fraction
 
@@ -192,3 +195,28 @@ def test_compose_grafts_and_complements():
     assert flipped.local_bounds((0, 1), 0) == RatInterval.point(F(0))
     with pytest.raises(ValueError):
         GraftedUnionOracle([((0,), plain), ((0, 1), plain)])
+
+
+def test_segment_oracle_reads_the_lex_first_piece():
+    # [0, m) is the lexicographically first clopen set of measure m, so
+    # the doubling map must answer what localizing that set answers.
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        k = rng.randrange(0, 15)
+        m = F(rng.randrange(0, (1 << k) + 1), 1 << k)
+        segment = SegmentOracle(m)
+        piece = ClopenOracle(piece_of_measure(m))
+        word = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 17)))
+        assert segment.local_bounds(word, 0) == piece.local_bounds(word, 0), (m, word)
+        head = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 17)))
+        cycle = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+        point = Branch(head, cycle)
+        if rng.random() < 0.25:
+            point = StretchedBranch(point)
+        assert segment.tail_certificate(point, 0) == piece.tail_certificate(point, 0), (m, point)
+
+
+def test_segment_oracle_rejects_non_dyadic_and_out_of_range():
+    for bad in (F(1, 3), F(5, 4), F(-1, 2)):
+        with pytest.raises(ValueError):
+            SegmentOracle(bad)

@@ -29,7 +29,8 @@ from cantordensity.reductions import (
     uniformity_pipeline,
 )
 from cantordensity.trees import ExplicitTree, periodic
-from cantordensity.words import all_binary_words, ones_count
+from cantordensity.words import ones_count
+from oracletools import points_at_depth
 
 HALF = ConstantPresentation(F(1, 2))
 INJ = InjectivePresentation(F(1, 4))
@@ -40,7 +41,7 @@ DYADICS = [dyadic_of_rank(r) for r in range(512)]
 
 def words_up_to(length):
     for n in range(length + 1):
-        yield from all_binary_words(n)
+        yield from points_at_depth(n)
 
 
 # ----- second reduction --------------------------------------------------

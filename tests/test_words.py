@@ -2,16 +2,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantordensity.words import (
-    all_binary_words,
     bits_to_runs,
     decode_head,
     deinterleave,
     interleave,
     is_prefix,
-    mixed_blocks,
     ones_count,
     order_at_depth,
-    parse_word,
     runs_to_bits,
     splice_runs,
     split_trailing_zeros,
@@ -19,6 +16,8 @@ from cantordensity.words import (
     stretch_prefix,
     triangular,
 )
+
+from oracletools import mixed_blocks, parse_word, points_at_depth
 
 binary_words = st.lists(st.integers(0, 1), max_size=12).map(tuple)
 nat_words = st.lists(st.integers(0, 6), max_size=8).map(tuple)
@@ -140,7 +139,7 @@ def test_mixed_blocks_count(order):
 def test_parse_and_enumerate():
     assert parse_word("0110") == (0, 1, 1, 0)
     assert parse_word("") == ()
-    assert len(list(all_binary_words(3))) == 8
+    assert len(list(points_at_depth(3))) == 8
     assert is_prefix((0, 1), (0, 1, 1))
     assert not is_prefix((1,), (0, 1))
 
