@@ -31,7 +31,11 @@ class Branch:
         return self.cycle[(n - len(self.head)) % len(self.cycle)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.at(i) for i in range(n))
+        head, cycle = self.head, self.cycle
+        if n <= len(head):
+            return head[:n]
+        laps, rest = divmod(n - len(head), len(cycle))
+        return head + cycle * laps + cycle[:rest]
 
     def has_infinitely_many_ones(self) -> bool:
         return any(letter == 1 for letter in self.cycle)
@@ -45,12 +49,6 @@ class Branch:
         while start > 0 and self.head[start - 1] == first:
             start -= 1
         return first, start
-
-    def letters(self):
-        n = 0
-        while True:
-            yield self.at(n)
-            n += 1
 
     def drop(self, count: int) -> "Branch":
         """The branch with its first ``count`` letters removed."""
@@ -79,7 +77,8 @@ class StretchedBranch:
         return self.base.at(order_at_depth(n))
 
     def prefix(self, n: int) -> Word:
-        return stretch_prefix(self.base.letters(), n)
+        # Blocks 0 .. order_at_depth(n) cover positions 0 .. n.
+        return stretch_prefix(self.base.prefix(order_at_depth(n) + 1), n)
 
     def order_word(self, k: int) -> Word:
         return self.base.prefix(k)

@@ -49,6 +49,9 @@ def _guarded(fn):
         except (ValueError, RuntimeError) as err:
             click.echo(str(err), err=True)
             sys.exit(1)
+        except MemoryError:
+            click.echo("out of memory", err=True)
+            sys.exit(1)
 
     return wrapper
 

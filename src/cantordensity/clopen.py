@@ -1,11 +1,11 @@
 """Clopen subsets of Cantor space with exact rational measure.
 
-A clopen set is a finite union of basic cylinders. The canonical form
-kept here is the unique minimal antichain of binary words covering the
-set: no word extends another and no two sibling words are both present
-(siblings merge into their parent). Two clopen sets are equal exactly
-when they hold the same points, and the dataclass equality on the
-canonical form coincides with that.
+A clopen set is a finite union of basic cylinders. The constructor
+keeps any binary words in canonical form: the unique minimal antichain
+covering the set, where no word extends another and no two sibling words
+are both present (siblings merge into their parent). Two clopen sets are
+equal exactly when they hold the same points, and the dataclass equality
+on the canonical form coincides with that.
 
 The whole algebra runs on one recursion scheme: split a set into its
 two halves below letter 0 and letter 1, work on the halves, graft the
@@ -28,22 +28,25 @@ _FULL_WORDS: tuple[Word, ...] = ((),)
 class ClopenSet:
     words: tuple[Word, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "words", _normalize(tuple(self.words)))
+
     @staticmethod
     def from_words(generators: tuple[Word, ...] | list[Word]) -> "ClopenSet":
         """Build the set covered by arbitrary cylinder words, canonicalized."""
-        return ClopenSet(_normalize(tuple(generators)))
+        return ClopenSet(tuple(generators))
 
     @staticmethod
     def empty() -> "ClopenSet":
-        return ClopenSet(())
+        return _canonical(())
 
     @staticmethod
     def full() -> "ClopenSet":
-        return ClopenSet(_FULL_WORDS)
+        return _canonical(_FULL_WORDS)
 
     @staticmethod
     def cylinder(word: Word) -> "ClopenSet":
-        return ClopenSet((tuple(word),))
+        return _canonical((tuple(word),))
 
     def is_empty(self) -> bool:
         return not self.words
@@ -71,7 +74,7 @@ class ClopenSet:
         right = []
         for w in self.words:
             (left if w[0] == 0 else right).append(w[1:])
-        return ClopenSet(tuple(left)), ClopenSet(tuple(right))
+        return _canonical(tuple(left)), _canonical(tuple(right))
 
     def localize(self, word: Word) -> "ClopenSet":
         """The set seen from inside the cylinder of ``word``.
@@ -147,11 +150,18 @@ class ClopenSet:
         return "{" + inner + "}"
 
 
+def _canonical(words: tuple[Word, ...]) -> ClopenSet:
+    """A set from words already in canonical form, without renormalizing."""
+    clopen = object.__new__(ClopenSet)
+    object.__setattr__(clopen, "words", words)
+    return clopen
+
+
 def _graft(left: ClopenSet, right: ClopenSet) -> ClopenSet:
     if left.is_full() and right.is_full():
         return ClopenSet.full()
     words = tuple((0,) + w for w in left.words) + tuple((1,) + w for w in right.words)
-    return ClopenSet(words)
+    return _canonical(words)
 
 
 def _normalize(generators: tuple[Word, ...]) -> tuple[Word, ...]:

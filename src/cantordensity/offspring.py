@@ -306,33 +306,23 @@ class OffspringOracle(MeasureOracle):
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         start_order = max(2, effort // 4)
-        if isinstance(point, StretchedBranch):
-            base = point.base
-        else:
+        if not isinstance(point, StretchedBranch):
             structural = self._walking_certificate(point, triangular(start_order), effort)
             if structural is not None:
                 return structural
-            base = as_stretched(point)
-            if base is None:
-                return None
-        if self.tree.accepts_branch(base.head, base.cycle):
-            return self._hull_certificate(base, start_order)
-        death = self._death_depth(base, 4 * (start_order + len(base.head) + len(base.cycle)) + 64)
+        base = as_stretched(point)
+        if base is None:
+            return None
+        death = self.tree.death_depth(base)
         if death is None:
+            hull = self.labels.branch_label_hull(base, start_order)
+            pad = Fraction(1, 1 << start_order)
+            interval = RatInterval(max(ZERO, hull.lo - pad), min(ONE, hull.hi + pad))
+            return TailCertificate(interval, triangular(start_order))
+        # A deeper death stays uncertified; classify reads the trace instead.
+        if death > 4 * (start_order + len(base.head) + len(base.cycle)) + 64:
             return None
         return TailCertificate(EMPTY_MASS, triangular(death))
-
-    def _hull_certificate(self, base: Branch, start_order: int) -> TailCertificate:
-        hull = self.labels.branch_label_hull(base, start_order)
-        pad = Fraction(1, 1 << start_order)
-        interval = RatInterval(max(ZERO, hull.lo - pad), min(ONE, hull.hi + pad))
-        return TailCertificate(interval, triangular(start_order))
-
-    def _death_depth(self, base: Branch, cap: int) -> int | None:
-        for k in range(1, cap + 1):
-            if not self.tree.member(base.prefix(k)):
-                return k
-        return None
 
     def _walking_certificate(self, point: Branch, guard: int, effort: int) -> TailCertificate | None:
         """Follow the point letter by letter; dead walks and flagged walks

@@ -20,8 +20,9 @@ prefixes) and a classifier with three verdicts:
 A blurry verdict certifies finite-depth oscillation; a converges
 verdict certifies containment from its start depth on. Upper and lower
 density themselves are not computable from oracle queries, so no
-stronger claim is ever returned. Tail certificates are cross-checked
-against the trace; a contradiction raises instead of classifying.
+stronger claim is ever returned. Before a tail certificate is used,
+``CROSS_CHECK_STEPS`` fresh bounds from its start depth on must each
+meet its interval; a contradiction raises instead of classifying.
 """
 
 from __future__ import annotations

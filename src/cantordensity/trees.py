@@ -29,9 +29,9 @@ only membership and branch-census facts about the presented class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Literal, Union
 
+from .branches import Branch
 from .words import Word, deinterleave, runs_to_bits
 
 Policy = Union[Literal["zeros", "full", "stop", "fan_stop"], tuple[Literal["periodic"], Word]]
@@ -52,8 +52,9 @@ class Tree:
 
     ``region_key`` is the one primitive: it returns ``DEAD``, the key
     ``("dead",)``, exactly for words off the tree, and equal keys promise
-    identically shaped subtrees below the words. Membership and children
-    derive from it.
+    identically shaped subtrees below the words. Along an eventually
+    periodic branch the keys take finitely many values. Membership,
+    children and the depth where a branch dies all derive from it.
     ``arity`` is the alphabet size, or None for the natural numbers.
     """
 
@@ -62,8 +63,29 @@ class Tree:
     def region_key(self, word: Word) -> tuple:
         raise NotImplementedError
 
-    def accepts_branch(self, head: Word, cycle: Word) -> bool:
-        raise NotImplementedError
+    def death_depth(self, branch: Branch) -> int | None:
+        """The first depth whose prefix of ``branch`` is off the tree, or
+        None when the whole branch stays on it.
+
+        Past the head, a repeated pair (region key, cycle phase) means the
+        walk repeats from there: equal keys promise equal subtrees, and
+        equal phases read the same letters. Keys along the branch take
+        finitely many values, so the walk ends.
+        """
+        head, cycle = branch.head, branch.cycle
+        seen: set[tuple] = set()
+        word: Word = ()
+        while True:
+            depth = len(word)
+            key = self.region_key(word)
+            if key == DEAD:
+                return depth
+            if depth >= len(head):
+                state = (key, (depth - len(head)) % len(cycle))
+                if state in seen:
+                    return None
+                seen.add(state)
+            word += (branch.at(depth),)
 
     def member(self, word: Word) -> bool:
         return self.region_key(word) != DEAD
@@ -120,11 +142,8 @@ class ExplicitTree(Tree):
         nodes = [head[:i] for i in range(len(head) + 1)]
         return ExplicitTree(nodes, {tuple(head): periodic(cycle)}, arity=arity)
 
-    def max_explicit_depth(self) -> int:
-        return max(len(w) for w in self.nodes)
-
     def _governing(self, word: Word) -> tuple[Word, Policy] | None:
-        """The policy leaf whose region a non-explicit word falls under.
+        """The policy leaf at or above a word that is not an inner node.
 
         Policy leaves are nodes without explicit children, so the walk
         from the root meets at most one and stops within the explicit
@@ -145,36 +164,13 @@ class ExplicitTree(Tree):
         the word sits, which is what makes deep evaluations cacheable.
         """
         word = tuple(word)
-        if word in self.nodes:
-            if word in self.policies:
-                return _policy_key(self.policies[word], 0)
+        if word in self.nodes and word not in self.policies:
             return ("node", word)
         found = self._governing(word)
         if found is None:
             return DEAD
         leaf, policy = found
-        suffix = word[len(leaf):]
-        if not _policy_accepts(policy, suffix, self.arity):
-            return DEAD
-        return _policy_key(policy, len(suffix))
-
-    def accepts_branch(self, head: Word, cycle: Word) -> bool:
-        """Exact membership of the eventually periodic branch head + cycle^w."""
-        if not cycle:
-            raise ValueError("cycle must be non-empty")
-
-        def at(n: int) -> int:
-            return head[n] if n < len(head) else cycle[(n - len(head)) % len(cycle)]
-
-        # A prefix one deeper than the explicit region is policy-governed.
-        probe = self.max_explicit_depth()
-        prefix = tuple(at(n) for n in range(probe + 1))
-        if not self.member(prefix):
-            return False
-        governed = self._governing(prefix)
-        assert governed is not None
-        leaf, policy = governed
-        return _policy_accepts_branch(policy, leaf, head, cycle, at)
+        return _policy_region(policy, word[len(leaf):], self.arity)
 
     def census(self) -> int | str:
         """How many branches carry infinitely many 1s (finite arity only).
@@ -214,50 +210,25 @@ def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
     raise ValueError(f"unknown policy {policy!r} at {at}")
 
 
-def _policy_accepts(policy: Policy, suffix: Word, arity: int | None) -> bool:
+def _policy_region(policy: Policy, suffix: Word, arity: int | None) -> tuple:
+    """The region key of the word ``suffix`` below a policy leaf, or DEAD."""
     if policy == "zeros":
-        return all(l == 0 for l in suffix)
+        return ("zeros",) if all(l == 0 for l in suffix) else DEAD
     if policy == "full":
         # The one region open to every letter: the alphabet bounds it.
-        return arity is None or not suffix or (min(suffix) >= 0 and max(suffix) < arity)
+        inside = arity is None or not suffix or (min(suffix) >= 0 and max(suffix) < arity)
+        return ("full",) if inside else DEAD
     if policy == "stop":
-        return len(suffix) == 0
-    if policy == "fan_stop":
-        return len(suffix) <= 1
-    cycle = policy[1]
-    return all(l == cycle[i % len(cycle)] for i, l in enumerate(suffix))
-
-
-def _policy_key(policy: Policy, offset: int) -> tuple:
-    if policy == "zeros":
-        return ("zeros",)
-    if policy == "full":
-        return ("full",)
-    if policy == "stop":
-        return ("stop",)
+        return DEAD if suffix else ("stop",)
     if policy == "fan_stop":
         # A fan_stop child is alive without children, like a stop leaf.
-        return ("fan_stop",) if offset == 0 else ("stop",)
+        if len(suffix) > 1:
+            return DEAD
+        return ("stop",) if suffix else ("fan_stop",)
     cycle = policy[1]
-    return ("periodic", cycle, offset % len(cycle))
-
-
-def _policy_accepts_branch(policy, leaf: Word, head: Word, cycle: Word, at) -> bool:
-    """Exact tail check of an eventually periodic branch against one policy."""
-    start = len(leaf)
-    if policy == "full":
-        return True
-    if policy in ("stop", "fan_stop"):
-        return False
-    if policy == "zeros":
-        horizon = len(head) + len(cycle)
-        return all(at(n) == 0 for n in range(start, max(start, horizon))) and all(
-            l == 0 for l in cycle
-        )
-    q = policy[1]
-    period = len(cycle) * len(q) // gcd(len(cycle), len(q))
-    horizon = max(start, len(head)) + period
-    return all(at(n) == q[(n - start) % len(q)] for n in range(start, horizon))
+    if any(l != cycle[i % len(cycle)] for i, l in enumerate(suffix)):
+        return DEAD
+    return ("periodic", cycle, len(suffix) % len(cycle))
 
 
 class InterleaveTree(Tree):
@@ -283,19 +254,6 @@ class InterleaveTree(Tree):
             return DEAD
         return ("join", ke, ko, len(word) % 2)
 
-    def accepts_branch(self, head: Word, cycle: Word) -> bool:
-        head, cycle = tuple(head), tuple(cycle)
-        # Align the head on an even boundary, then split by slot parity;
-        # doubling the cycle makes both projections periodic again.
-        if len(head) % 2:
-            head = head + cycle[:1]
-            cycle = cycle[1:] + cycle[:1]
-        if len(cycle) % 2:
-            cycle = cycle * 2
-        return self.evens.accepts_branch(head[0::2], cycle[0::2]) and self.odds.accepts_branch(
-            head[1::2], cycle[1::2]
-        )
-
 
 class IntersectionTree(Tree):
     """Nodes alive in both presentations; used to prune one tree by another."""
@@ -311,10 +269,6 @@ class IntersectionTree(Tree):
         if kl == DEAD or kr == DEAD:
             return DEAD
         return ("meet", kl, kr)
-
-    def accepts_branch(self, head: Word, cycle: Word) -> bool:
-        return self.left.accepts_branch(head, cycle) and self.right.accepts_branch(head, cycle)
-
 
 
 def explode(tree: ExplicitTree, depth: int) -> ExplicitTree:

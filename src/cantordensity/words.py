@@ -12,8 +12,6 @@ empty word) decodes uniquely; ``bits_to_runs`` is the left inverse.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 Word = tuple[int, ...]
 
 
@@ -138,7 +136,7 @@ def stretch(word: Word) -> Word:
     return tuple(out)
 
 
-def stretch_prefix(word_letters: Iterator[int] | Word, depth: int) -> Word:
+def stretch_prefix(word_letters: Word, depth: int) -> Word:
     """First ``depth`` letters of the stretched form of a (possibly long) word."""
     out: list[int] = []
     for i, letter in enumerate(word_letters):

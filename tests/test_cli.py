@@ -100,6 +100,20 @@ def test_contradicted_certificate_exits_one_without_traceback(tmp_path, monkeypa
     assert "contradicts certified bounds" in result.stderr
 
 
+def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch):
+    def exhausted(self, word, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(ClopenOracle, "local_bounds", exhausted)
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    result = invoke("measure", "--set", spec)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "out of memory\n"
+
+
 def test_parse_errors_exit_two(tmp_path):
     bad_kind = write(tmp_path / "set.json", {"kind": "nonsense"})
     assert invoke("measure", "--set", bad_kind).exit_code == 2

@@ -29,6 +29,22 @@ def test_normal_form_drops_covered_words():
     assert c.words == ((0,),)
 
 
+def test_constructor_keeps_the_canonical_antichain():
+    # Raw words covering one half read as that half, not as 3/4.
+    raw = ClopenSet(((0,), (0, 1)))
+    assert raw.words == ((0,),)
+    assert raw.measure() == F(1, 2)
+    assert raw == ClopenSet.cylinder((0,))
+    assert ClopenSet(((1,), (0,))).is_full()
+
+
+@given(clopens, clopens)
+def test_operations_build_canonical_sets(a, b):
+    # The operations skip renormalizing; their words must already be canonical.
+    for result in (*a.halves(), a.complement(), a.intersect(b), a.union(b), a.difference(b)):
+        assert ClopenSet(result.words).words == result.words
+
+
 def test_measure_examples():
     assert ClopenSet.empty().measure() == 0
     assert ClopenSet.full().measure() == 1

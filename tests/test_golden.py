@@ -73,6 +73,21 @@ DOCS = {
         "default_label": "3/8",
     },
     "countable-dyadic": {"kind": "countable-range", "values": ["1/3", "3/8", "1/5"]},
+    # One root whose periodic policy keeps 1^299 0: stretch(1^w) falls off
+    # the tree only past the depth up to which tail certificates look.
+    "offspring-long-cycle": {
+        "kind": "offspring",
+        "tree": {"nodes": [""], "policies": {"": {"periodic": "1" * 299 + "0"}}},
+        "labels": {},
+        "default_label": "3/8",
+    },
+    # stretch(10 1^w) leaves the tree at 101, so the density dies early.
+    "offspring-early-death": {
+        "kind": "offspring",
+        "tree": {"nodes": ["", "0", "1", "10"], "policies": {"0": "zeros", "10": {"periodic": "01"}}},
+        "labels": {"1": "1/4"},
+        "default_label": "5/8",
+    },
     # 0110 followed by (10)^w
     "tail10": {"kind": "ev_periodic", "head": "0110", "period": "10"},
     # 0^2 1^2 0^w, the designated point of the second value
@@ -113,6 +128,12 @@ CASES = {
         "measure", "--set", "@offspring-fine", "--prefix", "1010", "--budget", "8",
     ),
     "offspring-fine-classify": ("classify", "--set", "@offspring-fine", "--branch", "@walk-fine"),
+    "offspring-long-cycle-classify": (
+        "classify", "--set", "@offspring-long-cycle", "--branch", "@stretch1",
+    ),
+    "offspring-early-death-classify": (
+        "classify", "--set", "@offspring-early-death", "--branch", "@stretch-thirds",
+    ),
     "offspring-nat-measure": ("measure", "--set", "@offspring-nat", "--budget", "12"),
     "offspring-nat-trace": (
         "trace", "--set", "@offspring-nat", "--branch", "@stretch-nat", "--steps", "24",

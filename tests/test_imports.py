@@ -1,5 +1,5 @@
 """Every name a source module imports is used in that module, and every
-name it defines at top level is used somewhere."""
+name it defines at top level or as a class method is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -35,8 +35,9 @@ def test_no_unused_imports(path):
 
 
 def defined_names(tree: ast.Module) -> list[str]:
-    """Top-level functions, classes and constants, without click commands
-    (the CLI reaches them through the group) and dunder names."""
+    """Top-level functions, classes and constants and the methods of
+    top-level classes, without click commands (the CLI reaches them
+    through the group) and dunder names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -47,6 +48,8 @@ def defined_names(tree: ast.Module) -> list[str]:
             ):
                 continue
             names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.extend(item.name for item in node.body if isinstance(item, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
@@ -82,6 +85,15 @@ def test_detector_flags_an_unused_definition():
     tree = ast.parse("A = 1\nB = A\ndef f(): ...\n@main.command()\ndef g(): ...\n")
     assert defined_names(tree) == ["A", "B", "f"]
     assert referenced_names(tree) == {"A", "main", "command"}
+
+
+def test_detector_flags_an_unused_method():
+    tree = ast.parse(
+        "class C:\n    def used(self): ...\n    def orphan(self): ...\n"
+        "    def __len__(self): ...\nC().used()\n"
+    )
+    assert defined_names(tree) == ["C", "used", "orphan"]
+    assert "orphan" not in referenced_names(tree)
 
 
 def test_every_definition_is_used():

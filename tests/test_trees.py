@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from cantordensity.branches import Branch, StretchedBranch, as_stretched
+from cantordensity.branches import Branch, StretchedBranch, as_stretched, interleave_branches
 from cantordensity.cli import random_tree
 from cantordensity.trees import (
     CONTINUUM,
@@ -98,11 +98,89 @@ def test_stop_regions_are_alive_and_childless():
 
 def test_accepts_branch_exact():
     t = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): periodic((1, 0))})
-    assert t.accepts_branch((0,), (1,))
-    assert t.accepts_branch((1,), (1, 0))
-    assert t.accepts_branch((1, 1), (0, 1))  # same point, shifted presentation
-    assert not t.accepts_branch((1,), (0, 1))
-    assert not t.accepts_branch((1, 0), (1, 0))
+    assert t.death_depth(Branch((0,), (1,))) is None
+    assert t.death_depth(Branch((1,), (1, 0))) is None
+    assert t.death_depth(Branch((1, 1), (0, 1))) is None  # same point, shifted presentation
+    assert t.death_depth(Branch((1,), (0, 1))) == 2
+    assert t.death_depth(Branch((1, 0), (1, 0))) == 2
+
+
+def _random_presentation(rng: Random, arity: int | None, longest: int = 9) -> ExplicitTree:
+    """A small random tree whose leaves carry any policy the alphabet allows,
+    periodic ones with cycles of up to ``longest`` letters."""
+    letters = 3 if arity is None else arity
+    kinds = ["zeros", "full", "periodic"] + (["stop", "fan_stop"] if arity is None else [])
+    nodes, policies, frontier = [()], {}, [()]
+    while frontier:
+        node = frontier.pop()
+        children = [l for l in range(letters) if len(node) < 3 and rng.random() < 0.45]
+        for letter in children:
+            nodes.append(node + (letter,))
+            frontier.append(node + (letter,))
+        if not children:
+            kind = rng.choice(kinds)
+            if kind == "periodic":
+                kind = periodic(tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest))))
+            policies[node] = kind
+    return ExplicitTree(nodes, policies, arity=arity)
+
+
+def _near_branch(rng: Random, tree: ExplicitTree, longest: int = 9) -> Branch:
+    """A branch that follows a policy leaf for a while, then keeps or breaks
+    the policy's rhythm: mostly alive, or dying late."""
+    letters = 4 if tree.arity is None else tree.arity
+    leaf = rng.choice(sorted(tree.policies))
+    policy = tree.policies[leaf]
+    rhythm = policy[1] if isinstance(policy, tuple) else (0,)
+    run = tuple(rhythm[i % len(rhythm)] for i in range(rng.randrange(12)))
+    head = leaf + run + ((rng.randrange(letters),) if rng.random() < 0.2 else ())
+    shift = rng.randrange(len(rhythm))
+    cycle = rng.choice([
+        rhythm[shift:] + rhythm[:shift],
+        rhythm * 2,
+        tuple(rng.randrange(letters) for _ in range(rng.randint(1, longest))),
+    ])
+    return Branch(head, cycle)
+
+
+def _brute_death_depth(tree, branch: Branch) -> int | None:
+    """The first dead prefix by fresh membership queries, walked to twice the
+    depth by which some (region key, cycle phase) pair must have repeated."""
+    keys: set[tuple] = set()
+    depth = 0
+    while depth <= 2 * (len(branch.head) + len(branch.cycle) * len(keys)) + 8:
+        word = branch.prefix(depth)
+        if not tree.member(word):
+            return depth
+        keys.add(tree.region_key(word))
+        depth += 1
+    return None
+
+
+def test_death_depth_matches_prefix_membership():
+    rng = Random(2017)
+    dead = alive = 0
+    for _ in range(150):
+        binary = [_random_presentation(rng, 2) for _ in range(2)]
+        nat = _random_presentation(rng, None)
+        cases = [(binary[0], _near_branch(rng, binary[0])) for _ in range(6)]
+        cases += [(nat, _near_branch(rng, nat)) for _ in range(4)]
+        # Short cycles keep the joint period of an interleaving small.
+        slots = [_random_presentation(rng, 2, longest=3) for _ in range(2)]
+        join = InterleaveTree(*slots)
+        cases += [
+            (join, interleave_branches(*(_near_branch(rng, slot, longest=3) for slot in slots)))
+            for _ in range(3)
+        ]
+        meet = IntersectionTree(*binary)
+        cases += [(meet, _near_branch(rng, binary[rng.randrange(2)])) for _ in range(3)]
+        for tree, branch in cases:
+            expected = _brute_death_depth(tree, branch)
+            assert tree.death_depth(branch) == expected, (tree, branch)
+            dead += expected is not None
+            alive += expected is None
+    # Both answers occur often.
+    assert dead > 300 and alive > 300
 
 
 def test_census_counting():
@@ -243,6 +321,16 @@ def test_branch_basics():
     assert Branch.zeros().constant_tail() == (0, 0)
     assert Branch((1, 0, 0), (0,)).constant_tail() == (0, 1)
     assert Branch((0, 1), (1, 0)).constant_tail() is None
+
+
+def test_prefix_reads_at_letter_by_letter():
+    rng = Random(31)
+    for _ in range(3000):
+        head = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
+        cycle = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+        n = rng.randrange(40)
+        for point in (Branch(head, cycle), StretchedBranch(Branch(head, cycle))):
+            assert point.prefix(n) == tuple(point.at(i) for i in range(n))
 
 
 def test_stretched_branch():
