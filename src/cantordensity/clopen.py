@@ -76,22 +76,6 @@ class ClopenSet:
             (left if w[0] == 0 else right).append(w[1:])
         return _canonical(tuple(left)), _canonical(tuple(right))
 
-    def localize(self, word: Word) -> "ClopenSet":
-        """The set seen from inside the cylinder of ``word``.
-
-        A point x is in the result exactly when word + x is in self, so
-        the result's measure is the localized measure of self at word.
-        """
-        current = self
-        for letter in word:
-            if letter not in (0, 1):
-                raise ValueError(f"not a binary word: {word}")
-            current = current.halves()[letter]
-        return current
-
-    def local_measure(self, word: Word) -> Fraction:
-        return self.localize(word).measure()
-
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet.from_words(self.words + other.words)
 

@@ -20,6 +20,7 @@ geometric-series arithmetic rather than enumeration.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .oracles import (
     SegmentOracle,
     SpinePrefixOracle,
     TailCertificate,
+    entered_certificate,
 )
 from .words import Word
 
@@ -77,6 +79,8 @@ class SpongyMeasureOracle(MeasureOracle):
             raise ValueError(f"measure must be in [0, 1/3]: {measure}")
         self.measure = measure
         self.h = None if measure == THIRD else self._first_zero_digit()
+        # Leading zeros read so far: child steps walk down the spine.
+        self.zeros = 0
 
     def _digit(self, j: int) -> int:
         scaled = self.measure * (4**j)
@@ -113,49 +117,38 @@ class SpongyMeasureOracle(MeasureOracle):
             tail += (Fraction(4, 4**m) - Fraction(4, 4**self.h)) / 3
         return tail
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        return RatInterval.point(self.local_measure(tuple(word)))
+    def child(self, letter: int) -> MeasureOracle:
+        if letter == 0:
+            inner = copy.copy(self)
+            inner.zeros = self.zeros + 1
+            return inner
+        n = self.zeros
+        if n == 0:
+            return SegmentOracle(ZERO)
+        # Past 0^n 1 only the graft at 0^n 1^n meets the cylinder.
+        return GraftedUnionOracle([((1,) * (n - 1), SegmentOracle(self.piece_measure(n)))])
 
-    def local_measure(self, word: Word) -> Fraction:
-        zeros = 0
-        while zeros < len(word) and word[zeros] == 0:
-            zeros += 1
-        if zeros == len(word):
-            return (1 << zeros) * self.tail_sum(max(zeros, 1))
-        if zeros == 0:
-            return ZERO
-        # The word reads 0^zeros 1 rest; only the graft at n = zeros
-        # can meet this cylinder, behind the remaining 1s.
-        n = zeros
-        rest = word[zeros + 1:]
-        ones_needed = n - 1
-        lead = rest[: min(len(rest), ones_needed)]
-        if any(l != 1 for l in lead):
-            return ZERO
-        if len(rest) <= ones_needed:
-            # Still on the way into the graft site.
-            return self.piece_measure(n) * Fraction(1 << len(word), 1 << (2 * n))
-        return SegmentOracle(self.piece_measure(n)).local_measure(rest[ones_needed:])
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return RatInterval.point((1 << self.zeros) * self.tail_sum(max(self.zeros, 1)))
 
     def tail_certificate(self, point, effort: int) -> TailCertificate | None:
-        if isinstance(point, StretchedBranch):
+        # The certificates below read the point from the root.
+        if isinstance(point, StretchedBranch) or self.zeros:
             return None
-        probe = point
-        if probe.constant_tail() == (0, 0):
+        if point.constant_tail() == (0, 0):
             start = max(1, effort - 20)
             bound = Fraction(4, 3) * Fraction(1, 1 << start)
             return TailCertificate(RatInterval(ZERO, min(bound, ONE)), start)
         first_one = 0
-        while probe.at(first_one) == 0:
+        while point.at(first_one) == 0:
             first_one += 1
         n = first_one
         if n == 0:
             return TailCertificate(RatInterval.point(ZERO), 1)
         for j in range(n + 1, 2 * n):
-            if probe.at(j) != 1:
+            if point.at(j) != 1:
                 return TailCertificate(RatInterval.point(ZERO), j + 1)
-        inner = SegmentOracle(self.piece_measure(n)).tail_certificate(probe.drop(2 * n), effort)
-        return TailCertificate(inner.interval, inner.start + 2 * n)
+        return entered_certificate(SegmentOracle(self.piece_measure(n)), point, 2 * n, effort)
 
 
 @dataclass(frozen=True)

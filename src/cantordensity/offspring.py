@@ -36,19 +36,20 @@ certified hull of the labels along the branch.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Protocol
 
 from .branches import Branch, StretchedBranch, as_stretched
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
-from .oracles import MeasureOracle, Point, SegmentOracle, TailCertificate, segment_step
+from .oracles import (MeasureOracle, Point, SegmentOracle, TailCertificate, entered_certificate,
+                      segment_step)
 from .trees import DEAD, IntersectionTree, Tree
 from .words import Word, triangular
 
 # (key, t): see the block state machine in OffspringOracle.
-State = tuple[tuple, Word]
-_DEAD: State = (DEAD, ())
+State = tuple[tuple, Word | MeasureOracle]
 # (lo, hi, cost): numerators over 2^h of the bounds at h letters of
 # lookahead, and the lookahead an exact value needed (None if inexact).
 Bounds = tuple[int | Fraction, int | Fraction, int | None]
@@ -128,6 +129,7 @@ class OffspringOracle(MeasureOracle):
         self.labels = labels
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
         self._resolved: dict[tuple, Bounds] = {}
+        self._root = self.state = self._enter(())
 
     # ----- the block state machine -------------------------------------
     #
@@ -145,7 +147,7 @@ class OffspringOracle(MeasureOracle):
     #                            [0, a/2^k) of its copy seen from here,
     #                            a/2^k reduced; (0, 0) empty, (1, 0) full
     # ("stand-in", value, v)     flagged with any other label, v letters
-    #                            into the stand-in set
+    #                            into the stand-in set, which replaces t
 
     def _stand_in(self, value: Fraction) -> MeasureOracle:
         """An exact oracle of the given non-dyadic mass, for copy regions."""
@@ -158,14 +160,14 @@ class OffspringOracle(MeasureOracle):
     def _enter(self, t: Word) -> State:
         region = self.tree.region_key(t)
         if region == DEAD:
-            return _DEAD
+            return (DEAD, ())
         return (("node", (len(t), region, self.labels.node_key(t))), t)
 
     def _flag(self, t: Word) -> State:
         value = self.labels.label(t)
         if is_dyadic(value):
             return (("copy", value.numerator, value.denominator.bit_length() - 1), t)
-        return (("stand-in", value, ()), t)
+        return (("stand-in", value, ()), self._stand_in(value))
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state
@@ -175,7 +177,7 @@ class OffspringOracle(MeasureOracle):
         if kind == "copy":
             return (("copy",) + segment_step(key[1], key[2], letter), t)
         if kind == "stand-in":
-            return (("stand-in", key[1], key[2] + (letter,)), t)
+            return (("stand-in", key[1], key[2] + (letter,)), t.child(letter))
         if kind == "node":
             if len(t) == 0:
                 # The root block has a single letter; it is always pure.
@@ -259,8 +261,7 @@ class OffspringOracle(MeasureOracle):
             return (0, 0, 0)
         if kind == "stand-in":
             # The stand-in set answers exactly at every depth.
-            _, value, v = key
-            bounds = self._stand_in(value).local_bounds(v, len(v))
+            bounds = state[1].measure_bounds()
             scale = 1 << h
             return (bounds.lo * scale, bounds.hi * scale, 0)
         if kind == "copy":
@@ -287,24 +288,23 @@ class OffspringOracle(MeasureOracle):
             else:
                 self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
 
-    def _walk(self, word: Word) -> State:
-        state = self._enter(())
-        for letter in word:
-            state = self._step(state, letter)
-            if state is _DEAD:
-                return state
-        return state
+    def child(self, letter: int) -> MeasureOracle:
+        # Tree, labels and every cache stay shared with the parent.
+        inner = copy.copy(self)
+        inner.state = self._step(self.state, letter)
+        return inner
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        word = tuple(word)
-        horizon = max(budget, len(word))
-        h = horizon - len(word)
-        lo, hi, _ = self._eval(self._walk(word), h, {})
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        h = max(budget, 0)
+        lo, hi, _ = self._eval(self.state, h, {})
         return RatInterval(Fraction(lo, 1 << h), Fraction(hi, 1 << h))
 
     # ----- tail certificates --------------------------------------------
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
+        if self.state != self._root:
+            # The certificates below read the point from the root.
+            return None
         start_order = max(2, effort // 4)
         if not isinstance(point, StretchedBranch):
             structural = self._walking_certificate(point, triangular(start_order), effort)
@@ -327,7 +327,7 @@ class OffspringOracle(MeasureOracle):
     def _walking_certificate(self, point: Branch, guard: int, effort: int) -> TailCertificate | None:
         """Follow the point letter by letter; dead walks and flagged walks
         settle into exact sub-certificates."""
-        state = self._enter(())
+        state = self.state
         for pos in range(guard):
             state = self._step(state, point.at(pos))
             key = state[0]
@@ -335,11 +335,9 @@ class OffspringOracle(MeasureOracle):
                 return TailCertificate(EMPTY_MASS, pos + 1)
             if key[0] in ("copy", "stand-in"):
                 inside = (SegmentOracle(Fraction(key[1], 1 << key[2])) if key[0] == "copy"
-                          else self._stand_in(key[1]))
-                inner = inside.tail_certificate(point.drop(pos + 1), effort)
-                if inner is None:
-                    return TailCertificate(UNIT, pos + 1)
-                return TailCertificate(inner.interval, inner.start + pos + 1)
+                          else state[1])
+                return (entered_certificate(inside, point, pos + 1, effort)
+                        or TailCertificate(UNIT, pos + 1))
         return None
 
 

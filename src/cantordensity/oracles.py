@@ -1,14 +1,16 @@
 """Set oracles: certified interval answers about localized measures.
 
 An oracle stands for a measurable subset of Cantor space up to null
-difference. It answers one question exactly: given a finite word s and
-a refinement budget, return a rational interval certain to contain the
-localized measure of the set inside the cylinder of s. Budgets are
-absolute refinement depths; exact oracles ignore them and answer with
-point intervals.
+difference. It answers two questions exactly: ``child(letter)`` is the
+set seen from inside that letter's cylinder, again an oracle, and
+``measure_bounds(budget)`` is a rational interval certain to contain
+the set's measure, refined with ``budget`` letters of lookahead. Exact
+oracles ignore the budget and answer with point intervals. The
+localized measure at a word is the measure of the set reached by one
+``child`` per letter, so a walk along a point costs one step per depth.
 
-On top of ``local_bounds`` sit traces (bounds along a branch's
-prefixes) and a classifier with three verdicts:
+On top of these sit traces (bounds along a branch's prefixes) and a
+classifier with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
-from .dyadics import ONE, ZERO, RatInterval, dyadic_exponent
+from .dyadics import EMPTY_MASS, ONE, ZERO, RatInterval, dyadic_exponent
 from .words import Word, is_prefix
 
 Point = Branch | StretchedBranch
@@ -60,20 +63,39 @@ class Verdict:
 
 
 class MeasureOracle:
-    """Base class; subclasses implement ``local_bounds``."""
+    """Base class; subclasses implement ``child`` and ``measure_bounds``."""
 
     kind = "oracle"
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
+    def child(self, letter: int) -> MeasureOracle:
+        """The set seen from inside the cylinder of one letter."""
         raise NotImplementedError
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        return self.local_bounds((), budget)
+        """Bounds on the set's measure with ``budget`` letters of
+        lookahead; a negative budget reads as 0."""
+        raise NotImplementedError
 
-    def trace(self, point: Point, depth: int, window: int = DEFAULT_WINDOW) -> list[RatInterval]:
-        return [
-            self.local_bounds(point.prefix(n), n + window) for n in range(depth + 1)
-        ]
+    def localize(self, word: Word) -> MeasureOracle:
+        oracle = self
+        for letter in word:
+            oracle = oracle.child(letter)
+        return oracle
+
+    def local_bounds(self, word: Word, budget: int) -> RatInterval:
+        return self.localize(word).measure_bounds(max(budget, len(word)) - len(word))
+
+    def _bounds_along(self, point: Point, start: int, window: int) -> Iterator[RatInterval]:
+        """Bounds at every prefix of the point from depth ``start`` on,
+        one ``child`` step per depth."""
+        oracle = self.localize(point.prefix(start))
+        while True:
+            yield oracle.measure_bounds(window)
+            oracle = oracle.child(point.at(start))
+            start += 1
+
+    def trace(self, point: Point, depth: int, window: int = DEFAULT_WINDOW) -> Iterator[RatInterval]:
+        yield from islice(self._bounds_along(point, 0, window), depth + 1)
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         return None
@@ -83,18 +105,17 @@ class MeasureOracle:
         point: Point,
         eps: Fraction = Fraction(1, 256),
         max_depth: int = 80,
-        window: int = DEFAULT_WINDOW,
     ) -> Verdict:
         cert = self.tail_certificate(point, max_depth)
         if cert is not None and cert.interval.width <= eps:
-            self._cross_check(point, cert, window)
+            self._cross_check(point, cert)
             return Verdict(
                 kind="converges",
                 interval=cert.interval,
                 depth=cert.start,
                 detail="tail certificate",
             )
-        bounds = self.trace(point, max_depth, window)
+        bounds = list(self.trace(point, max_depth))
         swing = certified_oscillation(bounds)
         if swing is not None:
             delta, low, high = swing
@@ -106,7 +127,7 @@ class MeasureOracle:
                 detail="interleaved excursions",
             )
         if cert is not None:
-            self._cross_check(point, cert, window)
+            self._cross_check(point, cert)
             return Verdict(
                 kind="undetermined",
                 interval=cert.interval,
@@ -120,9 +141,9 @@ class MeasureOracle:
             detail="no certificate within depth",
         )
 
-    def _cross_check(self, point: Point, cert: TailCertificate, window: int) -> None:
-        for n in range(cert.start, cert.start + CROSS_CHECK_STEPS):
-            probe = self.local_bounds(point.prefix(n), n + window)
+    def _cross_check(self, point: Point, cert: TailCertificate) -> None:
+        probes = islice(self._bounds_along(point, cert.start, DEFAULT_WINDOW), CROSS_CHECK_STEPS)
+        for n, probe in enumerate(probes, cert.start):
             if not probe.intersects(cert.interval):
                 raise RuntimeError(
                     f"tail certificate {cert.interval} contradicts certified "
@@ -130,19 +151,29 @@ class MeasureOracle:
                 )
 
 
-def certified_oscillation(
-    bounds: Sequence[RatInterval],
-    max_candidates: int = 40,
-) -> tuple[Fraction, Fraction, Fraction] | None:
+def entered_certificate(part: MeasureOracle, point: Point, depth: int,
+                        effort: int) -> TailCertificate | None:
+    """The certificate of ``part`` for a plain point that enters it at
+    ``depth``, counted from the root."""
+    if not isinstance(point, Branch):
+        return None
+    inner = part.tail_certificate(point.drop(depth), effort)
+    if inner is None:
+        return None
+    return TailCertificate(inner.interval, inner.start + depth)
+
+
+def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Fraction, Fraction] | None:
     """Best certified oscillation in a trace, as (delta, low, high).
 
     Certified means: there are steps whose whole interval sits above
     ``high`` and steps sitting below ``low``, interleaved with at least
     two excursions per side. Returns the maximal high - low over
-    threshold candidates drawn from the trace itself.
+    threshold candidates drawn from the trace itself, the 40 extreme
+    ones on each side.
     """
-    los: list[Fraction] = sorted({b.hi for b in bounds})[:max_candidates]
-    his: list[Fraction] = sorted({b.lo for b in bounds}, reverse=True)[:max_candidates]
+    los: list[Fraction] = sorted({b.hi for b in bounds})[:40]
+    his: list[Fraction] = sorted({b.lo for b in bounds}, reverse=True)[:40]
     best: tuple[Fraction, Fraction, Fraction] | None = None
     for low in los:
         for high in his:
@@ -178,16 +209,17 @@ class ClopenOracle(MeasureOracle):
     def __init__(self, piece: ClopenSet):
         self.piece = piece
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        return RatInterval.point(self.piece.local_measure(tuple(word)))
+    def child(self, letter: int) -> MeasureOracle:
+        return ClopenOracle(self.piece.halves()[letter])
+
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return RatInterval.point(self.piece.measure())
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # Once the prefix is as long as the deepest word, the localized
         # set is full or empty and stays that way.
         depth = self.piece.depth
-        localized = self.piece.localize(point.prefix(depth))
-        value = ONE if localized.is_full() else ZERO
-        return TailCertificate(RatInterval.point(value), depth)
+        return TailCertificate(self.localize(point.prefix(depth)).measure_bounds(), depth)
 
 
 def segment_step(a: int, k: int, letter: int) -> tuple[int, int]:
@@ -218,20 +250,15 @@ class SegmentOracle(MeasureOracle):
         self.k = dyadic_exponent(measure)
         self.a = measure.numerator
 
-    def local_measure(self, word: Word) -> Fraction:
-        a, k = self.a, self.k
-        for letter in word:
-            if k == 0:
-                break
-            a, k = segment_step(a, k, letter)
-        return Fraction(a, 1 << k)
+    def child(self, letter: int) -> MeasureOracle:
+        a, k = segment_step(self.a, self.k, letter)
+        return SegmentOracle(Fraction(a, 1 << k))
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        return RatInterval.point(self.local_measure(word))
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return RatInterval.point(Fraction(self.a, 1 << self.k))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
-        value = self.local_measure(point.prefix(self.k))
-        return TailCertificate(RatInterval.point(value), self.k)
+        return TailCertificate(self.localize(point.prefix(self.k)).measure_bounds(), self.k)
 
 
 class ComplementOracle(MeasureOracle):
@@ -240,8 +267,11 @@ class ComplementOracle(MeasureOracle):
     def __init__(self, inner: MeasureOracle):
         self.inner = inner
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        return self.inner.local_bounds(word, budget).reflect()
+    def child(self, letter: int) -> MeasureOracle:
+        return ComplementOracle(self.inner.child(letter))
+
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return self.inner.measure_bounds(budget).reflect()
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         cert = self.inner.tail_certificate(point, effort)
@@ -260,11 +290,11 @@ class DisjointSumOracle(MeasureOracle):
             raise ValueError("need at least one part")
         self.parts = parts
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        total = RatInterval.point(ZERO)
-        for part in self.parts:
-            total = total + part.local_bounds(word, budget)
-        return total
+    def child(self, letter: int) -> MeasureOracle:
+        return DisjointSumOracle([part.child(letter) for part in self.parts])
+
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return sum((part.measure_bounds(budget) for part in self.parts), EMPTY_MASS)
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         certs = [p.tail_certificate(point, effort) for p in self.parts]
@@ -280,8 +310,8 @@ class DisjointSumOracle(MeasureOracle):
 class GraftedUnionOracle(MeasureOracle):
     """Union of copies of sets grafted inside pairwise incomparable cylinders.
 
-    Mass lives only inside the grafts: the localized measure at a word
-    off every graft is zero.
+    Mass lives only inside the grafts: the set seen from a cylinder off
+    every graft is empty.
     """
 
     kind = "grafted-union"
@@ -293,34 +323,34 @@ class GraftedUnionOracle(MeasureOracle):
                     raise ValueError(f"graft words {a} and {b} are comparable")
         self.parts = [(tuple(w), oracle) for w, oracle in parts]
 
-    def max_graft_depth(self) -> int:
-        return max((len(w) for w, _ in self.parts), default=0)
+    def child(self, letter: int) -> MeasureOracle:
+        tails = []
+        for graft, part in self.parts:
+            if not graft:
+                return part.child(letter)
+            if graft[0] == letter:
+                if len(graft) == 1:
+                    return part
+                tails.append((graft[1:], part))
+        if not tails:
+            return SegmentOracle(ZERO)
+        # Tails of incomparable words are incomparable: no check needed.
+        inner = object.__new__(GraftedUnionOracle)
+        inner.parts = tails
+        return inner
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        word = tuple(word)
-        horizon = max(budget, len(word))
-        inside = RatInterval.point(ZERO)
-        for graft, oracle in self.parts:
-            if is_prefix(graft, word):
-                return oracle.local_bounds(word[len(graft):], horizon - len(graft))
-            if is_prefix(word, graft):
-                part = oracle.measure_bounds(horizon - len(graft))
-                inside = inside + part.scale(Fraction(1, 1 << (len(graft) - len(word))))
-        return inside
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return sum((part.measure_bounds(budget - len(graft)).scale(Fraction(1, 1 << len(graft)))
+                    for graft, part in self.parts), EMPTY_MASS)
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # No graft word is longer than this prefix, so by now the point
         # has entered one graft or fallen off all of them for good.
-        depth = self.max_graft_depth()
+        depth = max((len(w) for w, _ in self.parts), default=0)
         prefix = point.prefix(depth)
-        for graft, oracle in self.parts:
+        for graft, part in self.parts:
             if is_prefix(graft, prefix):
-                if not isinstance(point, Branch):
-                    return None
-                inner = oracle.tail_certificate(point.drop(len(graft)), effort)
-                if inner is None:
-                    return None
-                return TailCertificate(inner.interval, inner.start + len(graft))
+                return entered_certificate(part, point, len(graft), effort)
         return TailCertificate(RatInterval.point(ZERO), depth)
 
 
@@ -338,16 +368,11 @@ class SpinePrefixOracle(MeasureOracle):
         self.piece = piece
         self.rate = piece_measure
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        word = tuple(word)
-        zeros = 0
-        while zeros < len(word) and word[zeros] == 0:
-            zeros += 1
-        if zeros == len(word):
-            return RatInterval.point(self.rate)
-        rest = word[zeros + 1:]
-        horizon = max(budget, len(word))
-        return self.piece.local_bounds(rest, horizon - zeros - 1)
+    def child(self, letter: int) -> MeasureOracle:
+        return self if letter == 0 else self.piece
+
+    def measure_bounds(self, budget: int = 0) -> RatInterval:
+        return RatInterval.point(self.rate)
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         if not isinstance(point, Branch):
@@ -359,7 +384,4 @@ class SpinePrefixOracle(MeasureOracle):
         first_one = 0
         while point.at(first_one) == 0:
             first_one += 1
-        inner = self.piece.tail_certificate(point.drop(first_one + 1), effort)
-        if inner is None:
-            return None
-        return TailCertificate(inner.interval, inner.start + first_one + 1)
+        return entered_certificate(self.piece, point, first_one + 1, effort)

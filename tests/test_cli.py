@@ -1,6 +1,10 @@
 """Command-line surface: verbs, exit codes, and output determinism."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 from fractions import Fraction
 
 from click.testing import CliRunner
@@ -211,3 +215,21 @@ def test_deep_budget_measure_answers(tmp_path):
     lo, hi = bounds["1200"]
     shallow_lo, shallow_hi = bounds["800"]
     assert shallow_lo <= lo <= hi <= shallow_hi
+
+
+def test_in_process_calls_leave_no_captured_buffer_alive(tmp_path):
+    # Callers that capture stdout per call, as a test harness or a
+    # benchmark does, must get every buffer back once they drop it.
+    spec = write(tmp_path / "set.json", {"kind": "dualistic", "measure": "3/5"})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "10"})
+    calls = [["measure", "--set", spec], ["trace", "--set", spec, "--branch", branch, "--steps", "3"]]
+    buffers = []
+    for argv in calls * 5:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            main(argv, standalone_mode=False)
+        assert buffer.getvalue()
+        buffers.append(weakref.ref(buffer))
+        del buffer
+    gc.collect()
+    assert [ref for ref in buffers if ref() is not None] == []

@@ -53,11 +53,12 @@ def test_measure_examples():
 
 def test_localize():
     c = ClopenSet.from_words([(0, 1), (1, 0, 0)])
-    assert c.localize((0,)).words == ((1,),)
-    assert c.localize((0, 1)).is_full()
-    assert c.localize((1, 1)).is_empty()
-    assert c.local_measure(()) == F(3, 8)
-    assert c.local_measure((1,)) == F(1, 4)
+    zero, one = c.halves()
+    assert zero.words == ((1,),)
+    assert zero.halves()[1].is_full()
+    assert one.halves()[1].is_empty()
+    assert c.measure() == F(3, 8)
+    assert one.measure() == F(1, 4)
 
 
 @given(clopens)

@@ -16,7 +16,7 @@ from cantordensity.dualistic import (
     solid_countable_range,
 )
 from cantordensity.dyadics import RatInterval
-from cantordensity.oracles import ComplementOracle
+from cantordensity.oracles import ClopenOracle, ComplementOracle
 from oracletools import antichain_measure, spongy_digit_pieces, spongy_series_measure
 
 F = Fraction
@@ -63,15 +63,15 @@ def test_piece_profiles_match_frozen_values():
 
 def test_spongy_localizations_frozen():
     oracle = SpongyMeasureOracle(F(5, 24))
-    assert oracle.local_measure(()) == F(5, 24)
-    assert oracle.local_measure((0,)) == F(5, 12)
-    assert oracle.local_measure((0, 1)) == F(3, 4)
-    assert oracle.local_measure((0, 1, 0)) == F(1)
-    assert oracle.local_measure((0, 1, 1)) == F(1, 2)
-    assert oracle.local_measure((0, 0, 1, 1)) == F(1, 4)
-    assert oracle.local_measure((0, 0, 0)) == F(1, 24)
-    assert oracle.local_measure((1,)) == F(0)
-    assert oracle.local_measure((0, 0, 1, 0)) == F(0)
+    assert oracle.local_bounds((), 0) == RatInterval.point(F(5, 24))
+    assert oracle.local_bounds((0,), 0) == RatInterval.point(F(5, 12))
+    assert oracle.local_bounds((0, 1), 0) == RatInterval.point(F(3, 4))
+    assert oracle.local_bounds((0, 1, 0), 0) == RatInterval.point(F(1))
+    assert oracle.local_bounds((0, 1, 1), 0) == RatInterval.point(F(1, 2))
+    assert oracle.local_bounds((0, 0, 1, 1), 0) == RatInterval.point(F(1, 4))
+    assert oracle.local_bounds((0, 0, 0), 0) == RatInterval.point(F(1, 24))
+    assert oracle.local_bounds((1,), 0) == RatInterval.point(F(0))
+    assert oracle.local_bounds((0, 0, 1, 0), 0) == RatInterval.point(F(0))
 
 
 @given(
@@ -82,10 +82,11 @@ def test_spongy_localizations_frozen():
 def test_spongy_halves_average(rate, word):
     oracle = SpongyMeasureOracle(rate)
     word = tuple(word)
-    here = oracle.local_measure(word)
+    here = oracle.local_bounds(word, 0).lo
+    assert oracle.local_bounds(word, 0).is_point()
     assert 0 <= here <= 1
-    left = oracle.local_measure(word + (0,))
-    right = oracle.local_measure(word + (1,))
+    left = oracle.local_bounds(word + (0,), 0).lo
+    right = oracle.local_bounds(word + (1,), 0).lo
     assert here == (left + right) / 2
 
 
@@ -100,8 +101,9 @@ def test_spongy_measure_equals_series(rate):
 def test_spongy_spine_bound():
     oracle = SpongyMeasureOracle(F(5, 24))
     for m in range(1, 20):
-        value = oracle.local_measure((0,) * m)
-        assert value <= F(4, 3) / 2**m
+        value = oracle.local_bounds((0,) * m, 0)
+        assert value.is_point()
+        assert value.lo <= F(4, 3) / 2**m
 
 
 def test_spongy_spine_certificate():
@@ -111,6 +113,8 @@ def test_spongy_spine_certificate():
     assert cert.interval.hi <= F(4, 3) / 2**cert.start
     dead = oracle.tail_certificate(Branch((0, 0, 1, 0), (0,)), effort=40)
     assert dead.interval == RatInterval.point(F(0))
+    # Below the root the point would be read as if it started there.
+    assert oracle.child(0).tail_certificate(Branch((0, 1), (0,)), effort=40) is None
 
 
 def test_dualistic_small_rate_is_pure_graft():
@@ -159,7 +163,7 @@ def test_dualistic_spine_trace_obeys_tail_bound():
         word = (0,) * m
         value = built.oracle.local_bounds(word, 0)
         assert value.is_point()
-        clopen_term = chunk.local_measure(word)
+        clopen_term = ClopenOracle(chunk).local_bounds(word, 0).lo
         assert value.lo <= clopen_term + F(4, 3) / 2**m
         if m > chunk.depth:
             assert clopen_term == 0
@@ -172,7 +176,7 @@ def test_solid_range_designated_points():
     for point, value in solid.designated_points():
         cert = solid.oracle.tail_certificate(point, effort=30)
         assert cert.interval == RatInterval.point(value)
-        trace = solid.oracle.trace(point, 12)
+        trace = list(solid.oracle.trace(point, 12))
         assert trace[-1].contains(value)
     spine = solid.oracle.tail_certificate(solid.spine_point(), effort=30)
     assert spine.interval == RatInterval.point(F(0))

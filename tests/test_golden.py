@@ -27,6 +27,11 @@ DOCS = {
             {"prefix": "10", "set": {"kind": "clopen", "words": ["1", "01"]}},
         ],
     },
+    # One part grafted at the root: the part is the whole set.
+    "composed-root": {
+        "kind": "compose",
+        "parts": [{"prefix": "", "set": {"kind": "dualistic", "measure": "3/5"}}],
+    },
     "second": {"kind": "reduction", "which": "second"},
     "first": {
         "kind": "reduction",
@@ -93,6 +98,7 @@ DOCS = {
     # 0^2 1^2 0^w, the designated point of the second value
     "designated": {"kind": "ev_periodic", "head": "0011", "period": "0"},
     "inside-graft": {"kind": "ev_periodic", "head": "101", "period": "1"},
+    "off-spine": {"kind": "ev_periodic", "head": "011", "period": "0"},
     # 101 flags into the copy at node 1; (01)^w then reads the label's
     # binary digits, so the copy empties only after all twelve.
     "walk-fine": {"kind": "ev_periodic", "head": "101", "period": "01"},
@@ -112,6 +118,7 @@ CASES = {
     ),
     "compose-measure": ("measure", "--set", "@composed"),
     "compose-classify": ("classify", "--set", "@composed", "--branch", "@inside-graft"),
+    "compose-root-graft-classify": ("classify", "--set", "@composed-root", "--branch", "@off-spine"),
     "second-trace": ("trace", "--set", "@second", "--branch", "@stretch10", "--steps", "22"),
     "first-classify": (
         "classify", "--set", "@first", "--branch", "@stretch1", "--max-depth", "30",

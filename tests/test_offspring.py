@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from cantordensity.branches import Branch, StretchedBranch
+from cantordensity.dualistic import SpongyMeasureOracle
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, UNIT, RatInterval
 from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
@@ -292,3 +293,52 @@ def test_labels_keys_and_hull():
     assert labels.node_key((1,)) == ("default",)
     hull = labels.branch_label_hull(Branch((0, 1), (1,)), 0)
     assert (hull.lo, hull.hi) == (F(1, 4), F(1, 2))
+
+
+def test_trace_steps_once_per_depth(monkeypatch):
+    # At window 0 every bound is read off the state itself, so a trace
+    # to depth n steps the block state machine n times, not n^2 / 2.
+    step = OffspringOracle._step
+    calls = []
+
+    def counted(self, state, letter):
+        calls.append(letter)
+        return step(self, state, letter)
+
+    monkeypatch.setattr(OffspringOracle, "_step", counted)
+    depth = 150
+    point = StretchedBranch(Branch((), (1, 0)))
+    oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(3, 8)))
+    bounds = list(oracle.trace(point, depth, window=0))
+    assert len(bounds) == depth + 1
+    assert len(calls) <= depth
+
+
+def test_stand_in_trace_steps_once_per_depth(monkeypatch):
+    # A stand-in state carries its stand-in set as seen from where it
+    # is, so a trace inside a non-dyadic copy steps that set once per
+    # letter instead of localizing it afresh at every depth.
+    child = SpongyMeasureOracle.child
+    calls = []
+
+    def counted(self, letter):
+        calls.append(letter)
+        return child(self, letter)
+
+    monkeypatch.setattr(SpongyMeasureOracle, "child", counted)
+    tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
+    # 0 enters node 0, whose mixed block 01 flags into the 2/7 stand-in.
+    oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
+    depth = 200
+    bounds = list(oracle.trace(Branch((0, 0, 1), (0,)), depth, window=0))
+    assert all(b.is_point() for b in bounds[3:])
+    assert 0 < len(calls) <= depth
+
+
+def test_localized_oracle_gives_no_root_certificate():
+    # Tail certificates read the point from the root; below it they
+    # would certify the wrong set.
+    oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(3, 8)))
+    point = StretchedBranch(Branch.ones())
+    assert oracle.tail_certificate(point, 20) is not None
+    assert oracle.localize((1, 1)).tail_certificate(point, 20) is None

@@ -18,7 +18,7 @@ from cantordensity.oracles import (
     SpinePrefixOracle,
     certified_oscillation,
 )
-from oracletools import piece_of_measure
+from oracletools import cylinder_local_measure, piece_of_measure
 
 F = Fraction
 
@@ -45,8 +45,24 @@ def test_clopen_trace_matches_localization():
     oracle = ClopenOracle(body)
     point = Branch((0, 1, 1), (0,))
     for depth, bounds in enumerate(oracle.trace(point, 6)):
-        expected = body.local_measure(point.prefix(depth))
+        expected = cylinder_local_measure(body.words, point.prefix(depth), 6)
         assert bounds == RatInterval.point(expected)
+
+
+def test_clopen_trace_takes_one_halves_per_depth(monkeypatch):
+    halves = ClopenSet.halves
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return halves(self)
+
+    monkeypatch.setattr(ClopenSet, "halves", counted)
+    body = ClopenSet.from_words([(0, 1) * 100 + (1,), (1, 1, 0)])
+    bounds = list(ClopenOracle(body).trace(Branch((), (0, 1)), 200))
+    assert len(bounds) == 201
+    assert bounds[-1] == RatInterval.point(F(1, 2))
+    assert len(calls) <= 201
 
 
 def test_complement_oracle_reflects():
@@ -136,7 +152,10 @@ def test_classify_cross_check_rejects_inconsistent_certificate():
     class Lying(MeasureOracle):
         kind = "lying"
 
-        def local_bounds(self, word, budget):
+        def child(self, letter):
+            return self
+
+        def measure_bounds(self, budget=0):
             return RatInterval.point(F(0))
 
         def tail_certificate(self, point, effort):
