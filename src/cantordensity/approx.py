@@ -26,8 +26,6 @@ from .words import Word, runs_to_bits
 class FunctionPresentation(Protocol):
     """Open rational enclosures of a continuous function, node by node."""
 
-    kind: str
-
     def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
         """Open interval (lo; hi) containing every value on the cylinder."""
         ...
@@ -74,7 +72,6 @@ class ConstantPresentation:
     """The constant function at a rational in (0;1)."""
 
     constant: Fraction
-    kind = "constant"
 
     def __post_init__(self) -> None:
         if not (0 < self.constant < 1):
@@ -115,7 +112,6 @@ class AffineImagePresentation:
 
     lo_value: Fraction
     hi_value: Fraction
-    kind = "affine-image"
 
     def __post_init__(self) -> None:
         if not (0 < self.lo_value < self.hi_value < 1):
@@ -152,7 +148,6 @@ class InjectivePresentation:
     """
 
     margin: Fraction
-    kind = "injective"
 
     def __post_init__(self) -> None:
         if not (0 < self.margin < Fraction(1, 2)):
@@ -187,8 +182,6 @@ class ReparamPresentation:
     the padded embedding, with intervals narrower than 2^-depth at
     every depth.
     """
-
-    kind = "reparam"
 
     def __init__(self, base: FunctionPresentation, max_pad: int = 64):
         self.base = base

@@ -37,9 +37,6 @@ class Branch:
         laps, rest = divmod(n - len(head), len(cycle))
         return head + cycle * laps + cycle[:rest]
 
-    def has_infinitely_many_ones(self) -> bool:
-        return any(letter == 1 for letter in self.cycle)
-
     def constant_tail(self) -> tuple[int, int] | None:
         """(letter, start) when the branch is that letter from start on."""
         first = self.cycle[0]
@@ -79,9 +76,6 @@ class StretchedBranch:
     def prefix(self, n: int) -> Word:
         # Blocks 0 .. order_at_depth(n) cover positions 0 .. n.
         return stretch_prefix(self.base.prefix(order_at_depth(n) + 1), n)
-
-    def order_word(self, k: int) -> Word:
-        return self.base.prefix(k)
 
 
 def interleave_branches(x: Branch, y: Branch) -> Branch:

@@ -3,9 +3,10 @@
 Set specs and branches arrive as JSON files; results leave as JSON on
 stdout, one object per line for traces. Exit codes: 0 on success, 1
 when a construction rejects its values or a tail certificate is
-contradicted (the module's message is printed verbatim), 2 when a
-document or the command line itself is malformed. All randomness in
-the verify suites is seeded, so equal invocations print equal bytes.
+contradicted (the module's message is printed verbatim) or when memory
+runs out ("out of memory"), 2 when a document or the command line
+itself is malformed. All randomness in the verify suites is seeded, so
+equal invocations print equal bytes.
 """
 
 from __future__ import annotations

@@ -223,9 +223,6 @@ class SolidCountableRange:
             for n, value in enumerate(self.values)
         ]
 
-    def spine_point(self) -> Branch:
-        return Branch.zeros()
-
     def audit(self) -> bool:
         """Distinct values at distinct designated points."""
         if len(set(self.values)) != len(self.values):

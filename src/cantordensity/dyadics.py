@@ -114,9 +114,6 @@ class RatInterval:
             raise ValueError(f"disjoint intervals {self} and {other}")
         return RatInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from typing import Protocol
 
 from .branches import Branch, StretchedBranch, as_stretched
 from .dualistic import dualistic_of_measure
@@ -61,32 +60,45 @@ def _join_cost(left: int | None, right: int | None) -> int | None:
     return max(left, right) + 1
 
 
-class LabelMap(Protocol):
-    """Rational labels on tree nodes, with enough structure to certify tails."""
+class LabelMap:
+    """Rational labels on tree nodes, with one rule for certified tail hulls.
 
-    kind: str
+    The hull of the labels along a branch from prefix ``start`` on is
+    the labels at prefixes ``start`` through ``hull_horizon(branch,
+    start)`` together with ``tail_hull(branch, horizon)``, a few values
+    bounding every deeper label. Subclasses give the labels and the
+    tail, and may move the horizon or share node keys.
+    """
 
     def label(self, node: Word) -> Fraction:
         """The copy measure at a node, in [0, 1]. A dyadic value m gets
         the segment [0, m) as its copy; anything else a measured
         stand-in set of exactly that mass."""
-        ...
+        raise NotImplementedError
 
     def node_key(self, node: Word) -> object:
         """Nodes with equal keys (and equal depth) carry identical label
         assignments on their whole subtrees."""
-        ...
+        return node
+
+    def hull_horizon(self, branch: Branch, start: int) -> int:
+        return max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
+
+    def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
+        """Values whose hull contains every label past the horizon."""
+        raise NotImplementedError
 
     def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
         """A closed interval containing label(branch prefix k) for all
         k >= start."""
-        ...
+        horizon = self.hull_horizon(branch, start)
+        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
+        values += self.tail_hull(branch, horizon)
+        return RatInterval(min(values), max(values))
 
 
-class ExplicitLabels:
+class ExplicitLabels(LabelMap):
     """A finite table of labels; everything beyond it gets the default."""
-
-    kind = "explicit"
 
     def __init__(self, mapping: dict[Word, Fraction], default: Fraction = HALF):
         for node, value in mapping.items():
@@ -108,11 +120,11 @@ class ExplicitLabels:
             return ("table", node)
         return ("default",)
 
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        values = {self.default}
-        for k in range(start, self.depth + 1):
-            values.add(self.label(branch.prefix(k)))
-        return RatInterval(min(values), max(values))
+    def hull_horizon(self, branch: Branch, start: int) -> int:
+        return self.depth
+
+    def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
+        return (self.default,)
 
 
 class OffspringOracle(MeasureOracle):
@@ -146,8 +158,8 @@ class OffspringOracle(MeasureOracle):
     # ("copy", a, k)             flagged with a dyadic label: the segment
     #                            [0, a/2^k) of its copy seen from here,
     #                            a/2^k reduced; (0, 0) empty, (1, 0) full
-    # ("stand-in", value, v)     flagged with any other label, v letters
-    #                            into the stand-in set, which replaces t
+    # ("stand-in", value)        flagged with any other label; t is the
+    #                            stand-in set as seen from here
 
     def _stand_in(self, value: Fraction) -> MeasureOracle:
         """An exact oracle of the given non-dyadic mass, for copy regions."""
@@ -167,7 +179,7 @@ class OffspringOracle(MeasureOracle):
         value = self.labels.label(t)
         if is_dyadic(value):
             return (("copy", value.numerator, value.denominator.bit_length() - 1), t)
-        return (("stand-in", value, ()), self._stand_in(value))
+        return (("stand-in", value), self._stand_in(value))
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state
@@ -177,7 +189,7 @@ class OffspringOracle(MeasureOracle):
         if kind == "copy":
             return (("copy",) + segment_step(key[1], key[2], letter), t)
         if kind == "stand-in":
-            return (("stand-in", key[1], key[2] + (letter,)), t.child(letter))
+            return (key, t.child(letter))
         if kind == "node":
             if len(t) == 0:
                 # The root block has a single letter; it is always pure.
@@ -209,28 +221,30 @@ class OffspringOracle(MeasureOracle):
         reproduced them, so the answers stay equal to honest exhaustive
         enumeration at the horizon depth.
 
-        The children of a state are evaluated letter 0 first, on an
-        explicit stack of frames (state, h, 0-child bounds), so the
-        lookahead is not limited by the interpreter's recursion depth.
+        Leaves answer before any lookup, so only node, pure and mixed
+        states are kept; none of them settles at cost 0, so the horizon
+        leaf at h = 0 agrees with what a lookup would give. The children
+        of a state are evaluated letter 0 first, on an explicit stack of
+        frames (state, h, 0-child bounds), so the lookahead is not
+        limited by the interpreter's recursion depth.
         """
         resolved = self._resolved
         frames: list[list] = []
         while True:
-            key = state[0]
-            settled = resolved.get(key)
-            if settled is not None and settled[2] <= h:
-                scale = 1 << (h - settled[2])
-                out = (settled[0] * scale, settled[1] * scale, settled[2])
-            else:
-                out = memo.get((key, h))
-                if out is None:
-                    out = self._leaf(state, h)
+            out = self._leaf(state, h)
+            if out is None:
+                key = state[0]
+                settled = resolved.get(key)
+                if settled is not None and settled[2] <= h:
+                    scale = 1 << (h - settled[2])
+                    out = (settled[0] * scale, settled[1] * scale, settled[2])
+                else:
+                    out = memo.get((key, h))
                     if out is None:
                         frames.append([state, h, None])
                         state = self._step(state, 0)
                         h -= 1
                         continue
-                    self._keep(key, h, out, memo)
             # Hand the answer up until a frame still needs its 1-child.
             while frames:
                 frame = frames[-1]

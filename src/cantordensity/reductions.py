@@ -17,10 +17,14 @@ and the uniformity pipeline, which sections a product tree along a
 branch and prunes the largest third-reduction offspring down to it.
 
 Every label map certifies hulls of its labels along a stretched
-branch: a window of explicit values plus a closure anchor from the
-presented interval at the window's end. Deeper labels only ever use
-extensions of the anchor node, and the adjustment offsets shrink with
-node length, so the anchored bound is sound for the whole tail.
+branch by the one rule of ``LabelMap.branch_label_hull``: the labels
+at the prefixes up to a horizon, plus a tail hull bounding every
+deeper label. The second reduction's tail is its frozen-parity limit,
+or both ends of the unit interval. The function-reading maps anchor
+theirs at a node near the horizon: its presented interval, widened by
+a pad and clipped to [0, 1]. Deeper labels only ever use extensions of
+the anchor node, and the adjustment offsets shrink with node length,
+so the anchored bound is sound for the whole tail.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from .approx import (
 )
 from .branches import Branch
 from .dualistic import solid_countable_range
-from .dyadics import ONE, ZERO, RatInterval, dyadic_of_rank
-from .offspring import OffspringOracle, offspring_prune
+from .dyadics import ONE, ZERO, dyadic_of_rank
+from .offspring import LabelMap, OffspringOracle, offspring_prune
 from .oracles import GraftedUnionOracle, MeasureOracle
-from .trees import ExplicitTree, InterleaveTree, pair_letter, section
+from .trees import ExplicitTree, InterleaveTree, materialize, pair_letter, section
 from .words import (
     Word,
     bits_to_runs,
@@ -77,37 +81,27 @@ def require_lipschitz(presentation: FunctionPresentation) -> None:
             )
 
 
-class AnchoredHullLabels:
+class AnchoredHullLabels(LabelMap):
     """Labels read off a presented function, with anchored tail hulls.
 
-    The hull along a stretched branch from ``start`` on is the window of
-    explicit labels up to a horizon plus the presented interval at an
+    Past the horizon every label lies in the presented interval at an
     anchor node, widened by a pad and clipped to [0, 1]. Subclasses
     supply the anchor and pad, and may move the horizon.
     """
 
     presentation: FunctionPresentation
 
-    def label(self, node: Word) -> Fraction:
-        raise NotImplementedError
-
-    def hull_horizon(self, branch: Branch, start: int) -> int:
-        return max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
-
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         """The anchor node and the pad its presented interval is widened by."""
         raise NotImplementedError
 
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = self.hull_horizon(branch, start)
-        values = [self.label(branch.prefix(k)) for k in range(start, horizon + 1)]
+    def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
         anchor, pad = self.hull_anchor(branch, horizon)
         lo, hi = self.presentation.presented_interval(anchor)
-        values += (max(ZERO, lo - pad), min(ONE, hi + pad))
-        return RatInterval(min(values), max(values))
+        return max(ZERO, lo - pad), min(ONE, hi + pad)
 
 
-class OnesParityLabels:
+class OnesParityLabels(LabelMap):
     """Labels approaching 1 on even ones counts and 0 on odd ones.
 
     Along a branch with infinitely many 1s the parity keeps flipping
@@ -115,27 +109,20 @@ class OnesParityLabels:
     a 0-tail the parity freezes and the labels converge to 1 or 0.
     """
 
-    kind = "ones-parity"
-
     def label(self, node: Word) -> Fraction:
         node = tuple(node)
         scale = Fraction(1, 1 << (len(node) + 1))
         return ONE - scale if ones_count(node) % 2 == 0 else scale
 
     def node_key(self, node: Word) -> object:
-        return ("ones-parity", ones_count(node) % 2)
+        return ones_count(node) % 2
 
-    def branch_label_hull(self, branch: Branch, start: int) -> RatInterval:
-        horizon = max(start, len(branch.head) + 2 * len(branch.cycle)) + 2
-        values = {self.label(branch.prefix(k)) for k in range(start, horizon + 1)}
+    def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
         if ones_count(branch.cycle) == 0:
             # The parity is frozen past the horizon and the labels walk
             # monotonically to their limit.
-            even = ones_count(branch.prefix(horizon)) % 2 == 0
-            values.add(ONE if even else ZERO)
-        else:
-            values.update((ZERO, ONE))
-        return RatInterval(min(values), max(values))
+            return (ONE if ones_count(branch.prefix(horizon)) % 2 == 0 else ZERO,)
+        return ZERO, ONE
 
 
 def second_reduction(tree) -> OffspringOracle:
@@ -153,8 +140,6 @@ class TailAlternationLabels(AnchoredHullLabels):
     branches with infinitely many 1s see both members converge.
     """
 
-    kind = "tail-alternation"
-
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
         self._pairs: dict[Word, tuple[Fraction, Fraction]] = {}
@@ -171,9 +156,6 @@ class TailAlternationLabels(AnchoredHullLabels):
         head, zeros = split_trailing_zeros(tuple(node))
         below, above = self.pair_at(head)
         return below if zeros % 2 == 0 else above
-
-    def node_key(self, node: Word) -> object:
-        return ("tail-alternation", tuple(node))
 
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         # Labels past the horizon use extensions of this head, whose
@@ -204,8 +186,6 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
     with the last letter so that the values at a node's children spread
     out instead of converging with the presented intervals.
     """
-
-    kind = "interleave-adjusted"
 
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
@@ -246,9 +226,6 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
         tree_half, codec_half = deinterleave(word[:-1])
         node = bits_to_runs(codec_half[: ones_count(tree_half)] + (1,))
         return self.adjusted(node)
-
-    def node_key(self, word: Word) -> object:
-        return ("interleave-adjusted", tuple(word))
 
     def hull_horizon(self, branch: Branch, start: int) -> int:
         return max(start + 2, len(branch.head) + 4 * len(branch.cycle) + 4)
@@ -325,19 +302,12 @@ class HeadValueLabels(AnchoredHullLabels):
     def label(self, word: Word) -> Fraction:
         return self.value_at(decode_head(tuple(word)))
 
-    def node_key(self, word: Word) -> object:
-        word = tuple(word)
-        _, zeros = split_trailing_zeros(word)
-        return (self.kind, decode_head(word), zeros)
-
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         return decode_head(branch.prefix(horizon)), ZERO
 
 
 class EnumeratedValueLabels(HeadValueLabels):
     """Labels reading the first enumerated value inside each presented interval."""
-
-    kind = "enumerated-value"
 
     def __init__(self, presentation: FunctionPresentation, values: tuple[Fraction, ...]):
         self.presentation = presentation
@@ -399,8 +369,6 @@ def solid_analytic(presentation: FunctionPresentation, values: list[Fraction]) -
 
 class GreedyInjectiveLabels(HeadValueLabels):
     """A fixed table of pairwise distinct labels, canonical beyond it."""
-
-    kind = "greedy-injective"
 
     def __init__(self, presentation: FunctionPresentation, table: dict[Word, Fraction]):
         self.presentation = presentation
@@ -511,25 +479,11 @@ def interleave_closure(pairs: ExplicitTree, depth: int) -> ExplicitTree:
     """The downward closure of the interleavings of a pair tree, materialized.
 
     Exact to twice ``depth``; the frontier closes with zero-tails, which
-    matches the pair tree's own policy completion.
+    matches the pair tree's own policy completion. A pair tree over at
+    most four letters is pruned, so no interleaving dies before the
+    frontier.
     """
-    cap = 2 * depth
-    levels: list[set[Word]] = [set() for _ in range(cap + 1)]
-    levels[0].add(())
-    for n in range(cap):
-        for word in levels[n]:
-            for b in (0, 1):
-                child = word + (b,)
-                if _zip_alive(pairs, child):
-                    levels[n + 1].add(child)
-    nodes = [word for level in levels for word in level]
-    node_set = set(nodes)
-    policies = {
-        word: "zeros"
-        for word in nodes
-        if not any(word + (b,) in node_set for b in (0, 1))
-    }
-    return ExplicitTree(nodes, policies, arity=2)
+    return materialize(lambda word: _zip_alive(pairs, word), 2, 2 * depth)
 
 
 def uniformity_pipeline(

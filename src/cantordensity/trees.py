@@ -24,12 +24,17 @@ Depth-bounded operators (``explode``, ``star``, ``section``) are exact
 up to their requested depth and census-faithful where the module
 contract asks for it; they cannot certify perfect-set containment,
 only membership and branch-census facts about the presented class.
+``explode`` and ``section`` are calls to ``materialize``, which grows
+the words up to a depth level by level through a membership test,
+drops those dying before the depth, and closes the frontier with
+zero-tails; ``star`` walks its own codec images and closes them the
+same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Callable, Literal, Union
 
 from .branches import Branch
 from .words import Word, deinterleave, runs_to_bits
@@ -89,12 +94,6 @@ class Tree:
 
     def member(self, word: Word) -> bool:
         return self.region_key(word) != DEAD
-
-    def alive_children(self, word: Word) -> tuple[int, ...]:
-        if self.arity is None:
-            raise ValueError("cannot enumerate children over the natural numbers")
-        word = tuple(word)
-        return tuple(i for i in range(self.arity) if self.member(word + (i,)))
 
 
 class ExplicitTree(Tree):
@@ -271,6 +270,33 @@ class IntersectionTree(Tree):
         return ("meet", kl, kr)
 
 
+def _close_with_zeros(nodes: set[Word], policies: dict[Word, Policy], arity: int) -> ExplicitTree:
+    """The tree on ``nodes`` in which every childless word without a
+    policy continues with the zero-tail."""
+    for w in nodes:
+        if w not in policies and not any(w + (i,) in nodes for i in range(arity)):
+            policies[w] = "zeros"
+    return ExplicitTree(nodes, policies, arity=arity)
+
+
+def materialize(alive: Callable[[Word], bool], arity: int, depth: int) -> ExplicitTree:
+    """The words up to ``depth`` all of whose prefixes pass ``alive``.
+
+    Levels grow one letter at a time by the membership test. Words that
+    die before ``depth`` are dropped (lookahead pruning), so the result
+    is pruned as a finite presentation; the root always stays, and the
+    frontier closes with zero-tails.
+    """
+    levels: list[list[Word]] = [[()]]
+    for _ in range(depth):
+        levels.append([w + (i,) for w in levels[-1] for i in range(arity) if alive(w + (i,))])
+    nodes: set[Word] = set(levels[depth])
+    for level in reversed(levels[:depth]):
+        nodes.update(w for w in level if any(w + (i,) in nodes for i in range(arity)))
+    nodes.add(())
+    return _close_with_zeros(nodes, {}, arity)
+
+
 def explode(tree: ExplicitTree, depth: int) -> ExplicitTree:
     """Materialize a finite-arity presentation to a depth, zeros beyond.
 
@@ -280,19 +306,7 @@ def explode(tree: ExplicitTree, depth: int) -> ExplicitTree:
     """
     if tree.arity is None:
         raise ValueError("explode needs a finite alphabet")
-    nodes: list[Word] = [()]
-    policies: dict[Word, Policy] = {}
-    frontier = [()]
-    for level in range(depth):
-        nxt = []
-        for w in frontier:
-            for i in tree.alive_children(w):
-                nxt.append(w + (i,))
-        nodes.extend(nxt)
-        frontier = nxt
-    for w in frontier:
-        policies[w] = "zeros"
-    return ExplicitTree(nodes, policies, arity=tree.arity)
+    return materialize(tree.member, tree.arity, depth)
 
 
 def star(tree: ExplicitTree, depth: int) -> ExplicitTree:
@@ -357,12 +371,7 @@ def star(tree: ExplicitTree, depth: int) -> ExplicitTree:
 
     walk((), ())
     # Frontier nodes truncated mid-way get the zero-tail completion.
-    all_nodes = set(nodes)
-    for w in list(all_nodes):
-        has_child = any(w + (i,) in all_nodes for i in (0, 1))
-        if not has_child and w not in policies:
-            policies[w] = "zeros"
-    return ExplicitTree(sorted(all_nodes), policies, arity=2)
+    return _close_with_zeros(nodes, policies, 2)
 
 
 def section(product_tree: ExplicitTree, first_coordinate, depth: int) -> ExplicitTree:
@@ -373,44 +382,19 @@ def section(product_tree: ExplicitTree, first_coordinate, depth: int) -> Explici
     a binary tree and sectioning a triple tree (arity 8) a pair tree.
     ``first_coordinate`` is anything with an ``at(n)`` method giving the
     leading bit at position n. A word v of length up to ``depth``
-    survives when the zipped product word is alive; nodes with no
-    continuation inside the window are discarded (lookahead pruning),
-    so the result is pruned as a finite presentation. Frontier leaves
-    close with zero-tails.
+    survives when the zipped product word is alive; ``materialize``
+    drops the words with no continuation inside the window.
     """
     arity = product_tree.arity
     if arity is None or arity < 4 or arity & (arity - 1):
         raise ValueError("section expects a product alphabet: arity a power of two, at least 4")
     half = arity // 2
-    alive: list[set[Word]] = [set() for _ in range(depth + 1)]
-    alive[0].add(())
 
-    def zipped(v: Word) -> Word:
-        return tuple(half * first_coordinate.at(i) + v[i] for i in range(len(v)))
+    def alive(v: Word) -> bool:
+        zipped = tuple(half * first_coordinate.at(i) + letter for i, letter in enumerate(v))
+        return product_tree.member(zipped)
 
-    for level in range(depth):
-        for v in alive[level]:
-            for b in range(half):
-                child = v + (b,)
-                if product_tree.member(zipped(child)):
-                    alive[level + 1].add(child)
-    # Lookahead: drop words that die before reaching the window's edge.
-    for level in range(depth - 1, -1, -1):
-        alive[level] = {
-            v
-            for v in alive[level]
-            if any(v + (b,) in alive[level + 1] for b in range(half))
-        }
-    alive[0].add(())
-    kept: list[Word] = []
-    policies: dict[Word, Policy] = {}
-    for level in range(depth + 1):
-        kept.extend(alive[level])
-    kept_set = set(kept)
-    for v in kept:
-        if not any(v + (b,) in kept_set for b in range(half)):
-            policies[v] = "zeros"
-    return ExplicitTree(kept, policies, arity=half)
+    return materialize(alive, half, depth)
 
 
 def pair_letter(a: int, b: int) -> int:

@@ -178,7 +178,7 @@ def test_solid_range_designated_points():
         assert cert.interval == RatInterval.point(value)
         trace = list(solid.oracle.trace(point, 12))
         assert trace[-1].contains(value)
-    spine = solid.oracle.tail_certificate(solid.spine_point(), effort=30)
+    spine = solid.oracle.tail_certificate(Branch.zeros(), effort=30)
     assert spine.interval == RatInterval.point(F(0))
 
 

@@ -1,5 +1,6 @@
-"""Every name a source module imports is used in that module, and every
-name it defines at top level or as a class method is used somewhere."""
+"""Every name a source module imports is used in that module, every
+name it defines at top level is used somewhere, and every class method
+is looked up as an attribute somewhere."""
 
 import ast
 from pathlib import Path
@@ -34,10 +35,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(tree: ast.Module) -> list[str]:
-    """Top-level functions, classes and constants and the methods of
-    top-level classes, without click commands (the CLI reaches them
-    through the group) and dunder names."""
+    """Top-level functions, classes and constants, without click commands
+    (the CLI reaches them through the group) and dunder names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -48,12 +52,20 @@ def defined_names(tree: ast.Module) -> list[str]:
             ):
                 continue
             names.append(node.name)
-            if isinstance(node, ast.ClassDef):
-                names.extend(item.name for item in node.body if isinstance(item, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return [name for name in names if not _dunder(name)]
+
+
+def defined_methods(tree: ast.Module) -> list[str]:
+    """The methods of top-level classes, without dunder names."""
+    return [
+        item.name
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not _dunder(item.name)
+    ]
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -69,15 +81,23 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return found
 
 
+def looked_up_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names looked up in a module: the only way to reach a
+    method, so a local variable of the same name does not count."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def unused_definitions() -> list[str]:
     files = [p for folder in ("src", "tests", "bench") for p in sorted((ROOT / folder).rglob("*.py"))]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
-    referenced = {path: referenced_names(tree) for path, tree in trees.items()}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    looked_up = set().union(*(looked_up_attributes(tree) for tree in trees.values()))
     unused = []
     for path in SOURCES:
-        for name in defined_names(trees[path]):
-            if not any(name in names for names in referenced.values()):
-                unused.append(f"{path.name}: {name}")
+        unused.extend(f"{path.name}: {name}" for name in defined_names(trees[path])
+                      if name not in referenced)
+        unused.extend(f"{path.name}: {name}" for name in defined_methods(trees[path])
+                      if name not in looked_up)
     return unused
 
 
@@ -92,8 +112,13 @@ def test_detector_flags_an_unused_method():
         "class C:\n    def used(self): ...\n    def orphan(self): ...\n"
         "    def __len__(self): ...\nC().used()\n"
     )
-    assert defined_names(tree) == ["C", "used", "orphan"]
-    assert "orphan" not in referenced_names(tree)
+    assert defined_names(tree) == ["C"]
+    assert defined_methods(tree) == ["used", "orphan"]
+    assert "orphan" not in looked_up_attributes(tree)
+    # A local variable named like a method does not use the method.
+    shadowed = ast.parse("class C:\n    def hull(self): ...\nhull = 1\nprint(hull)\n")
+    assert "hull" in referenced_names(shadowed)
+    assert "hull" not in looked_up_attributes(shadowed)
 
 
 def test_every_definition_is_used():

@@ -335,6 +335,17 @@ def test_stand_in_trace_steps_once_per_depth(monkeypatch):
     assert 0 < len(calls) <= depth
 
 
+def test_stand_in_states_stay_out_of_the_memo():
+    # A stand-in state answers exactly as a leaf, so it is never kept;
+    # its key names the value only, not the word read since the flag.
+    tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
+    oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
+    bounds = list(oracle.trace(Branch((0, 0, 1), (1, 0)), 2000, window=16))
+    assert all(b.is_point() for b in bounds[3:])
+    assert len(oracle._resolved) < 50
+    assert oracle.localize((0, 0, 1, 1)).state[0] == ("stand-in", F(2, 7))
+
+
 def test_localized_oracle_gives_no_root_certificate():
     # Tail certificates read the point from the root; below it they
     # would certify the wrong set.

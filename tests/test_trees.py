@@ -15,6 +15,7 @@ from cantordensity.trees import (
     explode,
     graft,
     level_stat,
+    materialize,
     pair_letter,
     periodic,
     section,
@@ -63,8 +64,18 @@ def test_region_keys_collapse_inside_policies():
 
 def test_alive_children():
     t = ExplicitTree([(), (1,)], {(1,): "zeros"})
-    assert t.alive_children(()) == (1,)
-    assert t.alive_children((1,)) == (0,)
+    assert [i for i in (0, 1) if t.member((i,))] == [1]
+    assert [i for i in (0, 1) if t.member((1, i))] == [0]
+    assert explode(t, 2).nodes == {(), (1,), (1, 0)}
+
+
+def test_materialize_drops_words_dying_early():
+    kept = {(0,), (1,), (1, 0), (1, 0, 1), (1, 1)}
+    tree = materialize(lambda word: word in kept, 2, 3)
+    assert tree.nodes == {(), (1,), (1, 0), (1, 0, 1)}
+    assert tree.policies == {(1, 0, 1): "zeros"}
+    # Nothing reaches the depth: the root alone closes with the zero-tail.
+    assert materialize(lambda word: len(word) < 2, 2, 3).policies == {(): "zeros"}
 
 
 def _contract_trees():
@@ -222,7 +233,7 @@ def test_intersection_tree():
     assert meet.member((0, 0, 0))
     assert meet.member((1, 0))
     assert not meet.member((0, 1))
-    assert meet.alive_children(()) == (0, 1)
+    assert meet.member((0,)) and meet.member((1,))
 
 
 def test_star_explicit_children():
@@ -317,7 +328,7 @@ def test_level_stat():
 def test_branch_basics():
     b = Branch((0, 1), (1, 0))
     assert b.prefix(6) == (0, 1, 1, 0, 1, 0)
-    assert b.has_infinitely_many_ones()
+    assert 1 in b.cycle
     assert Branch.zeros().constant_tail() == (0, 0)
     assert Branch((1, 0, 0), (0,)).constant_tail() == (0, 1)
     assert Branch((0, 1), (1, 0)).constant_tail() is None
@@ -337,7 +348,7 @@ def test_stretched_branch():
     s = StretchedBranch(Branch((1, 0), (1,)))
     assert s.prefix(6) == (1, 0, 0, 1, 1, 1)
     assert s.at(0) == 1 and s.at(2) == 0 and s.at(5) == 1
-    assert s.order_word(3) == (1, 0, 1)
+    assert s.base.prefix(3) == (1, 0, 1)
 
 
 def test_as_stretched():
