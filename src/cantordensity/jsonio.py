@@ -71,7 +71,7 @@ def fraction_from_spec(value) -> Fraction:
 
 def word_from_spec(value, what: str = "word") -> Word:
     if isinstance(value, str):
-        if not all(c.isdigit() for c in value):
+        if not all(c in "0123456789" for c in value):
             raise SpecError(f"{what} must be a digit string, got {value!r}")
         return tuple(int(c) for c in value)
     if isinstance(value, list) and all(

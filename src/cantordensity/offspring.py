@@ -25,7 +25,9 @@ numerators over 2^h: integers while every region met is dyadic, exact
 Fractions once a stand-in's value enters. Children add their
 numerators, and one division by 2^h at the end gives the interval.
 States are walked on an explicit stack, so a deep horizon costs no
-interpreter recursion.
+interpreter recursion. The oracle reads each tree node's region, label
+key and label at most once and keeps the states they give; label maps
+stay pure rules of the node.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -62,6 +64,9 @@ def _join_cost(left: int | None, right: int | None) -> int | None:
 
 class LabelMap:
     """Rational labels on tree nodes, with one rule for certified tail hulls.
+
+    Labels and node keys are pure rules of the node, with no cache:
+    ``OffspringOracle`` asks about each node once and keeps the answer.
 
     The hull of the labels along a branch from prefix ``start`` on is
     the labels at prefixes ``start`` through ``hull_horizon(branch,
@@ -140,6 +145,8 @@ class OffspringOracle(MeasureOracle):
         self.tree = tree
         self.labels = labels
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
+        self._entered: dict[Word, State] = {}
+        self._flagged: dict[Word, State] = {}
         self._resolved: dict[tuple, Bounds] = {}
         self._root = self.state = self._enter(())
 
@@ -148,8 +155,8 @@ class OffspringOracle(MeasureOracle):
     # A state is a pair (key, t). The key holds everything the state's
     # future depends on, so it is the memo key; t is the tree node whose
     # block is being read, kept only to ask the tree and the labels about
-    # its children. A node's keys share ctx = (len(t), region, label key),
-    # computed once when the walk enters t.
+    # its children. A node's keys share ctx = (len(t), region, label key);
+    # the states entering and flagging t are kept per node.
     #
     # ("dead",)                  off the tree
     # ("node", ctx)              at the block boundary of tree node t
@@ -161,25 +168,30 @@ class OffspringOracle(MeasureOracle):
     # ("stand-in", value)        flagged with any other label; t is the
     #                            stand-in set as seen from here
 
-    def _stand_in(self, value: Fraction) -> MeasureOracle:
-        """An exact oracle of the given non-dyadic mass, for copy regions."""
-        oracle = self._stand_ins.get(value)
-        if oracle is None:
-            oracle = dualistic_of_measure(value).oracle
-            self._stand_ins[value] = oracle
-        return oracle
-
     def _enter(self, t: Word) -> State:
-        region = self.tree.region_key(t)
-        if region == DEAD:
-            return (DEAD, ())
-        return (("node", (len(t), region, self.labels.node_key(t))), t)
+        state = self._entered.get(t)
+        if state is None:
+            region = self.tree.region_key(t)
+            if region == DEAD:
+                state = (DEAD, ())
+            else:
+                state = (("node", (len(t), region, self.labels.node_key(t))), t)
+            self._entered[t] = state
+        return state
 
     def _flag(self, t: Word) -> State:
-        value = self.labels.label(t)
-        if is_dyadic(value):
-            return (("copy", value.numerator, value.denominator.bit_length() - 1), t)
-        return (("stand-in", value), self._stand_in(value))
+        state = self._flagged.get(t)
+        if state is None:
+            value = self.labels.label(t)
+            if is_dyadic(value):
+                state = (("copy", value.numerator, value.denominator.bit_length() - 1), t)
+            else:
+                # Nodes with equal values share one exact stand-in oracle.
+                if value not in self._stand_ins:
+                    self._stand_ins[value] = dualistic_of_measure(value).oracle
+                state = (("stand-in", value), self._stand_ins[value])
+            self._flagged[t] = state
+        return state
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state

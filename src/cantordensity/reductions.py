@@ -16,6 +16,9 @@ from an enumerated value list, or assigned greedily without repeats)
 and the uniformity pipeline, which sections a product tree along a
 branch and prunes the largest third-reduction offspring down to it.
 
+Label maps are pure rules of the node and keep no caches; the offspring
+oracle asks each node's label and key once and keeps the answer.
+
 Every label map certifies hulls of its labels along a stretched
 branch by the one rule of ``LabelMap.branch_label_hull``: the labels
 at the prefixes up to a horizon, plus a tail hull bounding every
@@ -142,19 +145,10 @@ class TailAlternationLabels(AnchoredHullLabels):
 
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
-        self._pairs: dict[Word, tuple[Fraction, Fraction]] = {}
-
-    def pair_at(self, head: Word) -> tuple[Fraction, Fraction]:
-        head = tuple(head)
-        cached = self._pairs.get(head)
-        if cached is None:
-            cached = approx_pair(self.presentation, head)
-            self._pairs[head] = cached
-        return cached
 
     def label(self, node: Word) -> Fraction:
         head, zeros = split_trailing_zeros(tuple(node))
-        below, above = self.pair_at(head)
+        below, above = approx_pair(self.presentation, head)
         return below if zeros % 2 == 0 else above
 
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
@@ -189,31 +183,16 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
 
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
-        self._canonical: dict[Word, Fraction] = {}
-        self._adjusted: dict[Word, Fraction] = {}
-
-    def _canon(self, node: Word) -> Fraction:
-        cached = self._canonical.get(node)
-        if cached is None:
-            cached = canonical_approx(self.presentation, node)
-            self._canonical[node] = cached
-        return cached
 
     def adjusted(self, node: Word) -> Fraction:
         """The canonical value pushed away from its sibling ladder."""
         node = tuple(node)
-        cached = self._adjusted.get(node)
-        if cached is not None:
-            return cached
-        base = self._canon(node)
-        if node:
-            offset = Fraction(1, 1 << (len(node) + 1))
-            shifted = base + offset if node[-1] % 2 == 0 else base - offset
-            value = fold_into_unit(shifted, base)
-        else:
-            value = base
-        self._adjusted[node] = value
-        return value
+        base = canonical_approx(self.presentation, node)
+        if not node:
+            return base
+        offset = Fraction(1, 1 << (len(node) + 1))
+        shifted = base + offset if node[-1] % 2 == 0 else base - offset
+        return fold_into_unit(shifted, base)
 
     def label(self, word: Word) -> Fraction:
         word = tuple(word)
@@ -312,17 +291,12 @@ class EnumeratedValueLabels(HeadValueLabels):
     def __init__(self, presentation: FunctionPresentation, values: tuple[Fraction, ...]):
         self.presentation = presentation
         self.values = tuple(values)
-        self._chosen: dict[Word, Fraction] = {}
 
     def value_at(self, node: Word) -> Fraction:
         node = tuple(node)
-        cached = self._chosen.get(node)
-        if cached is not None:
-            return cached
         lo, hi = self.presentation.presented_interval(node)
         for candidate in self.values:
             if lo < candidate < hi and ZERO < candidate < ONE:
-                self._chosen[node] = candidate
                 return candidate
         raise ValueError(
             f"no enumerated value lands in the presented interval at {node}: ({lo}; {hi})"
@@ -373,18 +347,13 @@ class GreedyInjectiveLabels(HeadValueLabels):
     def __init__(self, presentation: FunctionPresentation, table: dict[Word, Fraction]):
         self.presentation = presentation
         self.table = dict(table)
-        self._canonical: dict[Word, Fraction] = {}
 
     def value_at(self, node: Word) -> Fraction:
         node = tuple(node)
         got = self.table.get(node)
         if got is not None:
             return got
-        cached = self._canonical.get(node)
-        if cached is None:
-            cached = canonical_approx(self.presentation, node)
-            self._canonical[node] = cached
-        return cached
+        return canonical_approx(self.presentation, node)
 
 
 @dataclass(frozen=True)

@@ -331,11 +331,9 @@ def star(tree: ExplicitTree, depth: int) -> ExplicitTree:
                 nodes.add(current)
         return current
 
-    def place(word: Word, policy: Policy) -> bool:
+    def place(word: Word, policy: Policy) -> None:
         if len(word) <= depth:
             policies[word] = policy
-            return True
-        return False
 
     def walk(u: Word, encoded: Word) -> None:
         if len(encoded) > depth:
@@ -349,19 +347,9 @@ def star(tree: ExplicitTree, depth: int) -> ExplicitTree:
             elif policy == "full":
                 place(encoded, "full")
             elif policy == "fan_stop":
-                limit = depth - len(encoded)
-                chain = encoded
-                for k in range(limit + 1):
-                    exit_word = chain + (1,)
-                    if len(exit_word) <= depth:
-                        nodes.add(exit_word)
-                        place(exit_word, "zeros")
-                    nxt = chain + (0,)
-                    if len(nxt) <= depth:
-                        nodes.add(nxt)
-                        chain = nxt
-                    else:
-                        break
+                # Every child k is a stop leaf, encoded 0^k 1.
+                for k in range(depth - len(encoded) + 1):
+                    place(add_chain(encoded, (0,) * k + (1,)), "zeros")
             else:
                 place(encoded, periodic(runs_to_bits(policy[1])))
             return

@@ -128,6 +128,7 @@ def test_parse_errors_exit_two(tmp_path):
     assert invoke("measure", "--set", missing).exit_code == 2
     spec = write(tmp_path / "ok.json", {"kind": "clopen", "words": []})
     assert invoke("measure", "--set", spec, "--prefix", "012").exit_code == 2
+    assert invoke("measure", "--set", spec, "--prefix", "\u00b2").exit_code == 2
 
 
 def test_unknown_verb_and_suite_exit_two():

@@ -36,7 +36,9 @@ def test_fraction_and_word_parsing():
     for bad in (5, "a/b", "1/0"):
         with pytest.raises(SpecError):
             fraction_from_spec(bad)
-    for bad in ("1a", [0, -1], [True]):
+    # Unicode digits other than 0-9 (superscript two, Arabic-Indic one)
+    # are no letters.
+    for bad in ("1a", [0, -1], [True], "0\u00b2", "\u0661"):
         with pytest.raises(SpecError):
             word_from_spec(bad)
 

@@ -1,5 +1,6 @@
 """Label maps, classifications, and builders of the tree-to-set reductions."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,13 @@ from cantordensity.approx import (
     AffineImagePresentation,
     ConstantPresentation,
     InjectivePresentation,
+    approx_pair,
+    canonical_approx,
 )
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.dualistic import solid_countable_range
 from cantordensity.dyadics import RatInterval, dyadic_of_rank
+from cantordensity.offspring import OffspringOracle
 from cantordensity.reductions import (
     EnumeratedValueLabels,
     InterleavedAdjustedLabels,
@@ -109,9 +113,30 @@ def test_tail_alternation_parity_law(presentation):
         while head and head[-1] == 0:
             head = head[:-1]
             zeros += 1
-        below, above = labels.pair_at(head)
+        below, above = approx_pair(presentation, head)
         expected = below if zeros % 2 == 0 else above
         assert labels.label(t) == expected
+
+
+def test_offspring_asks_each_node_once():
+    # Label maps are pure; the oracle keeps what it learns about a node.
+    asked = Counter()
+
+    class CountedParity(OnesParityLabels):
+        def label(self, node):
+            asked["label", tuple(node)] += 1
+            return super().label(node)
+
+        def node_key(self, node):
+            asked["node_key", tuple(node)] += 1
+            return super().node_key(node)
+
+    oracle = OffspringOracle(ExplicitTree.full_binary(), CountedParity())
+    point = StretchedBranch(Branch((), (1, 0)))
+    reference = list(second_reduction(ExplicitTree.full_binary()).trace(point, 40, window=12))
+    assert list(oracle.trace(point, 40, window=12)) == reference
+    assert asked
+    assert max(asked.values()) == 1
 
 
 def test_first_reduction_periodic_branch_converges():
@@ -253,6 +278,16 @@ def test_solid_injective_greedy_assignment():
     assigned = {value for _, value in built.assignments}
     assert {F(1, 3), F(1, 2), F(2, 3)} <= assigned
     assert built.leftovers == ()
+    # The body reads its table near the root and canonical values deeper.
+    verdict = built.oracle.classify(Branch((0,), (1,)), eps=F(1, 32))
+    assert verdict.kind == "converges"
+    assert abs(verdict.interval.midpoint - F(3, 4)) + verdict.interval.width / 2 <= F(1, 32)
+    body = built.oracle.parts[0][1]
+    assignments = dict(built.assignments)
+    deep = (0,) * 9
+    assert deep not in assignments
+    assert body.labels.value_at(deep) == canonical_approx(INJ, deep)
+    assert body.labels.value_at((0, 0, 0)) == assignments[(0, 0, 0)]
 
 
 def test_solid_injective_overlapping_intervals_stay_distinct():
