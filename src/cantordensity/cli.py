@@ -1,12 +1,12 @@
 """Command-line surface: measure, trace, classify, build, verify.
 
 Set specs and branches arrive as JSON files; results leave as JSON on
-stdout, one object per line for traces. Exit codes: 0 on success, 1
-when a construction rejects its values or a tail certificate is
-contradicted (the module's message is printed verbatim) or when memory
-runs out ("out of memory"), 2 when a document or the command line
-itself is malformed. All randomness in the verify suites is seeded, so
-equal invocations print equal bytes.
+stdout, one object per line for traces. Exit codes: 0 on success, 1 when
+a construction rejects its values, a tail certificate is contradicted
+(the module's message is printed verbatim), a budget's bounds are too
+long to print or memory runs out ("out of memory"), 2 when a document or
+the command line itself is malformed. Verify suites are seeded, so equal
+invocations print equal bytes.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def _load_document(path: str):
         raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
 
 
+def _check_printable(budget: int, offset: int = 0) -> None:
+    """Refuse a budget whose bounds, fractions over 2^(budget - offset), would not print."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    largest = offset + (10 ** digits).bit_length() - 1
+    if digits and budget > largest:
+        raise ValueError(f"budget {budget} is too large: its bounds would have over {digits} "
+                         f"digits; the largest budget accepted is {largest}")
+
+
 @click.group()
 def main() -> None:
     """Exact measures, density traces, and point classifications."""
@@ -85,6 +94,7 @@ def measure(set_path: str, prefix: str, budget: int) -> None:
     """Certified bounds on the measure of a set, localized to a prefix."""
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
     word = jsonio.binary_word_from_spec(prefix, "prefix")
+    _check_printable(budget, len(word))
     bounds = oracle.local_bounds(word, budget)
     print(json.dumps(jsonio.interval_record(bounds)))
 
@@ -102,6 +112,7 @@ def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     """Density trace along a branch, one JSON line per depth."""
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
     point = jsonio.branch_from_spec(_load_document(branch_path))
+    _check_printable(budget)
     for n, bounds in enumerate(oracle.trace(point, steps - 1, window=budget)):
         print(json.dumps(jsonio.trace_record(n, bounds)), flush=True)
 
@@ -163,12 +174,10 @@ def build_countable_range(values: tuple[str, ...], out_path: str) -> None:
 @click.option("--tree", "tree_path", required=True, help="tree spec JSON file")
 @click.option("--label", "labels", multiple=True, help="node=value, e.g. 01=3/8")
 @click.option("--default-label", default="1/2", show_default=True)
-@click.option("--variant", default="closed", show_default=True,
-              type=click.Choice(["closed", "open"]))
 @click.option("-o", "--out", "out_path", required=True)
 @_guarded
 def build_offspring(tree_path: str, labels: tuple[str, ...], default_label: str,
-                    variant: str, out_path: str) -> None:
+                    out_path: str) -> None:
     """The compact offspring set of a tree with per-node labels."""
     tree_doc = _load_document(tree_path)
     label_map: dict[str, str] = {}
@@ -185,7 +194,6 @@ def build_offspring(tree_path: str, labels: tuple[str, ...], default_label: str,
         "tree": tree_doc,
         "labels": label_map,
         "default_label": format_fraction(jsonio.fraction_from_spec(default_label)),
-        "variant": variant,
     }
     _write_spec(doc, out_path)
 

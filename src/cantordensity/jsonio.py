@@ -235,10 +235,6 @@ def oracle_from_spec(doc) -> MeasureOracle:
             for key, value in raw_labels.items()
         }
         default = fraction_from_spec(doc.get("default_label", "1/2"))
-        # Closed and open offspring differ by a null set: one oracle serves both.
-        variant = doc.get("variant", "closed")
-        if variant not in ("closed", "open"):
-            raise SpecError(f'"variant" must be "closed" or "open", got {variant!r}')
         return offspring_build(tree, ExplicitLabels(mapping, default))
     if kind == "reduction":
         which = _kind_of(doc, ("first", "second", "third"), key="which")

@@ -24,8 +24,11 @@ With h letters of lookahead left the evaluator carries the bounds as
 numerators over 2^h: integers while every region met is dyadic, exact
 Fractions once a stand-in's value enters. Children add their
 numerators, and one division by 2^h at the end gives the interval.
-States are walked on an explicit stack, so a deep horizon costs no
-interpreter recursion. The oracle reads each tree node's region, label
+A forward pass collects the distinct state keys of each level below a
+state, and a backward pass folds the numerators up from the deepest,
+keeping those of two levels at a time. One level of keys is enough:
+equal keys promise equal futures, and a key other than a leaf's fixes
+its stream position. The oracle reads each tree node's region, label
 key and label at most once and keeps the states they give; label maps
 stay pure rules of the node.
 
@@ -46,7 +49,7 @@ from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
 from .oracles import (MeasureOracle, Point, SegmentOracle, TailCertificate, entered_certificate,
                       segment_step)
-from .trees import DEAD, IntersectionTree, Tree
+from .trees import DEAD, ExplicitTree, IntersectionTree, Tree
 from .words import Word, triangular
 
 # (key, t): see the block state machine in OffspringOracle.
@@ -153,7 +156,7 @@ class OffspringOracle(MeasureOracle):
     # ----- the block state machine -------------------------------------
     #
     # A state is a pair (key, t). The key holds everything the state's
-    # future depends on, so it is the memo key; t is the tree node whose
+    # future depends on, so it keys the kept values; t is the tree node whose
     # block is being read, kept only to ask the tree and the labels about
     # its children. A node's keys share ctx = (len(t), region, label key);
     # the states entering and flagging t are kept per node.
@@ -220,63 +223,57 @@ class OffspringOracle(MeasureOracle):
             return self._flag(t)
         return (("mixed", ctx, m + 1), t)
 
-    def _eval(self, state: State, h: int, memo: dict) -> Bounds:
-        """Bounds at a state with h letters of lookahead left.
+    def _eval(self, state: State, h: int) -> Bounds:
+        """Bounds (lo, hi, cost) at a state with h letters of lookahead
+        left: the localized measure lies in [lo / 2^h, hi / 2^h]; cost
+        is the lookahead an exact value needed, None past the horizon.
+        Exact values are kept across calls at scale 2^cost and reused
+        only where the horizon could have reproduced them, so answers
+        equal exhaustive enumeration at the horizon depth.
 
-        The answer is (lo, hi, cost): the localized measure lies in
-        [lo / 2^h, hi / 2^h]. The numerators are integers while every
-        region met is dyadic; a non-dyadic copy adds its stand-in's
-        exact value times 2^h, a Fraction. cost is the lookahead
-        actually needed when the value is exact, or None when the
-        horizon was hit. Exact values are kept across calls at scale
-        2^cost and only reused when the current horizon could have
-        reproduced them, so the answers stay equal to honest exhaustive
-        enumeration at the horizon depth.
-
-        Leaves answer before any lookup, so only node, pure and mixed
-        states are kept; none of them settles at cost 0, so the horizon
-        leaf at h = 0 agrees with what a lookup would give. The children
-        of a state are evaluated letter 0 first, on an explicit stack of
-        frames (state, h, 0-child bounds), so the lookahead is not
-        limited by the interpreter's recursion depth.
+        A state is settled when it is a leaf or is kept at a cost of at
+        most its lookahead. An unsettled key fixes its stream position
+        and its future, so the forward pass opens one list per key of a
+        level; the list takes each child's bounds or list, and a mixed
+        state has one child. The backward pass, from the deepest level
+        up, replaces each list's children by their summed bounds.
         """
-        resolved = self._resolved
-        frames: list[list] = []
-        while True:
-            out = self._leaf(state, h)
-            if out is None:
-                key = state[0]
-                settled = resolved.get(key)
-                if settled is not None and settled[2] <= h:
-                    scale = 1 << (h - settled[2])
-                    out = (settled[0] * scale, settled[1] * scale, settled[2])
-                else:
-                    out = memo.get((key, h))
+        leaf, step, resolved = self._leaf, self._step, self._resolved
+        top: list = []
+        pending = [(top, (state,))]
+        levels: list[dict[tuple, list]] = []
+        while pending:
+            g, level, opened = h - len(levels), {}, []
+            for kids, children in pending:
+                for child in children:
+                    out = leaf(child, g)
                     if out is None:
-                        frames.append([state, h, None])
-                        state = self._step(state, 0)
-                        h -= 1
-                        continue
-            # Hand the answer up until a frame still needs its 1-child.
-            while frames:
-                frame = frames[-1]
-                parent, parent_h, left = frame
-                if left is None and parent[0][0] != "mixed":
-                    frame[2] = out
-                    state = self._step(parent, 1)
-                    h = parent_h - 1
-                    break
-                frames.pop()
-                if left is None:
-                    # Both continuations of a mixed state land in the
-                    # same state; no averaging.
-                    lo, hi, cost = out
-                    out = (2 * lo, 2 * hi, None if cost is None else cost + 1)
-                else:
-                    out = (left[0] + out[0], left[1] + out[1], _join_cost(left[2], out[2]))
-                self._keep(parent[0], parent_h, out, memo)
-            else:
-                return out
+                        key = child[0]
+                        out = resolved.get(key)
+                        if out is None or out[2] > g:
+                            out = level.get(key)
+                            if out is None:
+                                out = level[key] = []
+                                first = step(child, 0)
+                                opened.append((out, (first,) if key[0] == "mixed"
+                                               else (first, step(child, 1))))
+                        else:
+                            scale = 1 << (g - out[2])
+                            out = (out[0] * scale, out[1] * scale, out[2])
+                    kids.append(out)
+            levels.append(level)
+            pending = opened
+        while levels:
+            for key, kids in levels.pop().items():
+                left = kids[0]
+                # Both continuations of a mixed state land in the same state.
+                right = left if key[0] == "mixed" else kids[1]
+                cost = _join_cost(left[2], right[2])
+                # The list now holds the state's bounds; its children go.
+                kids[:] = left[0] + right[0], left[1] + right[1], cost
+                if cost is not None:
+                    self._keep(key, h - len(levels), kids)
+        return top[0]
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
         """Bounds of a state that needs no lookahead, or None when its
@@ -302,17 +299,15 @@ class OffspringOracle(MeasureOracle):
             return (0, 1, None)
         return None
 
-    def _keep(self, key: tuple, h: int, out: Bounds, memo: dict) -> None:
-        memo[(key, h)] = out
+    def _keep(self, key: tuple, h: int, out: Bounds) -> None:
         lo, hi, cost = out
-        if cost is not None:
-            # A value settled with cost c is a multiple of 2^-c unless a
-            # stand-in Fraction went into it, so the shift is exact.
-            shift = h - cost
-            if type(lo) is int:
-                self._resolved[key] = (lo >> shift, hi >> shift, cost)
-            else:
-                self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
+        # A value settled with cost c is a multiple of 2^-c unless a
+        # stand-in Fraction went into it, so the shift is exact.
+        shift = h - cost
+        if type(lo) is int:
+            self._resolved[key] = (lo >> shift, hi >> shift, cost)
+        else:
+            self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
 
     def child(self, letter: int) -> MeasureOracle:
         # Tree, labels and every cache stay shared with the parent.
@@ -322,7 +317,7 @@ class OffspringOracle(MeasureOracle):
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         h = max(budget, 0)
-        lo, hi, _ = self._eval(self.state, h, {})
+        lo, hi, _ = self._eval(self.state, h)
         return RatInterval(Fraction(lo, 1 << h), Fraction(hi, 1 << h))
 
     # ----- tail certificates --------------------------------------------
@@ -367,14 +362,14 @@ class OffspringOracle(MeasureOracle):
         return None
 
 
-def offspring_prune(offspring: OffspringOracle, subtree: Tree) -> OffspringOracle:
+def offspring_prune(offspring: OffspringOracle, subtree: ExplicitTree) -> OffspringOracle:
     """The offspring with flag mass behind nodes outside ``subtree`` removed.
 
     Removing the stretched cylinders of the dropped nodes leaves, up to
     a null set, exactly the offspring of the intersection tree: streams
     that flag before reaching a dropped node never enter its cylinder.
     """
-    for node in getattr(subtree, "nodes", ()):
+    for node in subtree.nodes:
         if not offspring.tree.member(node):
             raise ValueError(f"not a subtree: {node} is outside the offspring tree")
     return OffspringOracle(IntersectionTree(offspring.tree, subtree), offspring.labels)

@@ -4,9 +4,13 @@ import contextlib
 import gc
 import io
 import json
+import re
+import sys
+import time
 import weakref
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from cantordensity.cli import main
@@ -168,6 +172,7 @@ def test_build_offspring_and_reduction(tmp_path):
     assert result.exit_code == 0
     document = json.loads(open(out, encoding="utf-8").read())
     assert document["labels"] == {"": "1/2", "0": "1/4"}
+    assert "variant" not in document
     out2 = str(tmp_path / "reduction.json")
     result = invoke(
         "build", "reduction", "--which", "first",
@@ -216,6 +221,35 @@ def test_deep_budget_measure_answers(tmp_path):
     lo, hi = bounds["1200"]
     shallow_lo, shallow_hi = bounds["800"]
     assert shallow_lo <= lo <= hi <= shallow_hi
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_unprintable_budgets_exit_one_before_evaluating(tmp_path):
+    # Bounds over 2^budget with more digits than the interpreter prints
+    # are refused before any evaluation, naming the largest budget.
+    spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "second"})
+    started = time.perf_counter()
+    result = invoke("measure", "--set", spec, "--budget", "100000")
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "set_int_max_str_digits" not in result.stderr
+    largest = int(re.search(r"the largest budget accepted is (\d+)$", result.stderr).group(1))
+    str(1 << largest)
+    with pytest.raises(ValueError):
+        str(1 << (largest + 1))
+    # A prefix takes its length off the lookahead.
+    result = invoke("measure", "--set", spec, "--prefix", "0110", "--budget", "100000")
+    assert result.exit_code == 1
+    assert result.stderr.endswith(f"the largest budget accepted is {largest + 4}\n")
+    branch = write(tmp_path / "branch.json",
+                   {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}})
+    result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "3",
+                    "--budget", str(largest + 1))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"the largest budget accepted is {largest}\n")
 
 
 def test_in_process_calls_leave_no_captured_buffer_alive(tmp_path):

@@ -204,41 +204,3 @@ def test_output_records():
     assert record["lo"] == "0" and record["hi"] == "1"
     plain = verdict_record(Verdict(kind="undetermined", depth=5))
     assert plain == {"verdict": "undetermined", "depth": 5}
-
-
-OFFSPRING_SPEC = {
-    "kind": "offspring",
-    "tree": {"nodes": ["", "0", "1"], "policies": {"0": "full", "1": "zeros"}},
-    "labels": {"0": "3/8"},
-}
-
-
-def test_offspring_variant_is_validated_and_changes_nothing(tmp_path):
-    # Closed and open offspring differ by a null set: both answer alike.
-    closed = oracle_from_spec({**OFFSPRING_SPEC, "variant": "closed"})
-    opened = oracle_from_spec({**OFFSPRING_SPEC, "variant": "open"})
-    assert opened.measure_bounds(12) == closed.measure_bounds(12)
-    with pytest.raises(SpecError, match="variant"):
-        oracle_from_spec({**OFFSPRING_SPEC, "variant": "ajar"})
-    spec = tmp_path / "ajar.json"
-    spec.write_text(json.dumps({**OFFSPRING_SPEC, "variant": "ajar"}), encoding="utf-8")
-    result = CliRunner().invoke(main, ["measure", "--set", str(spec)])
-    assert result.exit_code == 2
-    assert '"variant" must be "closed" or "open"' in result.stderr
-
-
-def test_build_offspring_open_variant_round_trips(tmp_path):
-    tree = tmp_path / "tree.json"
-    tree.write_text(json.dumps(OFFSPRING_SPEC["tree"]), encoding="utf-8")
-    out = tmp_path / "open.json"
-    result = CliRunner().invoke(
-        main,
-        ["build", "offspring", "--tree", str(tree), "--label", "0=3/8",
-         "--variant", "open", "-o", str(out)],
-    )
-    assert result.exit_code == 0
-    document = json.loads(out.read_text(encoding="utf-8"))
-    assert document["variant"] == "open"
-    assert oracle_from_spec(document).measure_bounds(12) == oracle_from_spec(
-        OFFSPRING_SPEC
-    ).measure_bounds(12)

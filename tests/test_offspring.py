@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.dualistic import SpongyMeasureOracle
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, UNIT, RatInterval
-from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build
+from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build, offspring_prune
+from cantordensity.reductions import second_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
 from cantordensity.words import triangular
 from oracletools import offspring_cell_bounds
@@ -353,3 +355,30 @@ def test_localized_oracle_gives_no_root_certificate():
     point = StretchedBranch(Branch.ones())
     assert oracle.tail_certificate(point, 20) is not None
     assert oracle.localize((1, 1)).tail_certificate(point, 20) is None
+
+
+def test_deep_budget_memory_grows_linearly():
+    # The evaluator keeps numerators for two levels at a time, so the
+    # peak grows about linearly with the budget; numerators of up to h
+    # bits kept for every level would make it quadratic.
+    def peak(budget):
+        oracle = second_reduction(ExplicitTree.full_binary())
+        tracemalloc.start()
+        try:
+            oracle.measure_bounds(budget)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2000), peak(4000)
+    assert large < 10 * 2**20
+    assert large < 2.5 * small
+
+
+def test_prune_rejects_nodes_outside_the_offspring_tree():
+    offspring = OffspringOracle(ExplicitTree([(), (0,)], {(0,): "full"}), HALF_TABLE)
+    inside = ExplicitTree([(), (0,), (0, 1)], {(0, 1): "zeros"})
+    assert offspring_prune(offspring, inside).tree.member((0, 1, 0))
+    outside = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): "full"})
+    with pytest.raises(ValueError, match=r"not a subtree: \(1,\) is outside"):
+        offspring_prune(offspring, outside)
