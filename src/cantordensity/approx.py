@@ -78,8 +78,10 @@ class ConstantPresentation:
             raise ValueError(f"constant must be in (0;1): {self.constant}")
 
     def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
-        half = Fraction(1, 2 ** (len(node) + 1))
-        return self.constant - half, self.constant + half
+        # constant -+ 2^-(L+1): integers over q * 2^(L+1), for constant p/q.
+        p, q = self.constant.numerator, self.constant.denominator
+        middle, scale = p << (len(node) + 1), q << (len(node) + 1)
+        return Fraction(middle - q, scale), Fraction(middle + q, scale)
 
     def value(self, point: Branch) -> Fraction:
         return self.constant
@@ -122,11 +124,18 @@ class AffineImagePresentation:
         return self.hi_value - self.lo_value
 
     def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
-        depth = len(node)
-        base = self.lo_value + self.span * _bit_sum(tuple(letter % 2 for letter in node))
-        hull_width = self.span / 2**depth
-        slack = (1 - self.span) / 2 ** (depth + 2)
-        return base - slack, base + hull_width + slack
+        # lo + span * [v, v + 1]/2^L widened by (1 - span)/2^(L+2), for
+        # parity bits v: integers over unit * 2^(L+2), with lo = start/unit.
+        lo, hi = self.lo_value, self.hi_value
+        unit = lo.denominator * hi.denominator
+        start = lo.numerator * hi.denominator
+        span = hi.numerator * lo.denominator - start
+        value = 0
+        for letter in node:
+            value = 2 * value + letter % 2
+        base = 4 * ((start << len(node)) + span * value)
+        scale = unit << (len(node) + 2)
+        return Fraction(base - unit + span, scale), Fraction(base + 3 * span + unit, scale)
 
     def value(self, point: Branch) -> Fraction:
         head = tuple(letter % 2 for letter in point.head)
@@ -156,14 +165,17 @@ class InjectivePresentation:
     def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
         # margin + squeeze * [v, v + 1]/2^L widened by margin/2^(L+1),
         # for margin p/q and image bits v: integers over q * 2^(L+1).
-        image = runs_to_bits(node)
+        # Each letter k appends the image bits 0^k 1.
+        value = length = 0
+        for letter in node:
+            if letter < 0:
+                raise ValueError("run lengths must be non-negative")
+            value = (value << (letter + 1)) + 1
+            length += letter + 1
         p, q = self.margin.numerator, self.margin.denominator
         squeeze = q - 2 * p
-        value = 0
-        for b in image:
-            value = 2 * value + b
-        base = (p << (len(image) + 1)) + 2 * squeeze * value
-        scale = q << (len(image) + 1)
+        base = (p << (length + 1)) + 2 * squeeze * value
+        scale = q << (length + 1)
         return Fraction(base - p, scale), Fraction(base + 2 * squeeze + p, scale)
 
     def value(self, point: Branch) -> Fraction:

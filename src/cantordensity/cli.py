@@ -4,7 +4,8 @@ Set specs and branches arrive as JSON files; results leave as JSON on
 stdout, one object per line for traces. Exit codes: 0 on success, 1 when
 a construction rejects its values, a tail certificate is contradicted
 (the module's message is printed verbatim), a budget's bounds are too
-long to print or memory runs out ("out of memory"), 2 when a document or
+long to print, an evaluation opens more states than its cap ("budget
+exhausted: ...") or memory runs out ("out of memory"), 2 when a document or
 the command line itself is malformed. Verify suites are seeded, so equal
 invocations print equal bytes.
 """

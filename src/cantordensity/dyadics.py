@@ -58,6 +58,12 @@ def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
     dyadics strictly between 0 and 1. Raises when the clipped interval
     is empty.
     """
+    numerator, exponent = least_dyadic_parts(lo, hi)
+    return Fraction(numerator, 1 << exponent)
+
+
+def least_dyadic_parts(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """``least_dyadic_in(lo, hi)`` as (numerator, exponent), odd over 2^exponent."""
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     if a < 0:
         a, b = 0, 1
@@ -65,16 +71,21 @@ def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
         c, d = 1, 1
     if a * d >= c * b:
         raise ValueError(f"no dyadic in empty interval ({Fraction(a, b)}, {Fraction(c, d)})")
-    n = 1
-    while True:
-        # lo >= 0 here, so // is floor; floor+1 is the least strict bound.
-        first = (a << n) // b + 1
-        if first % 2 == 0:
-            first += 1
-        # first / 2^n < c / d, without building the candidate.
-        if first * d < c << n:
-            return Fraction(first, 1 << n)
-        n += 1
+    # At resolution 2^-bits the interval holds the integers low..high, at
+    # least two since its width is at least 1/(b d). The dyadic of least
+    # exponent inside is the one of them with the most trailing zeros:
+    # low itself when its bits below the first bit where low and high
+    # differ are all 0, else high cut down to that bit.
+    bits = (b * d).bit_length() + 1
+    low = (a << bits) // b + 1
+    high = ((c << bits) - 1) // d
+    split = (low ^ high).bit_length()
+    if low & ((1 << split) - 1) == 0:
+        best = low
+    else:
+        best = high >> (split - 1) << (split - 1)
+    zeros = (best & -best).bit_length() - 1
+    return best >> zeros, bits - zeros
 
 
 @dataclass(frozen=True)

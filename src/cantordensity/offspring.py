@@ -20,17 +20,21 @@ cell enumeration to the horizon depth gives. Non-dyadic labels hang
 measured stand-in sets instead of segments; those copy regions answer
 exactly at every depth, tighter than any enumeration.
 
-With h letters of lookahead left the evaluator carries the bounds as
-numerators over 2^h: integers while every region met is dyadic, exact
-Fractions once a stand-in's value enters. Children add their
-numerators, and one division by 2^h at the end gives the interval.
-A forward pass collects the distinct state keys of each level below a
-state, and a backward pass folds the numerators up from the deepest,
-keeping those of two levels at a time. One level of keys is enough:
-equal keys promise equal futures, and a key other than a leaf's fixes
-its stream position. The oracle reads each tree node's region, label
-key and label at most once and keeps the states they give; label maps
-stay pure rules of the node.
+The evaluator walks forward a level at a time. Its frontier holds the
+open states of one level, each key once with the number of paths that
+reach it; one level of keys is enough, since equal keys promise equal
+futures and a key other than a leaf's fixes its stream position. A
+leaf settles where it is reached, so with h letters of lookahead the
+bounds are numerators over 2^h: paths times leaf numerators, integers
+while every region met is dyadic, exact Fractions once a stand-in's
+value enters, and one unit of slack per path still open at the
+horizon. Along a point one window slides instead of evaluating each
+depth afresh: its frontier counts paths by the depth of the off-point
+sibling they leave the point at, so a step drops the sibling that
+falls out of the window, deepens the rest one level and opens the new
+sibling at the horizon. The oracle reads each tree node's region,
+label key and label at most once and keeps the states they give;
+label maps stay pure rules of the node.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -43,26 +47,43 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from typing import Iterator
 
 from .branches import Branch, StretchedBranch, as_stretched
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
-from .oracles import (MeasureOracle, Point, SegmentOracle, TailCertificate, entered_certificate,
-                      segment_step)
+from .oracles import (BudgetExhausted, MeasureOracle, Point, SegmentOracle, TailCertificate,
+                      entered_certificate, segment_step)
 from .trees import DEAD, ExplicitTree, IntersectionTree, Tree
 from .words import Word, triangular
 
 # (key, t): see the block state machine in OffspringOracle.
 State = tuple[tuple, Word | MeasureOracle]
-# (lo, hi, cost): numerators over 2^h of the bounds at h letters of
-# lookahead, and the lookahead an exact value needed (None if inexact).
-Bounds = tuple[int | Fraction, int | Fraction, int | None]
+# (lo, hi): numerators over 2^h of the bounds at h letters of lookahead.
+Bounds = tuple[int | Fraction, int | Fraction]
+# State key -> [state, paths]: the open states of one level and the
+# paths reaching each, a plain count or _Shares.
+Frontier = dict[tuple, list]
+
+# Frontier entries one bound may open before it gives up.
+MAX_STATES = 1 << 18
 
 
-def _join_cost(left: int | None, right: int | None) -> int | None:
-    if left is None or right is None:
-        return None
-    return max(left, right) + 1
+def _check_opened(opened: int) -> None:
+    if opened > MAX_STATES:
+        raise BudgetExhausted(f"budget exhausted: over {MAX_STATES} evaluator states opened "
+                              "for one bound")
+
+
+class _Shares(dict):
+    """Paths reaching a sliding-window entry, counted by the depth of the
+    off-point sibling they leave the point at."""
+
+    def __add__(self, other: _Shares) -> _Shares:
+        out = _Shares(self)
+        for sibling, count in other.items():
+            out[sibling] = out.get(sibling, 0) + count
+        return out
 
 
 class LabelMap:
@@ -150,13 +171,12 @@ class OffspringOracle(MeasureOracle):
         self._stand_ins: dict[Fraction, MeasureOracle] = {}
         self._entered: dict[Word, State] = {}
         self._flagged: dict[Word, State] = {}
-        self._resolved: dict[tuple, Bounds] = {}
         self._root = self.state = self._enter(())
 
     # ----- the block state machine -------------------------------------
     #
     # A state is a pair (key, t). The key holds everything the state's
-    # future depends on, so it keys the kept values; t is the tree node whose
+    # future depends on, so it keys the frontier; t is the tree node whose
     # block is being read, kept only to ask the tree and the labels about
     # its children. A node's keys share ctx = (len(t), region, label key);
     # the states entering and flagging t are kept per node.
@@ -223,57 +243,30 @@ class OffspringOracle(MeasureOracle):
             return self._flag(t)
         return (("mixed", ctx, m + 1), t)
 
-    def _eval(self, state: State, h: int) -> Bounds:
-        """Bounds (lo, hi, cost) at a state with h letters of lookahead
-        left: the localized measure lies in [lo / 2^h, hi / 2^h]; cost
-        is the lookahead an exact value needed, None past the horizon.
-        Exact values are kept across calls at scale 2^cost and reused
-        only where the horizon could have reproduced them, so answers
-        equal exhaustive enumeration at the horizon depth.
-
-        A state is settled when it is a leaf or is kept at a cost of at
-        most its lookahead. An unsettled key fixes its stream position
-        and its future, so the forward pass opens one list per key of a
-        level; the list takes each child's bounds or list, and a mixed
-        state has one child. The backward pass, from the deepest level
-        up, replaces each list's children by their summed bounds.
-        """
-        leaf, step, resolved = self._leaf, self._step, self._resolved
-        top: list = []
-        pending = [(top, (state,))]
-        levels: list[dict[tuple, list]] = []
-        while pending:
-            g, level, opened = h - len(levels), {}, []
-            for kids, children in pending:
-                for child in children:
-                    out = leaf(child, g)
-                    if out is None:
-                        key = child[0]
-                        out = resolved.get(key)
-                        if out is None or out[2] > g:
-                            out = level.get(key)
-                            if out is None:
-                                out = level[key] = []
-                                first = step(child, 0)
-                                opened.append((out, (first,) if key[0] == "mixed"
-                                               else (first, step(child, 1))))
-                        else:
-                            scale = 1 << (g - out[2])
-                            out = (out[0] * scale, out[1] * scale, out[2])
-                    kids.append(out)
-            levels.append(level)
-            pending = opened
-        while levels:
-            for key, kids in levels.pop().items():
-                left = kids[0]
+    def _deepen(self, front: Frontier, g: int, settle, arrivals: tuple = ()) -> Frontier:
+        """The frontier one level down, with g letters of lookahead left
+        below it, joined by ``arrivals``, (state, paths) pairs already
+        there. A state that is a leaf at that lookahead is offered to
+        ``settle(bounds, paths)``; the ones it declines stay open."""
+        leaf, step = self._leaf, self._step
+        children = list(arrivals)
+        for key, (state, paths) in front.items():
+            if key[0] == "mixed":
                 # Both continuations of a mixed state land in the same state.
-                right = left if key[0] == "mixed" else kids[1]
-                cost = _join_cost(left[2], right[2])
-                # The list now holds the state's bounds; its children go.
-                kids[:] = left[0] + right[0], left[1] + right[1], cost
-                if cost is not None:
-                    self._keep(key, h - len(levels), kids)
-        return top[0]
+                children.append((step(state, 0), paths + paths))
+            else:
+                children += ((step(state, 0), paths), (step(state, 1), paths))
+        below: Frontier = {}
+        for child, paths in children:
+            out = leaf(child, g)
+            if out is not None and settle(out, paths):
+                continue
+            entry = below.get(child[0])
+            if entry is None:
+                below[child[0]] = [child, paths]
+            else:
+                entry[1] = entry[1] + paths
+        return below
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
         """Bounds of a state that needs no lookahead, or None when its
@@ -281,33 +274,22 @@ class OffspringOracle(MeasureOracle):
         key = state[0]
         kind = key[0]
         if kind == "dead":
-            return (0, 0, 0)
+            return (0, 0)
         if kind == "stand-in":
             # The stand-in set answers exactly at every depth.
-            bounds = state[1].measure_bounds()
-            scale = 1 << h
-            return (bounds.lo * scale, bounds.hi * scale, 0)
+            value = state[1].measure_bounds().lo * (1 << h)
+            return (value, value)
         if kind == "copy":
             # Exact after k letters; before that one partial cell per level.
             _, a, k = key
             if k <= h:
-                return (a << (h - k), a << (h - k), k)
+                return (a << (h - k), a << (h - k))
             lo = a >> (k - h)
-            return (lo, lo + 1, None)
+            return (lo, lo + 1)
         if h <= 0:
             # The horizon (h is 0 here): all of [0, 1] stays open.
-            return (0, 1, None)
+            return (0, 1)
         return None
-
-    def _keep(self, key: tuple, h: int, out: Bounds) -> None:
-        lo, hi, cost = out
-        # A value settled with cost c is a multiple of 2^-c unless a
-        # stand-in Fraction went into it, so the shift is exact.
-        shift = h - cost
-        if type(lo) is int:
-            self._resolved[key] = (lo >> shift, hi >> shift, cost)
-        else:
-            self._resolved[key] = (lo / (1 << shift), hi / (1 << shift), cost)
 
     def child(self, letter: int) -> MeasureOracle:
         # Tree, labels and every cache stay shared with the parent.
@@ -317,8 +299,83 @@ class OffspringOracle(MeasureOracle):
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         h = max(budget, 0)
-        lo, hi, _ = self._eval(self.state, h)
-        return RatInterval(Fraction(lo, 1 << h), Fraction(hi, 1 << h))
+        bounds = self._leaf(self.state, h)
+        if bounds is None:
+            lo = slack = 0
+
+            def settle(out: Bounds, paths: int) -> bool:
+                nonlocal lo, slack
+                lo += paths * out[0]
+                slack += paths * (out[1] - out[0])
+                return True
+
+            front: Frontier = {self.state[0]: [self.state, 1]}
+            opened = 1
+            # At lookahead 0 every child settles, so the last level is empty.
+            for g in range(h - 1, -1, -1):
+                front = self._deepen(front, g, settle)
+                opened += len(front)
+                _check_opened(opened)
+            bounds = (lo, lo + slack)
+        return RatInterval(Fraction(bounds[0], 1 << h), Fraction(bounds[1], 1 << h))
+
+    def _bounds_along(self, point: Point, start: int, window: int) -> Iterator[RatInterval]:
+        """Bounds along the point from one window slid a level per depth.
+
+        The first bound is a plain ``measure_bounds``. Past it, the
+        frontier holds the states at the horizon, depth + window, below
+        the current point state; each entry counts its paths by the
+        depth of the off-point sibling they leave the point at. A step
+        drops the sibling just below the old depth, deepens the rest one
+        level and opens the new sibling at the horizon.
+        """
+        oracle = self.localize(point.prefix(start))
+        yield oracle.measure_bounds(window)
+        leaf, step = self._leaf, self._step
+        depth = horizon = start + 1
+        here = step(oracle.state, point.at(start))
+        front: Frontier = {}
+        # Settled numerators: the total at the horizon, and each
+        # sibling's share at the last horizon it is in the window for.
+        lo: int | Fraction = 0
+        shares: dict[int, int | Fraction] = {}
+
+        def settle(out: Bounds, paths: _Shares) -> bool:
+            nonlocal lo
+            if out[0] != out[1]:
+                return False
+            if out[0]:
+                for sibling, count in paths.items():
+                    mass = count * out[0]
+                    lo += mass
+                    shares[sibling] = (shares.get(sibling, 0)
+                                       + mass * (1 << (sibling + window - 1 - horizon)))
+            return True
+
+        opened = 0
+        while True:
+            if horizon - depth == window:
+                slack = sum(sum(paths.values()) for _, paths in front.values())
+                low, high = leaf(here, 0)
+                scale = 1 << window
+                yield RatInterval(Fraction(lo + low, scale), Fraction(lo + high + slack, scale))
+                opened = 0
+                depth += 1
+                lo -= shares.pop(depth, 0)
+                for key in list(front):
+                    paths = front[key][1]
+                    paths.pop(depth, None)
+                    if not paths:
+                        del front[key]
+            lo += lo
+            horizon += 1
+            letter = point.at(horizon - 1)
+            # The new sibling, just below the old horizon, is at the new one.
+            arrivals = ((step(here, 1 - letter), _Shares({horizon: 1})),) if window else ()
+            front = self._deepen(front, 0, settle, arrivals)
+            here = step(here, letter)
+            opened += len(front)
+            _check_opened(opened)
 
     # ----- tail certificates --------------------------------------------
 

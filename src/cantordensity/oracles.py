@@ -9,15 +9,18 @@ oracles ignore the budget and answer with point intervals. The
 localized measure at a word is the measure of the set reached by one
 ``child`` per letter, so a walk along a point costs one step per depth.
 
-On top of these sit traces (bounds along a branch's prefixes) and a
-classifier with three verdicts:
+On top of these sit traces (bounds along a branch's prefixes; an
+oracle whose evaluations overlap from one depth to the next may slide
+one evaluation along the point instead of starting afresh at every
+depth) and a classifier with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval
 * ``blurry``        the trace's certified bounds witness interleaved
                     high and low excursions, at least two on each side,
                     separated by the reported delta
-* ``undetermined``  neither certificate was found within the depth
+* ``undetermined``  neither certificate was found within the depth,
+                    or an evaluation exhausted its states budget
 
 A blurry verdict certifies finite-depth oscillation; a converges
 verdict certifies containment from its start depth on. Upper and lower
@@ -43,6 +46,10 @@ Point = Branch | StretchedBranch
 
 DEFAULT_WINDOW = 16
 CROSS_CHECK_STEPS = 20
+
+
+class BudgetExhausted(RuntimeError):
+    """An evaluation opened more states than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ class MeasureOracle:
 
     def _bounds_along(self, point: Point, start: int, window: int) -> Iterator[RatInterval]:
         """Bounds at every prefix of the point from depth ``start`` on,
-        one ``child`` step per depth."""
+        one ``child`` step and one fresh ``measure_bounds`` per depth."""
         oracle = self.localize(point.prefix(start))
         while True:
             yield oracle.measure_bounds(window)
@@ -106,40 +113,43 @@ class MeasureOracle:
         eps: Fraction = Fraction(1, 256),
         max_depth: int = 80,
     ) -> Verdict:
-        cert = self.tail_certificate(point, max_depth)
-        if cert is not None and cert.interval.width <= eps:
-            self._cross_check(point, cert)
-            return Verdict(
-                kind="converges",
-                interval=cert.interval,
-                depth=cert.start,
-                detail="tail certificate",
-            )
-        bounds = list(self.trace(point, max_depth))
-        swing = certified_oscillation(bounds)
-        if swing is not None:
-            delta, low, high = swing
-            return Verdict(
-                kind="blurry",
-                delta=delta,
-                interval=RatInterval(low, high),
-                depth=max_depth,
-                detail="interleaved excursions",
-            )
-        if cert is not None:
-            self._cross_check(point, cert)
+        try:
+            cert = self.tail_certificate(point, max_depth)
+            if cert is not None and cert.interval.width <= eps:
+                self._cross_check(point, cert)
+                return Verdict(
+                    kind="converges",
+                    interval=cert.interval,
+                    depth=cert.start,
+                    detail="tail certificate",
+                )
+            bounds = list(self.trace(point, max_depth))
+            swing = certified_oscillation(bounds)
+            if swing is not None:
+                delta, low, high = swing
+                return Verdict(
+                    kind="blurry",
+                    delta=delta,
+                    interval=RatInterval(low, high),
+                    depth=max_depth,
+                    detail="interleaved excursions",
+                )
+            if cert is not None:
+                self._cross_check(point, cert)
+                return Verdict(
+                    kind="undetermined",
+                    interval=cert.interval,
+                    depth=max_depth,
+                    detail="tail certificate wider than eps",
+                )
             return Verdict(
                 kind="undetermined",
-                interval=cert.interval,
+                interval=bounds[-1],
                 depth=max_depth,
-                detail="tail certificate wider than eps",
+                detail="no certificate within depth",
             )
-        return Verdict(
-            kind="undetermined",
-            interval=bounds[-1],
-            depth=max_depth,
-            detail="no certificate within depth",
-        )
+        except BudgetExhausted as err:
+            return Verdict(kind="undetermined", depth=max_depth, detail=str(err))
 
     def _cross_check(self, point: Point, cert: TailCertificate) -> None:
         probes = islice(self._bounds_along(point, cert.start, DEFAULT_WINDOW), CROSS_CHECK_STEPS)
@@ -170,19 +180,26 @@ def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Frac
     ``high`` and steps sitting below ``low``, interleaved with at least
     two excursions per side. Returns the maximal high - low over
     threshold candidates drawn from the trace itself, the 40 extreme
-    ones on each side.
+    ones on each side; of equal deltas, the one with the least low.
+
+    Raising ``low`` or lowering ``high`` only adds marks, so the highest
+    high interleaved with a low never falls as the low rises: one
+    pointer walks up the highs while the lows ascend, and each low costs
+    one failed test at most.
     """
     los: list[Fraction] = sorted({b.hi for b in bounds})[:40]
     his: list[Fraction] = sorted({b.lo for b in bounds}, reverse=True)[:40]
     best: tuple[Fraction, Fraction, Fraction] | None = None
+    # his[:above] lie above the low; his[top:above] are interleaved with it.
+    above = top = len(his)
     for low in los:
-        for high in his:
-            if high <= low:
-                continue
-            if best is not None and high - low <= best[0]:
-                continue
-            if _interleaved(bounds, low, high):
-                best = (high - low, low, high)
+        while above and his[above - 1] <= low:
+            above -= 1
+        top = min(top, above)
+        while top and _interleaved(bounds, low, his[top - 1]):
+            top -= 1
+        if top < above and (best is None or his[top] - low > best[0]):
+            best = (his[top] - low, low, his[top])
     return best
 
 

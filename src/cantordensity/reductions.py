@@ -40,12 +40,11 @@ from .approx import (
     FunctionPresentation,
     approx_pair,
     canonical_approx,
-    fold_into_unit,
     nudged_pair,
 )
 from .branches import Branch
 from .dualistic import solid_countable_range
-from .dyadics import ONE, ZERO, dyadic_of_rank
+from .dyadics import ONE, ZERO, dyadic_of_rank, least_dyadic_parts
 from .offspring import LabelMap, OffspringOracle, offspring_prune
 from .oracles import GraftedUnionOracle, MeasureOracle
 from .trees import ExplicitTree, InterleaveTree, materialize, pair_letter, section
@@ -74,14 +73,38 @@ def _explored_nodes() -> list[Word]:
     return nodes
 
 
-def require_lipschitz(presentation: FunctionPresentation) -> None:
-    """Check presented widths against the node scale on the explored window."""
+def require_lipschitz(presentation: FunctionPresentation) -> dict[Word, tuple[Fraction, Fraction]]:
+    """Check presented widths against the node scale on the explored
+    window; returns the intervals read, by node."""
+    intervals = {}
     for node in _explored_nodes():
-        lo, hi = presentation.presented_interval(node)
-        if hi - lo > Fraction(1, 1 << len(node)):
+        lo, hi = intervals[node] = presentation.presented_interval(node)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        # hi - lo > 2^-len(node), over the common denominator b * d.
+        if (c * b - a * d) << len(node) > b * d:
             raise ValueError(
                 f"presented interval at {node} is wider than its node scale: ({lo}; {hi})"
             )
+    return intervals
+
+
+def _adjusted_parts(lo: Fraction, hi: Fraction, node: Word) -> tuple[int, int]:
+    """The adjusted value at a non-empty node with presented interval
+    (lo; hi), as (numerator, exponent): the least dyadic inside, moved
+    by 2^-(len(node)+1) up after an even last letter and down after an
+    odd one, an end leaving (0;1) folded back to the midpoint between
+    the least dyadic and the boundary it crossed."""
+    numerator, exponent = least_dyadic_parts(lo, hi)
+    # One bit below both the least dyadic and the offset, for the fold.
+    scale = max(exponent, len(node) + 1) + 1
+    base = numerator << (scale - exponent)
+    offset = 1 << (scale - len(node) - 1)
+    shifted = base + offset if node[-1] % 2 == 0 else base - offset
+    if shifted >= 1 << scale:
+        return ((1 << scale) + base) >> 1, scale
+    if shifted <= 0:
+        return base >> 1, scale
+    return shifted, scale
 
 
 class AnchoredHullLabels(LabelMap):
@@ -187,12 +210,10 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
     def adjusted(self, node: Word) -> Fraction:
         """The canonical value pushed away from its sibling ladder."""
         node = tuple(node)
-        base = canonical_approx(self.presentation, node)
         if not node:
-            return base
-        offset = Fraction(1, 1 << (len(node) + 1))
-        shifted = base + offset if node[-1] % 2 == 0 else base - offset
-        return fold_into_unit(shifted, base)
+            return canonical_approx(self.presentation, node)
+        numerator, exponent = _adjusted_parts(*self.presentation.presented_interval(node), node)
+        return Fraction(numerator, 1 << exponent)
 
     def label(self, word: Word) -> Fraction:
         word = tuple(word)
@@ -220,19 +241,30 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
 
 
 def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
-    """Check that adjusted sibling values spread out at explored nodes.
+    """Check that the presentation shrinks at node scale and that
+    adjusted sibling values spread out at explored nodes.
 
     The adjustment rule is fixed; whether it separates the children's
     values depends on the presentation (canonical values can cancel the
     alternation exactly). Presentations failing the spread are rejected
-    here instead of silently producing convergent label walks.
+    here instead of silently producing convergent label walks. Each
+    presented interval is read once: the explored nodes' by the width
+    check, which comes first, and their children's one level deeper.
     """
+    presentation = labels.presentation
+    intervals = require_lipschitz(presentation)
     for node in _explored_nodes():
-        children = [labels.adjusted(node + (k,)) for k in range(EXPLORE_LETTERS)]
-        spread = max(children) - min(children)
-        if spread < Fraction(1, 1 << (len(node) + 2)):
+        children = []
+        for k in range(EXPLORE_LETTERS):
+            child = node + (k,)
+            lo, hi = intervals.get(child) or presentation.presented_interval(child)
+            children.append(_adjusted_parts(lo, hi, child))
+        scale = max(exponent for _, exponent in children)
+        values = [numerator << (scale - exponent) for numerator, exponent in children]
+        spread = max(values) - min(values)
+        if spread << (len(node) + 2) < 1 << scale:
             raise ValueError(
-                f"adjusted labels below {node} spread only {spread}; "
+                f"adjusted labels below {node} spread only {Fraction(spread, 1 << scale)}; "
                 "the alternation cancels for this presentation"
             )
 
@@ -246,7 +278,6 @@ def third_reduction(presentation: FunctionPresentation, tree) -> OffspringOracle
     adjustment gap. The presentation must shrink at node scale and
     pass the sibling spread check.
     """
-    require_lipschitz(presentation)
     labels = InterleavedAdjustedLabels(presentation)
     label_spread_certificate(labels)
     return OffspringOracle(InterleaveTree(tree, ExplicitTree.full_binary()), labels)

@@ -6,6 +6,7 @@ walks. Shared helpers live in this module so the acceptance tests and
 the unit tests freeze against the same independent code.
 """
 
+import itertools
 from fractions import Fraction
 
 from cantordensity.clopen import ClopenSet
@@ -176,3 +177,104 @@ def offspring_cell_bounds(member, label_of, word, depth: int):
         elif verdict == "unknown":
             hi_cells += 1
     return F(lo_cells, 1 << rest), F(hi_cells, 1 << rest)
+
+
+# ----- the third reduction's construction checks, by enumeration ---------
+
+
+def _least_dyadic_reference(lo: Fraction, hi: Fraction) -> Fraction:
+    """Rank-least dyadic strictly inside (lo, hi) clipped to (0, 1): the
+    first midpoint met when bisecting [0, 1] toward the interval."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a < 0:
+        a, b = 0, 1
+    if c > d:
+        c, d = 1, 1
+    if a * d >= c * b:
+        raise ValueError(f"no dyadic in empty interval ({F(a, b)}, {F(c, d)})")
+    # The midpoint m / 2^n of the current cell [(m - 1) / 2^n, (m + 1) / 2^n].
+    m, n = 1, 1
+    while True:
+        if m * b <= a << n:
+            m, n = 2 * m + 1, n + 1
+        elif m * d >= c << n:
+            m, n = 2 * m - 1, n + 1
+        else:
+            return F(m, 1 << n)
+
+
+# 2^-k for the node scales of the explored window.
+_SCALES = [F(1, 1 << k) for k in range(8)]
+
+
+def _adjusted_reference(lo: Fraction, hi: Fraction, node) -> Fraction:
+    base = _least_dyadic_reference(lo, hi)
+    offset = _SCALES[len(node) + 1]
+    shifted = base + offset if node[-1] % 2 == 0 else base - offset
+    if shifted.numerator >= shifted.denominator:
+        return (1 + base) / 2
+    if shifted.numerator <= 0:
+        return base / 2
+    return shifted
+
+
+def third_reduction_check_reference(presentation) -> str | None:
+    """The ValueError text the third reduction's construction checks
+    raise for a presentation, or None when it passes.
+
+    Enumerates every word over the letters 0-3 up to length 3, in the
+    package's order: first each presented interval against the node
+    scale, then the spread of the adjusted values at the node's four
+    children against a quarter of that scale.
+    """
+    nodes = [()]
+    for length in range(1, 4):
+        nodes.extend(itertools.product(range(4), repeat=length))
+    intervals = {}
+
+    def interval(node):
+        if node not in intervals:
+            intervals[node] = presentation.presented_interval(node)
+        return intervals[node]
+
+    try:
+        for node in nodes:
+            lo, hi = interval(node)
+            if hi - lo > _SCALES[len(node)]:
+                raise ValueError(
+                    f"presented interval at {node} is wider than its node scale: ({lo}; {hi})"
+                )
+        for node in nodes:
+            children = [_adjusted_reference(*interval(node + (k,)), node + (k,)) for k in range(4)]
+            spread = max(children) - min(children)
+            if spread < _SCALES[len(node) + 2]:
+                raise ValueError(
+                    f"adjusted labels below {node} spread only {spread}; "
+                    "the alternation cancels for this presentation"
+                )
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def certified_oscillation_reference(bounds):
+    """The best interleaved (delta, low, high) of a trace, by trying the
+    pairs of the 40 least upper ends and 40 greatest lower ends that
+    could beat the best so far."""
+    los = sorted({b.hi for b in bounds})[:40]
+    his = sorted({b.lo for b in bounds}, reverse=True)[:40]
+    best = None
+    for low in los:
+        for high in his:
+            if high <= low:
+                continue
+            if best is not None and high - low <= best[0]:
+                continue
+            marks = []
+            for b in bounds:
+                mark = "L" if b.hi <= low else "H" if b.lo >= high else None
+                if mark is not None and (not marks or marks[-1] != mark):
+                    marks.append(mark)
+            if len(marks) >= 5:
+                best = (high - low, low, high)
+    return best

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from cantordensity import offspring
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import ClopenOracle, TailCertificate
@@ -250,6 +251,36 @@ def test_unprintable_budgets_exit_one_before_evaluating(tmp_path):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.endswith(f"the largest budget accepted is {largest}\n")
+
+
+def test_states_cap_ends_deep_budgets(tmp_path):
+    # Node keys of the first reduction differ per node, so each level
+    # opens about twice the states of the one above: budget 200 at
+    # prefix 01 would run for minutes without the cap.
+    spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "first",
+                                         "function": {"preset": "constant", "value": "2/7"}})
+    started = time.perf_counter()
+    result = invoke("measure", "--set", spec, "--prefix", "01", "--budget", "200")
+    assert time.perf_counter() - started < 5
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("budget exhausted: over ")
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "head": "01", "period": "1"})
+    result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "3", "--budget", "200")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("budget exhausted: over ")
+
+
+def test_classify_reports_an_exhausted_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(offspring, "MAX_STATES", 20)
+    spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "second"})
+    branch = write(tmp_path / "branch.json",
+                   {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "1"}})
+    result = invoke("classify", "--set", spec, "--branch", branch)
+    assert result.exit_code == 0
+    record = json.loads(result.stdout)
+    assert record["verdict"] == "undetermined"
+    assert record["detail"].startswith("budget exhausted: over 20 ")
 
 
 def test_in_process_calls_leave_no_captured_buffer_alive(tmp_path):

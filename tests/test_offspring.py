@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantordensity.branches import Branch, StretchedBranch
+from cantordensity.approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
+from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.dualistic import SpongyMeasureOracle
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, UNIT, RatInterval
 from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build, offspring_prune
-from cantordensity.reductions import second_reduction
+from cantordensity.reductions import first_reduction, second_reduction, third_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
 from cantordensity.words import triangular
 from oracletools import offspring_cell_bounds
@@ -337,15 +338,84 @@ def test_stand_in_trace_steps_once_per_depth(monkeypatch):
     assert 0 < len(calls) <= depth
 
 
-def test_stand_in_states_stay_out_of_the_memo():
+def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
     # A stand-in state answers exactly as a leaf, so it is never kept;
     # its key names the value only, not the word read since the flag.
+    deepen = OffspringOracle._deepen
+    entries = []
+
+    def counted(self, *args):
+        below = deepen(self, *args)
+        entries.append(len(below))
+        return below
+
+    monkeypatch.setattr(OffspringOracle, "_deepen", counted)
     tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
     bounds = list(oracle.trace(Branch((0, 0, 1), (1, 0)), 2000, window=16))
     assert all(b.is_point() for b in bounds[3:])
-    assert len(oracle._resolved) < 50
+    assert max(entries) < 50
     assert oracle.localize((0, 0, 1, 1)).state[0] == ("stand-in", F(2, 7))
+
+
+def _window_sets(rng):
+    for _ in range(4):
+        tree = _random_tree(rng)
+        yield OffspringOracle(tree, _random_labels(rng))
+        yield OffspringOracle(tree, _random_labels(rng, WITH_THIRDS))
+    full = ExplicitTree.full_binary()
+    yield second_reduction(full)
+    yield second_reduction(_random_tree(rng))
+    for presentation in (ConstantPresentation(F(2, 7)), AffineImagePresentation(F(1, 4), F(1, 2)),
+                         InjectivePresentation(F(1, 8))):
+        yield first_reduction(presentation, full)
+        yield first_reduction(presentation, _random_tree(rng))
+        yield third_reduction(presentation, full)
+
+
+def _window_points(rng):
+    def branch():
+        head = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+        return Branch(head, tuple(rng.randrange(2) for _ in range(1 + rng.randrange(3))))
+
+    return branch(), StretchedBranch(branch()), interleave_branches(branch(), branch())
+
+
+def test_slid_bounds_equal_fresh_evaluation():
+    # Every bound of the sliding window is what a fresh evaluation at
+    # that prefix gives, for every window from 0 to 20.
+    rng = random.Random(1705)
+    windows = iter(itertools.cycle(range(21)))
+    for oracle in _window_sets(rng):
+        for point in _window_points(rng):
+            window, start = next(windows), rng.randrange(4)
+            slid = itertools.islice(oracle._bounds_along(point, start, window), 24)
+            for depth, bounds in enumerate(slid, start):
+                fresh = oracle.localize(point.prefix(depth)).measure_bounds(window)
+                assert bounds == fresh, (depth, window, point)
+
+
+def test_window_steps_a_third_of_fresh_evaluation(monkeypatch):
+    # Each step of the window deepens one level; evaluating every depth
+    # afresh deepens the whole window again.
+    step = OffspringOracle._step
+    calls = [0]
+
+    def counted(self, state, letter):
+        calls[0] += 1
+        return step(self, state, letter)
+
+    monkeypatch.setattr(OffspringOracle, "_step", counted)
+    point = StretchedBranch(Branch((), (1, 0)))
+    list(second_reduction(ExplicitTree.full_binary()).trace(point, 199, window=16))
+    slid = calls[0]
+    fresh = 0
+    for depth in range(200):
+        local = second_reduction(ExplicitTree.full_binary()).localize(point.prefix(depth))
+        calls[0] = 0
+        local.measure_bounds(16)
+        fresh += calls[0]
+    assert 3 * slid <= fresh
 
 
 def test_localized_oracle_gives_no_root_certificate():

@@ -18,7 +18,9 @@ from cantordensity.oracles import (
     SpinePrefixOracle,
     certified_oscillation,
 )
-from oracletools import cylinder_local_measure, piece_of_measure
+from cantordensity.reductions import second_reduction
+from cantordensity.trees import ExplicitTree
+from oracletools import certified_oscillation_reference, cylinder_local_measure, piece_of_measure
 
 F = Fraction
 
@@ -184,6 +186,34 @@ def test_certified_oscillation_rejects_monotone_runs():
     # Two swings are not enough for a certificate.
     two = [RatInterval.point(F(0)), RatInterval.point(F(1))] * 2
     assert certified_oscillation(two) is None
+
+
+def _random_trace(rng):
+    # A few levels on a coarse grid, so that thresholds tie and swing.
+    grid = rng.choice((4, 8, 16, 64))
+    bounds = []
+    for _ in range(rng.randrange(1, 60)):
+        lo, hi = sorted((rng.randrange(grid + 1), rng.randrange(grid + 1)))
+        if rng.random() < 0.3:
+            hi = lo
+        bounds.append(RatInterval(F(lo, grid), F(hi, grid)))
+    return bounds
+
+
+def test_certified_oscillation_matches_pairwise_search():
+    # The pointer walk gives the pairwise search's (delta, low, high),
+    # ties included, on random traces and on second-reduction traces.
+    rng = random.Random(1705)
+    traces = [_random_trace(rng) for _ in range(1000)]
+    oracle = second_reduction(ExplicitTree.full_binary())
+    for base in (Branch((), (1,)), Branch((), (1, 0)), Branch((), (1, 1, 0))):
+        traces.append(list(oracle.trace(StretchedBranch(base), 78)))
+    found = 0
+    for bounds in traces:
+        got = certified_oscillation(bounds)
+        assert got == certified_oscillation_reference(bounds), bounds
+        found += got is not None
+    assert 0 < found < len(traces)
 
 
 def test_at_reads_both_presentations():

@@ -1,5 +1,6 @@
 """Label maps, classifications, and builders of the tree-to-set reductions."""
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -34,7 +35,7 @@ from cantordensity.reductions import (
 )
 from cantordensity.trees import ExplicitTree, periodic
 from cantordensity.words import ones_count
-from oracletools import points_at_depth
+from oracletools import points_at_depth, third_reduction_check_reference
 
 HALF = ConstantPresentation(F(1, 2))
 INJ = InjectivePresentation(F(1, 4))
@@ -195,6 +196,78 @@ def test_spread_certificate_accepts_and_rejects():
     label_spread_certificate(InterleavedAdjustedLabels(INJ))
     with pytest.raises(ValueError, match="spread"):
         label_spread_certificate(InterleavedAdjustedLabels(AFFINE))
+
+
+class TablePresentation:
+    """Intervals drawn per node from a seed: some wider than the node
+    scale, some outside (0;1), some cancelling the adjustment."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def presented_interval(self, node):
+        # Hashes of integer tuples do not depend on the hash seed.
+        draw = hash((self.seed, node))
+        middle = F(draw % 35 - 1, 32)
+        # Wider than the node scale one time in 401.
+        half_width = F((draw >> 8) % 401 + 1, 800 << len(node))
+        return middle - half_width, middle + half_width
+
+    def value(self, point):
+        return None
+
+
+def _random_presentation(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        q = rng.randrange(2, 40)
+        return ConstantPresentation(F(rng.randrange(1, q), q))
+    if kind == 1:
+        a, b = sorted(rng.sample(range(1, 16), 2))
+        return AffineImagePresentation(F(a, 16), F(b, 16))
+    if kind == 2:
+        q = rng.randrange(3, 30)
+        a, b = sorted(rng.sample(range(1, q), 2))
+        return AffineImagePresentation(F(a, q), F(b, q))
+    if kind == 3:
+        q = rng.randrange(3, 60)
+        return InjectivePresentation(F(rng.randrange(1, (q + 1) // 2), q))
+    return TablePresentation(rng.randrange(10**9))
+
+
+class ReadOnce:
+    """A presentation whose intervals are computed once and then replayed,
+    so the package and the reference share that cost."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.intervals = {}
+
+    def presented_interval(self, node):
+        if node not in self.intervals:
+            self.intervals[node] = self.inner.presented_interval(node)
+        return self.intervals[node]
+
+    def value(self, point):
+        return self.inner.value(point)
+
+
+def test_third_reduction_checks_match_enumeration():
+    # One walk reads each presented interval once and checks on integer
+    # numerators; the verdict and message must be the enumeration's.
+    rng = random.Random(2017)
+    verdicts = Counter()
+    for _ in range(2000):
+        presentation = ReadOnce(_random_presentation(rng))
+        try:
+            label_spread_certificate(InterleavedAdjustedLabels(presentation))
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == third_reduction_check_reference(presentation), presentation.inner
+        verdicts[(got or "passes").split(" ")[0]] += 1
+    # Passes and every kind of rejection: wide, empty, cancelling.
+    assert set(verdicts) == {"passes", "presented", "no", "adjusted"}, verdicts
 
 
 def test_third_reduction_rejects_cancelling_presentation():
