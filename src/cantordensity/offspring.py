@@ -329,6 +329,7 @@ class OffspringOracle(MeasureOracle):
         drops the sibling just below the old depth, deepens the rest one
         level and opens the new sibling at the horizon.
         """
+        window = max(window, 0)
         oracle = self.localize(point.prefix(start))
         yield oracle.measure_bounds(window)
         leaf, step = self._leaf, self._step

@@ -339,8 +339,9 @@ def test_stand_in_trace_steps_once_per_depth(monkeypatch):
 
 
 def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
-    # A stand-in state answers exactly as a leaf, so it is never kept;
-    # its key names the value only, not the word read since the flag.
+    # A stand-in state answers exactly as a leaf, so it settles where it
+    # is reached and never enters a frontier; its key names the value
+    # only, not the word read since the flag.
     deepen = OffspringOracle._deepen
     entries = []
 
@@ -385,7 +386,7 @@ def test_slid_bounds_equal_fresh_evaluation():
     # Every bound of the sliding window is what a fresh evaluation at
     # that prefix gives, for every window from 0 to 20.
     rng = random.Random(1705)
-    windows = iter(itertools.cycle(range(21)))
+    windows = itertools.cycle(range(21))
     for oracle in _window_sets(rng):
         for point in _window_points(rng):
             window, start = next(windows), rng.randrange(4)
@@ -393,6 +394,12 @@ def test_slid_bounds_equal_fresh_evaluation():
             for depth, bounds in enumerate(slid, start):
                 fresh = oracle.localize(point.prefix(depth)).measure_bounds(window)
                 assert bounds == fresh, (depth, window, point)
+
+
+def test_negative_window_reads_as_zero():
+    oracle = second_reduction(ExplicitTree.full_binary())
+    point = StretchedBranch(Branch((), (1, 0)))
+    assert list(oracle.trace(point, 30, window=-3)) == list(oracle.trace(point, 30, window=0))
 
 
 def test_window_steps_a_third_of_fresh_evaluation(monkeypatch):
