@@ -69,11 +69,19 @@ def _load_document(path: str):
         raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
 
 
+@functools.cache
+def _largest_printable_exponent(digits: int) -> int:
+    """The largest e such that 2^e has at most ``digits`` decimal digits."""
+    return (10 ** digits).bit_length() - 1
+
+
 def _check_printable(budget: int, offset: int = 0) -> None:
     """Refuse a budget whose bounds, fractions over 2^(budget - offset), would not print."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    largest = offset + (10 ** digits).bit_length() - 1
-    if digits and budget > largest:
+    if not digits:
+        return
+    largest = offset + _largest_printable_exponent(digits)
+    if budget > largest:
         raise ValueError(f"budget {budget} is too large: its bounds would have over {digits} "
                          f"digits; the largest budget accepted is {largest}")
 
@@ -115,7 +123,7 @@ def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     point = jsonio.branch_from_spec(_load_document(branch_path))
     _check_printable(budget)
     for n, bounds in enumerate(oracle.trace(point, steps - 1, window=budget)):
-        print(json.dumps(jsonio.trace_record(n, bounds)), flush=True)
+        print(jsonio.trace_line(n, bounds), flush=True)
 
 
 @main.command()

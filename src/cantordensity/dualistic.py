@@ -28,6 +28,7 @@ from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
 from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_in
 from .oracles import (
+    EMPTY_SEGMENT,
     ClopenOracle,
     DisjointSumOracle,
     GraftedUnionOracle,
@@ -124,7 +125,7 @@ class SpongyMeasureOracle(MeasureOracle):
             return inner
         n = self.zeros
         if n == 0:
-            return SegmentOracle(ZERO)
+            return EMPTY_SEGMENT
         # Past 0^n 1 only the graft at 0^n 1^n meets the cylinder.
         return GraftedUnionOracle([((1,) * (n - 1), SegmentOracle(self.piece_measure(n)))])
 

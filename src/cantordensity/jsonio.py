@@ -69,11 +69,15 @@ def fraction_from_spec(value) -> Fraction:
         raise SpecError(str(err)) from None
 
 
+# Maps the ASCII digits of an encoded digit string to their values.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def word_from_spec(value, what: str = "word") -> Word:
     if isinstance(value, str):
-        if not all(c in "0123456789" for c in value):
+        if not value.isascii() or not (value.isdigit() or value == ""):
             raise SpecError(f"{what} must be a digit string, got {value!r}")
-        return tuple(int(c) for c in value)
+        return tuple(value.encode().translate(_DIGIT_VALUES))
     if isinstance(value, list) and all(
         isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in value
     ):
@@ -83,7 +87,7 @@ def word_from_spec(value, what: str = "word") -> Word:
 
 def binary_word_from_spec(value, what: str = "word") -> Word:
     word = word_from_spec(value, what)
-    if any(letter not in (0, 1) for letter in word):
+    if max(word, default=0) > 1:
         raise SpecError(f"{what} must be binary, got {value!r}")
     return word
 
@@ -271,8 +275,12 @@ def interval_record(interval: RatInterval) -> dict:
     return {"lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
 
 
-def trace_record(n: int, interval: RatInterval) -> dict:
-    return {"n": n, "lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
+def trace_line(n: int, interval: RatInterval) -> str:
+    """The JSON text of the record {"n", "lo", "hi"}, as ``json.dumps``
+    writes it: formatted rationals hold only digits, "-" and "/", which
+    JSON strings carry unescaped."""
+    lo, hi = format_fraction(interval.lo), format_fraction(interval.hi)
+    return f'{{"n": {n}, "lo": "{lo}", "hi": "{hi}"}}'
 
 
 def verdict_record(verdict: Verdict) -> dict:

@@ -9,6 +9,15 @@ oracles ignore the budget and answer with point intervals. The
 localized measure at a word is the measure of the set reached by one
 ``child`` per letter, so a walk along a point costs one step per depth.
 
+By the density theorem almost every point sees the localized set
+settle to full or empty, and the exact constructions here settle after
+finitely many letters. Such a localization is one of two shared settled
+segments, ``FULL_SEGMENT`` or ``EMPTY_SEGMENT``, and each is its own
+child, so a walk past the settling depth builds nothing. Bounds stay
+equal: a settled piece answers the point interval at 1 or 0 that the
+structure it replaces answers, an empty part adds exactly 0 to a
+disjoint sum, and the complement of a settled set is the other one.
+
 On top of these sit traces (bounds along a branch's prefixes; an
 oracle whose evaluations overlap from one depth to the next may slide
 one evaluation along the point instead of starting afresh at every
@@ -39,7 +48,7 @@ from typing import Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
-from .dyadics import EMPTY_MASS, ONE, ZERO, RatInterval, dyadic_exponent
+from .dyadics import EMPTY_MASS, FULL_MASS, ONE, ZERO, RatInterval, dyadic_exponent
 from .words import Word, is_prefix
 
 Point = Branch | StretchedBranch
@@ -227,7 +236,12 @@ class ClopenOracle(MeasureOracle):
         self.piece = piece
 
     def child(self, letter: int) -> MeasureOracle:
-        return ClopenOracle(self.piece.halves()[letter])
+        piece = self.piece.halves()[letter]
+        if piece.is_empty():
+            return EMPTY_SEGMENT
+        if piece.is_full():
+            return FULL_SEGMENT
+        return ClopenOracle(piece)
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         return RatInterval.point(self.piece.measure())
@@ -256,7 +270,11 @@ class SegmentOracle(MeasureOracle):
     Reading points as binary expansions, the lexicographically first
     clopen set of measure m is exactly [0, m). Its localized measures
     follow the doubling map and settle at 0 or 1 after as many letters
-    as m's exponent, so the set is never built.
+    as m's exponent, so the set is never built. The child of a settled
+    segment (exponent 0) is the shared ``EMPTY_SEGMENT`` or
+    ``FULL_SEGMENT`` of its value, so those two are their own children.
+    Steps keep the numerator odd over 2^k, so they skip the range and
+    dyadic checks.
     """
 
     kind = "segment"
@@ -268,14 +286,26 @@ class SegmentOracle(MeasureOracle):
         self.a = measure.numerator
 
     def child(self, letter: int) -> MeasureOracle:
+        if not self.k:
+            return FULL_SEGMENT if self.a else EMPTY_SEGMENT
         a, k = segment_step(self.a, self.k, letter)
-        return SegmentOracle(Fraction(a, 1 << k))
+        if not k:
+            return FULL_SEGMENT if a else EMPTY_SEGMENT
+        inner = object.__new__(SegmentOracle)
+        inner.a, inner.k = a, k
+        return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
+        if not self.k:
+            return FULL_MASS if self.a else EMPTY_MASS
         return RatInterval.point(Fraction(self.a, 1 << self.k))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         return TailCertificate(self.localize(point.prefix(self.k)).measure_bounds(), self.k)
+
+
+EMPTY_SEGMENT = SegmentOracle(ZERO)
+FULL_SEGMENT = SegmentOracle(ONE)
 
 
 class ComplementOracle(MeasureOracle):
@@ -285,7 +315,12 @@ class ComplementOracle(MeasureOracle):
         self.inner = inner
 
     def child(self, letter: int) -> MeasureOracle:
-        return ComplementOracle(self.inner.child(letter))
+        inner = self.inner.child(letter)
+        if inner is EMPTY_SEGMENT:
+            return FULL_SEGMENT
+        if inner is FULL_SEGMENT:
+            return EMPTY_SEGMENT
+        return ComplementOracle(inner)
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         return self.inner.measure_bounds(budget).reflect()
@@ -298,7 +333,11 @@ class ComplementOracle(MeasureOracle):
 
 
 class DisjointSumOracle(MeasureOracle):
-    """Union of parts the caller guarantees pairwise disjoint."""
+    """Union of parts the caller guarantees pairwise disjoint.
+
+    A part that settles empty adds exactly 0, so ``child`` drops it, and
+    a sum left with one part is that part.
+    """
 
     kind = "disjoint-sum"
 
@@ -308,7 +347,11 @@ class DisjointSumOracle(MeasureOracle):
         self.parts = parts
 
     def child(self, letter: int) -> MeasureOracle:
-        return DisjointSumOracle([part.child(letter) for part in self.parts])
+        parts = [inner for inner in (part.child(letter) for part in self.parts)
+                 if inner is not EMPTY_SEGMENT]
+        if not parts:
+            return EMPTY_SEGMENT
+        return parts[0] if len(parts) == 1 else DisjointSumOracle(parts)
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         return sum((part.measure_bounds(budget) for part in self.parts), EMPTY_MASS)
@@ -350,7 +393,7 @@ class GraftedUnionOracle(MeasureOracle):
                     return part
                 tails.append((graft[1:], part))
         if not tails:
-            return SegmentOracle(ZERO)
+            return EMPTY_SEGMENT
         # Tails of incomparable words are incomparable: no check needed.
         inner = object.__new__(GraftedUnionOracle)
         inner.parts = tails

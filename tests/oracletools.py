@@ -6,6 +6,7 @@ walks. Shared helpers live in this module so the acceptance tests and
 the unit tests freeze against the same independent code.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -59,6 +60,43 @@ def spongy_digit_pieces(rate: Fraction, count: int) -> list[Fraction]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _spongy_tables(rate: Fraction, count: int):
+    """The first piece measures and the partial sums of their series:
+    heads[j] = sum over n <= j of f(n) 4^-n."""
+    pieces = spongy_digit_pieces(rate, count)
+    heads = list(itertools.accumulate((f / 4**n for n, f in enumerate(pieces, 1)), initial=F(0)))
+    return pieces, heads
+
+
+def spongy_local_measure(rate: Fraction, word) -> Fraction:
+    """Localized measure at a word of the graft family with rate <= 1/3.
+
+    Reads the defining union of 0^n 1^n ^ piece(f(n)) directly: along
+    0^L the grafts from n = max(L, 1) on remain, whose mass is the
+    series minus its first terms; past 0^n 1 only the graft at 0^n 1^n
+    can meet the cylinder. Piece measures come from
+    ``spongy_digit_pieces``, at least 32 beyond the word, enough for
+    rates whose first zero digit comes within that many places.
+    """
+    word = tuple(word)
+    n = 0
+    while n < len(word) and word[n] == 0:
+        n += 1
+    # Rounded up so that the words along one point share a few counts.
+    pieces, heads = _spongy_tables(rate, (n // 32 + 2) * 32)
+    if n == len(word):
+        return (spongy_series_measure(rate) - heads[max(n, 1) - 1]) * 2**n
+    graft = (0,) * n + (1,) * n
+    if n == 0 or word[: 2 * n] != graft[: len(word)]:
+        return F(0)
+    if len(word) <= 2 * n:
+        return pieces[n - 1] / 2 ** (2 * n - len(word))
+    rest = word[2 * n:]
+    piece = piece_of_measure(pieces[n - 1])
+    return cylinder_local_measure(piece.words, rest, max(len(rest), piece.depth))
+
+
 def antichain_measure(words) -> Fraction:
     """Sum of cylinder masses; valid when the words are incomparable."""
     return sum((F(1, 2 ** len(w)) for w in words), F(0))
@@ -94,6 +132,7 @@ def mixed_blocks(order: int):
     return tuple(block for block in points_at_depth(order + 1) if 0 in block and 1 in block)
 
 
+@functools.lru_cache(maxsize=None)
 def piece_of_measure(amount: Fraction) -> ClopenSet:
     """The lexicographically first clopen set of a dyadic measure in [0, 1].
 

@@ -99,6 +99,9 @@ DOCS = {
     "designated": {"kind": "ev_periodic", "head": "0011", "period": "0"},
     "inside-graft": {"kind": "ev_periodic", "head": "101", "period": "1"},
     "off-spine": {"kind": "ev_periodic", "head": "011", "period": "0"},
+    # 11100 is a word of the 3/5 dualistic set's clopen chunk: from depth
+    # 5 on the point sits in a full cylinder.
+    "enter-chunk": {"kind": "ev_periodic", "head": "11100", "period": "10"},
     # 101 flags into the copy at node 1; (01)^w then reads the label's
     # binary digits, so the copy empties only after all twelve.
     "walk-fine": {"kind": "ev_periodic", "head": "101", "period": "01"},
@@ -144,6 +147,16 @@ CASES = {
     "offspring-nat-measure": ("measure", "--set", "@offspring-nat", "--budget", "12"),
     "offspring-nat-trace": (
         "trace", "--set", "@offspring-nat", "--branch", "@stretch-nat", "--steps", "24",
+    ),
+    # Deep exact traces whose localizations settle at 0 or 1 and stay there.
+    "compose-deep-trace": (
+        "trace", "--set", "@composed", "--branch", "@inside-graft", "--steps", "160",
+    ),
+    "dualistic-chunk-trace": (
+        "trace", "--set", "@dualistic", "--branch", "@enter-chunk", "--steps", "200",
+    ),
+    "countable-deep-trace": (
+        "trace", "--set", "@countable", "--branch", "@designated", "--steps", "160",
     ),
 }
 

@@ -1,6 +1,7 @@
 """JSON spec layer: documents to oracles, branches, trees, and back."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,14 @@ from click.testing import CliRunner
 
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.cli import main
-from cantordensity.dyadics import RatInterval
+from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.jsonio import (
     SpecError,
     branch_from_spec,
     fraction_from_spec,
     interval_record,
     oracle_from_spec,
-    trace_record,
+    trace_line,
     tree_from_spec,
     tree_to_spec,
     verdict_record,
@@ -192,11 +193,7 @@ def test_spec_errors_vs_domain_errors():
 
 def test_output_records():
     assert interval_record(RatInterval(F(1, 3), F(1, 2))) == {"lo": "1/3", "hi": "1/2"}
-    assert trace_record(7, RatInterval(F(3, 8), F(13, 32))) == {
-        "n": 7,
-        "lo": "3/8",
-        "hi": "13/32",
-    }
+    assert trace_line(7, RatInterval(F(3, 8), F(13, 32))) == '{"n": 7, "lo": "3/8", "hi": "13/32"}'
     verdict = Verdict(kind="blurry", interval=RatInterval(F(0), F(1)), delta=F(1, 4), depth=30)
     record = verdict_record(verdict)
     assert record["verdict"] == "blurry"
@@ -204,3 +201,17 @@ def test_output_records():
     assert record["lo"] == "0" and record["hi"] == "1"
     plain = verdict_record(Verdict(kind="undetermined", depth=5))
     assert plain == {"verdict": "undetermined", "depth": 5}
+
+
+def test_trace_line_is_the_json_of_its_record():
+    rng = random.Random(13)
+    ends = [F(0), F(1)]
+    for _ in range(2000):
+        if rng.random() < 0.2:
+            lo, hi = sorted(rng.choice(ends) for _ in range(2))
+        else:
+            q = rng.choice((1, 3, 1 << rng.randrange(1, 40), rng.randrange(1, 10**30)))
+            lo, hi = sorted(F(rng.randrange(-q, 2 * q + 1), q) for _ in range(2))
+        n = rng.randrange(0, 10**rng.randrange(1, 7))
+        record = {"n": n, "lo": format_fraction(lo), "hi": format_fraction(hi)}
+        assert trace_line(n, RatInterval(lo, hi)) == json.dumps(record)

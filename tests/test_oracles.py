@@ -1,5 +1,6 @@
 """Oracle framework: exact clopen oracles, combinators, classification."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,12 @@ import pytest
 
 from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.clopen import ClopenSet
-from cantordensity.dyadics import RatInterval
+from cantordensity.dualistic import dualistic_of_measure, solid_countable_range
+from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, RatInterval
+from cantordensity.jsonio import oracle_from_spec
 from cantordensity.oracles import (
+    EMPTY_SEGMENT,
+    FULL_SEGMENT,
     ClopenOracle,
     ComplementOracle,
     DisjointSumOracle,
@@ -20,7 +25,13 @@ from cantordensity.oracles import (
 )
 from cantordensity.reductions import second_reduction
 from cantordensity.trees import ExplicitTree
-from oracletools import certified_oscillation_reference, cylinder_local_measure, piece_of_measure
+from oracletools import (
+    antichain_measure,
+    certified_oscillation_reference,
+    cylinder_local_measure,
+    piece_of_measure,
+    spongy_local_measure,
+)
 
 F = Fraction
 
@@ -269,3 +280,119 @@ def test_segment_oracle_rejects_non_dyadic_and_out_of_range():
     for bad in (F(1, 3), F(5, 4), F(-1, 2)):
         with pytest.raises(ValueError):
             SegmentOracle(bad)
+
+
+def test_settled_localizations_are_fixed_points():
+    composed = oracle_from_spec({
+        "kind": "compose",
+        "complemented": True,
+        "parts": [
+            {"prefix": "0", "set": {"kind": "dualistic", "measure": "1/5"}},
+            {"prefix": "10", "set": {"kind": "clopen", "words": ["1", "01"]}},
+        ],
+    })
+    countable = solid_countable_range([F(1, 3), F(3, 8), F(1, 5)]).oracle
+    walks = [
+        (EMPTY_SEGMENT, (), EMPTY_SEGMENT),
+        (FULL_SEGMENT, (), FULL_SEGMENT),
+        (SegmentOracle(F(0)), (1,), EMPTY_SEGMENT),
+        (SegmentOracle(F(5, 8)), (1, 0, 1), EMPTY_SEGMENT),
+        (SegmentOracle(F(5, 8)), (1, 0, 0), FULL_SEGMENT),
+        (ClopenOracle(ClopenSet.from_words([(0, 0), (1,)])), (1,), FULL_SEGMENT),
+        (ClopenOracle(ClopenSet.from_words([(0, 0), (1,)])), (0, 1, 1), EMPTY_SEGMENT),
+        # 11100 is a word of the clopen chunk; past its first letter the
+        # spongy remainder is empty and drops out of the sum.
+        (dualistic_of_measure(F(3, 5)).oracle, (1, 1, 1, 0, 0), FULL_SEGMENT),
+        (dualistic_of_measure(F(1, 5)).oracle, (1,), EMPTY_SEGMENT),
+        (composed, (1, 0, 1), EMPTY_SEGMENT),
+        (composed, (1, 1), FULL_SEGMENT),
+        (ComplementOracle(ClopenOracle(ClopenSet.from_words([(0,)]))), (1, 0), FULL_SEGMENT),
+        (countable, (1,), EMPTY_SEGMENT),
+        # Through the spine of the designated point 0011 0^w into the
+        # segment [0, 3/8), then past its three letters.
+        (countable, (0, 0, 1, 1, 1, 0, 1, 1), EMPTY_SEGMENT),
+        (countable, (0, 0, 1, 1, 1, 0, 0), FULL_SEGMENT),
+    ]
+    for oracle, word, settled in walks:
+        reached = oracle.localize(word)
+        assert reached is settled, (oracle, word)
+        for letter in (0, 1):
+            assert reached.child(letter) is reached
+        assert reached.measure_bounds(5) == (FULL_MASS if settled is FULL_SEGMENT else EMPTY_MASS)
+
+
+def _random_exact_spec(rng, nesting=0):
+    """A random exact set spec and an independent reference for its
+    localized measure at a word."""
+    doc, reference = _random_exact_parts(rng, nesting)
+    return doc, functools.cache(reference)
+
+
+def _random_exact_parts(rng, nesting):
+    kinds = ("clopen", "spongy", "dualistic", "complement", "compose")
+    kind = rng.choice(kinds if nesting < 2 else kinds[:3])
+    if kind == "clopen":
+        words = [tuple(rng.randrange(2) for _ in range(rng.randrange(0, 7)))
+                 for _ in range(rng.randrange(1, 5))]
+        longest = max(len(w) for w in words)
+        doc = {"kind": "clopen", "words": ["".join(map(str, w)) for w in words]}
+        return doc, lambda at: cylinder_local_measure(words, at, max(len(at), longest))
+    if kind == "spongy":
+        rate = F(1, 3) if rng.random() < 0.1 else F(rng.randrange(1, 334), 1000)
+        return ({"kind": "dualistic", "measure": str(rate)},
+                lambda at: spongy_local_measure(rate, at))
+    if kind == "dualistic":
+        built = dualistic_of_measure(F(rng.randrange(334, 1000), 1000))
+        chunk = built.clopen_part.words
+
+        def chunk_measure(at):
+            # The chunk is an antichain: the cylinder of at is inside one
+            # of its words or holds the tails of those extending it.
+            if any(at[: len(w)] == w for w in chunk):
+                return F(1)
+            return antichain_measure([w[len(at):] for w in chunk if w[: len(at)] == at])
+
+        return ({"kind": "dualistic", "measure": str(built.measure)},
+                lambda at: chunk_measure(at) + spongy_local_measure(built.spongy_rate, at))
+    if kind == "complement":
+        doc, inner = _random_exact_spec(rng, nesting + 1)
+        return {"kind": "complement", "of": doc}, lambda at: 1 - inner(at)
+    prefixes = rng.choice((("0", "10", "11"), ("00", "01", "1"), ("",), ("1",)))
+    chosen = rng.sample(prefixes, rng.randrange(1, len(prefixes) + 1))
+    parts = [(p, *_random_exact_spec(rng, nesting + 1)) for p in chosen]
+    complemented = rng.random() < 0.5
+
+    def reference(at):
+        total = F(0)
+        for prefix, _, inner in parts:
+            graft = tuple(map(int, prefix))
+            if at[: len(graft)] == graft:
+                total += inner(at[len(graft):])
+            elif graft[: len(at)] == at:
+                total += inner(()) / 2 ** (len(graft) - len(at))
+        return 1 - total if complemented else total
+
+    doc = {"kind": "compose", "complemented": complemented,
+           "parts": [{"prefix": p, "set": d} for p, d, _ in parts]}
+    return doc, reference
+
+
+def test_exact_traces_match_independent_references():
+    # Deep traces cross into settled pieces at every layer; each depth
+    # must still read the measure the construction defines.
+    rng = random.Random(1705)
+    for _ in range(500):
+        doc, reference = _random_exact_spec(rng)
+        if rng.random() < 0.5:
+            n = rng.randrange(1, 5)
+            head = (0,) * n + (1,) * n
+        else:
+            head = ()
+        head += tuple(rng.randrange(2) for _ in range(rng.randrange(0, 6)))
+        point = Branch(head, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4))))
+        if rng.random() < 0.2:
+            point = StretchedBranch(point)
+        word = point.prefix(119)
+        trace = list(oracle_from_spec(doc).trace(point, 119))
+        expected = [RatInterval.point(reference(word[:n])) for n in range(120)]
+        assert trace == expected, (doc, point)
