@@ -7,14 +7,15 @@ are both present (siblings merge into their parent). Two clopen sets are
 equal exactly when they hold the same points, and the dataclass equality
 on the canonical form coincides with that.
 
-The whole algebra runs on one recursion scheme: split a set into its
-two halves below letter 0 and letter 1, work on the halves, graft the
-results back together. Every operation is exact; measures are
-Fractions with power-of-two denominators.
+The antichain is sorted, which for an antichain is the left-to-right
+order of the cylinders. Every operation is one pass in that order that
+builds its result sorted and canonical, with nothing renormalized and
+no recursion; a measure counts cells of the deepest word's size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -60,41 +61,47 @@ class ClopenSet:
         return max((len(w) for w in self.words), default=0)
 
     def measure(self) -> Fraction:
-        return sum((Fraction(1, 1 << len(w)) for w in self.words), Fraction(0))
+        depth = self.depth
+        return Fraction(sum(1 << (depth - len(w)) for w in self.words), 1 << depth)
 
-    def halves(self) -> tuple["ClopenSet", "ClopenSet"]:
-        """The localizations below letter 0 and letter 1.
-
-        The tails of a canonical antichain are canonical again, so the
-        halves need no renormalizing.
-        """
+    def half(self, letter: int) -> "ClopenSet":
+        """The localization below ``letter``: the tails of the words starting with it."""
         if self.is_full():
-            return self, self
-        left = []
-        right = []
-        for w in self.words:
-            (left if w[0] == 0 else right).append(w[1:])
-        return _canonical(tuple(left)), _canonical(tuple(right))
+            return self
+        split = bisect_left(self.words, (1,))
+        words = self.words[split:] if letter else self.words[:split]
+        return _canonical(tuple(w[1:] for w in words))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet.from_words(self.words + other.words)
 
     def complement(self) -> "ClopenSet":
-        if self.is_empty():
+        """The gaps between neighbouring cylinders, left to right: past
+        their first difference, the right siblings of the left word's 0s,
+        deepest first, then the left siblings of the right word's 1s."""
+        words = self.words
+        if not words:
             return ClopenSet.full()
-        if self.is_full():
-            return ClopenSet.empty()
-        left, right = self.halves()
-        return _graft(left.complement(), right.complement())
+        gaps: list[Word] = []
+        # The empty word on either side stands for an end: the gap reaches up to the root.
+        for w, x in zip(((),) + words, words + ((),)):
+            past = next((i for i, (p, q) in enumerate(zip(w, x)) if p != q), -1) + 1
+            gaps += [w[:i] + (1,) for i in range(len(w) - 1, past - 1, -1) if not w[i]]
+            gaps += [x[:i] + (0,) for i in range(past, len(x)) if x[i]]
+        return _canonical(tuple(gaps))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        if self.is_empty() or other.is_full():
-            return self
-        if self.is_full() or other.is_empty():
-            return other
-        a0, a1 = self.halves()
-        b0, b1 = other.halves()
-        return _graft(a0.intersect(b0), a1.intersect(b1))
+        """The longer word of each comparable pair, in order: a word of self
+        if a word of other covers it, else the words of other extending it."""
+        words = other.words
+        out: list[Word] = []
+        for u in self.words:
+            k = bisect_right(words, u)
+            if k and u[: len(words[k - 1])] == words[k - 1]:
+                out.append(u)
+            else:  # the words extending u sort between u and u + (2,)
+                out += words[k : bisect_left(words, u + (2,), k)]
+        return _canonical(tuple(out))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
@@ -105,27 +112,29 @@ class ClopenSet:
     def take_submass(self, amount: Fraction) -> "ClopenSet":
         """Lexicographically first clopen subset with exact measure ``amount``.
 
-        The amount must be dyadic and at most the measure; greed runs
-        left to right, always keeping as much of the 0-side as fits.
-        The recursion never materializes cylinder lists, so fine
-        dyadics are cheap even inside coarse sets.
+        The amount must be dyadic and at most the measure. Left to right,
+        each cylinder that fits in the rest is taken whole; the first that
+        does not gives its segment [0, rest), one word per 1 bit of rest.
         """
-        if amount < 0 or amount > self.measure():
-            raise ValueError(f"no subset of measure {amount} in a set of measure {self.measure()}")
+        measure = self.measure()
+        if amount < 0 or amount > measure:
+            raise ValueError(f"no subset of measure {amount} in a set of measure {measure}")
         if (amount.denominator & (amount.denominator - 1)) != 0:
             raise ValueError(f"subset mass must be dyadic: {amount}")
-        return self._take(amount)
-
-    def _take(self, amount: Fraction) -> "ClopenSet":
-        if amount == 0:
-            return ClopenSet.empty()
-        if amount == self.measure():
-            return self
-        left, right = self.halves()
-        left_cap = left.measure() / 2
-        from_left = min(amount, left_cap)
-        from_right = amount - from_left
-        return _graft(left._take(from_left * 2), right._take(from_right * 2))
+        exponent = amount.denominator.bit_length() - 1
+        depth = max(self.depth, exponent)
+        # The rest counts cells of the finer depth; w's cylinder holds 2^span.
+        rest = amount.numerator << (depth - exponent)
+        taken: list[Word] = []
+        for w in self.words:
+            span = depth - len(w)
+            if rest < 1 << span:
+                bits = tuple(map(int, format(rest, "b").zfill(span)))
+                taken += [w + bits[:i] + (0,) for i, bit in enumerate(bits) if bit]
+                break
+            taken.append(w)
+            rest -= 1 << span
+        return _canonical(tuple(taken))
 
     def __str__(self) -> str:
         if self.is_full():
@@ -139,13 +148,6 @@ def _canonical(words: tuple[Word, ...]) -> ClopenSet:
     clopen = object.__new__(ClopenSet)
     object.__setattr__(clopen, "words", words)
     return clopen
-
-
-def _graft(left: ClopenSet, right: ClopenSet) -> ClopenSet:
-    if left.is_full() and right.is_full():
-        return ClopenSet.full()
-    words = tuple((0,) + w for w in left.words) + tuple((1,) + w for w in right.words)
-    return _canonical(words)
 
 
 def _normalize(generators: tuple[Word, ...]) -> tuple[Word, ...]:
@@ -174,14 +176,9 @@ def union_all(parts: list[ClopenSet]) -> ClopenSet:
 
 
 def subset_of_measure(container: ClopenSet, amount: Fraction) -> ClopenSet:
-    """Lex-first clopen subset of ``container`` with exact dyadic measure.
-
-    Strict about the range: the amount must sit strictly between zero
-    and the container's measure, so the result is a proper nonempty
-    subset.
-    """
+    """Lex-first clopen subset of ``container`` with exact dyadic measure,
+    which must lie strictly between zero and the container's measure so
+    that the result is a proper nonempty subset."""
     if not (0 < amount < container.measure()):
-        raise ValueError(
-            f"need 0 < amount < {container.measure()}, got {amount}"
-        )
+        raise ValueError(f"need 0 < amount < {container.measure()}, got {amount}")
     return container.take_submass(amount)

@@ -128,11 +128,6 @@ class RatInterval:
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def scale(self, factor: Fraction) -> "RatInterval":
-        if factor < 0:
-            return RatInterval(self.hi * factor, self.lo * factor)
-        return RatInterval(self.lo * factor, self.hi * factor)
-
     def reflect(self) -> "RatInterval":
         """The interval of 1 - x for x in self."""
         return RatInterval(1 - self.hi, 1 - self.lo)

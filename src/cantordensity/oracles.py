@@ -194,10 +194,14 @@ def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Frac
     Raising ``low`` or lowering ``high`` only adds marks, so the highest
     high interleaved with a low never falls as the low rises: one
     pointer walks up the highs while the lows ascend, and each low costs
-    one failed test at most.
+    one failed test at most. Every comparison is between endpoints of
+    the trace, so it compares their ranks in the sorted endpoints.
     """
-    los: list[Fraction] = sorted({b.hi for b in bounds})[:40]
-    his: list[Fraction] = sorted({b.lo for b in bounds}, reverse=True)[:40]
+    values = sorted({b.lo for b in bounds} | {b.hi for b in bounds})
+    rank = {v: r for r, v in enumerate(values)}
+    ranked = [(rank[b.lo], rank[b.hi]) for b in bounds]
+    los = sorted({hi for _, hi in ranked})[:40]
+    his = sorted({lo for lo, _ in ranked}, reverse=True)[:40]
     best: tuple[Fraction, Fraction, Fraction] | None = None
     # his[:above] lie above the low; his[top:above] are interleaved with it.
     above = top = len(his)
@@ -205,19 +209,19 @@ def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Frac
         while above and his[above - 1] <= low:
             above -= 1
         top = min(top, above)
-        while top and _interleaved(bounds, low, his[top - 1]):
+        while top and _interleaved(ranked, low, his[top - 1]):
             top -= 1
-        if top < above and (best is None or his[top] - low > best[0]):
-            best = (his[top] - low, low, his[top])
+        if top < above and (best is None or values[his[top]] - values[low] > best[0]):
+            best = (values[his[top]] - values[low], values[low], values[his[top]])
     return best
 
 
-def _interleaved(bounds: Sequence[RatInterval], low: Fraction, high: Fraction) -> bool:
+def _interleaved(ranked: list[tuple[int, int]], low: int, high: int) -> bool:
     marks = []
-    for b in bounds:
-        if b.hi <= low:
+    for lo, hi in ranked:
+        if hi <= low:
             mark = "L"
-        elif b.lo >= high:
+        elif lo >= high:
             mark = "H"
         else:
             continue
@@ -236,7 +240,7 @@ class ClopenOracle(MeasureOracle):
         self.piece = piece
 
     def child(self, letter: int) -> MeasureOracle:
-        piece = self.piece.halves()[letter]
+        piece = self.piece.half(letter)
         if piece.is_empty():
             return EMPTY_SEGMENT
         if piece.is_full():
@@ -360,11 +364,8 @@ class DisjointSumOracle(MeasureOracle):
         certs = [p.tail_certificate(point, effort) for p in self.parts]
         if any(c is None for c in certs):
             return None
-        start = max(c.start for c in certs)
-        interval = RatInterval.point(ZERO)
-        for c in certs:
-            interval = interval + c.interval
-        return TailCertificate(interval, start)
+        return TailCertificate(sum((c.interval for c in certs), EMPTY_MASS),
+                               max(c.start for c in certs))
 
 
 class GraftedUnionOracle(MeasureOracle):
@@ -400,8 +401,12 @@ class GraftedUnionOracle(MeasureOracle):
         return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        return sum((part.measure_bounds(budget - len(graft)).scale(Fraction(1, 1 << len(graft)))
-                    for graft, part in self.parts), EMPTY_MASS)
+        lo = hi = ZERO
+        for graft, part in self.parts:
+            bounds = part.measure_bounds(budget - len(graft))
+            lo += Fraction(bounds.lo.numerator, bounds.lo.denominator << len(graft))
+            hi += Fraction(bounds.hi.numerator, bounds.hi.denominator << len(graft))
+        return RatInterval(lo, hi)
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # No graft word is longer than this prefix, so by now the point
@@ -426,20 +431,20 @@ class SpinePrefixOracle(MeasureOracle):
 
     def __init__(self, piece: MeasureOracle, piece_measure: Fraction):
         self.piece = piece
-        self.rate = piece_measure
+        self.bounds = RatInterval.point(piece_measure)
 
     def child(self, letter: int) -> MeasureOracle:
         return self if letter == 0 else self.piece
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        return RatInterval.point(self.rate)
+        return self.bounds
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         if not isinstance(point, Branch):
             return None
         if point.constant_tail() == (0, 0):
             # The all-zeros point rides the spine forever.
-            return TailCertificate(RatInterval.point(self.rate), 0)
+            return TailCertificate(self.bounds, 0)
         # Any other point leaves the spine at its first 1.
         first_one = 0
         while point.at(first_one) == 0:

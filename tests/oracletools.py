@@ -317,3 +317,61 @@ def certified_oscillation_reference(bounds):
             if len(marks) >= 5:
                 best = (high - low, low, high)
     return best
+
+
+# ----- the clopen algebra by halves-and-graft recursion -------------------
+
+
+def _reference_halves(c: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
+    if c.is_full():
+        return c, c
+    return tuple(ClopenSet.from_words([w[1:] for w in c.words if w[0] == letter])
+                 for letter in (0, 1))
+
+
+def _reference_graft(left: ClopenSet, right: ClopenSet) -> ClopenSet:
+    return ClopenSet.from_words([(0,) + w for w in left.words] + [(1,) + w for w in right.words])
+
+
+def reference_complement(c: ClopenSet) -> ClopenSet:
+    """The complement, by complementing the two halves and grafting them back."""
+    if c.is_empty():
+        return ClopenSet.full()
+    if c.is_full():
+        return ClopenSet.empty()
+    left, right = _reference_halves(c)
+    return _reference_graft(reference_complement(left), reference_complement(right))
+
+
+def reference_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The intersection, half by half."""
+    if a.is_empty() or b.is_full():
+        return a
+    if a.is_full() or b.is_empty():
+        return b
+    a0, a1 = _reference_halves(a)
+    b0, b1 = _reference_halves(b)
+    return _reference_graft(reference_intersect(a0, b0), reference_intersect(a1, b1))
+
+
+def reference_take_submass(c: ClopenSet, amount: Fraction) -> ClopenSet:
+    """The lexicographically first subset of a dyadic measure: as much of
+    the 0-half as fits, the rest from the 1-half, recursively. Raises
+    the package's ValueError texts."""
+    measure = antichain_measure(c.words)
+    if amount < 0 or amount > measure:
+        raise ValueError(f"no subset of measure {amount} in a set of measure {measure}")
+    if (amount.denominator & (amount.denominator - 1)) != 0:
+        raise ValueError(f"subset mass must be dyadic: {amount}")
+    return _reference_take(c, amount)
+
+
+def _reference_take(c: ClopenSet, amount: Fraction) -> ClopenSet:
+    if amount == 0:
+        return ClopenSet.empty()
+    if amount == antichain_measure(c.words):
+        return c
+    left, right = _reference_halves(c)
+    from_left = min(amount, antichain_measure(left.words) / 2)
+    return _reference_graft(_reference_take(left, from_left * 2),
+                            _reference_take(right, (amount - from_left) * 2))

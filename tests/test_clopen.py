@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,13 @@ from cantordensity.clopen import (
     subset_of_measure,
     union_all,
 )
-from oracletools import piece_of_measure
+from oracletools import (
+    antichain_measure,
+    piece_of_measure,
+    reference_complement,
+    reference_intersect,
+    reference_take_submass,
+)
 
 F = Fraction
 
@@ -41,7 +48,7 @@ def test_constructor_keeps_the_canonical_antichain():
 @given(clopens, clopens)
 def test_operations_build_canonical_sets(a, b):
     # The operations skip renormalizing; their words must already be canonical.
-    for result in (*a.halves(), a.complement(), a.intersect(b), a.union(b), a.difference(b)):
+    for result in (a.half(0), a.half(1), a.complement(), a.intersect(b), a.union(b), a.difference(b)):
         assert ClopenSet(result.words).words == result.words
 
 
@@ -53,10 +60,10 @@ def test_measure_examples():
 
 def test_localize():
     c = ClopenSet.from_words([(0, 1), (1, 0, 0)])
-    zero, one = c.halves()
+    zero, one = c.half(0), c.half(1)
     assert zero.words == ((1,),)
-    assert zero.halves()[1].is_full()
-    assert one.halves()[1].is_empty()
+    assert zero.half(1).is_full()
+    assert one.half(1).is_empty()
     assert c.measure() == F(3, 8)
     assert one.measure() == F(1, 4)
 
@@ -84,7 +91,7 @@ def test_difference(a, b):
 
 @given(clopens)
 def test_halves_average_to_measure(c):
-    left, right = c.halves()
+    left, right = c.half(0), c.half(1)
     assert (left.measure() + right.measure()) / 2 == c.measure()
 
 
@@ -154,3 +161,98 @@ def test_subset_of_measure_contained_and_exact(container, k):
     sub = subset_of_measure(container, amount)
     assert sub.measure() == amount
     assert container.includes(sub)
+
+
+DEEP = (0, 1) * 750
+
+
+def test_deep_word_complement():
+    # Every off-path sibling of the one word, shallowest first on the
+    # left of it and deepest first on the right.
+    comp = ClopenSet.cylinder(DEEP).complement()
+    left = [DEEP[:i] + (0,) for i in range(1, len(DEEP), 2)]
+    right = [DEEP[:i] + (1,) for i in range(len(DEEP) - 2, -1, -2)]
+    assert comp.words == tuple(left + right)
+    assert comp.measure() == 1 - F(1, 2**1500)
+    assert comp.complement().words == (DEEP,)
+
+
+def test_deep_word_intersect():
+    deep = ClopenSet.cylinder(DEEP)
+    zero = ClopenSet.cylinder((0,))
+    assert deep.intersect(zero).words == (DEEP,)
+    assert zero.intersect(deep).words == (DEEP,)
+    assert zero.intersect(deep).measure() == F(1, 2**1500)
+    assert ClopenSet.cylinder((1,)).intersect(deep).is_empty()
+
+
+def test_deep_word_take_submass():
+    deep = ClopenSet.cylinder(DEEP)
+    assert deep.take_submass(F(1, 2**1501)).words == (DEEP + (0,),)
+    assert deep.take_submass(F(3, 2**1502)).words == (DEEP + (0,), DEEP + (1, 0))
+    assert deep.take_submass(F(1, 2**1500)) == deep
+    assert ClopenSet.full().take_submass(F(1, 2**1500)).words == ((0,) * 1500,)
+    with pytest.raises(ValueError, match="no subset of measure"):
+        deep.take_submass(F(1, 2**1499))
+
+
+def _random_set(rng: Random) -> ClopenSet:
+    """Empty, full, or a union of up to nine random words of lengths 1 to 7."""
+    shape = rng.randrange(10)
+    if shape == 0:
+        return ClopenSet.empty()
+    if shape == 1:
+        return ClopenSet.full()
+    words = [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
+             for _ in range(rng.randrange(1, 10))]
+    return ClopenSet.from_words(words)
+
+
+def _random_pair(rng: Random) -> tuple[ClopenSet, ClopenSet]:
+    """Independent sets, or a set with a subset or superset of it."""
+    a, b = _random_set(rng), _random_set(rng)
+    shape = rng.randrange(3)
+    if shape == 1:
+        b = a.intersect(b)
+    elif shape == 2:
+        extended = [w + tuple(rng.randrange(2) for _ in range(rng.randrange(3))) for w in a.words]
+        a, b = ClopenSet.from_words(extended), a
+    return a, b
+
+
+def _random_amount(rng: Random, c: ClopenSet) -> Fraction:
+    """Mostly dyadic amounts up to the measure, and a few outside the
+    range or not dyadic, so the error texts are compared too."""
+    shape = rng.randrange(10)
+    if shape == 0:
+        return F(rng.randrange(1, 8), rng.choice((3, 5, 6, 12)))
+    if shape == 1:
+        return c.measure() + F(1, 1 << rng.randrange(12))
+    if shape == 2:
+        return -F(1, 1 << rng.randrange(4))
+    exponent = rng.randrange(12)
+    return c.measure() * F(rng.randrange((1 << exponent) + 1), 1 << exponent)
+
+
+def _taken_words(operation):
+    try:
+        return operation().words
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_one_pass_algebra_matches_the_recursion():
+    rng = Random(1705)
+    for _ in range(2500):
+        a, b = _random_pair(rng)
+        note = (a, b)
+        assert a.measure() == antichain_measure(a.words), note
+        assert a.complement().words == reference_complement(a).words, note
+        assert a.intersect(b).words == reference_intersect(a, b).words, note
+        assert b.intersect(a).words == reference_intersect(b, a).words, note
+        reference_difference = reference_intersect(a, reference_complement(b))
+        assert a.difference(b).words == reference_difference.words, note
+        assert a.includes(b) == (reference_intersect(a, b) == b), note
+        amount = _random_amount(rng, a)
+        taken = _taken_words(lambda: a.take_submass(amount))
+        assert taken == _taken_words(lambda: reference_take_submass(a, amount)), (note, amount)

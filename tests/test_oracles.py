@@ -62,15 +62,15 @@ def test_clopen_trace_matches_localization():
         assert bounds == RatInterval.point(expected)
 
 
-def test_clopen_trace_takes_one_halves_per_depth(monkeypatch):
-    halves = ClopenSet.halves
+def test_clopen_trace_takes_one_half_per_depth(monkeypatch):
+    half = ClopenSet.half
     calls = []
 
-    def counted(self):
-        calls.append(1)
-        return halves(self)
+    def counted(self, letter):
+        calls.append(letter)
+        return half(self, letter)
 
-    monkeypatch.setattr(ClopenSet, "halves", counted)
+    monkeypatch.setattr(ClopenSet, "half", counted)
     body = ClopenSet.from_words([(0, 1) * 100 + (1,), (1, 1, 0)])
     bounds = list(ClopenOracle(body).trace(Branch((), (0, 1)), 200))
     assert len(bounds) == 201
