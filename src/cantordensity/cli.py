@@ -5,8 +5,9 @@ stdout, one object per line for traces. Exit codes: 0 on success, 1 when
 a construction rejects its values, a tail certificate is contradicted
 (the module's message is printed verbatim), a budget's bounds are too
 long to print, an evaluation opens more states than its cap ("budget
-exhausted: ...") or memory runs out ("out of memory"), 2 when a document or
-the command line itself is malformed. Verify suites are seeded, so equal
+exhausted: ..."; a jump over a block counts one state per letter it
+spans below the horizon) or memory runs out ("out of memory"), 2 when a
+document or the command line itself is malformed. Verify suites are seeded, so equal
 invocations print equal bytes.
 """
 

@@ -20,21 +20,22 @@ cell enumeration to the horizon depth gives. Non-dyadic labels hang
 measured stand-in sets instead of segments; those copy regions answer
 exactly at every depth, tighter than any enumeration.
 
-The evaluator walks forward a level at a time. Its frontier holds the
-open states of one level, each key once with the number of paths that
-reach it; one level of keys is enough, since equal keys promise equal
-futures and a key other than a leaf's fixes its stream position. A
-leaf settles where it is reached, so with h letters of lookahead the
-bounds are numerators over 2^h: paths times leaf numerators, integers
-while every region met is dyadic, exact Fractions once a stand-in's
-value enters, and one unit of slack per path still open at the
-horizon. Along a point one window slides instead of evaluating each
-depth afresh: its frontier counts paths by the depth of the off-point
-sibling they leave the point at, so a step drops the sibling that
-falls out of the window, deepens the rest one level and opens the new
-sibling at the horizon. The oracle reads each tree node's region,
-label key and label at most once and keeps the states they give;
-label maps stay pure rules of the node.
+The evaluator walks forward a block at a time. Nothing settles inside
+a block, so it jumps each open state straight to its block's end: a
+node's 2^n continuations enter its two children once each and flag
+with the other 2^n - 2, and a block with r letters left enters at most
+one child and flags the rest. Its frontier holds the open states at
+one block end, each key once with the number of paths that reach it;
+one level of keys is enough, since equal keys promise equal futures
+and a key other than a leaf's fixes its stream position. A leaf
+settles where it is reached, so with h letters of lookahead the bounds
+are numerators over 2^h: paths times leaf numerators, integers while
+every region met is dyadic, exact Fractions once a stand-in's value
+enters, and 2^g units of slack per path still open in a block that
+crosses the horizon g letters below it. A trace evaluates each depth
+afresh; the jumps keep that to a few blocks per bound. The oracle
+reads each tree node's region, label key and label at most once and
+keeps the states they give; label maps stay pure rules of the node.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -47,8 +48,6 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from typing import Iterator
-
 from .branches import Branch, StretchedBranch, as_stretched
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
@@ -61,29 +60,26 @@ from .words import Word, triangular
 State = tuple[tuple, Word | MeasureOracle]
 # (lo, hi): numerators over 2^h of the bounds at h letters of lookahead.
 Bounds = tuple[int | Fraction, int | Fraction]
-# State key -> [state, paths]: the open states of one level and the
-# paths reaching each, a plain count or _Shares.
+# State key -> [state, paths]: the open states at one block end, all at
+# the same depth, and the number of paths reaching each.
 Frontier = dict[tuple, list]
 
-# Frontier entries one bound may open before it gives up.
+# Letter-level work one bound may do before it gives up: a jump counts
+# once for each letter it spans below the horizon, as many as the states
+# a letter-by-letter walk of the block would open.
 MAX_STATES = 1 << 18
+
+
+def _letters_left(key: tuple) -> int:
+    """The letters left in the block of a node, pure or mixed state."""
+    size = key[1][0] + 1
+    return size if key[0] == "node" else size - key[-1]
 
 
 def _check_opened(opened: int) -> None:
     if opened > MAX_STATES:
         raise BudgetExhausted(f"budget exhausted: over {MAX_STATES} evaluator states opened "
                               "for one bound")
-
-
-class _Shares(dict):
-    """Paths reaching a sliding-window entry, counted by the depth of the
-    off-point sibling they leave the point at."""
-
-    def __add__(self, other: _Shares) -> _Shares:
-        out = _Shares(self)
-        for sibling, count in other.items():
-            out[sibling] = out.get(sibling, 0) + count
-        return out
 
 
 class LabelMap:
@@ -243,31 +239,6 @@ class OffspringOracle(MeasureOracle):
             return self._flag(t)
         return (("mixed", ctx, m + 1), t)
 
-    def _deepen(self, front: Frontier, g: int, settle, arrivals: tuple = ()) -> Frontier:
-        """The frontier one level down, with g letters of lookahead left
-        below it, joined by ``arrivals``, (state, paths) pairs already
-        there. A state that is a leaf at that lookahead is offered to
-        ``settle(bounds, paths)``; the ones it declines stay open."""
-        leaf, step = self._leaf, self._step
-        children = list(arrivals)
-        for key, (state, paths) in front.items():
-            if key[0] == "mixed":
-                # Both continuations of a mixed state land in the same state.
-                children.append((step(state, 0), paths + paths))
-            else:
-                children += ((step(state, 0), paths), (step(state, 1), paths))
-        below: Frontier = {}
-        for child, paths in children:
-            out = leaf(child, g)
-            if out is not None and settle(out, paths):
-                continue
-            entry = below.get(child[0])
-            if entry is None:
-                below[child[0]] = [child, paths]
-            else:
-                entry[1] = entry[1] + paths
-        return below
-
     def _leaf(self, state: State, h: int) -> Bounds | None:
         """Bounds of a state that needs no lookahead, or None when its
         children must be evaluated."""
@@ -291,6 +262,24 @@ class OffspringOracle(MeasureOracle):
             return (0, 1)
         return None
 
+    def _jump(self, state: State) -> list[tuple[State, int]]:
+        """The states that a node, pure or mixed state reaches at the end
+        of its block, each with the number of continuations reaching it.
+
+        A block written with one letter enters that child and every other
+        block flags, so these are all the block's outcomes."""
+        key, t = state
+        left = _letters_left(key)
+        if key[0] == "mixed":
+            return [(self._flag(t), 1 << left)]
+        if key[0] == "pure":
+            return [(self._enter(t + (key[2],)), 1), (self._flag(t), (1 << left) - 1)]
+        ends = [(self._enter(t + (0,)), 1), (self._enter(t + (1,)), 1)]
+        if t:
+            # The root block has a single letter; it never flags.
+            ends.append((self._flag(t), (1 << left) - 2))
+        return ends
+
     def child(self, letter: int) -> MeasureOracle:
         # Tree, labels and every cache stay shared with the parent.
         inner = copy.copy(self)
@@ -301,82 +290,39 @@ class OffspringOracle(MeasureOracle):
         h = max(budget, 0)
         bounds = self._leaf(self.state, h)
         if bounds is None:
+            leaf, jump = self._leaf, self._jump
             lo = slack = 0
-
-            def settle(out: Bounds, paths: int) -> bool:
-                nonlocal lo, slack
-                lo += paths * out[0]
-                slack += paths * (out[1] - out[0])
-                return True
-
             front: Frontier = {self.state[0]: [self.state, 1]}
-            opened = 1
-            # At lookahead 0 every child settles, so the last level is empty.
-            for g in range(h - 1, -1, -1):
-                front = self._deepen(front, g, settle)
-                opened += len(front)
+            depth = opened = 0
+            while front:
+                left = _letters_left(next(iter(front)))
+                if depth + left > h:
+                    # The block crosses the horizon, and nothing settles
+                    # inside a block: every path below stays open.
+                    opened += len(front) * (h - depth)
+                    _check_opened(opened)
+                    slack += sum(paths for _, paths in front.values()) << (h - depth)
+                    break
+                opened += len(front) * left
                 _check_opened(opened)
+                depth += left
+                below: Frontier = {}
+                for state, paths in front.values():
+                    for end, count in jump(state):
+                        count *= paths
+                        out = leaf(end, h - depth)
+                        if out is not None:
+                            lo += count * out[0]
+                            slack += count * (out[1] - out[0])
+                            continue
+                        entry = below.get(end[0])
+                        if entry is None:
+                            below[end[0]] = [end, count]
+                        else:
+                            entry[1] += count
+                front = below
             bounds = (lo, lo + slack)
         return RatInterval(Fraction(bounds[0], 1 << h), Fraction(bounds[1], 1 << h))
-
-    def _bounds_along(self, point: Point, start: int, window: int) -> Iterator[RatInterval]:
-        """Bounds along the point from one window slid a level per depth.
-
-        The first bound is a plain ``measure_bounds``. Past it, the
-        frontier holds the states at the horizon, depth + window, below
-        the current point state; each entry counts its paths by the
-        depth of the off-point sibling they leave the point at. A step
-        drops the sibling just below the old depth, deepens the rest one
-        level and opens the new sibling at the horizon.
-        """
-        window = max(window, 0)
-        oracle = self.localize(point.prefix(start))
-        yield oracle.measure_bounds(window)
-        leaf, step = self._leaf, self._step
-        depth = horizon = start + 1
-        here = step(oracle.state, point.at(start))
-        front: Frontier = {}
-        # Settled numerators: the total at the horizon, and each
-        # sibling's share at the last horizon it is in the window for.
-        lo: int | Fraction = 0
-        shares: dict[int, int | Fraction] = {}
-
-        def settle(out: Bounds, paths: _Shares) -> bool:
-            nonlocal lo
-            if out[0] != out[1]:
-                return False
-            if out[0]:
-                for sibling, count in paths.items():
-                    mass = count * out[0]
-                    lo += mass
-                    shares[sibling] = (shares.get(sibling, 0)
-                                       + mass * (1 << (sibling + window - 1 - horizon)))
-            return True
-
-        opened = 0
-        while True:
-            if horizon - depth == window:
-                slack = sum(sum(paths.values()) for _, paths in front.values())
-                low, high = leaf(here, 0)
-                scale = 1 << window
-                yield RatInterval(Fraction(lo + low, scale), Fraction(lo + high + slack, scale))
-                opened = 0
-                depth += 1
-                lo -= shares.pop(depth, 0)
-                for key in list(front):
-                    paths = front[key][1]
-                    paths.pop(depth, None)
-                    if not paths:
-                        del front[key]
-            lo += lo
-            horizon += 1
-            letter = point.at(horizon - 1)
-            # The new sibling, just below the old horizon, is at the new one.
-            arrivals = ((step(here, 1 - letter), _Shares({horizon: 1})),) if window else ()
-            front = self._deepen(front, 0, settle, arrivals)
-            here = step(here, letter)
-            opened += len(front)
-            _check_opened(opened)
 
     # ----- tail certificates --------------------------------------------
 

@@ -18,10 +18,9 @@ equal: a settled piece answers the point interval at 1 or 0 that the
 structure it replaces answers, an empty part adds exactly 0 to a
 disjoint sum, and the complement of a settled set is the other one.
 
-On top of these sit traces (bounds along a branch's prefixes; an
-oracle whose evaluations overlap from one depth to the next may slide
-one evaluation along the point instead of starting afresh at every
-depth) and a classifier with three verdicts:
+On top of these sit traces (bounds along a branch's prefixes, one
+``child`` step and one fresh evaluation per depth) and a classifier
+with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval

@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 from cantordensity.clopen import ClopenSet
+from cantordensity.dyadics import RatInterval
 
 F = Fraction
 THIRD = F(1, 3)
@@ -216,6 +217,34 @@ def offspring_cell_bounds(member, label_of, word, depth: int):
         elif verdict == "unknown":
             hi_cells += 1
     return F(lo_cells, 1 << rest), F(hi_cells, 1 << rest)
+
+
+def letterwise_offspring_bounds(oracle, budget: int):
+    """``measure_bounds`` of an offspring oracle by a letter-by-letter
+    frontier: every open state is stepped one letter at a time with the
+    oracle's own ``_step`` and settled with its ``_leaf``, one level of
+    state keys at a time, without jumping whole blocks."""
+    h = max(budget, 0)
+    bounds = oracle._leaf(oracle.state, h)
+    if bounds is None:
+        lo = slack = 0
+        front = {oracle.state[0]: [oracle.state, 1]}
+        for g in range(h - 1, -1, -1):
+            below = {}
+            for state, paths in front.values():
+                for letter in (0, 1):
+                    child = oracle._step(state, letter)
+                    out = oracle._leaf(child, g)
+                    if out is not None:
+                        lo += paths * out[0]
+                        slack += paths * (out[1] - out[0])
+                    elif child[0] in below:
+                        below[child[0]][1] += paths
+                    else:
+                        below[child[0]] = [child, paths]
+            front = below
+        bounds = (lo, lo + slack)
+    return RatInterval(F(bounds[0], 1 << h), F(bounds[1], 1 << h))
 
 
 # ----- the third reduction's construction checks, by enumeration ---------

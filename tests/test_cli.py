@@ -271,6 +271,23 @@ def test_states_cap_ends_deep_budgets(tmp_path):
     assert result.stderr.startswith("budget exhausted: over ")
 
 
+def test_states_cap_counts_letters_not_block_states(tmp_path):
+    # The cap counts one unit per letter a jump spans, where stepping
+    # each letter opens up to three block states (two pure, one mixed)
+    # per node key. Budget 120 at prefix 01 stays under it and answers,
+    # inside the bounds of budget 100.
+    spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "first",
+                                         "function": {"preset": "constant", "value": "2/7"}})
+    bounds = {}
+    for budget in ("100", "120"):
+        result = invoke("measure", "--set", spec, "--prefix", "01", "--budget", budget)
+        assert result.exit_code == 0, result.stderr
+        record = json.loads(result.stdout)
+        bounds[budget] = (Fraction(record["lo"]), Fraction(record["hi"]))
+    assert bounds["100"][0] <= bounds["120"][0] <= bounds["120"][1] <= bounds["100"][1]
+    assert bounds["120"] != bounds["100"]
+
+
 def test_classify_reports_an_exhausted_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(offspring, "MAX_STATES", 20)
     spec = write(tmp_path / "set.json", {"kind": "reduction", "which": "second"})

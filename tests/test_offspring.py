@@ -15,7 +15,7 @@ from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_b
 from cantordensity.reductions import first_reduction, second_reduction, third_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
 from cantordensity.words import triangular
-from oracletools import offspring_cell_bounds
+from oracletools import letterwise_offspring_bounds, offspring_cell_bounds
 
 HALF_TABLE = ExplicitLabels({}, F(1, 2))
 EIGHTHS = tuple(F(k, 8) for k in range(9))
@@ -340,22 +340,21 @@ def test_stand_in_trace_steps_once_per_depth(monkeypatch):
 
 def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
     # A stand-in state answers exactly as a leaf, so it settles where it
-    # is reached and never enters a frontier; its key names the value
-    # only, not the word read since the flag.
-    deepen = OffspringOracle._deepen
-    entries = []
+    # is reached and is never jumped; its key names the value only, not
+    # the word read since the flag.
+    jump = OffspringOracle._jump
+    jumped = []
 
-    def counted(self, *args):
-        below = deepen(self, *args)
-        entries.append(len(below))
-        return below
+    def counted(self, state):
+        jumped.append(state[0][0])
+        return jump(self, state)
 
-    monkeypatch.setattr(OffspringOracle, "_deepen", counted)
+    monkeypatch.setattr(OffspringOracle, "_jump", counted)
     tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
     bounds = list(oracle.trace(Branch((0, 0, 1), (1, 0)), 2000, window=16))
     assert all(b.is_point() for b in bounds[3:])
-    assert max(entries) < 50
+    assert jumped and set(jumped) <= {"node", "pure", "mixed"}
     assert oracle.localize((0, 0, 1, 1)).state[0] == ("stand-in", F(2, 7))
 
 
@@ -382,18 +381,60 @@ def _window_points(rng):
     return branch(), StretchedBranch(branch()), interleave_branches(branch(), branch())
 
 
-def test_slid_bounds_equal_fresh_evaluation():
-    # Every bound of the sliding window is what a fresh evaluation at
-    # that prefix gives, for every window from 0 to 20.
+def test_block_jumps_equal_letterwise_evaluation():
+    # Jumping whole blocks gives the bounds that stepping every letter
+    # of every block gives, for every window from 0 to 20.
     rng = random.Random(1705)
     windows = itertools.cycle(range(21))
     for oracle in _window_sets(rng):
         for point in _window_points(rng):
             window, start = next(windows), rng.randrange(4)
-            slid = itertools.islice(oracle._bounds_along(point, start, window), 24)
-            for depth, bounds in enumerate(slid, start):
-                fresh = oracle.localize(point.prefix(depth)).measure_bounds(window)
-                assert bounds == fresh, (depth, window, point)
+            for depth in range(start, start + 24):
+                local = oracle.localize(point.prefix(depth))
+                assert local.measure_bounds(window) == letterwise_offspring_bounds(local, window), \
+                    (depth, window, point)
+
+
+def _block_states(rng):
+    """The node, pure and mixed states that the window grid's oracles
+    reach along its points, each once."""
+    seen = {}
+    for oracle in _window_sets(rng):
+        for point in _window_points(rng):
+            state = oracle.state
+            for depth in range(24):
+                if state[0][0] in ("node", "pure", "mixed"):
+                    seen.setdefault((id(oracle.tree), state[0]), (oracle, state))
+                state = oracle._step(state, point.at(depth))
+    return seen.values()
+
+
+def test_jump_groups_every_continuation_of_the_block():
+    # All 2^r letter-by-letter continuations to the end of a block,
+    # grouped by key, are exactly the jump's states and multipliers.
+    # Siblings may share a key, so both sides group states and counts.
+    def grouped(pairs):
+        out = {}
+        for end, count in pairs:
+            entry = out.setdefault(end[0], [set(), 0])
+            entry[0].add(end)
+            entry[1] += count
+        return out
+
+    checked = 0
+    for oracle, state in _block_states(random.Random(1705)):
+        left, probe = 1, oracle._step(state, 0)
+        while probe[0][0] in ("pure", "mixed"):
+            left, probe = left + 1, oracle._step(probe, 0)
+        stepped = []
+        for word in itertools.product((0, 1), repeat=left):
+            end = state
+            for letter in word:
+                end = oracle._step(end, letter)
+            stepped.append((end, 1))
+        assert grouped(oracle._jump(state)) == grouped(stepped), state[0]
+        checked += 1
+    assert checked > 200
 
 
 def test_negative_window_reads_as_zero():
@@ -402,27 +443,45 @@ def test_negative_window_reads_as_zero():
     assert list(oracle.trace(point, 30, window=-3)) == list(oracle.trace(point, 30, window=0))
 
 
-def test_window_steps_a_third_of_fresh_evaluation(monkeypatch):
-    # Each step of the window deepens one level; evaluating every depth
-    # afresh deepens the whole window again.
-    step = OffspringOracle._step
+def _count_jumps_and_steps(monkeypatch) -> list[int]:
     calls = [0]
+    jump, step = OffspringOracle._jump, OffspringOracle._step
 
-    def counted(self, state, letter):
+    def counted_jump(self, state):
+        calls[0] += 1
+        return jump(self, state)
+
+    def counted_step(self, state, letter):
         calls[0] += 1
         return step(self, state, letter)
 
-    monkeypatch.setattr(OffspringOracle, "_step", counted)
+    monkeypatch.setattr(OffspringOracle, "_jump", counted_jump)
+    monkeypatch.setattr(OffspringOracle, "_step", counted_step)
+    return calls
+
+
+def test_trace_jumps_a_few_times_per_depth(monkeypatch):
+    # A fresh bound at every depth jumps each block of its window once:
+    # 200 depths at window 16 take fewer jumps and steps than a third of
+    # the 1 827 letter steps of a window slid along the same point.
+    calls = _count_jumps_and_steps(monkeypatch)
     point = StretchedBranch(Branch((), (1, 0)))
     list(second_reduction(ExplicitTree.full_binary()).trace(point, 199, window=16))
-    slid = calls[0]
-    fresh = 0
-    for depth in range(200):
-        local = second_reduction(ExplicitTree.full_binary()).localize(point.prefix(depth))
+    assert calls[0] <= 1827 // 3
+
+
+def test_second_trace_step_costs_no_more_than_the_first(monkeypatch):
+    # Every off-point sibling of the second reduction reaches the same
+    # few state keys; the second bound of a wide trace still jumps about
+    # as often as the first.
+    calls = _count_jumps_and_steps(monkeypatch)
+    point = StretchedBranch(Branch((), (1, 0)))
+    costs = []
+    for depth in (0, 1):
         calls[0] = 0
-        local.measure_bounds(16)
-        fresh += calls[0]
-    assert 3 * slid <= fresh
+        list(second_reduction(ExplicitTree.full_binary()).trace(point, depth, window=4000))
+        costs.append(calls[0])
+    assert 0 < costs[1] <= 2 * costs[0]
 
 
 def test_localized_oracle_gives_no_root_certificate():
