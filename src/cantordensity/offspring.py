@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+
 from .branches import Branch, StretchedBranch, as_stretched
 from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
@@ -64,9 +65,9 @@ Bounds = tuple[int | Fraction, int | Fraction]
 # the same depth, and the number of paths reaching each.
 Frontier = dict[tuple, list]
 
-# Letter-level work one bound may do before it gives up: a jump counts
-# once for each letter it spans below the horizon, as many as the states
-# a letter-by-letter walk of the block would open.
+# Letter-level work one bound may do before it gives up: each open state
+# counts once for every letter of its block up to the horizon, whether
+# the block is jumped or crosses the horizon.
 MAX_STATES = 1 << 18
 
 
@@ -296,15 +297,13 @@ class OffspringOracle(MeasureOracle):
             depth = opened = 0
             while front:
                 left = _letters_left(next(iter(front)))
+                opened += len(front) * min(left, h - depth)
+                _check_opened(opened)
                 if depth + left > h:
                     # The block crosses the horizon, and nothing settles
                     # inside a block: every path below stays open.
-                    opened += len(front) * (h - depth)
-                    _check_opened(opened)
                     slack += sum(paths for _, paths in front.values()) << (h - depth)
                     break
-                opened += len(front) * left
-                _check_opened(opened)
                 depth += left
                 below: Frontier = {}
                 for state, paths in front.values():
