@@ -6,7 +6,9 @@ behind that word, nested along extensions and shrinking along branches.
 The canonical approximation picks at each node the dyadic of least rank
 inside the presented interval. Rank order makes the choice canonical:
 two nodes with overlapping presentations tend to agree, and sibling
-jumps are controlled by the parent's interval width.
+jumps are controlled by the parent's interval width. Values just below
+or above a dyadic, in the first and third reductions' labels, come from
+one nudge rule on integer (numerator, exponent) pairs, ``nudged_parts``.
 
 Nodes may carry arbitrary natural-number letters; binary words are the
 special case used when the function lives on Cantor space.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Protocol
 
 from .branches import Branch
-from .dyadics import least_dyadic_in
+from .dyadics import dyadic_exponent, least_dyadic_in
 from .words import Word, runs_to_bits
 
 
@@ -41,25 +43,28 @@ def canonical_approx(presentation: FunctionPresentation, node: Word) -> Fraction
     return least_dyadic_in(lo, hi)
 
 
-def fold_into_unit(value: Fraction, anchor: Fraction) -> Fraction:
-    """Pull a value poking out of (0;1) back to the midpoint between its
-    anchor and the boundary it crossed."""
-    if value >= 1:
-        return (1 + anchor) / 2
-    if value <= 0:
-        return anchor / 2
-    return value
+def nudged_parts(numerator: int, exponent: int, offset: int, up: bool) -> tuple[int, int]:
+    """The dyadic numerator/2^exponent in (0;1) moved up or down by
+    2^-offset, as (numerator, exponent); an end leaving (0;1) folds back
+    to the midpoint between the dyadic and the boundary it crossed."""
+    # One bit below both the dyadic and the offset, for the fold.
+    scale = max(exponent, offset) + 1
+    base = numerator << (scale - exponent)
+    step = 1 << (scale - offset)
+    moved = base + step if up else base - step
+    if moved >= 1 << scale:
+        return ((1 << scale) + base) >> 1, scale
+    if moved <= 0:
+        return base >> 1, scale
+    return moved, scale
 
 
 def nudged_pair(middle: Fraction, depth: int) -> tuple[Fraction, Fraction]:
-    """Values strictly below and above a middle inside (0;1).
-
-    The offset is 2^-(depth+2), and ends poking out of (0;1) fold back
-    toward the boundary they crossed, so both members stay strictly
-    inside (0;1) and the gap stays below 2^-depth.
-    """
-    offset = Fraction(1, 1 << (depth + 2))
-    return fold_into_unit(middle - offset, middle), fold_into_unit(middle + offset, middle)
+    """The nudges of a dyadic middle in (0;1) by 2^-(depth+2) down and up:
+    both strictly inside (0;1), with a gap below 2^-depth."""
+    exponent = dyadic_exponent(middle)
+    below, above = (nudged_parts(middle.numerator, exponent, depth + 2, up) for up in (False, True))
+    return Fraction(below[0], 1 << below[1]), Fraction(above[0], 1 << above[1])
 
 
 def approx_pair(presentation: FunctionPresentation, node: Word) -> tuple[Fraction, Fraction]:

@@ -70,18 +70,14 @@ def _load_document(path: str):
         raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
 
 
-@functools.cache
-def _largest_printable_exponent(digits: int) -> int:
-    """The largest e such that 2^e has at most ``digits`` decimal digits."""
-    return (10 ** digits).bit_length() - 1
-
-
 def _check_printable(budget: int, offset: int = 0) -> None:
     """Refuse a budget whose bounds, fractions over 2^(budget - offset), would not print."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not digits:
+    # 2^e has at most ``digits`` decimal digits exactly when e is below the
+    # bit length of 10^digits, which always holds for e <= 3 * digits (8 < 10).
+    if not digits or budget - offset <= 3 * digits:
         return
-    largest = offset + _largest_printable_exponent(digits)
+    largest = offset + (10 ** digits).bit_length() - 1
     if budget > largest:
         raise ValueError(f"budget {budget} is too large: its bounds would have over {digits} "
                          f"digits; the largest budget accepted is {largest}")

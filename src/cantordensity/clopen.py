@@ -136,12 +136,6 @@ class ClopenSet:
             rest -= 1 << span
         return _canonical(tuple(taken))
 
-    def __str__(self) -> str:
-        if self.is_full():
-            return "{<>}"
-        inner = ", ".join("".join(map(str, w)) for w in self.words)
-        return "{" + inner + "}"
-
 
 def _canonical(words: tuple[Word, ...]) -> ClopenSet:
     """A set from words already in canonical form, without renormalizing."""

@@ -73,8 +73,6 @@ class SpongyMeasureOracle(MeasureOracle):
     form; nothing depends on the digit cycle length.
     """
 
-    kind = "spongy-measure"
-
     def __init__(self, measure: Fraction):
         if not (ZERO <= measure <= THIRD):
             raise ValueError(f"measure must be in [0, 1/3]: {measure}")
@@ -231,9 +229,6 @@ class SolidCountableRange:
         points = [p.head for p, _ in self.designated_points()]
         return len(set(points)) == len(points)
 
-    def measure(self) -> Fraction:
-        return self.oracle.measure_bounds().lo
-
 
 def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     """A solid set realizing the given density values on designated points.
@@ -251,5 +246,5 @@ def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     parts: list[tuple[Word, MeasureOracle]] = []
     for n, value in enumerate(values, start=1):
         piece = SegmentOracle(value) if is_dyadic(value) else dualistic_of_measure(value).oracle
-        parts.append((first_family_word(n), SpinePrefixOracle(piece, value)))
+        parts.append((first_family_word(n), SpinePrefixOracle(piece)))
     return SolidCountableRange(tuple(values), GraftedUnionOracle(parts))

@@ -160,8 +160,6 @@ class OffspringOracle(MeasureOracle):
     serves both.
     """
 
-    kind = "offspring"
-
     def __init__(self, tree: Tree, labels: LabelMap):
         self.tree = tree
         self.labels = labels

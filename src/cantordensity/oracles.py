@@ -80,8 +80,6 @@ class Verdict:
 class MeasureOracle:
     """Base class; subclasses implement ``child`` and ``measure_bounds``."""
 
-    kind = "oracle"
-
     def child(self, letter: int) -> MeasureOracle:
         """The set seen from inside the cylinder of one letter."""
         raise NotImplementedError
@@ -233,8 +231,6 @@ def _interleaved(ranked: list[tuple[int, int]], low: int, high: int) -> bool:
 class ClopenOracle(MeasureOracle):
     """Exact oracle of a clopen set; bounds are always points."""
 
-    kind = "clopen"
-
     def __init__(self, piece: ClopenSet):
         self.piece = piece
 
@@ -280,8 +276,6 @@ class SegmentOracle(MeasureOracle):
     dyadic checks.
     """
 
-    kind = "segment"
-
     def __init__(self, measure: Fraction):
         if not ZERO <= measure <= ONE:
             raise ValueError(f"measure out of range: {measure}")
@@ -312,8 +306,6 @@ FULL_SEGMENT = SegmentOracle(ONE)
 
 
 class ComplementOracle(MeasureOracle):
-    kind = "complement"
-
     def __init__(self, inner: MeasureOracle):
         self.inner = inner
 
@@ -341,8 +333,6 @@ class DisjointSumOracle(MeasureOracle):
     A part that settles empty adds exactly 0, so ``child`` drops it, and
     a sum left with one part is that part.
     """
-
-    kind = "disjoint-sum"
 
     def __init__(self, parts: list[MeasureOracle]):
         if not parts:
@@ -373,8 +363,6 @@ class GraftedUnionOracle(MeasureOracle):
     Mass lives only inside the grafts: the set seen from a cylinder off
     every graft is empty.
     """
-
-    kind = "grafted-union"
 
     def __init__(self, parts: list[tuple[Word, MeasureOracle]]):
         for i, (a, _) in enumerate(parts):
@@ -424,13 +412,12 @@ class SpinePrefixOracle(MeasureOracle):
     Its localized measure along the zero spine is the piece's measure
     at every single depth: the grafted copies below 0^m contribute the
     geometric series sum 2^m * sum_{j >= m} 2^-(j+1) * r = r exactly.
+    The piece must be exact: its point bounds are read once.
     """
 
-    kind = "spine-prefix"
-
-    def __init__(self, piece: MeasureOracle, piece_measure: Fraction):
+    def __init__(self, piece: MeasureOracle):
         self.piece = piece
-        self.bounds = RatInterval.point(piece_measure)
+        self.bounds = piece.measure_bounds()
 
     def child(self, letter: int) -> MeasureOracle:
         return self if letter == 0 else self.piece

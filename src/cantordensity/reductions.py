@@ -9,12 +9,14 @@ branches with a 0-tail an alternating pair below and above the
 function value. The third interleaves an input tree with the full
 binary tree and reads the function through the run codec, with an
 alternating sibling adjustment keeping the label sequence spread out
-at every node.
+at every node. The first's pair and the third's adjustment move by one
+nudge rule, ``nudged_parts``.
 
 On top of the same machinery sit two solid-set builders (labels read
 from an enumerated value list, or assigned greedily without repeats)
 and the uniformity pipeline, which sections a product tree along a
-branch and prunes the largest third-reduction offspring down to it.
+branch and prunes the largest third-reduction offspring down to the
+lazy interleavings of the pair tree left.
 
 Label maps are pure rules of the node and keep no caches; the offspring
 oracle asks each node's label and key once and keeps the answer.
@@ -41,13 +43,14 @@ from .approx import (
     approx_pair,
     canonical_approx,
     nudged_pair,
+    nudged_parts,
 )
 from .branches import Branch
 from .dualistic import solid_countable_range
 from .dyadics import ONE, ZERO, dyadic_of_rank, least_dyadic_parts
-from .offspring import LabelMap, OffspringOracle, offspring_prune
+from .offspring import LabelMap, OffspringOracle
 from .oracles import GraftedUnionOracle, MeasureOracle
-from .trees import ExplicitTree, InterleaveTree, materialize, pair_letter, section
+from .trees import ExplicitTree, InterleaveTree, PairInterleaveTree, section
 from .words import (
     Word,
     bits_to_runs,
@@ -63,6 +66,7 @@ from .words import (
 EXPLORE_LETTERS = 4
 EXPLORE_DEPTH = 3
 
+GREEDY_CODEC_DEPTH = 6
 GREEDY_RANK_CAP = 4096
 
 
@@ -90,21 +94,9 @@ def require_lipschitz(presentation: FunctionPresentation) -> dict[Word, tuple[Fr
 
 def _adjusted_parts(lo: Fraction, hi: Fraction, node: Word) -> tuple[int, int]:
     """The adjusted value at a non-empty node with presented interval
-    (lo; hi), as (numerator, exponent): the least dyadic inside, moved
-    by 2^-(len(node)+1) up after an even last letter and down after an
-    odd one, an end leaving (0;1) folded back to the midpoint between
-    the least dyadic and the boundary it crossed."""
-    numerator, exponent = least_dyadic_parts(lo, hi)
-    # One bit below both the least dyadic and the offset, for the fold.
-    scale = max(exponent, len(node) + 1) + 1
-    base = numerator << (scale - exponent)
-    offset = 1 << (scale - len(node) - 1)
-    shifted = base + offset if node[-1] % 2 == 0 else base - offset
-    if shifted >= 1 << scale:
-        return ((1 << scale) + base) >> 1, scale
-    if shifted <= 0:
-        return base >> 1, scale
-    return shifted, scale
+    (lo; hi), as (numerator, exponent): its least dyadic nudged by
+    2^-(len(node)+1), up after an even last letter, down after an odd."""
+    return nudged_parts(*least_dyadic_parts(lo, hi), len(node) + 1, node[-1] % 2 == 0)
 
 
 class AnchoredHullLabels(LabelMap):
@@ -404,11 +396,10 @@ class SolidInjectiveSet:
 def solid_injective(
     presentation: FunctionPresentation,
     values: list[Fraction],
-    explore_depth: int = 6,
 ) -> SolidInjectiveSet:
     """A solid set with pairwise distinct densities on its designated points.
 
-    Nodes whose codec image fits within ``explore_depth`` get labels
+    Nodes whose codec image fits within ``GREEDY_CODEC_DEPTH`` get labels
     assigned greedily: the first unused entry of ``values`` inside the
     presented interval, falling back to unused dyadics by rank. The
     values never picked up are realized once each by a grafted
@@ -416,7 +407,7 @@ def solid_injective(
     """
     require_lipschitz(presentation)
     heads = sorted(
-        _all_nat_words(explore_depth),
+        _all_nat_words(GREEDY_CODEC_DEPTH),
         key=lambda node: (len(runs_to_bits(node)), node),
     )
     used: set[Fraction] = set()
@@ -463,29 +454,6 @@ def _all_nat_words(budget: int) -> list[Word]:
     return out
 
 
-def _zip_alive(pairs: ExplicitTree, word: Word) -> bool:
-    evens, odds = deinterleave(word)
-    if len(word) % 2 == 0:
-        return pairs.member(tuple(pair_letter(evens[i], odds[i]) for i in range(len(odds))))
-    return any(
-        pairs.member(
-            tuple(pair_letter(evens[i], (odds + (b,))[i]) for i in range(len(evens)))
-        )
-        for b in (0, 1)
-    )
-
-
-def interleave_closure(pairs: ExplicitTree, depth: int) -> ExplicitTree:
-    """The downward closure of the interleavings of a pair tree, materialized.
-
-    Exact to twice ``depth``; the frontier closes with zero-tails, which
-    matches the pair tree's own policy completion. A pair tree over at
-    most four letters is pruned, so no interleaving dies before the
-    frontier.
-    """
-    return materialize(lambda word: _zip_alive(pairs, word), 2, 2 * depth)
-
-
 def uniformity_pipeline(
     product_tree: ExplicitTree,
     z: Branch,
@@ -502,7 +470,6 @@ def uniformity_pipeline(
     """
     if product_tree.arity != 8:
         raise ValueError("uniformity expects a triple-product alphabet of arity 8")
-    pairs = section(product_tree, z, depth)
-    body = interleave_closure(pairs, depth)
     largest = third_reduction(presentation, ExplicitTree.full_binary())
-    return offspring_prune(largest, body)
+    # The largest tree is full, so pruning it leaves the closure's own tree.
+    return OffspringOracle(PairInterleaveTree(section(product_tree, z, depth)), largest.labels)

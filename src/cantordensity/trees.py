@@ -254,6 +254,30 @@ class InterleaveTree(Tree):
         return ("join", ke, ko, len(word) % 2)
 
 
+class PairInterleaveTree(Tree):
+    """Lazy interleavings of a pair tree: letters 2i and 2i + 1 of a word
+    are the bits of its pair letter i, and an odd-length word lives while
+    some odd letter completes its pending pair. On a pair tree made by
+    ``section``, pruned to its depth and closed with zero-tails, these
+    are exactly the interleavings' downward closure, at every length."""
+
+    def __init__(self, pairs: ExplicitTree):
+        self.pairs = pairs
+        self.arity = 2
+
+    def region_key(self, word: Word) -> tuple:
+        evens, odds = deinterleave(word)
+        completed = tuple(map(pair_letter, evens, odds))
+        key = self.pairs.region_key(completed)
+        if len(word) % 2 == 0:
+            return DEAD if key == DEAD else ("pairs", key, None)
+        # A dead pair word has no live extension either.
+        pending = evens[-1]
+        if not any(self.pairs.member(completed + (pair_letter(pending, b),)) for b in (0, 1)):
+            return DEAD
+        return ("pairs", key, pending)
+
+
 class IntersectionTree(Tree):
     """Nodes alive in both presentations; used to prune one tree by another."""
 

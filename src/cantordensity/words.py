@@ -12,6 +12,8 @@ empty word) decodes uniquely; ``bits_to_runs`` is the left inverse.
 
 from __future__ import annotations
 
+from math import isqrt
+
 Word = tuple[int, ...]
 
 
@@ -119,13 +121,11 @@ def triangular(order: int) -> int:
 
 
 def order_at_depth(depth: int) -> int:
-    """Largest ``k`` with ``triangular(k) <= depth``."""
+    """Largest ``k`` with ``triangular(k) <= depth``: the k with
+    (2k + 1)^2 <= 8 depth + 1 < (2k + 3)^2."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    k = 0
-    while triangular(k + 1) <= depth:
-        k += 1
-    return k
+    return (isqrt(8 * depth + 1) - 1) // 2
 
 
 def stretch(word: Word) -> Word:

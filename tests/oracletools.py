@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from cantordensity.clopen import ClopenSet
 from cantordensity.dyadics import RatInterval
+from cantordensity.trees import materialize
 
 F = Fraction
 THIRD = F(1, 3)
@@ -165,6 +166,21 @@ def cylinder_local_measure(words, at, depth: int) -> Fraction:
     return F(hits, 1 << rest)
 
 
+def interleave_closure(pairs, depth: int):
+    """The downward closure of the interleavings of a pair tree,
+    materialized to twice ``depth`` and closed with zero-tails: a word
+    lives when its letter pairs (even slot, odd slot) spell a node of
+    ``pairs``, an odd-length one when some odd letter completes it."""
+
+    def alive(word) -> bool:
+        evens, odds = word[0::2], word[1::2]
+        partners = [odds] if len(word) % 2 == 0 else [odds + (0,), odds + (1,)]
+        return any(pairs.member(tuple(2 * e + o for e, o in zip(evens, tail)))
+                   for tail in partners)
+
+    return materialize(alive, 2, 2 * depth)
+
+
 def value_of_bits(bits) -> Fraction:
     return sum((F(b, 1 << (n + 1)) for n, b in enumerate(bits)), F(0))
 
@@ -275,15 +291,21 @@ def _least_dyadic_reference(lo: Fraction, hi: Fraction) -> Fraction:
 _SCALES = [F(1, 1 << k) for k in range(8)]
 
 
+def fold_into_unit(value: Fraction, anchor: Fraction) -> Fraction:
+    """Pull a value poking out of (0;1) back to the midpoint between its
+    anchor and the boundary it crossed: the nudge rule's fold, on
+    Fractions."""
+    if value >= 1:
+        return (1 + anchor) / 2
+    if value <= 0:
+        return anchor / 2
+    return value
+
+
 def _adjusted_reference(lo: Fraction, hi: Fraction, node) -> Fraction:
     base = _least_dyadic_reference(lo, hi)
     offset = _SCALES[len(node) + 1]
-    shifted = base + offset if node[-1] % 2 == 0 else base - offset
-    if shifted.numerator >= shifted.denominator:
-        return (1 + base) / 2
-    if shifted.numerator <= 0:
-        return base / 2
-    return shifted
+    return fold_into_unit(base + offset if node[-1] % 2 == 0 else base - offset, base)
 
 
 def third_reduction_check_reference(presentation) -> str | None:

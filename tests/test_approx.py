@@ -1,6 +1,8 @@
 """Canonical approximation: containment, sibling control, exact values."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,11 @@ from cantordensity.approx import (
     ReparamPresentation,
     approx_pair,
     canonical_approx,
+    nudged_pair,
 )
 from cantordensity.branches import Branch
+from cantordensity.reductions import _adjusted_parts
+from oracletools import fold_into_unit
 
 F = Fraction
 
@@ -116,10 +121,41 @@ def test_values_live_in_presented_intervals(point, depth):
         assert abs(value - canonical_approx(presentation, point.prefix(depth))) < hi - lo
 
 
+def near_boundary_dyadics(rng, count):
+    """Seeded (dyadic, depth, exponent) triples: each dyadic, odd over
+    2^exponent, is closer than twice the nudge offset 2^-(depth+2) to 0
+    or to 1."""
+    for _ in range(count):
+        depth = rng.randrange(12)
+        exponent = rng.randrange(depth + 2, depth + 8)
+        value = F(2 * rng.randrange(1 << (exponent - depth - 2)) + 1, 1 << exponent)
+        yield (value if rng.random() < 0.5 else 1 - value), depth, exponent
+
+
+def test_nudge_rule_matches_the_fraction_fold():
+    rng = random.Random(16)
+    folds = Counter()
+    for middle, depth, exponent in near_boundary_dyadics(rng, 10000):
+        offset = F(1, 1 << (depth + 2))
+        below, above = middle - offset, middle + offset
+        folds["pair", "low"] += below <= 0
+        folds["pair", "high"] += above >= 1
+        assert nudged_pair(middle, depth) == (fold_into_unit(below, middle),
+                                              fold_into_unit(above, middle))
+        # A node of length depth + 1 nudges by the same offset; middle is
+        # the least dyadic of the interval, as nothing coarser is that close.
+        node = tuple(rng.randrange(4) for _ in range(depth + 1))
+        spread = F(1, 1 << (exponent + 2))
+        numerator, scale = _adjusted_parts(middle - spread, middle + spread, node)
+        moved = above if node[-1] % 2 == 0 else below
+        folds["adjusted", "low"] += moved <= 0
+        folds["adjusted", "high"] += moved >= 1
+        assert F(numerator, 1 << scale) == fold_into_unit(moved, middle)
+    assert len(folds) == 4 and min(folds.values()) >= 1000, folds
+
+
 class _Slow:
     """Presented widths shrink at half speed; values constant 1/2."""
-
-    kind = "slow"
 
     def presented_interval(self, node):
         half = F(1, 2 ** (len(node) // 2 + 1))
@@ -138,8 +174,6 @@ def test_reparam_restores_the_modulus():
 
 
 class _Stuck:
-    kind = "stuck"
-
     def presented_interval(self, node):
         return F(1, 4), F(3, 4)
 

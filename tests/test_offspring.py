@@ -221,6 +221,11 @@ def test_certificate_flag_entry():
     assert verdict.interval.contains(F(1))
 
 
+def test_no_certificate_along_an_unstretched_walk():
+    # Three letters never flag, and the point is no stretched branch.
+    assert full_half().tail_certificate(Branch((1, 0, 0), (1, 0)), 8) is None
+
+
 def test_certificate_hull_constant_labels():
     tree = ExplicitTree.full_binary()
     labels = ExplicitLabels({(1,): F(3, 4)}, F(3, 4))

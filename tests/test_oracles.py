@@ -134,7 +134,7 @@ def test_grafted_union_certificates():
 
 def test_spine_prefix_constant_rate_on_spine():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(piece)
     for m in range(8):
         assert oracle.local_bounds((0,) * m, 0) == RatInterval.point(F(1, 4))
     # Beyond the first 1 the piece takes over.
@@ -144,7 +144,7 @@ def test_spine_prefix_constant_rate_on_spine():
 
 def test_spine_prefix_certificates():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(piece)
     spine = oracle.tail_certificate(Branch.zeros(), effort=10)
     assert spine.interval == RatInterval.point(F(1, 4))
     assert spine.start == 0
@@ -154,7 +154,7 @@ def test_spine_prefix_certificates():
 
 def test_classify_converges_on_exact_point():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(piece)
     verdict = oracle.classify(Branch.zeros())
     assert verdict.kind == "converges"
     assert verdict.interval.contains(F(1, 4))
@@ -163,8 +163,6 @@ def test_classify_converges_on_exact_point():
 
 def test_classify_cross_check_rejects_inconsistent_certificate():
     class Lying(MeasureOracle):
-        kind = "lying"
-
         def child(self, letter):
             return self
 

@@ -24,7 +24,6 @@ from cantordensity.reductions import (
     TailAlternationLabels,
     decoded_branch,
     first_reduction,
-    interleave_closure,
     label_spread_certificate,
     require_lipschitz,
     second_reduction,
@@ -33,9 +32,9 @@ from cantordensity.reductions import (
     third_reduction,
     uniformity_pipeline,
 )
-from cantordensity.trees import ExplicitTree, periodic
+from cantordensity.trees import ExplicitTree, PairInterleaveTree, materialize, periodic, section
 from cantordensity.words import ones_count
-from oracletools import points_at_depth, third_reduction_check_reference
+from oracletools import interleave_closure, points_at_depth, third_reduction_check_reference
 
 HALF = ConstantPresentation(F(1, 2))
 INJ = InjectivePresentation(F(1, 4))
@@ -276,8 +275,6 @@ def test_third_reduction_rejects_cancelling_presentation():
 
 
 class WidePresentation:
-    kind = "wide"
-
     def presented_interval(self, node):
         return F(1, 100), F(99, 100)
 
@@ -400,10 +397,28 @@ def diagonal_triple_tree(depth):
 
 
 def test_interleave_closure_of_full_pairs():
-    pairs = ExplicitTree([()], {(): "full"}, arity=4)
-    body = interleave_closure(pairs, 3)
+    body = PairInterleaveTree(ExplicitTree([()], {(): "full"}, arity=4))
     for word in words_up_to(6):
         assert body.member(word)
+
+
+def test_pair_interleavings_match_the_materialized_closure():
+    # section's pair trees are pruned to their depth and closed with
+    # zero-tails, as materialize leaves any membership test over four
+    # letters; the lazy interleavings must equal the closure past it,
+    # and words sharing a key must have the same children.
+    rng = random.Random(16)
+    depth = 4
+    pair_trees = [section(diagonal_triple_tree(depth), z, depth)
+                  for z in (Branch.zeros(), Branch.ones(), Branch((1, 0), (0, 1)))]
+    pair_trees += [materialize(lambda word: rng.random() < 0.7, 4, depth) for _ in range(12)]
+    for pairs in pair_trees:
+        lazy, closure = PairInterleaveTree(pairs), interleave_closure(pairs, depth)
+        children = {}
+        for word in words_up_to(2 * depth + 2):
+            assert lazy.member(word) == closure.member(word), word
+            below = tuple(lazy.member(word + (letter,)) for letter in (0, 1))
+            assert children.setdefault(lazy.region_key(word), below) == below, word
 
 
 def test_uniformity_full_product_is_unpruned():

@@ -257,6 +257,13 @@ def test_star_full_fan_is_full_binary():
     assert image.census() == CONTINUUM
 
 
+def test_star_periodic_fan_encodes_its_cycle():
+    u = ExplicitTree([()], {(): periodic((2,))}, arity=None)
+    image = star(u, 6)
+    assert image.member((0, 0, 1, 0, 0, 1))
+    assert not image.member((0, 1))
+
+
 def test_star_fan_stop_closes_with_zero_tails():
     u = ExplicitTree([()], {(): "fan_stop"}, arity=None)
     image = star(u, 4)
@@ -321,6 +328,7 @@ def test_section_of_triple_tree():
 def test_level_stat():
     t = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): "zeros"})
     assert level_stat(t, 3) == Fraction(5, 8)
+    assert level_stat(t, 1) == 1
     assert level_stat(ExplicitTree.full_binary(), 5) == 1
     assert level_stat(ExplicitTree.single_branch((1, 0), (1,)), 4) == Fraction(1, 16)
 

@@ -104,6 +104,16 @@ def test_triangular_and_order():
     assert order_at_depth(15) == 5
 
 
+def test_order_at_depth_matches_the_triangular_walk():
+    k = 0
+    for depth in range(100_000):
+        while triangular(k + 1) <= depth:
+            k += 1
+        assert order_at_depth(depth) == k
+    k = order_at_depth(10**30)
+    assert triangular(k) <= 10**30 < triangular(k + 1)
+
+
 def test_stretch_examples():
     assert stretch(()) == ()
     assert stretch((1,)) == (1,)
