@@ -3,12 +3,16 @@
 A presentation of a continuous function assigns to every finite word an
 open rational interval containing the function's values on the cylinder
 behind that word, nested along extensions and shrinking along branches.
-The canonical approximation picks at each node the dyadic of least rank
-inside the presented interval. Rank order makes the choice canonical:
-two nodes with overlapping presentations tend to agree, and sibling
-jumps are controlled by the parent's interval width. Values just below
-or above a dyadic, in the first and third reductions' labels, come from
-one nudge rule on integer (numerator, exponent) pairs, ``nudged_parts``.
+It gives the interval as integers (lo, hi, scale), the endpoints'
+numerators over one positive scale, so that the label hot path never
+builds a Fraction; a caller that needs the values divides at its own
+site. The canonical approximation picks at each node the dyadic of
+least rank inside the presented interval, as (numerator, exponent).
+Rank order makes the choice canonical: two nodes with overlapping
+presentations tend to agree, and sibling jumps are controlled by the
+parent's interval width. Values just below or above a dyadic, in the
+first and third reductions' labels, come from one nudge rule on the
+same integer pairs, ``nudged_parts``.
 
 Nodes may carry arbitrary natural-number letters; binary words are the
 special case used when the function lives on Cantor space.
@@ -21,15 +25,21 @@ from fractions import Fraction
 from typing import Protocol
 
 from .branches import Branch
-from .dyadics import dyadic_exponent, least_dyadic_in
+from .dyadics import least_dyadic_parts
 from .words import Word, runs_to_bits
 
 
 class FunctionPresentation(Protocol):
-    """Open rational enclosures of a continuous function, node by node."""
+    """Open rational enclosures of a continuous function, node by node.
 
-    def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
-        """Open interval (lo; hi) containing every value on the cylinder."""
+    An enclosure is three integers (lo, hi, scale) with scale > 0: the
+    open interval (lo/scale; hi/scale). The numerators need not be
+    reduced, and may stick out of (0; scale).
+    """
+
+    def presented_numerators(self, node: Word) -> tuple[int, int, int]:
+        """(lo, hi, scale) of an open interval containing every value on
+        the cylinder."""
         ...
 
     def value(self, point: Branch) -> Fraction | None:
@@ -37,39 +47,28 @@ class FunctionPresentation(Protocol):
         ...
 
 
-def canonical_approx(presentation: FunctionPresentation, node: Word) -> Fraction:
-    """The dyadic of least rank inside the presented interval at a node."""
-    lo, hi = presentation.presented_interval(node)
-    return least_dyadic_in(lo, hi)
+def canonical_parts(presentation: FunctionPresentation, node: Word) -> tuple[int, int]:
+    """The dyadic of least rank inside the presented interval at a node,
+    as (numerator, exponent)."""
+    return least_dyadic_parts(*presentation.presented_numerators(node))
 
 
 def nudged_parts(numerator: int, exponent: int, offset: int, up: bool) -> tuple[int, int]:
     """The dyadic numerator/2^exponent in (0;1) moved up or down by
-    2^-offset, as (numerator, exponent); an end leaving (0;1) folds back
-    to the midpoint between the dyadic and the boundary it crossed."""
+    2^-offset, as (numerator, exponent) with an odd numerator; an end
+    leaving (0;1) folds back to the midpoint between the dyadic and the
+    boundary it crossed, so the result stays strictly inside (0;1)."""
     # One bit below both the dyadic and the offset, for the fold.
     scale = max(exponent, offset) + 1
     base = numerator << (scale - exponent)
     step = 1 << (scale - offset)
     moved = base + step if up else base - step
     if moved >= 1 << scale:
-        return ((1 << scale) + base) >> 1, scale
-    if moved <= 0:
-        return base >> 1, scale
-    return moved, scale
-
-
-def nudged_pair(middle: Fraction, depth: int) -> tuple[Fraction, Fraction]:
-    """The nudges of a dyadic middle in (0;1) by 2^-(depth+2) down and up:
-    both strictly inside (0;1), with a gap below 2^-depth."""
-    exponent = dyadic_exponent(middle)
-    below, above = (nudged_parts(middle.numerator, exponent, depth + 2, up) for up in (False, True))
-    return Fraction(below[0], 1 << below[1]), Fraction(above[0], 1 << above[1])
-
-
-def approx_pair(presentation: FunctionPresentation, node: Word) -> tuple[Fraction, Fraction]:
-    """Dyadics strictly below and above the canonical value at a node."""
-    return nudged_pair(canonical_approx(presentation, node), len(node))
+        moved = ((1 << scale) + base) >> 1
+    elif moved <= 0:
+        moved = base >> 1
+    zeros = (moved & -moved).bit_length() - 1
+    return moved >> zeros, scale - zeros
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,11 @@ class ConstantPresentation:
         if not (0 < self.constant < 1):
             raise ValueError(f"constant must be in (0;1): {self.constant}")
 
-    def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
+    def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # constant -+ 2^-(L+1): integers over q * 2^(L+1), for constant p/q.
         p, q = self.constant.numerator, self.constant.denominator
-        middle, scale = p << (len(node) + 1), q << (len(node) + 1)
-        return Fraction(middle - q, scale), Fraction(middle + q, scale)
+        middle = p << (len(node) + 1)
+        return middle - q, middle + q, q << (len(node) + 1)
 
     def value(self, point: Branch) -> Fraction:
         return self.constant
@@ -128,7 +127,7 @@ class AffineImagePresentation:
     def span(self) -> Fraction:
         return self.hi_value - self.lo_value
 
-    def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
+    def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # lo + span * [v, v + 1]/2^L widened by (1 - span)/2^(L+2), for
         # parity bits v: integers over unit * 2^(L+2), with lo = start/unit.
         lo, hi = self.lo_value, self.hi_value
@@ -139,8 +138,7 @@ class AffineImagePresentation:
         for letter in node:
             value = 2 * value + letter % 2
         base = 4 * ((start << len(node)) + span * value)
-        scale = unit << (len(node) + 2)
-        return Fraction(base - unit + span, scale), Fraction(base + 3 * span + unit, scale)
+        return base - unit + span, base + 3 * span + unit, unit << (len(node) + 2)
 
     def value(self, point: Branch) -> Fraction:
         head = tuple(letter % 2 for letter in point.head)
@@ -167,7 +165,7 @@ class InjectivePresentation:
         if not (0 < self.margin < Fraction(1, 2)):
             raise ValueError(f"margin must be in (0; 1/2): {self.margin}")
 
-    def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
+    def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # margin + squeeze * [v, v + 1]/2^L widened by margin/2^(L+1),
         # for margin p/q and image bits v: integers over q * 2^(L+1).
         # Each letter k appends the image bits 0^k 1.
@@ -180,8 +178,7 @@ class InjectivePresentation:
         p, q = self.margin.numerator, self.margin.denominator
         squeeze = q - 2 * p
         base = (p << (length + 1)) + 2 * squeeze * value
-        scale = q << (length + 1)
-        return Fraction(base - p, scale), Fraction(base + 2 * squeeze + p, scale)
+        return base - p, base + 2 * squeeze + p, q << (length + 1)
 
     def value(self, point: Branch) -> Fraction:
         head = runs_to_bits(point.head)
@@ -205,15 +202,17 @@ class ReparamPresentation:
         self.max_pad = max_pad
         self._images: dict[Word, Word] = {}
 
-    def _pad(self, node: Word, bound: Fraction) -> Word:
+    def _pad(self, node: Word, depth: int) -> Word:
+        """The first padding of a node whose presented interval is
+        narrower than 2^-depth."""
         current = node
         for _ in range(self.max_pad):
-            lo, hi = self.base.presented_interval(current)
-            if hi - lo < bound:
+            lo, hi, scale = self.base.presented_numerators(current)
+            if (hi - lo) << depth < scale:
                 return current
             current = current + (0,)
         raise ValueError(
-            f"presented intervals do not shrink below {bound} behind node {node}"
+            f"presented intervals do not shrink below {Fraction(1, 1 << depth)} behind node {node}"
         )
 
     def _image(self, node: Word) -> Word:
@@ -221,15 +220,15 @@ class ReparamPresentation:
         if cached is not None:
             return cached
         if node == ():
-            image = self._pad((), Fraction(1))
+            image = self._pad((), 0)
         else:
             parent = self._image(node[:-1])
-            image = self._pad(parent + node[-1:], Fraction(1, 2 ** len(node)))
+            image = self._pad(parent + node[-1:], len(node))
         self._images[node] = image
         return image
 
-    def presented_interval(self, node: Word) -> tuple[Fraction, Fraction]:
-        return self.base.presented_interval(self._image(node))
+    def presented_numerators(self, node: Word) -> tuple[int, int, int]:
+        return self.base.presented_numerators(self._image(node))
 
     def value(self, point: Branch) -> Fraction | None:
         return None

@@ -20,13 +20,12 @@ geometric-series arithmetic rather than enumeration.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
-from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_in
+from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_parts
 from .oracles import (
     EMPTY_SEGMENT,
     ClopenOracle,
@@ -118,8 +117,8 @@ class SpongyMeasureOracle(MeasureOracle):
 
     def child(self, letter: int) -> MeasureOracle:
         if letter == 0:
-            inner = copy.copy(self)
-            inner.zeros = self.zeros + 1
+            inner = object.__new__(SpongyMeasureOracle)
+            inner.measure, inner.h, inner.zeros = self.measure, self.h, self.zeros + 1
             return inner
         n = self.zeros
         if n == 0:
@@ -128,7 +127,10 @@ class SpongyMeasureOracle(MeasureOracle):
         return GraftedUnionOracle([((1,) * (n - 1), SegmentOracle(self.piece_measure(n)))])
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        return RatInterval.point((1 << self.zeros) * self.tail_sum(max(self.zeros, 1)))
+        if not self.zeros:
+            # tail_sum(1) is the whole series, leading 1-digits included.
+            return RatInterval.point(self.measure)
+        return RatInterval.point((1 << self.zeros) * self.tail_sum(self.zeros))
 
     def tail_certificate(self, point, effort: int) -> TailCertificate | None:
         # The certificates below read the point from the root.
@@ -178,7 +180,10 @@ def dualistic_of_measure(r: Fraction) -> DualisticSet:
             spongy_rate=r,
             oracle=SpongyMeasureOracle(r),
         )
-    d = least_dyadic_in(r - THIRD, min(r, TWO_THIRDS))
+    # The least dyadic in (r - 1/3; min(r, 2/3)), over 3q for r = p/q.
+    p, q = r.numerator, r.denominator
+    numerator, exponent = least_dyadic_parts(3 * p - q, min(3 * p, 2 * q), 3 * q)
+    d = Fraction(numerator, 1 << exponent)
     chunk = _second_family_chunk(d)
     remainder = r - d
     oracle = DisjointSumOracle([ClopenOracle(chunk), SpongyMeasureOracle(remainder)])

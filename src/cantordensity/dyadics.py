@@ -1,6 +1,8 @@
 """Exact rational arithmetic helpers: dyadics and rational intervals.
 
-Everything in the package computes with ``fractions.Fraction``; floats never
+Everything in the package computes exactly: with ``fractions.Fraction``, or
+on hot paths with integer numerators over a known scale (a dyadic as
+(numerator, exponent), an interval as (lo, hi, scale)); floats never
 appear. The dyadic rationals strictly between 0 and 1 carry a rank order
 (coarser denominator first, then numerator) used whenever a construction
 asks for a canonical dyadic inside an interval.
@@ -51,34 +53,24 @@ def dyadic_of_rank(rank: int) -> Fraction:
     return Fraction(2 * rank + 1, 1 << n)
 
 
-def least_dyadic_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """Rank-least dyadic of (0,1) inside the open interval (lo, hi).
-
-    The endpoints may stick out of the unit interval; the search is over
-    dyadics strictly between 0 and 1. Raises when the clipped interval
-    is empty.
-    """
-    numerator, exponent = least_dyadic_parts(lo, hi)
-    return Fraction(numerator, 1 << exponent)
-
-
-def least_dyadic_parts(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-    """``least_dyadic_in(lo, hi)`` as (numerator, exponent), odd over 2^exponent."""
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    if a < 0:
-        a, b = 0, 1
-    if c > d:
-        c, d = 1, 1
-    if a * d >= c * b:
-        raise ValueError(f"no dyadic in empty interval ({Fraction(a, b)}, {Fraction(c, d)})")
+def least_dyadic_parts(lo: int, hi: int, scale: int) -> tuple[int, int]:
+    """The rank-least dyadic of (0,1) inside the open interval
+    (lo/scale; hi/scale), for a positive scale, as (numerator, exponent):
+    odd over 2^exponent. Endpoints may stick out of the unit interval;
+    raises when the clipped interval is empty."""
+    lo, hi = max(lo, 0), min(hi, scale)
+    if lo >= hi:
+        raise ValueError(
+            f"no dyadic in empty interval ({Fraction(lo, scale)}, {Fraction(hi, scale)})"
+        )
     # At resolution 2^-bits the interval holds the integers low..high, at
-    # least two since its width is at least 1/(b d). The dyadic of least
+    # least two since its width is at least 1/scale. The dyadic of least
     # exponent inside is the one of them with the most trailing zeros:
     # low itself when its bits below the first bit where low and high
     # differ are all 0, else high cut down to that bit.
-    bits = (b * d).bit_length() + 1
-    low = (a << bits) // b + 1
-    high = ((c << bits) - 1) // d
+    bits = scale.bit_length() + 1
+    low = (lo << bits) // scale + 1
+    high = ((hi << bits) - 1) // scale
     split = (low ^ high).bit_length()
     if low & ((1 << split) - 1) == 0:
         best = low

@@ -10,7 +10,9 @@ Streams walking into nodes outside the tree are out.
 A dyadic label m is copied as the segment [0, m) of points read as
 binary expansions, the lexicographically first clopen set of that
 measure. It is carried as the number m, which each letter moves by
-the doubling map m -> clamp(2m - letter, 0, 1).
+the doubling map m -> clamp(2m - letter, 0, 1). Label maps hand a
+dyadic label over as integers (numerator, exponent), which become the
+copy's state as they are; only other labels arrive as Fractions.
 
 The evaluator returns certified interval bounds: regions resolved
 within the horizon (dead nodes, settled copies) contribute exact mass,
@@ -36,6 +38,9 @@ crosses the horizon g letters below it. A trace evaluates each depth
 afresh; the jumps keep that to a few blocks per bound. The oracle
 reads each tree node's region, label key and label at most once and
 keeps the states they give; label maps stay pure rules of the node.
+Those node states are shared: a localized oracle is a light view
+holding the shared node states and its own current state, so a child
+step builds one small object and copies nothing.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -46,7 +51,6 @@ certified hull of the labels along the branch.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 
 from .branches import Branch, StretchedBranch, as_stretched
@@ -83,11 +87,20 @@ def _check_opened(opened: int) -> None:
                               "for one bound")
 
 
+def label_parts_of(value: Fraction) -> tuple[int, int] | Fraction:
+    """A label value in the form ``LabelMap.label_parts`` gives it: a
+    dyadic as (numerator, exponent) of its reduced form, anything else
+    as the Fraction itself."""
+    return (value.numerator, value.denominator.bit_length() - 1) if is_dyadic(value) else value
+
+
 class LabelMap:
     """Rational labels on tree nodes, with one rule for certified tail hulls.
 
     Labels and node keys are pure rules of the node, with no cache:
     ``OffspringOracle`` asks about each node once and keeps the answer.
+    Subclasses give a label through ``label_parts``; ``label`` derives
+    its value from that one rule.
 
     The hull of the labels along a branch from prefix ``start`` on is
     the labels at prefixes ``start`` through ``hull_horizon(branch,
@@ -96,11 +109,19 @@ class LabelMap:
     tail, and may move the horizon or share node keys.
     """
 
-    def label(self, node: Word) -> Fraction:
-        """The copy measure at a node, in [0, 1]. A dyadic value m gets
-        the segment [0, m) as its copy; anything else a measured
-        stand-in set of exactly that mass."""
+    def label_parts(self, node: Word) -> tuple[int, int] | Fraction:
+        """The copy measure at a node, in [0, 1]. A dyadic value a/2^k
+        comes as (a, k), reduced: a odd, or (0, 0) or (1, 0). It gets
+        the segment [0, a/2^k) as its copy. Any other value comes as a
+        Fraction and gets a measured stand-in set of exactly that mass."""
         raise NotImplementedError
+
+    def label(self, node: Word) -> Fraction:
+        """The copy measure at a node, as a value."""
+        parts = self.label_parts(node)
+        if isinstance(parts, Fraction):
+            return parts
+        return Fraction(parts[0], 1 << parts[1])
 
     def node_key(self, node: Word) -> object:
         """Nodes with equal keys (and equal depth) carry identical label
@@ -137,8 +158,8 @@ class ExplicitLabels(LabelMap):
         self.depth = max((len(node) for node in self.mapping), default=0)
         self._touched = {node[:j] for node in self.mapping for j in range(len(node) + 1)}
 
-    def label(self, node: Word) -> Fraction:
-        return self.mapping.get(tuple(node), self.default)
+    def label_parts(self, node: Word) -> tuple[int, int] | Fraction:
+        return label_parts_of(self.mapping.get(tuple(node), self.default))
 
     def node_key(self, node: Word) -> object:
         node = tuple(node)
@@ -153,20 +174,67 @@ class ExplicitLabels(LabelMap):
         return (self.default,)
 
 
-class OffspringOracle(MeasureOracle):
-    """Certified localized measures of the offspring of a labeled tree.
+class _NodeStates:
+    """The states entering and flagging each tree node, read once.
 
-    The closed and open offspring differ by a null set, so one oracle
-    serves both.
+    One offspring oracle and every view localized from it share this:
+    the tree, the labels, the states of the nodes asked about so far and
+    one exact stand-in oracle per non-dyadic label value.
     """
 
     def __init__(self, tree: Tree, labels: LabelMap):
         self.tree = tree
         self.labels = labels
-        self._stand_ins: dict[Fraction, MeasureOracle] = {}
-        self._entered: dict[Word, State] = {}
-        self._flagged: dict[Word, State] = {}
-        self._root = self.state = self._enter(())
+        self.stand_ins: dict[Fraction, MeasureOracle] = {}
+        self.entered: dict[Word, State] = {}
+        self.flagged: dict[Word, State] = {}
+        self.root = self.enter(())
+
+    def enter(self, t: Word) -> State:
+        state = self.entered.get(t)
+        if state is None:
+            region = self.tree.region_key(t)
+            if region == DEAD:
+                state = (DEAD, ())
+            else:
+                state = (("node", (len(t), region, self.labels.node_key(t))), t)
+            self.entered[t] = state
+        return state
+
+    def flag(self, t: Word) -> State:
+        state = self.flagged.get(t)
+        if state is None:
+            parts = self.labels.label_parts(t)
+            if isinstance(parts, tuple):
+                state = (("copy", *parts), t)
+            else:
+                # Nodes with equal values share one exact stand-in oracle.
+                if parts not in self.stand_ins:
+                    self.stand_ins[parts] = dualistic_of_measure(parts).oracle
+                state = (("stand-in", parts), self.stand_ins[parts])
+            self.flagged[t] = state
+        return state
+
+
+class OffspringOracle(MeasureOracle):
+    """Certified localized measures of the offspring of a labeled tree.
+
+    The closed and open offspring differ by a null set, so one oracle
+    serves both. An oracle is its shared node states plus one current
+    state; ``child`` builds a view with the next state.
+    """
+
+    def __init__(self, tree: Tree, labels: LabelMap):
+        self._nodes = _NodeStates(tree, labels)
+        self.state = self._nodes.root
+
+    @property
+    def tree(self) -> Tree:
+        return self._nodes.tree
+
+    @property
+    def labels(self) -> LabelMap:
+        return self._nodes.labels
 
     # ----- the block state machine -------------------------------------
     #
@@ -174,7 +242,7 @@ class OffspringOracle(MeasureOracle):
     # future depends on, so it keys the frontier; t is the tree node whose
     # block is being read, kept only to ask the tree and the labels about
     # its children. A node's keys share ctx = (len(t), region, label key);
-    # the states entering and flagging t are kept per node.
+    # the states entering and flagging t are kept per node in _NodeStates.
     #
     # ("dead",)                  off the tree
     # ("node", ctx)              at the block boundary of tree node t
@@ -185,31 +253,6 @@ class OffspringOracle(MeasureOracle):
     #                            a/2^k reduced; (0, 0) empty, (1, 0) full
     # ("stand-in", value)        flagged with any other label; t is the
     #                            stand-in set as seen from here
-
-    def _enter(self, t: Word) -> State:
-        state = self._entered.get(t)
-        if state is None:
-            region = self.tree.region_key(t)
-            if region == DEAD:
-                state = (DEAD, ())
-            else:
-                state = (("node", (len(t), region, self.labels.node_key(t))), t)
-            self._entered[t] = state
-        return state
-
-    def _flag(self, t: Word) -> State:
-        state = self._flagged.get(t)
-        if state is None:
-            value = self.labels.label(t)
-            if is_dyadic(value):
-                state = (("copy", value.numerator, value.denominator.bit_length() - 1), t)
-            else:
-                # Nodes with equal values share one exact stand-in oracle.
-                if value not in self._stand_ins:
-                    self._stand_ins[value] = dualistic_of_measure(value).oracle
-                state = (("stand-in", value), self._stand_ins[value])
-            self._flagged[t] = state
-        return state
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state
@@ -223,19 +266,19 @@ class OffspringOracle(MeasureOracle):
         if kind == "node":
             if len(t) == 0:
                 # The root block has a single letter; it is always pure.
-                return self._enter(t + (letter,))
+                return self._nodes.enter(t + (letter,))
             return (("pure", key[1], letter, 1), t)
         size = len(t) + 1
         if kind == "pure":
             _, ctx, first, m = key
             if letter == first:
                 if m + 1 == size:
-                    return self._enter(t + (first,))
+                    return self._nodes.enter(t + (first,))
                 return (("pure", ctx, first, m + 1), t)
         else:
             _, ctx, m = key
         if m + 1 == size:
-            return self._flag(t)
+            return self._nodes.flag(t)
         return (("mixed", ctx, m + 1), t)
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
@@ -268,20 +311,21 @@ class OffspringOracle(MeasureOracle):
         A block written with one letter enters that child and every other
         block flags, so these are all the block's outcomes."""
         key, t = state
+        nodes = self._nodes
         left = _letters_left(key)
         if key[0] == "mixed":
-            return [(self._flag(t), 1 << left)]
+            return [(nodes.flag(t), 1 << left)]
         if key[0] == "pure":
-            return [(self._enter(t + (key[2],)), 1), (self._flag(t), (1 << left) - 1)]
-        ends = [(self._enter(t + (0,)), 1), (self._enter(t + (1,)), 1)]
+            return [(nodes.enter(t + (key[2],)), 1), (nodes.flag(t), (1 << left) - 1)]
+        ends = [(nodes.enter(t + (0,)), 1), (nodes.enter(t + (1,)), 1)]
         if t:
             # The root block has a single letter; it never flags.
-            ends.append((self._flag(t), (1 << left) - 2))
+            ends.append((nodes.flag(t), (1 << left) - 2))
         return ends
 
     def child(self, letter: int) -> MeasureOracle:
-        # Tree, labels and every cache stay shared with the parent.
-        inner = copy.copy(self)
+        inner = object.__new__(OffspringOracle)
+        inner._nodes = self._nodes
         inner.state = self._step(self.state, letter)
         return inner
 
@@ -324,7 +368,7 @@ class OffspringOracle(MeasureOracle):
     # ----- tail certificates --------------------------------------------
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
-        if self.state != self._root:
+        if self.state != self._nodes.root:
             # The certificates below read the point from the root.
             return None
         start_order = max(2, effort // 4)

@@ -19,7 +19,10 @@ branch and prunes the largest third-reduction offspring down to the
 lazy interleavings of the pair tree left.
 
 Label maps are pure rules of the node and keep no caches; the offspring
-oracle asks each node's label and key once and keeps the answer.
+oracle asks each node's label and key once and keeps the answer. The
+three reductions' labels are dyadic by construction and are computed
+as integer (numerator, exponent) pairs from the presented numerators
+on; only ``LabelMap.label`` turns them into Fractions.
 
 Every label map certifies hulls of its labels along a stretched
 branch by the one rule of ``LabelMap.branch_label_hull``: the labels
@@ -38,17 +41,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .approx import (
-    FunctionPresentation,
-    approx_pair,
-    canonical_approx,
-    nudged_pair,
-    nudged_parts,
-)
+from .approx import FunctionPresentation, canonical_parts, nudged_parts
 from .branches import Branch
 from .dualistic import solid_countable_range
 from .dyadics import ONE, ZERO, dyadic_of_rank, least_dyadic_parts
-from .offspring import LabelMap, OffspringOracle
+from .offspring import LabelMap, OffspringOracle, label_parts_of
 from .oracles import GraftedUnionOracle, MeasureOracle
 from .trees import ExplicitTree, InterleaveTree, PairInterleaveTree, section
 from .words import (
@@ -77,26 +74,25 @@ def _explored_nodes() -> list[Word]:
     return nodes
 
 
-def require_lipschitz(presentation: FunctionPresentation) -> dict[Word, tuple[Fraction, Fraction]]:
+def require_lipschitz(presentation: FunctionPresentation) -> dict[Word, tuple[int, int, int]]:
     """Check presented widths against the node scale on the explored
-    window; returns the intervals read, by node."""
+    window; returns the presented numerators read, by node."""
     intervals = {}
     for node in _explored_nodes():
-        lo, hi = intervals[node] = presentation.presented_interval(node)
-        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        # hi - lo > 2^-len(node), over the common denominator b * d.
-        if (c * b - a * d) << len(node) > b * d:
+        lo, hi, scale = intervals[node] = presentation.presented_numerators(node)
+        if (hi - lo) << len(node) > scale:
             raise ValueError(
-                f"presented interval at {node} is wider than its node scale: ({lo}; {hi})"
+                f"presented interval at {node} is wider than its node scale: "
+                f"({Fraction(lo, scale)}; {Fraction(hi, scale)})"
             )
     return intervals
 
 
-def _adjusted_parts(lo: Fraction, hi: Fraction, node: Word) -> tuple[int, int]:
-    """The adjusted value at a non-empty node with presented interval
-    (lo; hi), as (numerator, exponent): its least dyadic nudged by
+def _adjusted_parts(interval: tuple[int, int, int], node: Word) -> tuple[int, int]:
+    """The adjusted value at a non-empty node with presented numerators
+    (lo, hi, scale), as (numerator, exponent): its least dyadic nudged by
     2^-(len(node)+1), up after an even last letter, down after an odd."""
-    return nudged_parts(*least_dyadic_parts(lo, hi), len(node) + 1, node[-1] % 2 == 0)
+    return nudged_parts(*least_dyadic_parts(*interval), len(node) + 1, node[-1] % 2 == 0)
 
 
 class AnchoredHullLabels(LabelMap):
@@ -115,8 +111,8 @@ class AnchoredHullLabels(LabelMap):
 
     def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
         anchor, pad = self.hull_anchor(branch, horizon)
-        lo, hi = self.presentation.presented_interval(anchor)
-        return max(ZERO, lo - pad), min(ONE, hi + pad)
+        lo, hi, scale = self.presentation.presented_numerators(anchor)
+        return max(ZERO, Fraction(lo, scale) - pad), min(ONE, Fraction(hi, scale) + pad)
 
 
 class OnesParityLabels(LabelMap):
@@ -127,10 +123,10 @@ class OnesParityLabels(LabelMap):
     a 0-tail the parity freezes and the labels converge to 1 or 0.
     """
 
-    def label(self, node: Word) -> Fraction:
-        node = tuple(node)
-        scale = Fraction(1, 1 << (len(node) + 1))
-        return ONE - scale if ones_count(node) % 2 == 0 else scale
+    def label_parts(self, node: Word) -> tuple[int, int]:
+        # 1 - 2^-(L+1) on an even ones count, 2^-(L+1) on an odd one.
+        exponent = len(node) + 1
+        return ((1 << exponent) - 1 if ones_count(node) % 2 == 0 else 1), exponent
 
     def node_key(self, node: Word) -> object:
         return ones_count(node) % 2
@@ -161,10 +157,12 @@ class TailAlternationLabels(AnchoredHullLabels):
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
 
-    def label(self, node: Word) -> Fraction:
+    def label_parts(self, node: Word) -> tuple[int, int]:
+        # The canonical value at the head nudged by 2^-(len(head)+2):
+        # down after an even zero run, up after an odd one.
         head, zeros = split_trailing_zeros(tuple(node))
-        below, above = approx_pair(self.presentation, head)
-        return below if zeros % 2 == 0 else above
+        middle = canonical_parts(self.presentation, head)
+        return nudged_parts(*middle, len(head) + 2, zeros % 2 == 1)
 
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         # Labels past the horizon use extensions of this head, whose
@@ -199,22 +197,23 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
     def __init__(self, presentation: FunctionPresentation):
         self.presentation = presentation
 
-    def adjusted(self, node: Word) -> Fraction:
-        """The canonical value pushed away from its sibling ladder."""
+    def adjusted(self, node: Word) -> tuple[int, int]:
+        """The canonical value pushed away from its sibling ladder, as
+        (numerator, exponent)."""
         node = tuple(node)
         if not node:
-            return canonical_approx(self.presentation, node)
-        numerator, exponent = _adjusted_parts(*self.presentation.presented_interval(node), node)
-        return Fraction(numerator, 1 << exponent)
+            return canonical_parts(self.presentation, node)
+        return _adjusted_parts(self.presentation.presented_numerators(node), node)
 
-    def label(self, word: Word) -> Fraction:
+    def label_parts(self, word: Word) -> tuple[int, int]:
         word = tuple(word)
         if len(word) % 2 == 0:
+            # The adjusted value nudged by 2^-(len(node)+2): up after an
+            # even zero run of the tree half, down after an odd one.
             tree_half, codec_half = deinterleave(word)
             node = decode_head(codec_half[: ones_count(tree_half)])
-            below, above = nudged_pair(self.adjusted(node), len(node))
             _, zeros = split_trailing_zeros(tree_half)
-            return above if zeros % 2 == 0 else below
+            return nudged_parts(*self.adjusted(node), len(node) + 2, zeros % 2 == 0)
         tree_half, codec_half = deinterleave(word[:-1])
         node = bits_to_runs(codec_half[: ones_count(tree_half)] + (1,))
         return self.adjusted(node)
@@ -249,8 +248,8 @@ def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
         children = []
         for k in range(EXPLORE_LETTERS):
             child = node + (k,)
-            lo, hi = intervals.get(child) or presentation.presented_interval(child)
-            children.append(_adjusted_parts(lo, hi, child))
+            interval = intervals.get(child) or presentation.presented_numerators(child)
+            children.append(_adjusted_parts(interval, child))
         scale = max(exponent for _, exponent in children)
         values = [numerator << (scale - exponent) for numerator, exponent in children]
         spread = max(values) - min(values)
@@ -301,8 +300,8 @@ class HeadValueLabels(AnchoredHullLabels):
     def value_at(self, node: Word) -> Fraction:
         raise NotImplementedError
 
-    def label(self, word: Word) -> Fraction:
-        return self.value_at(decode_head(tuple(word)))
+    def label_parts(self, word: Word) -> tuple[int, int] | Fraction:
+        return label_parts_of(self.value_at(decode_head(tuple(word))))
 
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
         return decode_head(branch.prefix(horizon)), ZERO
@@ -317,7 +316,8 @@ class EnumeratedValueLabels(HeadValueLabels):
 
     def value_at(self, node: Word) -> Fraction:
         node = tuple(node)
-        lo, hi = self.presentation.presented_interval(node)
+        lo, hi, scale = self.presentation.presented_numerators(node)
+        lo, hi = Fraction(lo, scale), Fraction(hi, scale)
         for candidate in self.values:
             if lo < candidate < hi and ZERO < candidate < ONE:
                 return candidate
@@ -376,7 +376,8 @@ class GreedyInjectiveLabels(HeadValueLabels):
         got = self.table.get(node)
         if got is not None:
             return got
-        return canonical_approx(self.presentation, node)
+        numerator, exponent = canonical_parts(self.presentation, node)
+        return Fraction(numerator, 1 << exponent)
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,8 @@ def solid_injective(
     used: set[Fraction] = set()
     table: dict[Word, Fraction] = {}
     for node in heads:
-        lo, hi = presentation.presented_interval(node)
+        lo, hi, scale = presentation.presented_numerators(node)
+        lo, hi = Fraction(lo, scale), Fraction(hi, scale)
         pick: Fraction | None = None
         for candidate in values:
             if candidate not in used and lo < candidate < hi and ZERO < candidate < ONE:

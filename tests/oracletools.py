@@ -10,9 +10,28 @@ import functools
 import itertools
 from fractions import Fraction
 
+from cantordensity.approx import (
+    AffineImagePresentation,
+    ConstantPresentation,
+    InjectivePresentation,
+    ReparamPresentation,
+)
 from cantordensity.clopen import ClopenSet
 from cantordensity.dyadics import RatInterval
+from cantordensity.reductions import (
+    InterleavedAdjustedLabels,
+    OnesParityLabels,
+    TailAlternationLabels,
+)
 from cantordensity.trees import materialize
+from cantordensity.words import (
+    bits_to_runs,
+    decode_head,
+    deinterleave,
+    ones_count,
+    runs_to_bits,
+    split_trailing_zeros,
+)
 
 F = Fraction
 THIRD = F(1, 3)
@@ -263,6 +282,133 @@ def letterwise_offspring_bounds(oracle, budget: int):
     return RatInterval(F(bounds[0], 1 << h), F(bounds[1], 1 << h))
 
 
+# ----- presented intervals, least dyadics and labels on Fractions ---------
+
+
+def presented(presentation, node) -> tuple[Fraction, Fraction]:
+    """A presentation's open interval at a node, as two Fractions."""
+    lo, hi, scale = presentation.presented_numerators(node)
+    return F(lo, scale), F(hi, scale)
+
+
+def dyadic_value(parts) -> Fraction:
+    """The value of a dyadic given as (numerator, exponent)."""
+    return F(parts[0], 1 << parts[1])
+
+
+def presented_interval_reference(presentation, node) -> tuple[Fraction, Fraction]:
+    """The presets' and ``ReparamPresentation``'s open intervals by their
+    defining Fraction formulas: the image of the cylinder widened by a
+    margin, and zero padding until the width drops below the node scale."""
+    scale = F(1, 2 ** len(node))
+    if isinstance(presentation, ConstantPresentation):
+        return presentation.constant - scale / 2, presentation.constant + scale / 2
+    if isinstance(presentation, AffineImagePresentation):
+        lo, span = presentation.lo_value, presentation.span
+        v = sum(F(letter % 2, 2 ** (n + 1)) for n, letter in enumerate(node))
+        widen = (1 - span) * scale / 4
+        return lo + span * v - widen, lo + span * (v + scale) + widen
+    if isinstance(presentation, InjectivePresentation):
+        bits = runs_to_bits(tuple(node))
+        margin, squeeze = presentation.margin, 1 - 2 * presentation.margin
+        v = sum(F(bit, 2 ** (n + 1)) for n, bit in enumerate(bits))
+        widen = margin / 2 ** (len(bits) + 1)
+        return (margin + squeeze * v - widen,
+                margin + squeeze * (v + F(1, 2 ** len(bits))) + widen)
+    if isinstance(presentation, ReparamPresentation):
+        image = ()
+        for depth in range(len(node) + 1):
+            start = image = image + tuple(node[depth - 1:depth])
+            for _ in range(presentation.max_pad):
+                lo, hi = presented_interval_reference(presentation.base, image)
+                if hi - lo < F(1, 2 ** depth):
+                    break
+                image = image + (0,)
+            else:
+                raise ValueError(f"presented intervals do not shrink below "
+                                 f"{F(1, 2 ** depth)} behind node {start}")
+        return presented_interval_reference(presentation.base, image)
+    raise TypeError(f"no reference formula for {presentation!r}")
+
+
+def random_preset(rng):
+    """A constant, interval or injective preset with seeded parameters."""
+    kind = rng.randrange(3)
+    q = rng.randrange(3, 200)
+    if kind == 0:
+        return ConstantPresentation(F(rng.randrange(1, q), q))
+    if kind == 1:
+        a, b = sorted(rng.sample(range(1, q), 2))
+        return AffineImagePresentation(F(a, q), F(b, q))
+    return InjectivePresentation(F(rng.randrange(1, (q + 1) // 2), q))
+
+
+def least_dyadic_parts_reference(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """The rank-least dyadic of (0,1) inside (lo, hi), as (numerator,
+    exponent), by the trailing-zeros rule on the two Fractions' own
+    numerators and denominators."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a < 0:
+        a, b = 0, 1
+    if c > d:
+        c, d = 1, 1
+    if a * d >= c * b:
+        raise ValueError(f"no dyadic in empty interval ({F(a, b)}, {F(c, d)})")
+    bits = (b * d).bit_length() + 1
+    low = (a << bits) // b + 1
+    high = ((c << bits) - 1) // d
+    split = (low ^ high).bit_length()
+    if low & ((1 << split) - 1) == 0:
+        best = low
+    else:
+        best = high >> (split - 1) << (split - 1)
+    zeros = (best & -best).bit_length() - 1
+    return best >> zeros, bits - zeros
+
+
+def _nudged_pair_reference(middle: Fraction, depth: int) -> tuple[Fraction, Fraction]:
+    """A dyadic middle moved down and up by 2^-(depth+2), folded into (0;1)."""
+    offset = F(1, 2 ** (depth + 2))
+    return fold_into_unit(middle - offset, middle), fold_into_unit(middle + offset, middle)
+
+
+def _canonical_reference(presentation, node) -> Fraction:
+    return _least_dyadic_reference(*presented_interval_reference(presentation, node))
+
+
+def _adjusted_label_reference(presentation, node) -> Fraction:
+    if not node:
+        return _canonical_reference(presentation, node)
+    return _adjusted_reference(*presented_interval_reference(presentation, node), node)
+
+
+def label_reference(labels, node) -> Fraction:
+    """The label of one of the three reductions' label maps at a node, on
+    Fractions: ones parity, the tail-alternation pair, or the interleaved
+    adjusted value and its pair."""
+    node = tuple(node)
+    if isinstance(labels, OnesParityLabels):
+        scale = F(1, 2 ** (len(node) + 1))
+        return 1 - scale if ones_count(node) % 2 == 0 else scale
+    if isinstance(labels, TailAlternationLabels):
+        head, zeros = split_trailing_zeros(node)
+        below, above = _nudged_pair_reference(_canonical_reference(labels.presentation, head),
+                                              len(head))
+        return below if zeros % 2 == 0 else above
+    if isinstance(labels, InterleavedAdjustedLabels):
+        if len(node) % 2 == 0:
+            tree_half, codec_half = deinterleave(node)
+            run_node = decode_head(codec_half[: ones_count(tree_half)])
+            below, above = _nudged_pair_reference(
+                _adjusted_label_reference(labels.presentation, run_node), len(run_node))
+            _, zeros = split_trailing_zeros(tree_half)
+            return above if zeros % 2 == 0 else below
+        tree_half, codec_half = deinterleave(node[:-1])
+        run_node = bits_to_runs(codec_half[: ones_count(tree_half)] + (1,))
+        return _adjusted_label_reference(labels.presentation, run_node)
+    raise TypeError(f"no reference labels for {labels!r}")
+
+
 # ----- the third reduction's construction checks, by enumeration ---------
 
 
@@ -324,7 +470,7 @@ def third_reduction_check_reference(presentation) -> str | None:
 
     def interval(node):
         if node not in intervals:
-            intervals[node] = presentation.presented_interval(node)
+            intervals[node] = presented(presentation, node)
         return intervals[node]
 
     try:

@@ -14,13 +14,20 @@ from cantordensity.approx import (
     ConstantPresentation,
     InjectivePresentation,
     ReparamPresentation,
-    approx_pair,
-    canonical_approx,
-    nudged_pair,
+    canonical_parts,
+    nudged_parts,
 )
 from cantordensity.branches import Branch
+from cantordensity.dyadics import least_dyadic_parts
 from cantordensity.reductions import _adjusted_parts
-from oracletools import fold_into_unit
+from oracletools import (
+    dyadic_value,
+    fold_into_unit,
+    least_dyadic_parts_reference,
+    presented,
+    presented_interval_reference,
+    random_preset,
+)
 
 F = Fraction
 
@@ -39,6 +46,16 @@ def binary_nodes(depth):
         yield from itertools.product((0, 1), repeat=k)
 
 
+def canonical_approx(presentation, node):
+    return dyadic_value(canonical_parts(presentation, node))
+
+
+def approx_pair(presentation, node):
+    """The canonical value nudged down and up by 2^-(len(node)+2)."""
+    middle = canonical_parts(presentation, node)
+    return tuple(dyadic_value(nudged_parts(*middle, len(node) + 2, up)) for up in (False, True))
+
+
 def test_canonical_values_frozen():
     assert canonical_approx(ConstantPresentation(F(1, 3)), ()) == F(1, 2)
     assert canonical_approx(ConstantPresentation(F(1, 3)), (0, 0)) == F(1, 4)
@@ -55,7 +72,7 @@ def test_pair_frozen_at_shallow_nodes():
 def test_containment_and_sibling_bounds_exhaustively():
     for presentation in PRESETS:
         for node in binary_nodes(7):
-            lo, hi = presentation.presented_interval(node)
+            lo, hi = presented(presentation, node)
             middle = canonical_approx(presentation, node)
             assert lo < middle < hi
             scale = F(1, 2 ** len(node))
@@ -70,9 +87,9 @@ def test_containment_and_sibling_bounds_exhaustively():
 def test_presentations_are_nested():
     for presentation in PRESETS:
         for node in binary_nodes(6):
-            lo, hi = presentation.presented_interval(node)
+            lo, hi = presented(presentation, node)
             for letter in (0, 1, 2):
-                clo, chi = presentation.presented_interval(node + (letter,))
+                clo, chi = presented(presentation, node + (letter,))
                 assert lo <= clo and chi <= hi
 
 
@@ -116,7 +133,7 @@ def periodic_points(draw):
 def test_values_live_in_presented_intervals(point, depth):
     for presentation in PRESETS:
         value = presentation.value(point)
-        lo, hi = presentation.presented_interval(point.prefix(depth))
+        lo, hi = presented(presentation, point.prefix(depth))
         assert lo < value < hi
         assert abs(value - canonical_approx(presentation, point.prefix(depth))) < hi - lo
 
@@ -140,26 +157,28 @@ def test_nudge_rule_matches_the_fraction_fold():
         below, above = middle - offset, middle + offset
         folds["pair", "low"] += below <= 0
         folds["pair", "high"] += above >= 1
-        assert nudged_pair(middle, depth) == (fold_into_unit(below, middle),
-                                              fold_into_unit(above, middle))
+        parts = middle.numerator, middle.denominator.bit_length() - 1
+        pair = tuple(dyadic_value(nudged_parts(*parts, depth + 2, up)) for up in (False, True))
+        assert pair == (fold_into_unit(below, middle), fold_into_unit(above, middle))
         # A node of length depth + 1 nudges by the same offset; middle is
         # the least dyadic of the interval, as nothing coarser is that close.
         node = tuple(rng.randrange(4) for _ in range(depth + 1))
-        spread = F(1, 1 << (exponent + 2))
-        numerator, scale = _adjusted_parts(middle - spread, middle + spread, node)
+        numerator = middle.numerator << 2
+        adjusted = _adjusted_parts((numerator - 1, numerator + 1, 1 << (exponent + 2)), node)
         moved = above if node[-1] % 2 == 0 else below
         folds["adjusted", "low"] += moved <= 0
         folds["adjusted", "high"] += moved >= 1
-        assert F(numerator, 1 << scale) == fold_into_unit(moved, middle)
+        assert dyadic_value(adjusted) == fold_into_unit(moved, middle)
     assert len(folds) == 4 and min(folds.values()) >= 1000, folds
 
 
 class _Slow:
     """Presented widths shrink at half speed; values constant 1/2."""
 
-    def presented_interval(self, node):
-        half = F(1, 2 ** (len(node) // 2 + 1))
-        return F(1, 2) - half, F(1, 2) + half
+    def presented_numerators(self, node):
+        # 1/2 -+ 2^-(len(node)//2 + 1), over 2^(len(node)//2 + 1).
+        scale = 1 << (len(node) // 2 + 1)
+        return scale // 2 - 1, scale // 2 + 1, scale
 
     def value(self, point):
         return F(1, 2)
@@ -168,14 +187,14 @@ class _Slow:
 def test_reparam_restores_the_modulus():
     fast = ReparamPresentation(_Slow())
     for node in binary_nodes(6):
-        lo, hi = fast.presented_interval(node)
+        lo, hi = presented(fast, node)
         assert hi - lo < F(1, 2 ** len(node))
         assert lo < canonical_approx(fast, node) < hi
 
 
 class _Stuck:
-    def presented_interval(self, node):
-        return F(1, 4), F(3, 4)
+    def presented_numerators(self, node):
+        return 1, 3, 4
 
     def value(self, point):
         return None
@@ -183,7 +202,7 @@ class _Stuck:
 
 def test_reparam_reports_non_shrinking_nodes():
     with pytest.raises(ValueError, match="do not shrink"):
-        ReparamPresentation(_Stuck(), max_pad=8).presented_interval((0,))
+        ReparamPresentation(_Stuck(), max_pad=8).presented_numerators((0,))
 
 
 def test_preset_validation():
@@ -193,3 +212,41 @@ def test_preset_validation():
         AffineImagePresentation(F(2, 3), F(1, 3))
     with pytest.raises(ValueError):
         InjectivePresentation(F(1, 2))
+
+
+def test_integer_presentations_match_the_fraction_formulas():
+    rng = random.Random(17)
+    for _ in range(400):
+        presentation = random_preset(rng)
+        if rng.random() < 0.25:
+            presentation = ReparamPresentation(presentation)
+        for _ in range(5):
+            node = tuple(rng.randrange(5) for _ in range(rng.randrange(11)))
+            lo, hi, scale = presentation.presented_numerators(node)
+            assert scale > 0
+            expected = presented_interval_reference(presentation, node)
+            assert (F(lo, scale), F(hi, scale)) == expected, (presentation, node)
+            assert least_dyadic_parts(lo, hi, scale) == least_dyadic_parts_reference(*expected)
+
+
+def test_least_dyadic_parts_match_the_fraction_rule():
+    # Endpoints inside and outside (0;1), unreduced scales, and empty
+    # intervals, whose messages must name the same clipped ends.
+    rng = random.Random(1705)
+    outcomes = Counter()
+    for _ in range(5000):
+        scale = rng.randrange(1, 1 << rng.randrange(1, 40))
+        lo = rng.randrange(-scale, 2 * scale)
+        hi = lo + rng.randrange(-2, scale + 3)
+        try:
+            got = least_dyadic_parts(lo, hi, scale)
+        except ValueError as err:
+            got = str(err)
+        try:
+            expected = least_dyadic_parts_reference(F(lo, scale), F(hi, scale))
+        except ValueError as err:
+            expected = str(err)
+        assert got == expected, (lo, hi, scale)
+        outcomes["empty" if isinstance(got, str) else "dyadic",
+                 "outside" if lo < 0 or hi > scale else "inside"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes

@@ -1,5 +1,6 @@
 """Prescribed-measure constructions against the independent series oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,27 @@ def test_spongy_measure_equals_series(rate):
     oracle = SpongyMeasureOracle(rate)
     assert oracle.measure_bounds() == RatInterval.point(spongy_series_measure(rate))
     assert spongy_series_measure(rate) == rate
+
+
+def test_spongy_root_bound_is_the_whole_series():
+    # The root answers with the measure itself: tail_sum(1) sums the
+    # whole series, the leading 1-digits included, so the two agree.
+    # Rates with a late first zero digit run long 1-digit heads.
+    rng = random.Random(130)
+    rates = [THIRD, F(0)]
+    while len(rates) < 2000:
+        if rng.random() < 0.5:
+            q = rng.randrange(1, 10**6)
+            rates.append(F(rng.randrange(q // 3 + 1), q))
+        else:
+            first_zero = rng.randrange(1, 60)
+            head = (1 - F(1, 4 ** (first_zero - 1))) / 3
+            tail = F(rng.randrange(1 << 20), 1 << 20) / 4**first_zero
+            rates.append(head + tail)
+    for rate in rates:
+        oracle = SpongyMeasureOracle(rate)
+        assert oracle.measure_bounds() == RatInterval.point(oracle.tail_sum(1)), rate
+        assert oracle.measure_bounds() == RatInterval.point(rate)
 
 
 def test_spongy_spine_bound():

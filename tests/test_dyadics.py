@@ -10,11 +10,18 @@ from cantordensity.dyadics import (
     dyadic_rank,
     format_fraction,
     is_dyadic,
-    least_dyadic_in,
+    least_dyadic_parts,
     parse_fraction,
 )
 
 F = Fraction
+
+
+def least_dyadic_in(lo, hi):
+    """The least dyadic between two Fractions, over their common denominator."""
+    scale = lo.denominator * hi.denominator
+    parts = least_dyadic_parts(lo.numerator * hi.denominator, hi.numerator * lo.denominator, scale)
+    return F(parts[0], 1 << parts[1])
 
 
 def test_is_dyadic():

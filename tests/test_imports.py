@@ -1,6 +1,7 @@
 """Every name a source module imports is used in that module, every
-name it defines at top level is used somewhere, and every class method
-is looked up as an attribute somewhere."""
+name it defines at top level is used somewhere, every class method is
+looked up as an attribute somewhere, and every attribute a class
+declares or stores on its instances is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -87,9 +88,14 @@ def looked_up_attributes(tree: ast.Module) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def unused_definitions() -> list[str]:
+def parsed_modules() -> dict[Path, ast.Module]:
+    """Every module under src/, tests/ and bench/, parsed."""
     files = [p for folder in ("src", "tests", "bench") for p in sorted((ROOT / folder).rglob("*.py"))]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+
+
+def unused_definitions() -> list[str]:
+    trees = parsed_modules()
     referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
     looked_up = set().union(*(looked_up_attributes(tree) for tree in trees.values()))
     unused = []
@@ -123,6 +129,55 @@ def test_detector_flags_an_unused_method():
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def class_attributes(tree: ast.Module) -> list[str]:
+    """The attributes of top-level classes: names assigned in the class
+    body (fields, constants, tags) and attributes stored on ``self``
+    inside its methods, without dunder names."""
+    names = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.Assign):
+                names.extend(t.id for t in item.targets if isinstance(t, ast.Name))
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.append(item.target.id)
+        for stored in ast.walk(node):
+            if (isinstance(stored, ast.Attribute) and isinstance(stored.ctx, ast.Store)
+                    and isinstance(stored.value, ast.Name) and stored.value.id == "self"):
+                names.append(stored.attr)
+    return [name for name in dict.fromkeys(names) if not _dunder(name)]
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names read in a module: a store does not count."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+
+
+def unread_attributes() -> list[str]:
+    trees = parsed_modules()
+    read = set().union(*(read_attributes(tree) for tree in trees.values()))
+    return [f"{path.name}: {name}" for path in SOURCES
+            for name in class_attributes(trees[path]) if name not in read]
+
+
+def test_detector_flags_an_unread_class_attribute():
+    tree = ast.parse(
+        "class C:\n    kind = 'tag'\n    width: int\n    __slots__ = ()\n"
+        "    def __init__(self):\n        self.seen = {}\n        self.cache = {}\n"
+        "    def look(self):\n        return self.cache\n"
+        "kind = 1\nprint(kind)\n"
+    )
+    assert class_attributes(tree) == ["kind", "width", "seen", "cache"]
+    # Reading a global of the same name, or storing the attribute, is no read.
+    assert read_attributes(tree) == {"cache"}
+
+
+def test_every_class_attribute_is_read():
+    assert unread_attributes() == []
 
 
 def imported_modules(source: str) -> set[str]:

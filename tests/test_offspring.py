@@ -1,5 +1,6 @@
 """Offspring oracles checked against independent cell enumeration."""
 
+import copy
 import itertools
 import random
 import tracemalloc
@@ -9,13 +10,14 @@ import pytest
 
 from cantordensity.approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
 from cantordensity.branches import Branch, StretchedBranch, interleave_branches
-from cantordensity.dualistic import SpongyMeasureOracle
+from cantordensity.dualistic import SpongyMeasureOracle, dualistic_of_measure
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, UNIT, RatInterval
 from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build, offspring_prune
 from cantordensity.reductions import first_reduction, second_reduction, third_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
 from cantordensity.words import triangular
-from oracletools import letterwise_offspring_bounds, offspring_cell_bounds
+from oracletools import (letterwise_offspring_bounds, offspring_cell_bounds,
+                         spongy_local_measure)
 
 HALF_TABLE = ExplicitLabels({}, F(1, 2))
 EIGHTHS = tuple(F(k, 8) for k in range(9))
@@ -487,6 +489,33 @@ def test_second_trace_step_costs_no_more_than_the_first(monkeypatch):
         list(second_reduction(ExplicitTree.full_binary()).trace(point, depth, window=4000))
         costs.append(calls[0])
     assert 0 < costs[1] <= 2 * costs[0]
+
+
+def test_child_views_copy_nothing(monkeypatch):
+    # A child step builds a light view on the shared node states; no
+    # oracle is copied, however long the walk.
+    def refuse(_):
+        raise AssertionError("copy.copy called")
+
+    monkeypatch.setattr(copy, "copy", refuse)
+    point = StretchedBranch(Branch((), (1, 1, 0)))
+    presentation = InjectivePresentation(F(1, 8))
+    oracles = [second_reduction(ExplicitTree.full_binary()),
+               first_reduction(presentation, ExplicitTree.full_binary()),
+               third_reduction(presentation, ExplicitTree.full_binary()),
+               offspring_build(ExplicitTree.full_binary(), {(1,): F(2, 7)})]
+    prefix = point.prefix(300)
+    for oracle in oracles:
+        view = oracle
+        for letter in prefix:
+            view = view.child(letter)
+            if isinstance(view, OffspringOracle):
+                assert view._nodes.entered is oracle._nodes.entered
+        assert oracle.localize(prefix).measure_bounds(4) == view.measure_bounds(4)
+    spongy = dualistic_of_measure(F(1, 5)).oracle
+    for word in ((0,) * 300, (0,) * 150 + (1,) * 150):
+        assert spongy.localize(word).measure_bounds() == RatInterval.point(
+            spongy_local_measure(spongy.measure, word))
 
 
 def test_localized_oracle_gives_no_root_certificate():

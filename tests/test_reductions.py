@@ -10,13 +10,13 @@ from cantordensity.approx import (
     AffineImagePresentation,
     ConstantPresentation,
     InjectivePresentation,
-    approx_pair,
-    canonical_approx,
+    canonical_parts,
+    nudged_parts,
 )
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.dualistic import solid_countable_range
 from cantordensity.dyadics import RatInterval, dyadic_of_rank
-from cantordensity.offspring import OffspringOracle
+from cantordensity.offspring import ExplicitLabels, OffspringOracle
 from cantordensity.reductions import (
     EnumeratedValueLabels,
     InterleavedAdjustedLabels,
@@ -34,7 +34,14 @@ from cantordensity.reductions import (
 )
 from cantordensity.trees import ExplicitTree, PairInterleaveTree, materialize, periodic, section
 from cantordensity.words import ones_count
-from oracletools import interleave_closure, points_at_depth, third_reduction_check_reference
+from oracletools import (
+    dyadic_value,
+    interleave_closure,
+    label_reference,
+    points_at_depth,
+    random_preset,
+    third_reduction_check_reference,
+)
 
 HALF = ConstantPresentation(F(1, 2))
 INJ = InjectivePresentation(F(1, 4))
@@ -113,9 +120,53 @@ def test_tail_alternation_parity_law(presentation):
         while head and head[-1] == 0:
             head = head[:-1]
             zeros += 1
-        below, above = approx_pair(presentation, head)
+        middle = canonical_parts(presentation, head)
+        below, above = (nudged_parts(*middle, len(head) + 2, up) for up in (False, True))
         expected = below if zeros % 2 == 0 else above
-        assert labels.label(t) == expected
+        assert labels.label(t) == dyadic_value(expected)
+
+
+def _reduced_copy_key(key) -> bool:
+    _, a, k = key
+    return a % 2 == 1 or (a, k) in ((0, 0), (1, 0))
+
+
+def test_labels_match_the_fraction_reference_and_keys_stay_reduced():
+    # The three reductions' labels are integer rules; their values must
+    # be the Fraction-era labels, and every copy key the oracle builds
+    # from them a reduced dyadic. Explicit tables keep non-dyadic values.
+    rng = random.Random(1705)
+    label_maps = [OnesParityLabels()]
+    for preset in [HALF, AFFINE, INJ] + [random_preset(rng) for _ in range(24)]:
+        label_maps += [TailAlternationLabels(preset), InterleavedAdjustedLabels(preset)]
+    seen = Counter()
+    for labels in label_maps:
+        nodes = OffspringOracle(ExplicitTree.full_binary(), labels)._nodes
+        for _ in range(60):
+            node = tuple(rng.randrange(2) for _ in range(rng.randrange(13)))
+            expected = label_reference(labels, node)
+            assert labels.label(node) == expected, (labels, node)
+            key = nodes.flag(node)[0]
+            assert key[0] == "copy" and _reduced_copy_key(key), (labels, node, key)
+            assert dyadic_value(key[1:]) == expected
+            seen[type(labels).__name__] += 1
+    for _ in range(40):
+        values = [F(rng.randrange(q + 1), q) for q in (2, 3, 4, 7, 8, 64) for _ in range(3)]
+        table = {tuple(rng.randrange(2) for _ in range(rng.randrange(6))): rng.choice(values)
+                 for _ in range(8)}
+        labels = ExplicitLabels(table, rng.choice(values))
+        nodes = OffspringOracle(ExplicitTree.full_binary(), labels)._nodes
+        for node in points_at_depth(5):
+            node = node[: rng.randrange(6)]
+            expected = table.get(node, labels.default)
+            assert labels.label(node) == expected
+            key = nodes.flag(node)[0]
+            if key[0] == "copy":
+                assert _reduced_copy_key(key) and dyadic_value(key[1:]) == expected
+            else:
+                assert key == ("stand-in", expected)
+            seen["ExplicitLabels", key[0]] += 1
+    assert len(seen) == 5, seen
 
 
 def test_offspring_asks_each_node_once():
@@ -123,9 +174,9 @@ def test_offspring_asks_each_node_once():
     asked = Counter()
 
     class CountedParity(OnesParityLabels):
-        def label(self, node):
+        def label_parts(self, node):
             asked["label", tuple(node)] += 1
-            return super().label(node)
+            return super().label_parts(node)
 
         def node_key(self, node):
             asked["node_key", tuple(node)] += 1
@@ -160,9 +211,9 @@ def test_first_reduction_spine_oscillates():
 
 def test_interleaved_frozen_values():
     labels = InterleavedAdjustedLabels(HALF)
-    assert labels.adjusted(()) == F(1, 2)
-    assert labels.adjusted((0,)) == F(3, 4)
-    assert labels.adjusted((1,)) == F(1, 4)
+    assert labels.adjusted(()) == (1, 1)
+    assert labels.adjusted((0,)) == (3, 2)
+    assert labels.adjusted((1,)) == (1, 2)
     # Even length reads the raised or lowered variant of the run node.
     assert labels.label((1, 1)) == F(7, 8)
     # Odd length closes the dangling run with a one first.
@@ -178,7 +229,7 @@ def test_interleaved_sibling_spread_law(presentation):
             u for u in _nat_words_of(length) if max(u) < 4
         )
     for u in parents:
-        children = [labels.adjusted(u + (k,)) for k in range(4)]
+        children = [dyadic_value(labels.adjusted(u + (k,))) for k in range(4)]
         for i, a in enumerate(children):
             for b in children[i + 1:]:
                 assert abs(a - b) < F(2, 1 << len(u))
@@ -204,13 +255,14 @@ class TablePresentation:
     def __init__(self, seed):
         self.seed = seed
 
-    def presented_interval(self, node):
+    def presented_numerators(self, node):
         # Hashes of integer tuples do not depend on the hash seed.
         draw = hash((self.seed, node))
-        middle = F(draw % 35 - 1, 32)
+        # The middle (draw % 35 - 1)/32, over 800 * 2^len(node).
+        middle = (draw % 35 - 1) * 25 << len(node)
         # Wider than the node scale one time in 401.
-        half_width = F((draw >> 8) % 401 + 1, 800 << len(node))
-        return middle - half_width, middle + half_width
+        half_width = (draw >> 8) % 401 + 1
+        return middle - half_width, middle + half_width, 800 << len(node)
 
     def value(self, point):
         return None
@@ -242,9 +294,9 @@ class ReadOnce:
         self.inner = inner
         self.intervals = {}
 
-    def presented_interval(self, node):
+    def presented_numerators(self, node):
         if node not in self.intervals:
-            self.intervals[node] = self.inner.presented_interval(node)
+            self.intervals[node] = self.inner.presented_numerators(node)
         return self.intervals[node]
 
     def value(self, point):
@@ -275,8 +327,8 @@ def test_third_reduction_rejects_cancelling_presentation():
 
 
 class WidePresentation:
-    def presented_interval(self, node):
-        return F(1, 100), F(99, 100)
+    def presented_numerators(self, node):
+        return 1, 99, 100
 
     def value(self, point):
         return F(1, 2)
@@ -356,7 +408,7 @@ def test_solid_injective_greedy_assignment():
     assignments = dict(built.assignments)
     deep = (0,) * 9
     assert deep not in assignments
-    assert body.labels.value_at(deep) == canonical_approx(INJ, deep)
+    assert body.labels.value_at(deep) == dyadic_value(canonical_parts(INJ, deep))
     assert body.labels.value_at((0, 0, 0)) == assignments[(0, 0, 0)]
 
 
