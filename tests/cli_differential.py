@@ -1,9 +1,9 @@
 """Seeded differential of the command line between two source trees.
 
-    python tests/cli_differential.py OLD_ROOT NEW_ROOT [--seed N] [--calls N]
+    python tests/cli_differential.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding ``src/cantordensity``. The script draws
-``--calls`` seeded ``measure``, ``trace`` and ``classify`` invocations
+``CALLS`` seeded ``measure``, ``trace`` and ``classify`` invocations
 on the three reductions (every preset, full and random trees), explicit
 offspring sets (dyadic and non-dyadic labels) and countable-range sets,
 writes their documents to a temporary folder and runs every call once
@@ -25,6 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 from random import Random
+
+SEED = 17
+CALLS = 600
 
 
 def _fraction(rng: Random) -> str:
@@ -142,8 +145,6 @@ def _results(root: Path, cases: Path) -> list[dict]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("roots", nargs=2, type=Path)
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--calls", type=int, default=600)
     parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
@@ -151,7 +152,7 @@ def main() -> int:
         run_calls(root, json.loads(cases.read_text(encoding="utf-8")))
         return 0
     with tempfile.TemporaryDirectory() as folder:
-        calls = draw_calls(args.seed, args.calls, Path(folder))
+        calls = draw_calls(SEED, CALLS, Path(folder))
         cases = Path(folder) / "calls.json"
         cases.write_text(json.dumps(calls), encoding="utf-8")
         old, new = (_results(root.resolve(), cases) for root in args.roots)

@@ -343,29 +343,6 @@ def random_preset(rng):
     return InjectivePresentation(F(rng.randrange(1, (q + 1) // 2), q))
 
 
-def least_dyadic_parts_reference(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-    """The rank-least dyadic of (0,1) inside (lo, hi), as (numerator,
-    exponent), by the trailing-zeros rule on the two Fractions' own
-    numerators and denominators."""
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    if a < 0:
-        a, b = 0, 1
-    if c > d:
-        c, d = 1, 1
-    if a * d >= c * b:
-        raise ValueError(f"no dyadic in empty interval ({F(a, b)}, {F(c, d)})")
-    bits = (b * d).bit_length() + 1
-    low = (a << bits) // b + 1
-    high = ((c << bits) - 1) // d
-    split = (low ^ high).bit_length()
-    if low & ((1 << split) - 1) == 0:
-        best = low
-    else:
-        best = high >> (split - 1) << (split - 1)
-    zeros = (best & -best).bit_length() - 1
-    return best >> zeros, bits - zeros
-
-
 def _nudged_pair_reference(middle: Fraction, depth: int) -> tuple[Fraction, Fraction]:
     """A dyadic middle moved down and up by 2^-(depth+2), folded into (0;1)."""
     offset = F(1, 2 ** (depth + 2))
@@ -373,7 +350,7 @@ def _nudged_pair_reference(middle: Fraction, depth: int) -> tuple[Fraction, Frac
 
 
 def _canonical_reference(presentation, node) -> Fraction:
-    return _least_dyadic_reference(*presented_interval_reference(presentation, node))
+    return least_dyadic_reference(*presented_interval_reference(presentation, node))
 
 
 def _adjusted_label_reference(presentation, node) -> Fraction:
@@ -412,7 +389,7 @@ def label_reference(labels, node) -> Fraction:
 # ----- the third reduction's construction checks, by enumeration ---------
 
 
-def _least_dyadic_reference(lo: Fraction, hi: Fraction) -> Fraction:
+def least_dyadic_reference(lo: Fraction, hi: Fraction) -> Fraction:
     """Rank-least dyadic strictly inside (lo, hi) clipped to (0, 1): the
     first midpoint met when bisecting [0, 1] toward the interval."""
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
@@ -449,7 +426,7 @@ def fold_into_unit(value: Fraction, anchor: Fraction) -> Fraction:
 
 
 def _adjusted_reference(lo: Fraction, hi: Fraction, node) -> Fraction:
-    base = _least_dyadic_reference(lo, hi)
+    base = least_dyadic_reference(lo, hi)
     offset = _SCALES[len(node) + 1]
     return fold_into_unit(base + offset if node[-1] % 2 == 0 else base - offset, base)
 

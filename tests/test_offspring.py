@@ -511,8 +511,11 @@ def test_child_views_copy_nothing(monkeypatch):
             view = view.child(letter)
             if isinstance(view, OffspringOracle):
                 assert view._nodes.entered is oracle._nodes.entered
+                assert vars(view).keys() == vars(oracle).keys()
         assert oracle.localize(prefix).measure_bounds(4) == view.measure_bounds(4)
     spongy = dualistic_of_measure(F(1, 5)).oracle
+    # A view carries every attribute that __init__ sets.
+    assert vars(spongy.child(0)).keys() == vars(spongy).keys()
     for word in ((0,) * 300, (0,) * 150 + (1,) * 150):
         assert spongy.localize(word).measure_bounds() == RatInterval.point(
             spongy_local_measure(spongy.measure, word))
