@@ -119,8 +119,8 @@ def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
     point = jsonio.branch_from_spec(_load_document(branch_path))
     _check_printable(budget)
-    for n, bounds in enumerate(oracle.trace(point, steps - 1, window=budget)):
-        print(jsonio.trace_line(n, bounds), flush=True)
+    for line in jsonio.trace_lines(oracle.trace(point, steps - 1, window=budget)):
+        print(line, flush=True)
 
 
 @main.command()
@@ -137,7 +137,12 @@ def classify(set_path: str, branch_path: str, eps: str, max_depth: int) -> None:
     if epsilon <= 0:
         raise ValueError(f"eps must be positive: {eps}")
     verdict = oracle.classify(point, eps=epsilon, max_depth=max_depth)
-    print(json.dumps(jsonio.verdict_record(verdict)))
+    try:
+        record = jsonio.verdict_record(verdict)
+    except ValueError:  # only from an integer too long to print
+        raise ValueError(f"verdict at depth {verdict.depth} is too large: its bounds would have "
+                         f"over {sys.get_int_max_str_digits()} digits") from None
+    print(json.dumps(record))
 
 
 # ---------------------------------------------------------------- build

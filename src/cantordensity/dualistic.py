@@ -14,8 +14,9 @@ read off the base-4 digits of r. Larger measures take a clopen chunk
 carved from the second family plus such a remainder set.
 
 All oracles in this module are exact: localized measures come out as
-point intervals at every budget, through closed-form digit and
-geometric-series arithmetic rather than enumeration.
+point intervals at every budget, through closed-form geometric-series
+arithmetic on base-4 digits read off the measure's numerator and
+denominator by integer shifts and remainders, never by enumeration.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ class SpongyMeasureOracle(MeasureOracle):
         self.zeros = 0
 
     def _digit(self, j: int) -> int:
-        scaled = self.measure * (4**j)
-        return int(scaled) - 4 * int(scaled / 4)
+        return (self.measure.numerator << 2 * j) // self.measure.denominator % 4
 
     def _first_zero_digit(self) -> int:
         j = 1
@@ -109,8 +109,9 @@ class SpongyMeasureOracle(MeasureOracle):
         if self.h is None:
             return Fraction(4, 3) * Fraction(1, 4**m)
         start = max(m, self.h)
-        # Digits from position start+1 on are the base-4 tail of r.
-        tail = self.measure - Fraction(int(self.measure * 4**start), 4**start)
+        # Digits from position start+1 on are the base-4 tail of r = p/q.
+        p, q = self.measure.numerator, self.measure.denominator
+        tail = Fraction((p << 2 * start) % q, q << 2 * start)
         if m < self.h:
             tail += (Fraction(4, 4**m) - Fraction(4, 4**self.h)) / 3
         return tail
@@ -251,5 +252,5 @@ def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     parts: list[tuple[Word, MeasureOracle]] = []
     for n, value in enumerate(values, start=1):
         piece = SegmentOracle(value) if is_dyadic(value) else dualistic_of_measure(value).oracle
-        parts.append((first_family_word(n), SpinePrefixOracle(piece)))
+        parts.append((first_family_word(n), SpinePrefixOracle(piece, value)))
     return SolidCountableRange(tuple(values), GraftedUnionOracle(parts))

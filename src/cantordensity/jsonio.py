@@ -18,12 +18,14 @@ different exit codes.
 Conventions: rationals are reduced "p/q" strings; words are digit
 strings ("" is the root), with integer arrays also accepted for
 natural-number words; every record this module emits formats
-rationals the same way.
+rationals the same way, and ``trace_lines`` formats a run of one
+interval object once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .approx import (
     AffineImagePresentation,
@@ -275,12 +277,16 @@ def interval_record(interval: RatInterval) -> dict:
     return {"lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
 
 
-def trace_line(n: int, interval: RatInterval) -> str:
-    """The JSON text of the record {"n", "lo", "hi"}, as ``json.dumps``
-    writes it: formatted rationals hold only digits, "-" and "/", which
-    JSON strings carry unescaped."""
-    lo, hi = format_fraction(interval.lo), format_fraction(interval.hi)
-    return f'{{"n": {n}, "lo": "{lo}", "hi": "{hi}"}}'
+def trace_lines(bounds: Iterable[RatInterval]) -> Iterator[str]:
+    """The JSON text of each record {"n", "lo", "hi"}, n from 0, as
+    ``json.dumps`` writes it (formatted rationals hold only digits, "-"
+    and "/", which JSON strings carry unescaped), one body per run."""
+    last = body = None
+    for n, interval in enumerate(bounds):
+        if interval is not last:
+            last = interval
+            body = f'"lo": "{format_fraction(interval.lo)}", "hi": "{format_fraction(interval.hi)}"}}'
+        yield f'{{"n": {n}, {body}'
 
 
 def verdict_record(verdict: Verdict) -> dict:

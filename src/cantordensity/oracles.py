@@ -19,8 +19,9 @@ structure it replaces answers, an empty part adds exactly 0 to a
 disjoint sum, and the complement of a settled set is the other one.
 
 On top of these sit traces (bounds along a branch's prefixes, one
-``child`` step and one fresh evaluation per depth) and a classifier
-with three verdicts:
+``child`` step and one fresh evaluation per depth; past settling, or on
+a spine that is its own child, every depth answers one shared interval
+object, which a printer formats once) and a classifier with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval
@@ -43,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
@@ -388,12 +390,17 @@ class GraftedUnionOracle(MeasureOracle):
         return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        lo = hi = ZERO
+        # Integer numerators over one common denominator, the lcm of the
+        # parts' scaled ones: one Fraction per endpoint, built at the end.
+        lo, hi, den = 0, 0, 1
         for graft, part in self.parts:
             bounds = part.measure_bounds(budget - len(graft))
-            lo += Fraction(bounds.lo.numerator, bounds.lo.denominator << len(graft))
-            hi += Fraction(bounds.hi.numerator, bounds.hi.denominator << len(graft))
-        return RatInterval(lo, hi)
+            d_lo, d_hi = bounds.lo.denominator << len(graft), bounds.hi.denominator << len(graft)
+            common = lcm(den, d_lo, d_hi)
+            lo = lo * (common // den) + bounds.lo.numerator * (common // d_lo)
+            hi = hi * (common // den) + bounds.hi.numerator * (common // d_hi)
+            den = common
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # No graft word is longer than this prefix, so by now the point
@@ -412,12 +419,12 @@ class SpinePrefixOracle(MeasureOracle):
     Its localized measure along the zero spine is the piece's measure
     at every single depth: the grafted copies below 0^m contribute the
     geometric series sum 2^m * sum_{j >= m} 2^-(j+1) * r = r exactly.
-    The piece must be exact: its point bounds are read once.
+    The piece must be exact, of measure r: the bounds are that value.
     """
 
-    def __init__(self, piece: MeasureOracle):
+    def __init__(self, piece: MeasureOracle, measure: Fraction):
         self.piece = piece
-        self.bounds = piece.measure_bounds()
+        self.bounds = RatInterval.point(measure)
 
     def child(self, letter: int) -> MeasureOracle:
         return self if letter == 0 else self.piece

@@ -5,7 +5,12 @@
 Each root is a checkout holding ``src/cantordensity``. The script draws
 ``CALLS`` seeded ``measure``, ``trace`` and ``classify`` invocations
 on the three reductions (every preset, full and random trees), explicit
-offspring sets (dyadic and non-dyadic labels) and countable-range sets,
+offspring sets (dyadic and non-dyadic labels), countable-range sets,
+dualistic sets on both sides of 1/3, clopen sets, and ``compose``
+(complemented or not) and ``complement`` documents over all of these.
+Traces and classifications of the exact kinds mostly run along
+eventually periodic points that enter a graft: a compose prefix, a
+0^n 1^n site or a clopen word. The script
 writes their documents to a temporary folder and runs every call once
 per root, in-process in one child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
@@ -63,8 +68,15 @@ def _preset(rng: Random) -> dict:
     return {"preset": "injective", "eps": f"{rng.randrange(1, (q + 1) // 2)}/{q}"}
 
 
-def _set(rng: Random) -> dict:
-    kind = rng.randrange(5)
+def _measure(rng: Random, low: bool) -> str:
+    """A rational in (0;1/3] when low, in (1/3;1) otherwise."""
+    q = rng.choice((3, 7, 12, 50, 99, 100, 999))
+    p = rng.randrange(1, q // 3 + 1) if low else rng.randrange(q // 3 + 1, q)
+    return f"{p}/{q}"
+
+
+def _set(rng: Random, nesting: int = 0) -> dict:
+    kind = rng.randrange(9 if nesting < 2 else 6)
     if kind < 3:
         doc = {"kind": "reduction", "which": ("first", "second", "third")[kind]}
         if kind != 1:
@@ -77,11 +89,41 @@ def _set(rng: Random) -> dict:
         labels = {node: _fraction(rng) for node in tree["nodes"] if rng.random() < 0.5}
         return {"kind": "offspring", "tree": tree, "labels": labels,
                 "default_label": _fraction(rng)}
-    values = list(dict.fromkeys(_fraction(rng) for _ in range(rng.randrange(1, 5))))
-    return {"kind": "countable-range", "values": values}
+    if kind == 4:
+        values = list(dict.fromkeys(_fraction(rng) for _ in range(rng.randrange(1, 5))))
+        return {"kind": "countable-range", "values": values}
+    if kind == 5:
+        return {"kind": "dualistic", "measure": _measure(rng, rng.random() < 0.5)}
+    if kind == 6:
+        return {"kind": "clopen", "words": [_word(rng, rng.randrange(6))
+                                            for _ in range(rng.randrange(1, 4))]}
+    if kind == 7:
+        return {"kind": "complement", "of": _set(rng, nesting + 1)}
+    prefixes = rng.choice((["0", "10", "11"], ["00", "01", "1"], [""], ["1"], ["000", "001", "01"]))
+    chosen = rng.sample(prefixes, rng.randrange(1, len(prefixes) + 1))
+    return {"kind": "compose", "complemented": rng.random() < 0.5,
+            "parts": [{"prefix": prefix, "set": _set(rng, nesting + 1)} for prefix in chosen]}
 
 
-def _branch(rng: Random) -> dict:
+def _entering_head(rng: Random, doc: dict) -> str:
+    """A word that enters a graft of the set, if it has any."""
+    if doc["kind"] == "compose":
+        part = rng.choice(doc["parts"])
+        return part["prefix"] + _entering_head(rng, part["set"])
+    if doc["kind"] == "complement":
+        return _entering_head(rng, doc["of"])
+    if doc["kind"] == "clopen":
+        return rng.choice(doc["words"])
+    if doc["kind"] in ("dualistic", "countable-range"):
+        n = rng.randrange(1, 5)
+        return "0" * n + "1" * n
+    return ""
+
+
+def _branch(rng: Random, doc: dict) -> dict:
+    if doc["kind"] not in ("reduction", "offspring") and rng.random() < 0.7:
+        return {"kind": "ev_periodic", "head": _entering_head(rng, doc) + _word(rng, rng.randrange(3)),
+                "period": _word(rng, rng.randrange(1, 4))}
     kind = rng.randrange(4)
     periodic = {"kind": "ev_periodic", "head": _word(rng, rng.randrange(4)),
                 "period": _word(rng, rng.randrange(1, 4))}
@@ -102,14 +144,15 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
     out = []
     for index in range(calls):
         set_path = folder / f"set{index}.json"
-        set_path.write_text(json.dumps(_set(rng)), encoding="utf-8")
+        doc = _set(rng)
+        set_path.write_text(json.dumps(doc), encoding="utf-8")
         verb = ("measure", "trace", "classify")[index % 3]
         if verb == "measure":
             out.append(["measure", "--set", str(set_path), "--prefix", _word(rng, rng.randrange(6)),
                         "--budget", str(rng.randrange(41))])
             continue
         branch_path = folder / f"branch{index}.json"
-        branch_path.write_text(json.dumps(_branch(rng)), encoding="utf-8")
+        branch_path.write_text(json.dumps(_branch(rng, doc)), encoding="utf-8")
         if verb == "trace":
             out.append(["trace", "--set", str(set_path), "--branch", str(branch_path),
                         "--steps", str(rng.randrange(1, 61)), "--budget", str(rng.randrange(25))])

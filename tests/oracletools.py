@@ -118,6 +118,43 @@ def spongy_local_measure(rate: Fraction, word) -> Fraction:
     return cylinder_local_measure(piece.words, rest, max(len(rest), piece.depth))
 
 
+
+def base4_digit_reference(rate: Fraction, j: int) -> int:
+    """The j-th base-4 digit of a rate in [0, 1), by Fraction scaling."""
+    scaled = rate * 4**j
+    return int(scaled) - 4 * int(scaled / 4)
+
+
+def spongy_tail_sum_reference(rate: Fraction, m: int) -> Fraction:
+    """Sum over n >= m of f(n) 4^-n for the graft family of a rate below
+    1/3, by Fraction arithmetic: the first zero digit h is found with
+    ``base4_digit_reference``, the tail past max(m, h) is the rate minus
+    its truncation there, and the pieces of digit 1 before h add a
+    geometric head."""
+    h = 1
+    while base4_digit_reference(rate, h):
+        h += 1
+    start = max(m, h)
+    tail = rate - F(int(rate * 4**start), 4**start)
+    if m < h:
+        tail += (F(4, 4**m) - F(4, 4**h)) / 3
+    return tail
+
+
+def grafted_union_bounds_reference(oracle, budget: int) -> RatInterval:
+    """``measure_bounds`` of a grafted union by Fraction sums: each part
+    adds its bounds scaled by 2^-len(graft), two normalized Fractions per
+    part. Nested grafted unions are summed the same way."""
+    lo = hi = F(0)
+    for graft, part in oracle.parts:
+        if type(part) is type(oracle):
+            bounds = grafted_union_bounds_reference(part, budget - len(graft))
+        else:
+            bounds = part.measure_bounds(budget - len(graft))
+        lo += F(bounds.lo.numerator, bounds.lo.denominator << len(graft))
+        hi += F(bounds.hi.numerator, bounds.hi.denominator << len(graft))
+    return RatInterval(lo, hi)
+
 def antichain_measure(words) -> Fraction:
     """Sum of cylinder masses; valid when the words are incomparable."""
     return sum((F(1, 2 ** len(w)) for w in words), F(0))

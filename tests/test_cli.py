@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from cantordensity import offspring
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval
-from cantordensity.oracles import ClopenOracle, TailCertificate
+from cantordensity.oracles import ClopenOracle, MeasureOracle, TailCertificate, Verdict
 
 
 def invoke(*args):
@@ -251,6 +251,27 @@ def test_unprintable_budgets_exit_one_before_evaluating(tmp_path):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.endswith(f"the largest budget accepted is {largest}\n")
+
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_unprintable_verdicts_exit_one(tmp_path, monkeypatch):
+    # A verdict whose pad is 2^-20000 has bounds over 6 000 digits long:
+    # classify refuses it with its own message, not the interpreter's.
+    pad = Fraction(1, 1 << 20000)
+    verdict = Verdict(kind="converges", interval=RatInterval(Fraction(1, 3) - pad,
+                                                             Fraction(1, 3) + pad),
+                      depth=12, detail="tail certificate")
+    monkeypatch.setattr(MeasureOracle, "classify", lambda self, point, eps, max_depth: verdict)
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "0"})
+    result = invoke("classify", "--set", spec, "--branch", branch)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    digits = sys.get_int_max_str_digits()
+    assert result.stderr == (f"verdict at depth 12 is too large: its bounds would have over "
+                             f"{digits} digits\n")
 
 
 def test_states_cap_ends_deep_budgets(tmp_path):

@@ -18,7 +18,13 @@ from cantordensity.dualistic import (
 )
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import ClopenOracle, ComplementOracle
-from oracletools import antichain_measure, spongy_digit_pieces, spongy_series_measure
+from oracletools import (
+    antichain_measure,
+    base4_digit_reference,
+    spongy_digit_pieces,
+    spongy_series_measure,
+    spongy_tail_sum_reference,
+)
 
 F = Fraction
 
@@ -119,6 +125,38 @@ def test_spongy_root_bound_is_the_whole_series():
         assert oracle.measure_bounds() == RatInterval.point(oracle.tail_sum(1)), rate
         assert oracle.measure_bounds() == RatInterval.point(rate)
 
+
+
+def test_integer_digits_match_fraction_formulas():
+    # (p << 2j) // q % 4 and the remainder (p << 2s) % q over q << 2s must
+    # read what Fraction scaling reads, for rates with long 1-digit heads
+    # and for exact quarters.
+    rng = random.Random(1804)
+    rates = [F(0), F(1, 4), F(5, 16)]
+    while len(rates) < 2000:
+        if rng.random() < 0.6:
+            q = rng.randrange(1, 10**9)
+            rates.append(F(rng.randrange(q // 3 + 1), q))
+        else:
+            first_zero = rng.randrange(1, 30)
+            head = (1 - F(1, 4 ** (first_zero - 1))) / 3
+            rates.append(head + F(rng.randrange(1 << 30), 1 << 30) / 4**first_zero)
+    for rate in rates:
+        oracle = SpongyMeasureOracle(rate)
+        for j in (*range(1, 9), rng.randrange(9, 41)):
+            assert oracle._digit(j) == base4_digit_reference(rate, j), (rate, j)
+        if rate < THIRD:
+            for m in (1, oracle.h, rng.randrange(1, 41)):
+                assert oracle.tail_sum(m) == spongy_tail_sum_reference(rate, m), (rate, m)
+
+
+def test_spine_bounds_read_the_prescribed_values():
+    # Countable-range spines take their point bounds from the values
+    # they are built with; reading each piece must give the same.
+    values = [F(3, 8), F(1, 16), F(1, 5), F(2, 7), F(1, 3), F(2, 5), F(5, 7), F(99, 100)]
+    spines = solid_countable_range(values).oracle.parts
+    for value, (_, spine) in zip(values, spines):
+        assert spine.bounds == spine.piece.measure_bounds() == RatInterval.point(value)
 
 def test_spongy_spine_bound():
     oracle = SpongyMeasureOracle(F(5, 24))

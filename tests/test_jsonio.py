@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from cantordensity.branches import Branch, StretchedBranch
+from cantordensity import jsonio
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.jsonio import (
@@ -16,7 +17,7 @@ from cantordensity.jsonio import (
     fraction_from_spec,
     interval_record,
     oracle_from_spec,
-    trace_line,
+    trace_lines,
     tree_from_spec,
     tree_to_spec,
     verdict_record,
@@ -193,7 +194,9 @@ def test_spec_errors_vs_domain_errors():
 
 def test_output_records():
     assert interval_record(RatInterval(F(1, 3), F(1, 2))) == {"lo": "1/3", "hi": "1/2"}
-    assert trace_line(7, RatInterval(F(3, 8), F(13, 32))) == '{"n": 7, "lo": "3/8", "hi": "13/32"}'
+    box = RatInterval(F(3, 8), F(13, 32))
+    assert list(trace_lines([box, box])) == ['{"n": 0, "lo": "3/8", "hi": "13/32"}',
+                                             '{"n": 1, "lo": "3/8", "hi": "13/32"}']
     verdict = Verdict(kind="blurry", interval=RatInterval(F(0), F(1)), delta=F(1, 4), depth=30)
     record = verdict_record(verdict)
     assert record["verdict"] == "blurry"
@@ -203,15 +206,45 @@ def test_output_records():
     assert plain == {"verdict": "undetermined", "depth": 5}
 
 
-def test_trace_line_is_the_json_of_its_record():
+def test_trace_lines_are_the_json_of_their_records():
+    # Runs of one interval object, equal intervals that are distinct
+    # objects, and fresh intervals, mixed.
     rng = random.Random(13)
     ends = [F(0), F(1)]
+    bounds = []
     for _ in range(2000):
+        if bounds and rng.random() < 0.4:
+            last = bounds[-1]
+            bounds.append(last if rng.random() < 0.7 else RatInterval(last.lo, last.hi))
+            continue
         if rng.random() < 0.2:
             lo, hi = sorted(rng.choice(ends) for _ in range(2))
         else:
             q = rng.choice((1, 3, 1 << rng.randrange(1, 40), rng.randrange(1, 10**30)))
             lo, hi = sorted(F(rng.randrange(-q, 2 * q + 1), q) for _ in range(2))
-        n = rng.randrange(0, 10**rng.randrange(1, 7))
-        record = {"n": n, "lo": format_fraction(lo), "hi": format_fraction(hi)}
-        assert trace_line(n, RatInterval(lo, hi)) == json.dumps(record)
+        bounds.append(RatInterval(lo, hi))
+    lines = list(trace_lines(bounds))
+    assert len(lines) == len(bounds)
+    for n, (line, interval) in enumerate(zip(lines, bounds)):
+        record = {"n": n, "lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
+        assert line == json.dumps(record)
+
+
+@pytest.mark.parametrize("spec, point, settled_by", [
+    # A clopen set of depth 5 is a settled segment from depth 5 on.
+    ({"kind": "clopen", "words": ["01101", "1"]}, Branch((0, 1, 1), (0, 1)), 5),
+    # The designated point 0^3 1^3 0^w enters a spine at depth 6, and
+    # the spine is its own child from there on.
+    ({"kind": "countable-range", "values": ["1/4", "2/7", "3/5"]}, Branch((0, 0, 0, 1, 1, 1), (0,)), 6),
+])
+def test_trace_lines_format_each_repeated_interval_once(monkeypatch, spec, point, settled_by):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_fraction(value)
+
+    monkeypatch.setattr(jsonio, "format_fraction", counted)
+    lines = list(trace_lines(oracle_from_spec(spec).trace(point, 199)))
+    assert len(lines) == 200
+    assert len(calls) <= 2 * (settled_by + 1)

@@ -9,7 +9,7 @@ import pytest
 from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import dualistic_of_measure, solid_countable_range
-from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, RatInterval
+from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, RatInterval, is_dyadic
 from cantordensity.jsonio import oracle_from_spec
 from cantordensity.oracles import (
     EMPTY_SEGMENT,
@@ -29,6 +29,7 @@ from oracletools import (
     antichain_measure,
     certified_oscillation_reference,
     cylinder_local_measure,
+    grafted_union_bounds_reference,
     piece_of_measure,
     spongy_local_measure,
 )
@@ -123,6 +124,64 @@ def test_grafted_union_bounds_by_case():
     assert oracle.local_bounds((1, 1), 0) == RatInterval.point(F(0))
 
 
+
+def _random_graft_part(rng, nesting):
+    """A random set spec for a graft: exact or inexact, dyadic or not."""
+    kind = rng.choice(("clopen", "dualistic", "offspring", "reduction", "graft")
+                      if nesting < 2 else ("clopen", "dualistic", "offspring"))
+    if kind == "clopen":
+        words = ["".join(rng.choice("01") for _ in range(rng.randrange(0, 6)))
+                 for _ in range(rng.randrange(1, 4))]
+        return {"kind": "clopen", "words": words}
+    if kind == "dualistic":
+        q = rng.choice((64, 99, 100))
+        return {"kind": "dualistic", "measure": f"{rng.randrange(1, q)}/{q}"}
+    if kind == "offspring":
+        nodes = ["", "0", "1", "01"][: rng.randrange(1, 5)]
+        leaves = [n for n in nodes if n + "0" not in nodes and n + "1" not in nodes]
+        endings = ["zeros", "full", {"periodic": "1"}, {"periodic": "10"}]
+        return {"kind": "offspring",
+                "tree": {"nodes": nodes, "policies": {n: rng.choice(endings) for n in leaves}},
+                "labels": {n: f"{rng.randrange(1, 7)}/7" for n in nodes if rng.random() < 0.5},
+                "default_label": rng.choice(("1/2", "3/8", "2/5"))}
+    if kind == "reduction":
+        return {"kind": "reduction", "which": "second"}
+    return _random_graft_spec(rng, nesting + 1)
+
+
+def _random_graft_spec(rng, nesting=0):
+    """A random compose or countable-range spec."""
+    if rng.random() < 0.3:
+        values = {str(F(rng.randrange(1, q), q)) for q in rng.sample((4, 7, 16, 30, 99), 3)}
+        return {"kind": "countable-range", "values": sorted(values)}
+    prefixes = rng.choice((("0", "10", "11"), ("00", "01", "1"), ("",), ("1",), ("000", "001", "01")))
+    chosen = rng.sample(prefixes, rng.randrange(1, len(prefixes) + 1))
+    return {"kind": "compose", "complemented": rng.random() < 0.3,
+            "parts": [{"prefix": p, "set": _random_graft_part(rng, nesting)} for p in chosen]}
+
+
+def test_grafted_union_bounds_match_fraction_sums():
+    # Integer sums over one common denominator must give the bounds that
+    # per-part Fraction sums give: at the root of each spec and at the
+    # grafted unions reached by localizing, at random budgets.
+    rng = random.Random(18)
+    compared = inexact = non_dyadic = 0
+    for _ in range(1000):
+        oracle = oracle_from_spec(_random_graft_spec(rng))
+        views = [oracle.inner if isinstance(oracle, ComplementOracle) else oracle]
+        for _ in range(3):
+            view = views[0].localize(tuple(rng.randrange(2) for _ in range(rng.randrange(1, 6))))
+            if isinstance(view, GraftedUnionOracle):
+                views.append(view)
+        for view in views:
+            budget = rng.randrange(0, 12)
+            bounds = view.measure_bounds(budget)
+            assert bounds == grafted_union_bounds_reference(view, budget)
+            compared += 1
+            inexact += bounds.lo != bounds.hi
+            non_dyadic += not is_dyadic(bounds.lo)
+    assert compared >= 1000 and inexact >= 100 and non_dyadic >= 100, (compared, inexact, non_dyadic)
+
 def test_grafted_union_certificates():
     oracle = _grafted_example()
     entering = oracle.tail_certificate(Branch((0, 1, 0), (0,)), effort=12)
@@ -134,7 +193,7 @@ def test_grafted_union_certificates():
 
 def test_spine_prefix_constant_rate_on_spine():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece)
+    oracle = SpinePrefixOracle(piece, F(1, 4))
     for m in range(8):
         assert oracle.local_bounds((0,) * m, 0) == RatInterval.point(F(1, 4))
     # Beyond the first 1 the piece takes over.
@@ -144,7 +203,7 @@ def test_spine_prefix_constant_rate_on_spine():
 
 def test_spine_prefix_certificates():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece)
+    oracle = SpinePrefixOracle(piece, F(1, 4))
     spine = oracle.tail_certificate(Branch.zeros(), effort=10)
     assert spine.interval == RatInterval.point(F(1, 4))
     assert spine.start == 0
@@ -154,7 +213,7 @@ def test_spine_prefix_certificates():
 
 def test_classify_converges_on_exact_point():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece)
+    oracle = SpinePrefixOracle(piece, F(1, 4))
     verdict = oracle.classify(Branch.zeros())
     assert verdict.kind == "converges"
     assert verdict.interval.contains(F(1, 4))
