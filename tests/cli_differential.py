@@ -10,9 +10,9 @@ dualistic sets on both sides of 1/3, clopen sets, and ``compose``
 (complemented or not) and ``complement`` documents over all of these.
 Traces and classifications of the exact kinds mostly run along
 eventually periodic points that enter a graft: a compose prefix, a
-0^n 1^n site or a clopen word. The script
-writes their documents to a temporary folder and runs every call once
-per root, in-process in one child interpreter per root. It exits 0 when
+0^n 1^n site or a clopen word. The script writes the documents to a
+temporary folder and runs every call once per root, in-process in one
+child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
 code under both roots, and 1 naming the calls that differ.
 

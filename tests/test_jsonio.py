@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from cantordensity.branches import Branch, StretchedBranch
 from cantordensity import jsonio
+from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.jsonio import (

@@ -124,7 +124,6 @@ def test_grafted_union_bounds_by_case():
     assert oracle.local_bounds((1, 1), 0) == RatInterval.point(F(0))
 
 
-
 def _random_graft_part(rng, nesting):
     """A random set spec for a graft: exact or inexact, dyadic or not."""
     kind = rng.choice(("clopen", "dualistic", "offspring", "reduction", "graft")
