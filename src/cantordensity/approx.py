@@ -20,7 +20,7 @@ special case used when the function lives on Cantor space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
 
@@ -76,14 +76,17 @@ class ConstantPresentation:
     """The constant function at a rational in (0;1)."""
 
     constant: Fraction
+    # (p, q) for the constant p/q.
+    _integers: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.constant < 1):
             raise ValueError(f"constant must be in (0;1): {self.constant}")
+        object.__setattr__(self, "_integers", (self.constant.numerator, self.constant.denominator))
 
     def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # constant -+ 2^-(L+1): integers over q * 2^(L+1), for constant p/q.
-        p, q = self.constant.numerator, self.constant.denominator
+        p, q = self._integers
         middle = p << (len(node) + 1)
         return middle - q, middle + q, q << (len(node) + 1)
 
@@ -118,10 +121,16 @@ class AffineImagePresentation:
 
     lo_value: Fraction
     hi_value: Fraction
+    # (start, span, unit): lo = start/unit and hi - lo = span/unit.
+    _integers: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.lo_value < self.hi_value < 1):
             raise ValueError("need 0 < lo < hi < 1")
+        lo, hi = self.lo_value, self.hi_value
+        start = lo.numerator * hi.denominator
+        span = hi.numerator * lo.denominator - start
+        object.__setattr__(self, "_integers", (start, span, lo.denominator * hi.denominator))
 
     @property
     def span(self) -> Fraction:
@@ -129,11 +138,8 @@ class AffineImagePresentation:
 
     def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # lo + span * [v, v + 1]/2^L widened by (1 - span)/2^(L+2), for
-        # parity bits v: integers over unit * 2^(L+2), with lo = start/unit.
-        lo, hi = self.lo_value, self.hi_value
-        unit = lo.denominator * hi.denominator
-        start = lo.numerator * hi.denominator
-        span = hi.numerator * lo.denominator - start
+        # parity bits v: integers over unit * 2^(L+2).
+        start, span, unit = self._integers
         value = 0
         for letter in node:
             value = 2 * value + letter % 2
@@ -160,10 +166,14 @@ class InjectivePresentation:
     """
 
     margin: Fraction
+    # (p, q, q - 2p) for the margin p/q.
+    _integers: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.margin < Fraction(1, 2)):
             raise ValueError(f"margin must be in (0; 1/2): {self.margin}")
+        p, q = self.margin.numerator, self.margin.denominator
+        object.__setattr__(self, "_integers", (p, q, q - 2 * p))
 
     def presented_numerators(self, node: Word) -> tuple[int, int, int]:
         # margin + squeeze * [v, v + 1]/2^L widened by margin/2^(L+1),
@@ -175,8 +185,7 @@ class InjectivePresentation:
                 raise ValueError("run lengths must be non-negative")
             value = (value << (letter + 1)) + 1
             length += letter + 1
-        p, q = self.margin.numerator, self.margin.denominator
-        squeeze = q - 2 * p
+        p, q, squeeze = self._integers
         base = (p << (length + 1)) + 2 * squeeze * value
         return base - p, base + 2 * squeeze + p, q << (length + 1)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .branches import Branch, StretchedBranch
 from .clopen import ClopenSet
-from .dyadics import ONE, ZERO, RatInterval, is_dyadic, least_dyadic_parts
+from .dyadics import ONE, ZERO, RatInterval, dyadic_exponent, is_dyadic, least_dyadic_parts
 from .oracles import (
     EMPTY_SEGMENT,
     ClopenOracle,
@@ -200,12 +200,14 @@ def _second_family_chunk(d: Fraction) -> ClopenSet:
     """The first clopen subset of the complementary family with measure d."""
     if not is_dyadic(d) or not (ZERO < d < TWO_THIRDS):
         raise ValueError(f"chunk measure must be a dyadic in (0, 2/3): {d}")
-    length = 3
-    while True:
-        superset = ClopenSet.from_words(second_family_words(length))
-        if superset.measure() > d:
-            return superset.take_submass(d)
+    # The words up to length L have measure mass / 2^L: 1/2 for (1,),
+    # plus 2^-l for each of the (l - 2) // 2 words 0^n 1^m 0 of length l.
+    numerator, exponent = d.numerator, dyadic_exponent(d)
+    length, mass = 3, 4
+    while mass << exponent <= numerator << length:
         length += 2
+        mass = 4 * mass + 2 * ((length - 3) // 2) + (length - 2) // 2
+    return ClopenSet.from_words(second_family_words(length)).take_submass(d)
 
 
 @dataclass(frozen=True)

@@ -53,16 +53,27 @@ def dyadic_of_rank(rank: int) -> Fraction:
     return Fraction(2 * rank + 1, 1 << n)
 
 
+def clip_to_unit(lo: int, hi: int, scale: int) -> tuple[int, int]:
+    """The numerators of the open interval (lo/scale; hi/scale), for a
+    positive scale, clipped to the unit interval; raises when the
+    clipped interval is empty and so holds no dyadic."""
+    if lo < 0:
+        lo = 0
+    if hi > scale:
+        hi = scale
+    if lo >= hi:
+        raise ValueError(
+            f"no dyadic in empty interval ({Fraction(lo, scale)}, {Fraction(hi, scale)})"
+        )
+    return lo, hi
+
+
 def least_dyadic_parts(lo: int, hi: int, scale: int) -> tuple[int, int]:
     """The rank-least dyadic of (0,1) inside the open interval
     (lo/scale; hi/scale), for a positive scale, as (numerator, exponent):
     odd over 2^exponent. Endpoints may stick out of the unit interval;
     raises when the clipped interval is empty."""
-    lo, hi = max(lo, 0), min(hi, scale)
-    if lo >= hi:
-        raise ValueError(
-            f"no dyadic in empty interval ({Fraction(lo, scale)}, {Fraction(hi, scale)})"
-        )
+    lo, hi = clip_to_unit(lo, hi, scale)
     # At resolution 2^-bits the interval holds the integers low..high, at
     # least two since its width is at least 1/scale. The dyadic of least
     # exponent inside is the one of them with the most trailing zeros:

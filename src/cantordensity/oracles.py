@@ -194,14 +194,17 @@ def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Frac
     high interleaved with a low never falls as the low rises: one
     pointer walks up the highs while the lows ascend, and each low costs
     one failed test at most. Every comparison is between endpoints of
-    the trace, so it compares their ranks in the sorted endpoints.
+    the trace, so it compares their integer numerators over the trace's
+    least common denominator.
     """
-    values = sorted({b.lo for b in bounds} | {b.hi for b in bounds})
-    rank = {v: r for r, v in enumerate(values)}
-    ranked = [(rank[b.lo], rank[b.hi]) for b in bounds]
+    common = lcm(*{b.lo.denominator for b in bounds}, *{b.hi.denominator for b in bounds})
+    ranked = [
+        (b.lo.numerator * (common // b.lo.denominator), b.hi.numerator * (common // b.hi.denominator))
+        for b in bounds
+    ]
     los = sorted({hi for _, hi in ranked})[:40]
     his = sorted({lo for lo, _ in ranked}, reverse=True)[:40]
-    best: tuple[Fraction, Fraction, Fraction] | None = None
+    best: tuple[int, int, int] | None = None
     # his[:above] lie above the low; his[top:above] are interleaved with it.
     above = top = len(his)
     for low in los:
@@ -210,9 +213,12 @@ def certified_oscillation(bounds: Sequence[RatInterval]) -> tuple[Fraction, Frac
         top = min(top, above)
         while top and _interleaved(ranked, low, his[top - 1]):
             top -= 1
-        if top < above and (best is None or values[his[top]] - values[low] > best[0]):
-            best = (values[his[top]] - values[low], values[low], values[his[top]])
-    return best
+        if top < above and (best is None or his[top] - low > best[0]):
+            best = (his[top] - low, low, his[top])
+    if best is None:
+        return None
+    delta, low, high = best
+    return Fraction(delta, common), Fraction(low, common), Fraction(high, common)
 
 
 def _interleaved(ranked: list[tuple[int, int]], low: int, high: int) -> bool:

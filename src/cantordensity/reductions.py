@@ -10,7 +10,10 @@ function value. The third interleaves an input tree with the full
 binary tree and reads the function through the run codec, with an
 alternating sibling adjustment keeping the label sequence spread out
 at every node. The first's pair and the third's adjustment move by one
-nudge rule, ``nudged_parts``.
+nudge rule, ``nudged_parts``. The third's construction check reads each
+presented interval of its explored window once, and computes adjusted
+values only for the first two siblings of a node when they already
+separate, since no spread of four values is less than the gap of two.
 
 On top of the same machinery sit two solid-set builders (labels read
 from an enumerated value list, or assigned greedily without repeats)
@@ -44,7 +47,7 @@ from itertools import product
 from .approx import FunctionPresentation, canonical_parts, nudged_parts
 from .branches import Branch
 from .dualistic import solid_countable_range
-from .dyadics import ONE, ZERO, dyadic_of_rank, least_dyadic_parts
+from .dyadics import ONE, ZERO, clip_to_unit, dyadic_of_rank, least_dyadic_parts
 from .offspring import LabelMap, OffspringOracle, label_parts_of
 from .oracles import GraftedUnionOracle, MeasureOracle
 from .trees import ExplicitTree, InterleaveTree, PairInterleaveTree, section
@@ -59,26 +62,24 @@ from .words import (
 )
 
 # Nodes checked by the construction-time validators: all words over the
-# first four letters up to length three.
+# first four letters up to length three, shortest first.
 EXPLORE_LETTERS = 4
 EXPLORE_DEPTH = 3
+EXPLORED_NODES: tuple[Word, ...] = tuple(
+    node
+    for length in range(EXPLORE_DEPTH + 1)
+    for node in product(range(EXPLORE_LETTERS), repeat=length)
+)
 
 GREEDY_CODEC_DEPTH = 6
 GREEDY_RANK_CAP = 4096
-
-
-def _explored_nodes() -> list[Word]:
-    nodes: list[Word] = [()]
-    for length in range(1, EXPLORE_DEPTH + 1):
-        nodes.extend(product(range(EXPLORE_LETTERS), repeat=length))
-    return nodes
 
 
 def require_lipschitz(presentation: FunctionPresentation) -> dict[Word, tuple[int, int, int]]:
     """Check presented widths against the node scale on the explored
     window; returns the presented numerators read, by node."""
     intervals = {}
-    for node in _explored_nodes():
+    for node in EXPLORED_NODES:
         lo, hi, scale = intervals[node] = presentation.presented_numerators(node)
         if (hi - lo) << len(node) > scale:
             raise ValueError(
@@ -238,18 +239,35 @@ def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
     The adjustment rule is fixed; whether it separates the children's
     values depends on the presentation (canonical values can cancel the
     alternation exactly). Presentations failing the spread are rejected
-    here instead of silently producing convergent label walks. Each
-    presented interval is read once: the explored nodes' by the width
-    check, which comes first, and their children's one level deeper.
+    here instead of silently producing convergent label walks.
+
+    Each presented interval is read once: the explored nodes' by the
+    width check, which comes first, and their children's one level
+    deeper, in letter order. The spread of four values is at least the
+    gap of any two of them, so a node whose children 0 and 1 already
+    lie a quarter of the node scale apart passes on that pair alone;
+    children 2 and 3 are then read only for the clipped-emptiness test
+    that computing their values would raise on. A node whose first pair
+    does not separate computes all four values and takes the spread test.
     """
     presentation = labels.presentation
     intervals = require_lipschitz(presentation)
-    for node in _explored_nodes():
-        children = []
+    for node in EXPLORED_NODES:
+        children: list[tuple[int, int]] = []
+        separated = False
         for k in range(EXPLORE_LETTERS):
             child = node + (k,)
             interval = intervals.get(child) or presentation.presented_numerators(child)
+            if separated:
+                clip_to_unit(*interval)
+                continue
             children.append(_adjusted_parts(interval, child))
+            if k == 1:
+                # |v0 - v1| * 2^(len(node)+2) >= 1, both sides times 2^(e0+e1).
+                (a, e), (b, f) = children
+                separated = abs((a << f) - (b << e)) << (len(node) + 2) >= 1 << (e + f)
+        if separated:
+            continue
         scale = max(exponent for _, exponent in children)
         values = [numerator << (scale - exponent) for numerator, exponent in children]
         spread = max(values) - min(values)
@@ -358,7 +376,7 @@ def solid_analytic(presentation: FunctionPresentation, values: list[Fraction]) -
     """
     require_lipschitz(presentation)
     labels = EnumeratedValueLabels(presentation, tuple(values))
-    for node in _explored_nodes():
+    for node in EXPLORED_NODES:
         labels.value_at(node)
     oracle = OffspringOracle(ExplicitTree.full_binary(), labels)
     return SolidAnalyticSet(tuple(values), presentation, oracle)

@@ -30,7 +30,7 @@ def split_trailing_zeros(word: Word) -> tuple[Word, int]:
 
 
 def ones_count(word: Word) -> int:
-    return sum(1 for letter in word if letter == 1)
+    return word.count(1)
 
 
 def runs_to_bits(runs: Word) -> Word:

@@ -17,6 +17,7 @@ from cantordensity.approx import (
     ReparamPresentation,
 )
 from cantordensity.clopen import ClopenSet
+from cantordensity.dualistic import second_family_words
 from cantordensity.dyadics import RatInterval
 from cantordensity.reductions import (
     InterleavedAdjustedLabels,
@@ -139,6 +140,18 @@ def spongy_tail_sum_reference(rate: Fraction, m: int) -> Fraction:
     if m < h:
         tail += (F(4, 4**m) - F(4, 4**h)) / 3
     return tail
+
+
+def second_family_chunk_reference(d: Fraction) -> ClopenSet:
+    """The dualistic chunk of measure d by rebuilding the complementary
+    family at lengths 3, 5, 7, ... until its measure exceeds d, then
+    taking the first submass d."""
+    length = 3
+    while True:
+        superset = ClopenSet.from_words(second_family_words(length))
+        if superset.measure() > d:
+            return superset.take_submass(d)
+        length += 2
 
 
 def grafted_union_bounds_reference(oracle, budget: int) -> RatInterval:

@@ -11,6 +11,7 @@ from cantordensity.branches import Branch
 from cantordensity.dualistic import (
     SpongyMeasureOracle,
     THIRD,
+    _second_family_chunk,
     dualistic_of_measure,
     first_family_word,
     second_family_words,
@@ -21,6 +22,7 @@ from cantordensity.oracles import ClopenOracle, ComplementOracle
 from oracletools import (
     antichain_measure,
     base4_digit_reference,
+    second_family_chunk_reference,
     spongy_digit_pieces,
     spongy_series_measure,
     spongy_tail_sum_reference,
@@ -196,6 +198,19 @@ def test_dualistic_five_eighths_uses_half_chunk():
     built = dualistic_of_measure(F(5, 8))
     assert built.clopen_part.measure() == F(1, 2)
     assert built.spongy_rate == F(1, 8)
+
+
+def test_second_family_chunk_matches_the_rebuilding_loop():
+    # The integer measure walk picks the rebuilding loop's length, so the
+    # chunk is the same set for every dyadic in (0, 2/3) up to 2^-10.
+    checked = 0
+    for exponent in range(1, 11):
+        for numerator in range(1, 1 << exponent, 2):
+            d = F(numerator, 1 << exponent)
+            if d < F(2, 3):
+                assert _second_family_chunk(d) == second_family_chunk_reference(d), d
+                checked += 1
+    assert checked == 682
 
 
 @given(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=10**6))

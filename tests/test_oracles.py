@@ -1,6 +1,7 @@
 """Oracle framework: exact clopen oracles, combinators, classification."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import dualistic_of_measure, solid_countable_range
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, RatInterval, is_dyadic
 from cantordensity.jsonio import oracle_from_spec
+from cantordensity.offspring import ExplicitLabels, OffspringOracle
 from cantordensity.oracles import (
     EMPTY_SEGMENT,
     FULL_SEGMENT,
@@ -25,6 +27,7 @@ from cantordensity.oracles import (
 )
 from cantordensity.reductions import second_reduction
 from cantordensity.trees import ExplicitTree
+from cantordensity.words import ones_count
 from oracletools import (
     antichain_measure,
     certified_oscillation_reference,
@@ -267,14 +270,39 @@ def _random_trace(rng):
     return bounds
 
 
+def _mixed_trace(rng):
+    # Each interval on its own grid, so the endpoints share no denominator.
+    bounds = []
+    for _ in range(rng.randrange(1, 60)):
+        grid = rng.choice((3, 5, 7, 12))
+        lo, hi = sorted((rng.randrange(grid + 1), rng.randrange(grid + 1)))
+        if rng.random() < 0.3:
+            hi = lo
+        bounds.append(RatInterval(F(lo, grid), F(hi, grid)))
+    return bounds
+
+
 def test_certified_oscillation_matches_pairwise_search():
     # The pointer walk gives the pairwise search's (delta, low, high),
-    # ties included, on random traces and on second-reduction traces.
+    # ties included, on random traces on one grid and on mixed grids, on
+    # second-reduction traces, and on offspring traces whose stand-in
+    # copies carry labels 1/7, 5/6 and 1/3.
     rng = random.Random(1705)
     traces = [_random_trace(rng) for _ in range(1000)]
+    traces += [_mixed_trace(rng) for _ in range(500)]
     oracle = second_reduction(ExplicitTree.full_binary())
     for base in (Branch((), (1,)), Branch((), (1, 0)), Branch((), (1, 1, 0))):
         traces.append(list(oracle.trace(StretchedBranch(base), 78)))
+    table = {
+        word: F(1, 7) if ones_count(word) % 2 else F(5, 6)
+        for length in range(1, 7)
+        for word in itertools.product((0, 1), repeat=length)
+    }
+    oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels(table, default=F(1, 3)))
+    for base in (Branch((), (1,)), Branch((), (1, 0))):
+        bounds = list(oracle.trace(StretchedBranch(base), 60))
+        assert not all(is_dyadic(end) for b in bounds for end in (b.lo, b.hi))
+        traces.append(bounds)
     found = 0
     for bounds in traces:
         got = certified_oscillation(bounds)

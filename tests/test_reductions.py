@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantordensity import reductions
 from cantordensity.approx import (
     AffineImagePresentation,
     ConstantPresentation,
@@ -18,6 +19,7 @@ from cantordensity.dualistic import solid_countable_range
 from cantordensity.dyadics import RatInterval, dyadic_of_rank
 from cantordensity.offspring import ExplicitLabels, OffspringOracle
 from cantordensity.reductions import (
+    EXPLORED_NODES,
     EnumeratedValueLabels,
     InterleavedAdjustedLabels,
     OnesParityLabels,
@@ -246,6 +248,49 @@ def test_spread_certificate_accepts_and_rejects():
     label_spread_certificate(InterleavedAdjustedLabels(INJ))
     with pytest.raises(ValueError, match="spread"):
         label_spread_certificate(InterleavedAdjustedLabels(AFFINE))
+
+
+class CountedReads:
+    """A presentation that counts its reads by node."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = Counter()
+
+    def presented_numerators(self, node):
+        self.reads[node] += 1
+        return self.inner.presented_numerators(node)
+
+    def value(self, point):
+        return self.inner.value(point)
+
+
+def test_spread_certificate_decides_separated_nodes_by_the_first_pair(monkeypatch):
+    # A passing preset's children 0 and 1 separate at every explored
+    # node, so the check computes their two adjusted values and no more;
+    # it still reads each presented interval of the 85 nodes and their
+    # 340 children once.
+    computed = []
+    adjusted = reductions._adjusted_parts
+
+    def counted(interval, node):
+        computed.append(node)
+        return adjusted(interval, node)
+
+    monkeypatch.setattr(reductions, "_adjusted_parts", counted)
+    first_pairs = sorted(node + (k,) for node in EXPLORED_NODES for k in (0, 1))
+    for preset in (HALF, INJ, AffineImagePresentation(F(1, 8), F(3, 8))):
+        computed.clear()
+        presentation = CountedReads(preset)
+        label_spread_certificate(InterleavedAdjustedLabels(presentation))
+        assert sorted(computed) == first_pairs and len(computed) == 170, preset
+        assert len(presentation.reads) == 341 and set(presentation.reads.values()) == {1}
+    # The root's pair separates; below (0,) it does not, so all four
+    # children are computed before the spread test rejects.
+    computed.clear()
+    with pytest.raises(ValueError, match=r"below \(0,\) spread"):
+        label_spread_certificate(InterleavedAdjustedLabels(AFFINE))
+    assert computed == [(0,), (1,), (0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 class TablePresentation:

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -67,6 +69,13 @@ def test_decode_head_ignores_trailing_zeros():
 def test_ones_count():
     assert ones_count(()) == 0
     assert ones_count((0, 1, 1, 0, 1)) == 3
+
+
+def test_ones_count_matches_the_counting_generator():
+    rng = random.Random(1705)
+    for _ in range(2000):
+        word = tuple(rng.randrange(4) for _ in range(rng.randrange(25)))
+        assert ones_count(word) == sum(1 for letter in word if letter == 1), word
 
 
 def test_interleave_examples():
