@@ -3,12 +3,12 @@
 Set specs and branches arrive as JSON files; results leave as JSON on
 stdout, one object per line for traces. Exit codes: 0 on success, 1 when
 a construction rejects its values, a tail certificate is contradicted
-(the module's message is printed verbatim), a budget's bounds are too
-long to print, an evaluation opens more states than its cap ("budget
-exhausted: ..."; a jump over a block counts one state per letter it
-spans up to the horizon) or memory runs out ("out of memory"), 2 when a
-document or the command line itself is malformed. Verify suites are
-seeded, so equal invocations print equal bytes.
+(the module's message is printed verbatim), bounds are too long to
+print (exact ones or a budget's), an evaluation opens more states than
+its cap ("budget exhausted: ..."; a jump over a block counts one state
+per letter it spans up to the horizon) or memory runs out ("out of
+memory"), 2 when a document or the command line itself is malformed.
+Verify suites are seeded, so equal invocations print equal bytes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ keeps any binary words in canonical form: the unique minimal antichain
 covering the set, where no word extends another and no two sibling words
 are both present (siblings merge into their parent). Two clopen sets are
 equal exactly when they hold the same points, and the dataclass equality
-on the canonical form coincides with that.
+on the canonical form coincides with that. Words sort alike as binary
+tuples and as "01" strings, so one loop canonicalizes either, and
+strings from documents become tuples only once their antichain is kept.
 
 The antichain is sorted, which for an antichain is the left-to-right
 order of the cylinders. Every operation is one pass in that order that
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .words import Word
+from .words import DIGIT_VALUES, Word
 
 _FULL_WORDS: tuple[Word, ...] = ((),)
 
@@ -30,12 +32,17 @@ class ClopenSet:
     words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", _normalize(tuple(self.words)))
+        object.__setattr__(self, "words", tuple(_normalize(self.words)))
 
     @staticmethod
     def from_words(generators: tuple[Word, ...] | list[Word]) -> "ClopenSet":
         """Build the set covered by arbitrary cylinder words, canonicalized."""
-        return ClopenSet(tuple(generators))
+        return ClopenSet(generators)
+
+    @staticmethod
+    def from_digits(strings: list[str]) -> "ClopenSet":
+        """The set covered by words given as "01" strings, canonicalized first."""
+        return _canonical(tuple(tuple(w.encode().translate(DIGIT_VALUES)) for w in _normalize(strings)))
 
     @staticmethod
     def empty() -> "ClopenSet":
@@ -144,25 +151,20 @@ def _canonical(words: tuple[Word, ...]) -> ClopenSet:
     return clopen
 
 
-def _normalize(generators: tuple[Word, ...]) -> tuple[Word, ...]:
-    """The minimal antichain covering the cylinders of binary words.
-
-    In sorted order a word extending a kept word comes right after it,
-    so one pass drops the covered words; sibling pairs then merge on a
-    stack, each merge possibly completing a pair one level up.
-    """
-    kept: list[Word] = []
+def _normalize(generators: tuple | list) -> list:
+    """The minimal antichain covering the cylinders of binary words, given
+    as tuples or as "01" strings. In sorted order a word extending a kept
+    word comes right after it, and a right sibling right after its left
+    one; their merge may complete a pair one level up."""
+    kept: list = []
     for w in sorted(generators):
         if kept and w[: len(kept[-1])] == kept[-1]:
             continue
+        while kept and len(kept[-1]) == len(w) and kept[-1][:-1] == w[:-1]:
+            kept.pop()
+            w = w[:-1]
         kept.append(w)
-        while len(kept) >= 2:
-            last = kept[-1]
-            if last[-1] != 1 or kept[-2] != last[:-1] + (0,):
-                break
-            del kept[-2:]
-            kept.append(last[:-1])
-    return tuple(kept)
+    return kept
 
 
 def union_all(parts: list[ClopenSet]) -> ClopenSet:

@@ -10,6 +10,7 @@ asks for a canonical dyadic inside an interval.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,4 +154,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    try:
+        return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    except ValueError:  # only from an integer with more digits than the interpreter prints
+        raise ValueError(f"bounds too large to print: over {sys.get_int_max_str_digits()} digits") from None

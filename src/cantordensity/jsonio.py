@@ -17,7 +17,9 @@ different exit codes.
 
 Conventions: rationals are reduced "p/q" strings; words are digit
 strings ("" is the root), with integer arrays also accepted for
-natural-number words; every record this module emits formats
+natural-number words (a clopen array of "01" strings is checked in
+one pass over its joined text, any other is read word by word, so the
+first bad word names the error); every record this module emits formats
 rationals the same way, and ``trace_lines`` formats a run of one
 interval object once.
 """
@@ -40,7 +42,7 @@ from .offspring import ExplicitLabels, offspring_build
 from .oracles import ClopenOracle, ComplementOracle, GraftedUnionOracle, MeasureOracle, Verdict
 from .reductions import first_reduction, second_reduction, third_reduction
 from .trees import ExplicitTree, Policy, periodic
-from .words import Word, runs_to_bits
+from .words import DIGIT_VALUES, Word, runs_to_bits
 
 
 class SpecError(ValueError):
@@ -71,15 +73,14 @@ def fraction_from_spec(value) -> Fraction:
         raise SpecError(str(err)) from None
 
 
-# Maps the ASCII digits of an encoded digit string to their values.
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_NOT_BINARY = str.maketrans("", "", "01")  # deletes 0s and 1s
 
 
 def word_from_spec(value, what: str = "word") -> Word:
     if isinstance(value, str):
         if not value.isascii() or not (value.isdigit() or value == ""):
             raise SpecError(f"{what} must be a digit string, got {value!r}")
-        return tuple(value.encode().translate(_DIGIT_VALUES))
+        return tuple(value.encode().translate(DIGIT_VALUES))
     if isinstance(value, list) and all(
         isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in value
     ):
@@ -222,6 +223,12 @@ def oracle_from_spec(doc) -> MeasureOracle:
         raw = _require(doc, "words")
         if not isinstance(raw, list):
             raise SpecError('"words" must be an array')
+        try:
+            binary = not "".join(raw).translate(_NOT_BINARY)
+        except TypeError:  # an entry that is not a string
+            binary = False
+        if binary:
+            return ClopenOracle(ClopenSet.from_digits(raw))
         words = [binary_word_from_spec(w, "clopen word") for w in raw]
         return ClopenOracle(ClopenSet.from_words(words))
     if kind == "dualistic":

@@ -15,6 +15,8 @@ from __future__ import annotations
 from math import isqrt
 
 Word = tuple[int, ...]
+# Maps the ASCII digits of an encoded digit string to their values.
+DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def is_binary(word: Word) -> bool:

@@ -8,9 +8,13 @@ on the three reductions (every preset, full and random trees), explicit
 offspring sets (dyadic and non-dyadic labels), countable-range sets,
 dualistic sets on both sides of 1/3, clopen sets, and ``compose``
 (complemented or not) and ``complement`` documents over all of these.
-Traces and classifications of the exact kinds mostly run along
-eventually periodic points that enter a graft: a compose prefix, a
-0^n 1^n site or a clopen word. The script writes the documents to a
+A third of the clopen documents carry up to 60 words of up to 24
+letters, with duplicates, covered extensions and sibling families,
+some as integer arrays and some with a malformed entry. Traces and
+classifications of the exact kinds mostly run along eventually
+periodic points that enter a graft: a compose prefix, a 0^n 1^n site
+or a clopen word. After them come ``verify SUITE --seed S`` for the
+four suites at seeds 0, 1 and 7. The script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
@@ -33,6 +37,8 @@ from random import Random
 
 SEED = 17
 CALLS = 600
+VERIFY_SUITES = ("branch-lemma", "dualistic-measure", "clopen-laws", "codec")
+VERIFY_SEEDS = (0, 1, 7)
 
 
 def _fraction(rng: Random) -> str:
@@ -75,6 +81,33 @@ def _measure(rng: Random, low: bool) -> str:
     return f"{p}/{q}"
 
 
+def _clopen_words(rng: Random) -> list:
+    """A few short words; or, one time in three, up to 60 words of up to
+    24 letters with duplicates, covered extensions and full sibling
+    families, given as integer arrays one time in five and holding one
+    malformed entry one time in ten."""
+    if rng.randrange(3):
+        return [_word(rng, rng.randrange(6)) for _ in range(rng.randrange(1, 4))]
+    words = [_word(rng, rng.randrange(1, 25)) for _ in range(rng.randrange(1, 30))]
+    while len(words) < 60 and rng.random() < 0.8:
+        shape = rng.randrange(3)
+        if shape == 0:
+            words.append(rng.choice(words))
+        elif shape == 1:
+            words.append((rng.choice(words) + _word(rng, rng.randrange(1, 6)))[:24])
+        else:
+            stem, depth = _word(rng, rng.randrange(21)), rng.randrange(1, 4)
+            words += [stem + format(k, "b").zfill(depth) for k in range(1 << depth)]
+    words = words[:60]
+    rng.shuffle(words)
+    if rng.randrange(5) == 0:
+        words = [[int(letter) for letter in word] for word in words]
+    if rng.randrange(10) == 0:
+        bad = rng.choice((None, True, 3, "2", "0a", [0, 2], [True], [-1], [[0]]))
+        words.insert(rng.randrange(len(words) + 1), bad)
+    return words
+
+
 def _set(rng: Random, nesting: int = 0) -> dict:
     kind = rng.randrange(9 if nesting < 2 else 6)
     if kind < 3:
@@ -95,8 +128,7 @@ def _set(rng: Random, nesting: int = 0) -> dict:
     if kind == 5:
         return {"kind": "dualistic", "measure": _measure(rng, rng.random() < 0.5)}
     if kind == 6:
-        return {"kind": "clopen", "words": [_word(rng, rng.randrange(6))
-                                            for _ in range(rng.randrange(1, 4))]}
+        return {"kind": "clopen", "words": _clopen_words(rng)}
     if kind == 7:
         return {"kind": "complement", "of": _set(rng, nesting + 1)}
     prefixes = rng.choice((["0", "10", "11"], ["00", "01", "1"], [""], ["1"], ["000", "001", "01"]))
@@ -113,7 +145,8 @@ def _entering_head(rng: Random, doc: dict) -> str:
     if doc["kind"] == "complement":
         return _entering_head(rng, doc["of"])
     if doc["kind"] == "clopen":
-        return rng.choice(doc["words"])
+        word = rng.choice(doc["words"])
+        return "".join(map(str, word)) if isinstance(word, (str, list)) else ""
     if doc["kind"] in ("dualistic", "countable-range"):
         n = rng.randrange(1, 5)
         return "0" * n + "1" * n
@@ -160,6 +193,8 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
             out.append(["classify", "--set", str(set_path), "--branch", str(branch_path),
                         "--eps", rng.choice(("1/16", "1/64", "1/256")),
                         "--max-depth", str(rng.randrange(20, 161))])
+    for suite in VERIFY_SUITES:
+        out += [["verify", suite, "--seed", str(seed)] for seed in VERIFY_SEEDS]
     return out
 
 

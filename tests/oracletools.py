@@ -599,3 +599,21 @@ def _reference_take(c: ClopenSet, amount: Fraction) -> ClopenSet:
     from_left = min(amount, antichain_measure(left.words) / 2)
     return _reference_graft(_reference_take(left, from_left * 2),
                             _reference_take(right, (amount - from_left) * 2))
+
+
+def normalize_reference(generators) -> tuple:
+    """The minimal antichain of binary word tuples by the stack merge:
+    covered words dropped in sorted order, each kept word pushed, then
+    the top two popped into their parent while they are a 0/1 sibling pair."""
+    kept = []
+    for w in sorted(generators):
+        if kept and w[: len(kept[-1])] == kept[-1]:
+            continue
+        kept.append(w)
+        while len(kept) >= 2:
+            last = kept[-1]
+            if last[-1] != 1 or kept[-2] != last[:-1] + (0,):
+                break
+            del kept[-2:]
+            kept.append(last[:-1])
+    return tuple(kept)

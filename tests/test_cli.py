@@ -274,6 +274,42 @@ def test_unprintable_verdicts_exit_one(tmp_path, monkeypatch):
                              f"{digits} digits\n")
 
 
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_unprintable_exact_bounds_exit_one(tmp_path, monkeypatch):
+    # One 20 000-letter word gives exact bounds over 6 000 digits long:
+    # measure and trace refuse them with their own message, not the
+    # interpreter's, and a trace keeps the lines it already printed.
+    message = f"bounds too large to print: over {sys.get_int_max_str_digits()} digits\n"
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0" * 20000]})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "0"})
+    for args in (("measure", "--set", spec), ("trace", "--set", spec, "--branch", branch,
+                                              "--steps", "3")):
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == message
+    half = RatInterval(Fraction(1, 2), Fraction(1, 2))
+    tiny = RatInterval(Fraction(0), Fraction(1, 1 << 20000))
+    monkeypatch.setattr(MeasureOracle, "trace", lambda self, point, depth, window: iter([half, tiny]))
+    result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "2")
+    assert result.exit_code == 1
+    assert result.stdout == '{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
+    assert result.stderr == message
+    # Domain errors raised while the trace runs keep their own text.
+
+    def failing(self, point, depth, window):
+        yield half
+        raise ValueError("not a point of the set's domain")
+
+    monkeypatch.setattr(MeasureOracle, "trace", failing)
+    result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "2")
+    assert result.exit_code == 1
+    assert result.stdout == '{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
+    assert result.stderr == "not a point of the set's domain\n"
+
+
 def test_states_cap_ends_deep_budgets(tmp_path):
     # Node keys of the first reduction differ per node, so each level
     # opens about twice the states of the one above: budget 200 at

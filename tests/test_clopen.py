@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from cantordensity.clopen import (
     ClopenSet,
+    _normalize,
     subset_of_measure,
     union_all,
 )
 from oracletools import (
     antichain_measure,
+    normalize_reference,
     piece_of_measure,
     reference_complement,
     reference_intersect,
@@ -256,3 +258,43 @@ def test_one_pass_algebra_matches_the_recursion():
         amount = _random_amount(rng, a)
         taken = _taken_words(lambda: a.take_submass(amount))
         assert taken == _taken_words(lambda: reference_take_submass(a, amount)), (note, amount)
+
+
+def _random_word_list(rng: Random) -> list[tuple[int, ...]]:
+    """Up to a dozen random words with duplicates, covered extensions and
+    full sibling families (every word of 1 to 3 more letters below a
+    stem, which collapse level by level), shuffled; sometimes the empty
+    list, sometimes holding the empty word."""
+    if rng.randrange(20) == 0:
+        return []
+    words = [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
+             for _ in range(rng.randrange(1, 12))]
+    for _ in range(rng.randrange(3)):
+        stem = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+        depth = rng.randrange(1, 4)
+        family = [stem + tuple((k >> i) & 1 for i in range(depth)) for k in range(1 << depth)]
+        if rng.randrange(4) == 0:
+            family.pop(rng.randrange(len(family)))
+        words += family
+    words += [rng.choice(words) for _ in range(rng.randrange(3))]
+    words += [rng.choice(words) + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+              for _ in range(rng.randrange(3))]
+    if rng.randrange(25) == 0:
+        words.append(())
+    rng.shuffle(words)
+    return words
+
+
+def test_one_loop_normalize_matches_the_stack_merge():
+    # The same loop canonicalizes tuples and "01" strings, and a set read
+    # from strings equals the set read from their tuples.
+    rng = Random(2285)
+    for _ in range(6000):
+        words = _random_word_list(rng)
+        strings = ["".join(map(str, w)) for w in words]
+        expected = normalize_reference(words)
+        assert tuple(_normalize(words)) == expected, words
+        assert tuple(_normalize(strings)) == tuple("".join(map(str, w)) for w in expected), words
+        from_strings = ClopenSet.from_digits(strings)
+        assert from_strings == ClopenSet.from_words(words), words
+        assert all(type(letter) is int for w in from_strings.words for letter in w)

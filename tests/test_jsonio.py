@@ -11,8 +11,10 @@ from cantordensity import jsonio
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval, format_fraction
+from cantordensity.clopen import ClopenSet
 from cantordensity.jsonio import (
     SpecError,
+    binary_word_from_spec,
     branch_from_spec,
     fraction_from_spec,
     interval_record,
@@ -190,6 +192,61 @@ def test_spec_errors_vs_domain_errors():
                 ],
             }
         )
+
+
+
+def _per_word_decode(raw: list) -> ClopenSet:
+    """A clopen "words" array read word by word, raising the first bad
+    word's SpecError."""
+    return ClopenSet.from_words([binary_word_from_spec(w, "clopen word") for w in raw])
+
+
+def _digit_strings(rng: random.Random, count: int) -> list[str]:
+    return ["".join(rng.choice("01") for _ in range(rng.randrange(9))) for _ in range(count)]
+
+
+BAD_CLOPEN_ENTRIES = (None, True, 3, "2", "\u0663", "0a", [0, 2], [True], [-1], [[0]])
+
+
+@pytest.mark.parametrize("bad", BAD_CLOPEN_ENTRIES, ids=repr)
+def test_clopen_words_raise_the_first_bad_words_error(bad):
+    rng = random.Random(repr(bad))
+    for _ in range(20):
+        raw = _digit_strings(rng, rng.randrange(1, 30))
+        if rng.randrange(2):
+            raw = [[int(d) for d in w] if rng.randrange(2) else w for w in raw]
+        raw.insert(rng.randrange(len(raw) + 1), bad)
+        with pytest.raises(SpecError) as expected:
+            _per_word_decode(raw)
+        with pytest.raises(SpecError) as raised:
+            oracle_from_spec({"kind": "clopen", "words": raw})
+        assert str(raised.value) == str(expected.value)
+
+
+def test_clopen_words_decode_alike_as_strings_arrays_and_mixed():
+    rng = random.Random(5)
+    for _ in range(300):
+        strings = _digit_strings(rng, rng.randrange(40))
+        arrays = [[int(d) for d in w] for w in strings]
+        mixed = [a if rng.randrange(2) else w for w, a in zip(strings, arrays)]
+        expected = _per_word_decode(strings)
+        for raw in (strings, arrays, mixed):
+            assert oracle_from_spec({"kind": "clopen", "words": raw}).piece == expected, raw
+
+
+def test_digit_string_clopen_words_skip_the_per_word_decoder(monkeypatch):
+    calls = []
+
+    def counted(value, what="word"):
+        calls.append(value)
+        return binary_word_from_spec(value, what)
+
+    monkeypatch.setattr(jsonio, "binary_word_from_spec", counted)
+    raw = _digit_strings(random.Random(200), 200)
+    assert oracle_from_spec({"kind": "clopen", "words": raw}).piece == _per_word_decode(raw)
+    assert calls == []
+    oracle_from_spec({"kind": "clopen", "words": raw + [[1, 0]]})
+    assert len(calls) == 201
 
 
 def test_output_records():
