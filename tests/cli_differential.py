@@ -194,7 +194,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
                         "--eps", rng.choice(("1/16", "1/64", "1/256")),
                         "--max-depth", str(rng.randrange(20, 161))])
     for suite in VERIFY_SUITES:
-        out += [["verify", suite, "--seed", str(seed)] for seed in VERIFY_SEEDS]
+        out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return out
 
 

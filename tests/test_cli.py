@@ -274,7 +274,6 @@ def test_unprintable_verdicts_exit_one(tmp_path, monkeypatch):
                              f"{digits} digits\n")
 
 
-
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python prints integers of any length")
 def test_unprintable_exact_bounds_exit_one(tmp_path, monkeypatch):
@@ -297,8 +296,8 @@ def test_unprintable_exact_bounds_exit_one(tmp_path, monkeypatch):
     assert result.exit_code == 1
     assert result.stdout == '{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
     assert result.stderr == message
-    # Domain errors raised while the trace runs keep their own text.
 
+    # Domain errors raised while the trace runs keep their own text.
     def failing(self, point, depth, window):
         yield half
         raise ValueError("not a point of the set's domain")

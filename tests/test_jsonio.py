@@ -10,8 +10,8 @@ from click.testing import CliRunner
 from cantordensity import jsonio
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.cli import main
-from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.clopen import ClopenSet
+from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.jsonio import (
     SpecError,
     binary_word_from_spec,
@@ -192,7 +192,6 @@ def test_spec_errors_vs_domain_errors():
                 ],
             }
         )
-
 
 
 def _per_word_decode(raw: list) -> ClopenSet:
