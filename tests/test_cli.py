@@ -4,23 +4,22 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import invoke
 
 from cantordensity import offspring
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import ClopenOracle, MeasureOracle, TailCertificate, Verdict
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def write(path, document):
@@ -136,9 +135,90 @@ def test_parse_errors_exit_two(tmp_path):
     assert invoke("measure", "--set", spec, "--prefix", "\u00b2").exit_code == 2
 
 
-def test_unknown_verb_and_suite_exit_two():
-    assert invoke("nosuchverb").exit_code == 2
-    assert invoke("verify", "no-such-suite").exit_code == 2
+def test_usage_errors_exit_two_naming_the_culprit(tmp_path):
+    spec = write(tmp_path / "set.json", {"kind": "dualistic", "measure": "3/5"})
+    out = str(tmp_path / "out.json")
+    cases = [
+        (("nosuchverb",), "nosuchverb"),
+        (("build", "nosuchkind", "-o", out), "nosuchkind"),
+        (("measure", "--set", spec, "--nope", "1"), "--nope"),
+        (("measure", "--set", spec, "--bud", "3"), "--bud"),
+        (("measure", "--prefix", "01"), "--set"),
+        (("measure", "--set"), "--set"),
+        (("measure", "--set", spec, "--budget", "x"), "'x'"),
+        (("measure", "--set", spec, "--budget", "-1"), "-1"),
+        (("build", "reduction", "--which", "fourth", "-o", out), "fourth"),
+        (("build", "reduction", "--which", "first", "--preset", "nope", "-o", out), "nope"),
+        (("measure", "--set", spec, "stray"), "stray"),
+        (("verify", "codec", "stray"), "stray"),
+        (("verify", "no-such-suite"), "no-such-suite"),
+    ]
+    for args, culprit in cases:
+        result = invoke(*args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.stdout == "", args
+        assert culprit in result.stderr, (args, result.stderr)
+        assert "Traceback" not in result.stderr, args
+
+
+def test_help_names_every_option():
+    verbs = {
+        ("measure",): {"--set", "--prefix", "--budget"},
+        ("trace",): {"--set", "--branch", "--steps", "--budget"},
+        ("classify",): {"--set", "--branch", "--eps", "--max-depth"},
+        ("build", "dualistic"): {"--measure", "-o", "--out"},
+        ("build", "countable-range"): {"--value", "-o", "--out"},
+        ("build", "offspring"): {"--tree", "--label", "--default-label", "-o", "--out"},
+        ("build", "reduction"): {"--which", "--tree", "--preset", "--value", "--a", "--b",
+                                 "--eps", "-o", "--out"},
+        ("verify",): {"--seed", "--cases"},
+    }
+    for verb, flags in verbs.items():
+        result = invoke(*verb, "--help")
+        assert result.exit_code == 0, verb
+        assert flags <= set(re.findall(r"(?<![\w-])-{1,2}[\w-]+", result.stdout)), verb
+
+
+def test_option_values_are_taken_verbatim(tmp_path):
+    # An option takes the next argument as its value even when it looks
+    # like an option, so a negative fraction reaches the module's check.
+    spec = write(tmp_path / "set.json", {"kind": "dualistic", "measure": "3/5"})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "0"})
+    result = invoke("classify", "--set", spec, "--branch", branch, "--eps", "-1/3")
+    assert result.exit_code == 1
+    assert result.stderr == "eps must be positive: -1/3\n"
+    result = invoke("build", "dualistic", "--measure", "-1/2", "-o", str(tmp_path / "F"))
+    assert result.exit_code == 1
+    assert result.stderr == "measure must be in (0;1): -1/2\n"
+    result = invoke("measure", f"--set={spec}", "--prefix=01")
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"lo": "1/4", "hi": "1/4"}
+    # A repeated single option keeps its last value; a multiple one keeps all.
+    result = invoke("measure", "--set", spec, "--prefix", "1", "--prefix", "01")
+    assert json.loads(result.stdout) == {"lo": "1/4", "hi": "1/4"}
+    out = str(tmp_path / "countable.json")
+    result = invoke("build", "countable-range", "--value", "1/3", "--value=3/4", "-o", out)
+    assert result.exit_code == 0
+    assert json.loads(open(out, encoding="utf-8").read())["values"] == ["1/3", "3/4"]
+    # The verify suite may come before or after its options.
+    assert invoke("verify", "--cases", "3", "codec", "--seed", "2").output == "3/3 pass\n"
+
+
+def test_closed_stdout_pipe_exits_one_silently(tmp_path):
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "0"})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "cantordensity.cli", "trace", "--set", spec, "--branch", branch,
+         "--steps", "5000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.Popen(["head", "-n", "1"], stdin=writer.stdout, stdout=subprocess.PIPE)
+    writer.stdout.close()
+    first, _ = head.communicate(timeout=60)
+    stderr = writer.stderr.read().decode()
+    writer.stderr.close()
+    assert writer.wait(timeout=60) == 1
+    assert first == b'{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
+    assert "Traceback" not in stderr
 
 
 def test_build_dualistic_round_trips(tmp_path):
@@ -366,7 +446,10 @@ def test_in_process_calls_leave_no_captured_buffer_alive(tmp_path):
     for argv in calls * 5:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            main(argv, standalone_mode=False)
+            try:
+                main(argv)
+            except SystemExit as done:
+                assert not done.code
         assert buffer.getvalue()
         buffers.append(weakref.ref(buffer))
         del buffer

@@ -10,11 +10,9 @@ stretch and interleave) go through ``measure``, ``trace`` and
 import json
 
 import pytest
-from click.testing import CliRunner
+from clirunner import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from cantordensity.cli import main
 
 # In range nine times in ten.
 FRACTIONS = st.sampled_from(
@@ -177,7 +175,7 @@ def test_cli_verbs_fail_closed(workdir, spec, branch, budget, steps, max_depth):
          "--max-depth", str(max_depth)],
     ]
     for args in calls:
-        result = CliRunner().invoke(main, args)
+        result = invoke(*args)
         if result.exception is not None and not isinstance(result.exception, SystemExit):
             raise AssertionError(f"{args[0]} raised {result.exception!r} on {spec} / {branch}")
         assert result.exit_code in (0, 1, 2), (args[0], result.exit_code, result.output)

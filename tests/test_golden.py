@@ -9,9 +9,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from cantordensity.cli import main
+from clirunner import invoke
 
 GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
 
@@ -169,7 +167,7 @@ def run_case(name, folder):
             path.write_text(json.dumps(DOCS[arg[1:]]), encoding="utf-8")
             arg = str(path)
         argv.append(arg)
-    return CliRunner().invoke(main, argv)
+    return invoke(*argv)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

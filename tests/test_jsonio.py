@@ -5,11 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from cantordensity import jsonio
 from cantordensity.branches import Branch, StretchedBranch
-from cantordensity.cli import main
 from cantordensity.clopen import ClopenSet
 from cantordensity.dyadics import RatInterval, format_fraction
 from cantordensity.jsonio import (
