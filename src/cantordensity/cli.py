@@ -6,20 +6,25 @@ a construction rejects its values, a tail certificate is contradicted
 (the module's message is printed verbatim), bounds are too long to
 print (exact ones or a budget's), an evaluation opens more states than
 its cap ("budget exhausted: ..."; a jump over a block counts one state
-per letter it spans up to the horizon) or memory runs out ("out of
-memory"), 2 when a document or the command line itself is malformed.
-Verify suites are seeded, so equal invocations print equal bytes.
+per letter it spans up to the horizon), memory runs out ("out of
+memory") or the run is interrupted ("Aborted!"), and 1 with no message
+when the reader of stdout closes the pipe; 2 when a document is
+malformed ("spec error: ...") or the command line is (an unknown verb,
+option or choice, a missing or ill-formed value, an extra argument:
+the usage line and the error). ``<verb> --help`` lists a verb's options.
+The verbs and their options are one table (``_VERBS``), read by a parse
+loop on the standard library alone. Verify suites are seeded, so equal
+invocations print equal bytes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from random import Random
-
-import click
+from typing import NamedTuple
 
 from . import jsonio
 from .branches import Branch, StretchedBranch
@@ -40,24 +45,6 @@ from .words import (
     stretch,
     triangular,
 )
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except jsonio.SpecError as err:
-            print(f"spec error: {err}", file=sys.stderr)
-            sys.exit(2)
-        except (ValueError, RuntimeError) as err:
-            print(err, file=sys.stderr)
-            sys.exit(1)
-        except MemoryError:
-            print("out of memory", file=sys.stderr)
-            sys.exit(1)
-
-    return wrapper
 
 
 def _load_document(path: str):
@@ -83,19 +70,6 @@ def _check_printable(budget: int, offset: int = 0) -> None:
                          f"digits; the largest budget accepted is {largest}")
 
 
-@click.group()
-def main() -> None:
-    """Exact measures, density traces, and point classifications."""
-
-
-@main.command()
-@click.option("--set", "set_path", required=True, help="set spec JSON file")
-@click.option("--prefix", default="", help="localize to the cylinder of this bit word")
-@click.option(
-    "--budget", default=24, show_default=True, type=click.IntRange(min=0),
-    help="refinement depth for inexact oracles",
-)
-@_guarded
 def measure(set_path: str, prefix: str, budget: int) -> None:
     """Certified bounds on the measure of a set, localized to a prefix."""
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
@@ -105,15 +79,6 @@ def measure(set_path: str, prefix: str, budget: int) -> None:
     print(json.dumps(jsonio.interval_record(bounds)))
 
 
-@main.command()
-@click.option("--set", "set_path", required=True, help="set spec JSON file")
-@click.option("--branch", "branch_path", required=True, help="branch JSON file")
-@click.option("--steps", required=True, type=click.IntRange(min=1))
-@click.option(
-    "--budget", default=16, show_default=True, type=click.IntRange(min=0),
-    help="refinement beyond each prefix length",
-)
-@_guarded
 def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     """Density trace along a branch, one JSON line per depth."""
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
@@ -123,12 +88,6 @@ def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
         print(line, flush=True)
 
 
-@main.command()
-@click.option("--set", "set_path", required=True, help="set spec JSON file")
-@click.option("--branch", "branch_path", required=True, help="branch JSON file")
-@click.option("--eps", default="1/256", show_default=True, help="target interval width")
-@click.option("--max-depth", default=80, show_default=True, type=click.IntRange(min=1))
-@_guarded
 def classify(set_path: str, branch_path: str, eps: str, max_depth: int) -> None:
     """Classify a point's density: converges, blurry, or undetermined."""
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
@@ -148,11 +107,6 @@ def classify(set_path: str, branch_path: str, eps: str, max_depth: int) -> None:
 # ---------------------------------------------------------------- build
 
 
-@main.group()
-def build() -> None:
-    """Write a validated set spec to a file."""
-
-
 def _write_spec(doc: dict, out_path: str) -> None:
     jsonio.oracle_from_spec(doc)
     with open(out_path, "w", encoding="utf-8") as handle:
@@ -160,20 +114,12 @@ def _write_spec(doc: dict, out_path: str) -> None:
     print(f"wrote {out_path}")
 
 
-@build.command(name="dualistic")
-@click.option("--measure", "amount", required=True, help='target measure, "p/q"')
-@click.option("-o", "--out", "out_path", required=True)
-@_guarded
 def build_dualistic(amount: str, out_path: str) -> None:
     """A set of exact prescribed measure, blurry on a designated spine."""
     value = jsonio.fraction_from_spec(amount)
     _write_spec({"kind": "dualistic", "measure": format_fraction(value)}, out_path)
 
 
-@build.command(name="countable-range")
-@click.option("--value", "values", multiple=True, help='designated density value, "p/q"')
-@click.option("-o", "--out", "out_path", required=True)
-@_guarded
 def build_countable_range(values: tuple[str, ...], out_path: str) -> None:
     """A solid set realizing the given density values on designated points."""
     parsed = [jsonio.fraction_from_spec(v) for v in values]
@@ -181,12 +127,6 @@ def build_countable_range(values: tuple[str, ...], out_path: str) -> None:
     _write_spec(doc, out_path)
 
 
-@build.command(name="offspring")
-@click.option("--tree", "tree_path", required=True, help="tree spec JSON file")
-@click.option("--label", "labels", multiple=True, help="node=value, e.g. 01=3/8")
-@click.option("--default-label", default="1/2", show_default=True)
-@click.option("-o", "--out", "out_path", required=True)
-@_guarded
 def build_offspring(tree_path: str, labels: tuple[str, ...], default_label: str,
                     out_path: str) -> None:
     """The compact offspring set of a tree with per-node labels."""
@@ -209,18 +149,6 @@ def build_offspring(tree_path: str, labels: tuple[str, ...], default_label: str,
     _write_spec(doc, out_path)
 
 
-@build.command(name="reduction")
-@click.option("--which", required=True, type=click.Choice(["first", "second", "third"]))
-@click.option("--tree", "tree_path", default=None,
-              help="tree spec JSON file; the full binary tree if omitted")
-@click.option("--preset", type=click.Choice(["constant", "interval", "injective"]),
-              default=None, help="function presentation (first and third only)")
-@click.option("--value", default=None, help="constant preset: the constant")
-@click.option("--a", default=None, help="interval preset: left endpoint")
-@click.option("--b", default=None, help="interval preset: right endpoint")
-@click.option("--eps", default=None, help="injective preset: the margin")
-@click.option("-o", "--out", "out_path", required=True)
-@_guarded
 def build_reduction(which: str, tree_path: str | None, preset: str | None,
                     value: str | None, a: str | None, b: str | None,
                     eps: str | None, out_path: str) -> None:
@@ -411,24 +339,236 @@ _SUITES = {
 }
 
 
-@main.command()
-@click.argument("suite")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--cases", default=100, show_default=True, type=click.IntRange(min=1))
-@_guarded
 def verify(suite: str, seed: int, cases: int) -> None:
     """Run a named property suite and print pass/fail counts."""
-    runner = _SUITES.get(suite)
-    if runner is None:
-        raise click.UsageError(
-            f"unknown suite {suite!r}; choose from: {', '.join(sorted(_SUITES))}"
-        )
-    failures = runner(Random(seed), cases)
+    failures = _SUITES[suite](Random(seed), cases)
     print(f"{cases - len(failures)}/{cases} pass")
     for message in failures[:5]:
         print(f"fail: {message}", file=sys.stderr)
     if failures:
         sys.exit(1)
+
+
+# --------------------------------------------------------- command line
+
+
+class Option(NamedTuple):
+    """One option of a verb, or its positional argument when it has no flags.
+
+    The value is passed to the verb's callback as ``dest``. It is an
+    integer when the option has a minimum or an integer default.
+    """
+
+    flags: tuple[str, ...]
+    dest: str
+    help: str = ""
+    default: object = None
+    required: bool = False
+    multiple: bool = False
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+
+
+_SET = Option(("--set",), "set_path", "set spec JSON file", required=True)
+_BRANCH = Option(("--branch",), "branch_path", "branch JSON file", required=True)
+_OUT = Option(("-o", "--out"), "out_path", required=True)
+
+# One row per verb: its callback, whose docstring is the help line, and its options.
+_VERBS = {
+    "measure": (measure, (
+        _SET,
+        Option(("--prefix",), "prefix", "localize to the cylinder of this bit word", ""),
+        Option(("--budget",), "budget", "refinement depth for inexact oracles", 24, minimum=0),
+    )),
+    "trace": (trace, (
+        _SET, _BRANCH,
+        Option(("--steps",), "steps", required=True, minimum=1),
+        Option(("--budget",), "budget", "refinement beyond each prefix length", 16, minimum=0),
+    )),
+    "classify": (classify, (
+        _SET, _BRANCH,
+        Option(("--eps",), "eps", "target interval width", "1/256"),
+        Option(("--max-depth",), "max_depth", default=80, minimum=1),
+    )),
+    "build dualistic": (build_dualistic, (
+        Option(("--measure",), "amount", 'target measure, "p/q"', required=True), _OUT,
+    )),
+    "build countable-range": (build_countable_range, (
+        Option(("--value",), "values", 'designated density value, "p/q"', multiple=True), _OUT,
+    )),
+    "build offspring": (build_offspring, (
+        Option(("--tree",), "tree_path", "tree spec JSON file", required=True),
+        Option(("--label",), "labels", "node=value, e.g. 01=3/8", multiple=True),
+        Option(("--default-label",), "default_label", default="1/2"),
+        _OUT,
+    )),
+    "build reduction": (build_reduction, (
+        Option(("--which",), "which", required=True, choices=("first", "second", "third")),
+        Option(("--tree",), "tree_path", "tree spec JSON file; the full binary tree if omitted"),
+        Option(("--preset",), "preset", "function presentation (first and third only)",
+               choices=("constant", "interval", "injective")),
+        Option(("--value",), "value", "constant preset: the constant"),
+        Option(("--a",), "a", "interval preset: left endpoint"),
+        Option(("--b",), "b", "interval preset: right endpoint"),
+        Option(("--eps",), "eps", "injective preset: the margin"),
+        _OUT,
+    )),
+    "verify": (verify, (
+        Option((), "suite", required=True, choices=tuple(sorted(_SUITES))),
+        Option(("--seed",), "seed", default=0),
+        Option(("--cases",), "cases", default=100, minimum=1),
+    )),
+}
+_PROG = "cantordensity"
+
+
+class _UsageError(Exception):
+    """A malformed command line: the verb or group it names, and the message."""
+
+
+def _hint(option: Option) -> str:
+    return " / ".join(f"'{flag}'" for flag in option.flags) or f"'{option.dest.upper()}'"
+
+
+def _convert(verb: str, option: Option, value: str):
+    """The value that an option's word stands for, checked against its
+    choices and minimum."""
+    problem = None
+    if option.choices and value not in option.choices:
+        problem = f"{value!r} is not one of {', '.join(map(repr, option.choices))}"
+    elif option.minimum is not None or type(option.default) is int:
+        try:
+            value = int(value)
+        except ValueError:
+            problem = f"{value!r} is not a valid integer"
+        else:
+            if option.minimum is not None and value < option.minimum:
+                problem = f"{value} is not in the range x>={option.minimum}"
+    if problem:
+        raise _UsageError(verb, f"Invalid value for {_hint(option)}: {problem}.")
+    return value
+
+
+def _parse(args: list[str]) -> tuple[str, dict | None]:
+    """The verb that a command line names and its callback's keyword
+    arguments, or None in their place when it asks for help.
+
+    As click did: an option takes the next word as its value whatever it
+    looks like, ``--flag=value`` is accepted, flags are never abbreviated,
+    a repeated option keeps its last value unless it is ``multiple``, and
+    a positional argument may stand among the options.
+    """
+    group = "build" if args[:1] == ["build"] else ""
+    words = iter(args[1:] if group else args)
+    name = next(words, None)
+    if name is None:
+        raise _UsageError(group, "Missing command.")
+    if name == "--help":
+        return group, None
+    verb = f"{group} {name}".lstrip()
+    if verb not in _VERBS:
+        raise _UsageError(group, f"No such command '{name}'.")
+    options = _VERBS[verb][1]
+    flags = {flag: option for option in options for flag in option.flags}
+    positional = [option for option in options if not option.flags]
+    values = {option.dest: () if option.multiple else option.default for option in options}
+    given = set()
+    for word in words:
+        if word == "--help":
+            return verb, None
+        if word.startswith("-"):
+            flag, equals, value = word.partition("=") if word.startswith("--") else (word, "", "")
+            option = flags.get(flag)
+            if option is None:
+                raise _UsageError(verb, f"No such option '{flag}'.")
+            if not equals:
+                value = next(words, None)
+                if value is None:
+                    raise _UsageError(verb, f"Option '{flag}' requires an argument.")
+        elif positional:
+            option, value = positional.pop(0), word
+        else:
+            raise _UsageError(verb, f"Got unexpected extra argument ({word})")
+        value = _convert(verb, option, value)
+        values[option.dest] = values[option.dest] + (value,) if option.multiple else value
+        given.add(option.dest)
+    for option in options:
+        if option.required and option.dest not in given:
+            kind = "option" if option.flags else "argument"
+            raise _UsageError(verb, f"Missing {kind} {_hint(option)}.")
+    return verb, values
+
+
+def _usage(verb: str) -> str:
+    """The usage line of a verb, or of a group ("" is the top level)."""
+    if verb not in _VERBS:
+        return f"{_PROG} {verb}".rstrip() + " COMMAND [ARGS]..."
+    return " ".join([_PROG, verb, "[OPTIONS]"]
+                    + [option.dest.upper() for option in _VERBS[verb][1] if not option.flags])
+
+
+def _help(verb: str) -> str:
+    """The --help text of a verb, or the command list of a group."""
+    if verb in _VERBS:
+        callback, options = _VERBS[verb]
+        heading, rows = f"  {callback.__doc__}\n\nOptions:", []
+        for option in options:
+            notes = "; ".join(text for shown, text in (
+                (option.choices, f"one of: {', '.join(option.choices)}"),
+                (option.default not in (None, ""), f"default: {option.default}"),
+                (option.minimum is not None, f"integer >= {option.minimum}"),
+                (option.required, "required"), (option.multiple, "repeatable")) if shown)
+            text = f"{option.help}  [{notes}]" if notes else option.help
+            rows.append((", ".join(option.flags) or option.dest.upper(), text.strip()))
+    else:
+        prefix = f"{verb} ".lstrip()
+        heading = "Commands:"
+        rows = [(name[len(prefix):], callback.__doc__) for name, (callback, _) in _VERBS.items()
+                if name.startswith(prefix)]
+    width = max(len(label) for label, _ in rows) + 2
+    lines = "".join(f"\n  {label:<{width}}{text}".rstrip() for label, text in rows)
+    return f"Usage: {_usage(verb)}\n\n{heading}{lines}"
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command line, ``sys.argv[1:]`` by default.
+
+    Returns on success. Otherwise prints a message on stderr and raises
+    ``SystemExit`` with the exit code the module docstring gives.
+    """
+    try:
+        verb, values = _parse(sys.argv[1:] if argv is None else list(argv))
+        if values is None:
+            print(_help(verb))
+        else:
+            _VERBS[verb][0](**values)
+    except _UsageError as err:
+        verb, message = err.args
+        command = f"{_PROG} {verb}".rstrip()
+        print(f"Usage: {_usage(verb)}\nTry '{command} --help' for help.\n\nError: {message}",
+              file=sys.stderr)
+        sys.exit(2)
+    except jsonio.SpecError as err:
+        print(f"spec error: {err}", file=sys.stderr)
+        sys.exit(2)
+    except (ValueError, RuntimeError) as err:
+        print(err, file=sys.stderr)
+        sys.exit(1)
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        # stdout's reader has gone: keep the interpreter's last flush from failing too.
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+
+
+# bench/run.py calls click's entry point, main.main(argv, standalone_mode=False); this
+# forwards it to main(argv), bound here so that a tracer rebinding main counts one call.
+main.main = lambda argv, standalone_mode=False, run=main: run(argv)
 
 
 if __name__ == "__main__":

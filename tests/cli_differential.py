@@ -206,11 +206,12 @@ def run_calls(root: Path, calls: list[list[str]]) -> None:
     for argv in calls:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            # A click-era main exits even on success; the table-driven one returns.
             try:
-                main(argv, standalone_mode=False)
+                main(argv)
                 code = 0
             except SystemExit as done:
-                code = done.code
+                code = done.code or 0
         print(json.dumps({"out": stdout.getvalue(), "err": stderr.getvalue(), "code": code}))
 
 

@@ -122,6 +122,18 @@ def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch):
     assert result.stderr == "out of memory\n"
 
 
+def test_interrupt_exits_one_without_traceback(tmp_path, monkeypatch):
+    def interrupted(self, word, budget):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ClopenOracle, "local_bounds", interrupted)
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    result = invoke("measure", "--set", spec)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "\nAborted!\n"
+
+
 def test_parse_errors_exit_two(tmp_path):
     bad_kind = write(tmp_path / "set.json", {"kind": "nonsense"})
     assert invoke("measure", "--set", bad_kind).exit_code == 2
@@ -219,6 +231,7 @@ def test_closed_stdout_pipe_exits_one_silently(tmp_path):
     assert writer.wait(timeout=60) == 1
     assert first == b'{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
     assert "Traceback" not in stderr
+    assert stderr == ""
 
 
 def test_build_dualistic_round_trips(tmp_path):

@@ -4,6 +4,9 @@ looked up as an attribute somewhere, and every attribute a class
 declares or stores on its instances is read somewhere."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,17 +44,10 @@ def _dunder(name: str) -> bool:
 
 
 def defined_names(tree: ast.Module) -> list[str]:
-    """Top-level functions, classes and constants, without click commands
-    (the CLI reaches them through the group) and dunder names."""
+    """Top-level functions, classes and constants, without dunder names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if any(
-                isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-                and d.func.attr in ("command", "group")
-                for d in node.decorator_list
-            ):
-                continue
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -109,7 +105,7 @@ def unused_definitions() -> list[str]:
 
 def test_detector_flags_an_unused_definition():
     tree = ast.parse("A = 1\nB = A\ndef f(): ...\n@main.command()\ndef g(): ...\n")
-    assert defined_names(tree) == ["A", "B", "f"]
+    assert defined_names(tree) == ["A", "B", "f", "g"]
     assert referenced_names(tree) == {"A", "main", "command"}
 
 
@@ -207,3 +203,13 @@ def test_offspring_copies_do_not_build_clopen_sets():
     # copy would bring the clopen layer back into the evaluator.
     source = (ROOT / "src" / "cantordensity" / "offspring.py").read_text(encoding="utf-8")
     assert "cantordensity.clopen" not in imported_modules(source)
+
+
+def test_cli_import_leaves_click_out():
+    # The command line runs on the standard library alone.
+    probe = ("import sys, cantordensity.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n"
