@@ -7,14 +7,12 @@ a construction rejects its values, a tail certificate is contradicted
 print (exact ones or a budget's), an evaluation opens more states than
 its cap ("budget exhausted: ..."; a jump over a block counts one state
 per letter it spans up to the horizon), memory runs out ("out of
-memory") or the run is interrupted ("Aborted!"), and 1 with no message
-when the reader of stdout closes the pipe; 2 when a document is
-malformed ("spec error: ...") or the command line is (an unknown verb,
-option or choice, a missing or ill-formed value, an extra argument:
-the usage line and the error). ``<verb> --help`` lists a verb's options.
-The verbs and their options are one table (``_VERBS``), read by a parse
-loop on the standard library alone. Verify suites are seeded, so equal
-invocations print equal bytes.
+memory") or the run is interrupted ("Aborted!"), and silently when the
+reader of stdout closes the pipe; 2 when a document ("spec error: ...")
+or the command line is malformed (a usage line, then the error). The
+verbs and their options are one table, ``_VERBS``, parsed with the
+standard library alone. Verify suites are seeded, so equal invocations
+print equal bytes.
 """
 
 from __future__ import annotations
