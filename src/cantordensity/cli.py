@@ -451,10 +451,11 @@ def _parse(args: list[str]) -> tuple[str, dict | None]:
     """The verb that a command line names and its callback's keyword
     arguments, or None in their place when it asks for help.
 
-    As click did: an option takes the next word as its value whatever it
-    looks like, ``--flag=value`` is accepted, flags are never abbreviated,
-    a repeated option keeps its last value unless it is ``multiple``, and
-    a positional argument may stand among the options.
+    An option takes the next word as its value whatever it looks like
+    (``--eps -1/3`` gives eps "-1/3"), ``--flag=value`` is accepted, flags
+    are never abbreviated, a repeated option keeps its last value unless
+    it is ``multiple``, and a positional argument may stand among the
+    options.
     """
     group = "build" if args[:1] == ["build"] else ""
     words = iter(args[1:] if group else args)
@@ -464,7 +465,7 @@ def _parse(args: list[str]) -> tuple[str, dict | None]:
     if name == "--help":
         return group, None
     verb = f"{group} {name}".lstrip()
-    if verb not in _VERBS:
+    if verb not in _VERBS or " " in name:
         raise _UsageError(group, f"No such command '{name}'.")
     options = _VERBS[verb][1]
     flags = {flag: option for option in options for flag in option.flags}

@@ -152,6 +152,7 @@ def test_usage_errors_exit_two_naming_the_culprit(tmp_path):
     out = str(tmp_path / "out.json")
     cases = [
         (("nosuchverb",), "nosuchverb"),
+        (("build dualistic", "--measure", "1/2", "-o", out), "build dualistic"),
         (("build", "nosuchkind", "-o", out), "nosuchkind"),
         (("measure", "--set", spec, "--nope", "1"), "--nope"),
         (("measure", "--set", spec, "--bud", "3"), "--bud"),
@@ -230,7 +231,6 @@ def test_closed_stdout_pipe_exits_one_silently(tmp_path):
     writer.stderr.close()
     assert writer.wait(timeout=60) == 1
     assert first == b'{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
-    assert "Traceback" not in stderr
     assert stderr == ""
 
 
