@@ -83,6 +83,25 @@ def test_classify_blurry_second_reduction(tmp_path):
     assert int(numerator) / int(denominator) >= 1 - 1 / 16
 
 
+def test_classify_without_a_certificate_is_undetermined(tmp_path):
+    # Neither set certifies a tail along its stretched point: the compose
+    # part is entered by a stretched point, which has no plain tail.
+    cases = [
+        ({"kind": "dualistic", "measure": "2/7"}, "10", ("--max-depth", "40"), 40),
+        ({"kind": "compose", "parts": [{"prefix": "0", "set": {"kind": "dualistic",
+                                                                 "measure": "2/7"}}]},
+         "01", (), 80),
+    ]
+    for document, period, flags, depth in cases:
+        spec = write(tmp_path / "set.json", document)
+        branch = write(tmp_path / "branch.json",
+                       {"kind": "stretch", "of": {"kind": "ev_periodic", "period": period}})
+        result = invoke("classify", "--set", spec, "--branch", branch, *flags)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (f'{{"verdict": "undetermined", "lo": "0", "hi": "0", '
+                                 f'"depth": {depth}, "detail": "no certificate within depth"}}\n')
+
+
 def test_domain_error_exits_one_with_module_message(tmp_path):
     spec = write(tmp_path / "set.json", {"kind": "dualistic", "measure": "3/2"})
     result = invoke("measure", "--set", spec)
@@ -147,8 +166,60 @@ def test_parse_errors_exit_two(tmp_path):
     assert invoke("measure", "--set", spec, "--prefix", "\u00b2").exit_code == 2
 
 
+def _offspring_set(tree):
+    return {"kind": "offspring", "tree": tree}
+
+
+_TREE_ZEROS = {"nodes": [""], "policies": {"": "zeros"}}
+_MALFORMED_SETS = [
+    (5, "expected an object carrying 'kind', got 5"),
+    (_offspring_set(3), "tree spec must be an object, got 3"),
+    (_offspring_set({"nodes": "0"}), '"nodes" must be an array of words'),
+    (_offspring_set({"nodes": [""], "policies": []}),
+     '"policies" must be an object keyed by words'),
+    (_offspring_set({"nodes": [""], "policies": {"": 3}}),
+     'policy must be a name or {"periodic": word}, got 3'),
+    (_offspring_set({"nodes": [""], "policies": {"": {"periodic": "1", "x": "0"}}}),
+     "policy must be a name or {\"periodic\": word}, got {'periodic': '1', 'x': '0'}"),
+    (_offspring_set({"nodes": [""], "policies": {"": {"periodic": ""}}}),
+     "periodic policy needs a non-empty cycle"),
+    # With both faults the policy's is named.
+    (_offspring_set({"nodes": [""], "policies": {"": {"periodic": []}}, "arity": 1}),
+     "periodic policy needs a non-empty cycle"),
+    ({"kind": "countable-range", "values": "1/3"}, '"values" must be an array'),
+    ({"kind": "offspring", "tree": _TREE_ZEROS, "labels": ["1/2"]},
+     '"labels" must be an object keyed by words'),
+    ({"kind": "compose", "parts": ["0"]},
+     "each part is {\"prefix\": word, \"set\": spec}, got '0'"),
+    ({"kind": "compose", "parts": [{"prefix": "0", "set": {"kind": "clopen", "words": []}}],
+      "complemented": 1}, '"complemented" must be a boolean'),
+]
+_MALFORMED_BRANCHES = [
+    ("0", "expected an object carrying 'kind', got '0'"),
+    ({"kind": "baire", "period": []}, "period must be non-empty"),
+    ({"kind": "baire", "head": [2], "period": ""}, "period must be non-empty"),
+    ({"kind": "ev_periodic", "period": ""}, "period must be non-empty"),
+]
+
+
+def test_malformed_documents_exit_two_with_their_message(tmp_path):
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "0"})
+    for document, message in _MALFORMED_SETS:
+        spec = write(tmp_path / "set.json", document)
+        result = invoke("measure", "--set", spec)
+        assert (result.exit_code, result.stdout) == (2, ""), document
+        assert result.stderr == f"spec error: {message}\n", document
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
+    for document, message in _MALFORMED_BRANCHES:
+        write(tmp_path / "branch.json", document)
+        result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "1")
+        assert (result.exit_code, result.stdout) == (2, ""), document
+        assert result.stderr == f"spec error: {message}\n", document
+
+
 def test_usage_errors_exit_two_naming_the_culprit(tmp_path):
     spec = write(tmp_path / "set.json", {"kind": "dualistic", "measure": "3/5"})
+    tree = write(tmp_path / "tree.json", _TREE_ZEROS)
     out = str(tmp_path / "out.json")
     cases = [
         (("nosuchverb",), "nosuchverb"),
@@ -165,6 +236,16 @@ def test_usage_errors_exit_two_naming_the_culprit(tmp_path):
         (("measure", "--set", spec, "stray"), "stray"),
         (("verify", "codec", "stray"), "stray"),
         (("verify", "no-such-suite"), "no-such-suite"),
+        ((), "Missing command."),
+        (("build",), "Missing command."),
+        (("build", "reduction", "--which", "second", "--preset", "constant", "-o", out),
+         "the second reduction takes no function"),
+        (("build", "reduction", "--which", "first", "--preset", "constant", "-o", out),
+         "preset 'constant' needs --value"),
+        (("build", "reduction", "--which", "third", "--preset", "interval", "--a", "1/4",
+          "-o", out), "preset 'interval' needs --b"),
+        (("build", "offspring", "--tree", tree, "--label", "01", "-o", out),
+         "labels look like node=value, got '01'"),
     ]
     for args, culprit in cases:
         result = invoke(*args)
@@ -190,6 +271,21 @@ def test_help_names_every_option():
         result = invoke(*verb, "--help")
         assert result.exit_code == 0, verb
         assert flags <= set(re.findall(r"(?<![\w-])-{1,2}[\w-]+", result.stdout)), verb
+
+
+def test_help_lists_the_commands_of_each_group():
+    groups = {
+        (): ["measure", "trace", "classify", "build dualistic", "build countable-range",
+             "build offspring", "build reduction", "verify"],
+        ("build",): ["dualistic", "countable-range", "offspring", "reduction"],
+    }
+    for group, names in groups.items():
+        result = invoke(*group, "--help")
+        assert result.exit_code == 0, group
+        usage, _, commands = result.stdout.partition("\n\nCommands:\n")
+        assert usage == " ".join(("Usage: cantordensity",) + group + ("COMMAND [ARGS]...",))
+        assert [re.split(r"\s{2,}", line.strip())[0]
+                for line in commands.splitlines()] == names, group
 
 
 def test_option_values_are_taken_verbatim(tmp_path):
@@ -279,6 +375,22 @@ def test_build_offspring_and_reduction(tmp_path):
     assert result.exit_code == 0
     missing_preset = invoke("build", "reduction", "--which", "third", "-o", out2)
     assert missing_preset.exit_code == 2
+
+
+def test_build_reduction_writes_the_function_of_each_preset(tmp_path):
+    out = str(tmp_path / "reduction.json")
+    cases = [
+        (("first", "constant", "--value", "2/4"), {"preset": "constant", "value": "1/2"}),
+        (("first", "interval", "--a", "1/4", "--b", "1/2"),
+         {"preset": "interval", "a": "1/4", "b": "1/2"}),
+        (("third", "injective", "--eps", "1/8"), {"preset": "injective", "eps": "1/8"}),
+    ]
+    for (which, preset, *flags), function in cases:
+        result = invoke("build", "reduction", "--which", which, "--preset", preset, *flags,
+                        "-o", out)
+        assert (result.exit_code, result.stdout) == (0, f"wrote {out}\n"), result.output
+        document = json.loads(open(out, encoding="utf-8").read())
+        assert document == {"kind": "reduction", "which": which, "function": function}
 
 
 def test_verify_suites_pass_and_are_deterministic():
