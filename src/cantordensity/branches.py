@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .words import Word, interleave, order_at_depth, stretch_prefix, triangular
+from .words import Word, interleave, order_at_depth, stretch, triangular
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,6 @@ class Branch:
         shift = (count - len(self.head)) % len(self.cycle)
         return Branch((), self.cycle[shift:] + self.cycle[:shift])
 
-    @staticmethod
-    def zeros() -> "Branch":
-        return Branch((), (0,))
-
-    @staticmethod
-    def ones() -> "Branch":
-        return Branch((), (1,))
-
 
 @dataclass(frozen=True)
 class StretchedBranch:
@@ -75,7 +67,7 @@ class StretchedBranch:
 
     def prefix(self, n: int) -> Word:
         # Blocks 0 .. order_at_depth(n) cover positions 0 .. n.
-        return stretch_prefix(self.base.prefix(order_at_depth(n) + 1), n)
+        return stretch(self.base.prefix(order_at_depth(n) + 1))[:n]
 
 
 def interleave_branches(x: Branch, y: Branch) -> Branch:
@@ -97,11 +89,11 @@ def interleave_branches(x: Branch, y: Branch) -> Branch:
 def as_stretched(point: "Branch | StretchedBranch") -> Branch | None:
     """The base stream when the point is a stretched image, else None.
 
-    A stretched point has every block of letters n with
-    triangular(k) <= n < triangular(k+1) constant. For an eventually
-    periodic point with a non-constant cycle some block eventually
-    straddles two different letters, so only constant-tailed points
-    unstretch; the check is exact.
+    A stretched point is constant on each block triangular(k) <= n <
+    triangular(k+1); with a non-constant cycle some block straddles two
+    letters, so only a point that is c^ω from ``start`` on unstretches.
+    It does exactly when the blocks that begin before ``start`` are the
+    stretch of their first letters, and its base is those letters, then c^ω.
     """
     if isinstance(point, StretchedBranch):
         return point.base
@@ -109,15 +101,8 @@ def as_stretched(point: "Branch | StretchedBranch") -> Branch | None:
     if tail is None:
         return None
     letter, start = tail
-    base_letters = []
-    k = 0
-    while triangular(k) < start:
-        block = [point.at(n) for n in range(triangular(k), min(triangular(k + 1), start))]
-        if any(b != block[0] for b in block):
-            return None
-        # A block cut by ``start`` continues with the constant letter.
-        if triangular(k + 1) > start and block[0] != letter:
-            return None
-        base_letters.append(block[0])
-        k += 1
-    return Branch(tuple(base_letters), (letter,))
+    blocks = order_at_depth(start - 1) + 1 if start else 0
+    head = tuple(point.at(triangular(k)) for k in range(blocks))
+    if stretch(head) != point.prefix(triangular(blocks)):
+        return None
+    return Branch(head, (letter,))

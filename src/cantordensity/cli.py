@@ -36,7 +36,6 @@ from .words import (
     Word,
     bits_to_runs,
     decode_head,
-    ones_count,
     runs_to_bits,
     splice_runs,
     split_trailing_zeros,
@@ -306,13 +305,13 @@ def _suite_codec(rng: Random, cases: int) -> list[str]:
         checks = (
             decode_head(runs_to_bits(runs)) == runs,
             head + (0,) * zeros == bits,
-            ones_count(runs_to_bits(runs)) == len(runs),
+            runs_to_bits(runs).count(1) == len(runs),
             len(stretch(bits)) == triangular(len(bits)),
-            splice_runs(bits, tuple(range(ones_count(bits))))
+            splice_runs(bits, tuple(range(bits.count(1))))
             == runs_to_bits(
                 tuple(
                     entry
-                    for pair in zip(bits_to_runs(head), range(ones_count(bits)))
+                    for pair in zip(bits_to_runs(head), range(bits.count(1)))
                     for entry in pair
                 )
             )
@@ -322,7 +321,7 @@ def _suite_codec(rng: Random, cases: int) -> list[str]:
             failures.append(f"case {index}: check vector {checks}")
             continue
         try:
-            splice_runs(bits, tuple(range(ones_count(bits) + 1)))
+            splice_runs(bits, tuple(range(bits.count(1) + 1)))
             failures.append(f"case {index}: arity guard missing")
         except ValueError:
             pass

@@ -112,10 +112,7 @@ def _policy_from_spec(value) -> Policy:
             raise SpecError(f"unknown policy {value!r}; expected one of: {', '.join(_POLICY_NAMES)}")
         return value
     if isinstance(value, dict) and set(value) == {"periodic"}:
-        cycle = word_from_spec(value["periodic"], "periodic cycle")
-        if not cycle:
-            raise SpecError("periodic policy needs a non-empty cycle")
-        return periodic(cycle)
+        return periodic(word_from_spec(value["periodic"], "periodic cycle"))
     raise SpecError(f'policy must be a name or {{"periodic": word}}, got {value!r}')
 
 
@@ -129,18 +126,18 @@ def tree_from_spec(doc) -> ExplicitTree:
     raw_policies = doc.get("policies", {})
     if not isinstance(raw_policies, dict):
         raise SpecError('"policies" must be an object keyed by words')
-    policies = {
-        word_from_spec(key, "policy node"): _policy_from_spec(value)
-        for key, value in raw_policies.items()
-    }
-    arity = doc.get("arity", 2)
-    if arity is not None and (isinstance(arity, bool) or not isinstance(arity, int) or arity < 2):
-        raise SpecError(f'"arity" must be null or an integer >= 2, got {arity!r}')
     try:
+        policies = {
+            word_from_spec(key, "policy node"): _policy_from_spec(value)
+            for key, value in raw_policies.items()
+        }
+        arity = doc.get("arity", 2)
+        if arity is not None and (type(arity) is not int or arity < 2):  # bool is not int
+            raise SpecError(f'"arity" must be null or an integer >= 2, got {arity!r}')
         return ExplicitTree(nodes, policies, arity=arity)
     except ValueError as err:
-        # Structural defects of the node/policy table are the
-        # document's fault, same as a syntax error.
+        # Structural defects of the node/policy table, an empty periodic
+        # cycle among them, are the document's fault, same as a syntax error.
         raise SpecError(str(err)) from None
 
 
@@ -166,18 +163,15 @@ _BRANCH_KINDS = ("ev_periodic", "stretch", "interleave", "baire")
 
 def branch_from_spec(doc) -> Branch | StretchedBranch:
     kind = _kind_of(doc, _BRANCH_KINDS)
-    if kind == "ev_periodic":
-        head = binary_word_from_spec(doc.get("head", ""), "head")
-        period = binary_word_from_spec(_require(doc, "period"), "period")
+    if kind in ("ev_periodic", "baire"):
+        read = binary_word_from_spec if kind == "ev_periodic" else word_from_spec
+        head = read(doc.get("head", ""), "head")
+        period = read(_require(doc, "period"), "period")
         if not period:
             raise SpecError("period must be non-empty")
+        if kind == "baire":
+            head, period = runs_to_bits(head), runs_to_bits(period)
         return Branch(head, period)
-    if kind == "baire":
-        head = word_from_spec(doc.get("head", []), "head")
-        period = word_from_spec(_require(doc, "period"), "period")
-        if not period:
-            raise SpecError("period must be non-empty")
-        return Branch(runs_to_bits(head), runs_to_bits(period))
     if kind == "stretch":
         inner = branch_from_spec(_require(doc, "of"))
         if isinstance(inner, StretchedBranch):

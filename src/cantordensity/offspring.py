@@ -81,12 +81,6 @@ def _letters_left(key: tuple) -> int:
     return size if key[0] == "node" else size - key[-1]
 
 
-def _check_opened(opened: int) -> None:
-    if opened > MAX_STATES:
-        raise BudgetExhausted(f"budget exhausted: over {MAX_STATES} evaluator states opened "
-                              "for one bound")
-
-
 def label_parts_of(value: Fraction) -> tuple[int, int] | Fraction:
     """A label value in the form ``LabelMap.label_parts`` gives it: a
     dyadic as (numerator, exponent) of its reduced form, anything else
@@ -340,7 +334,9 @@ class OffspringOracle(MeasureOracle):
             while front:
                 left = _letters_left(next(iter(front)))
                 opened += len(front) * min(left, h - depth)
-                _check_opened(opened)
+                if opened > MAX_STATES:
+                    raise BudgetExhausted(f"budget exhausted: over {MAX_STATES} evaluator "
+                                          "states opened for one bound")
                 if depth + left > h:
                     # The block crosses the horizon, and nothing settles
                     # inside a block: every path below stays open.

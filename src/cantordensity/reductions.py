@@ -56,7 +56,6 @@ from .words import (
     bits_to_runs,
     decode_head,
     deinterleave,
-    ones_count,
     runs_to_bits,
     split_trailing_zeros,
 )
@@ -127,16 +126,16 @@ class OnesParityLabels(LabelMap):
     def label_parts(self, node: Word) -> tuple[int, int]:
         # 1 - 2^-(L+1) on an even ones count, 2^-(L+1) on an odd one.
         exponent = len(node) + 1
-        return ((1 << exponent) - 1 if ones_count(node) % 2 == 0 else 1), exponent
+        return ((1 << exponent) - 1 if node.count(1) % 2 == 0 else 1), exponent
 
     def node_key(self, node: Word) -> object:
-        return ones_count(node) % 2
+        return node.count(1) % 2
 
     def tail_hull(self, branch: Branch, horizon: int) -> tuple[Fraction, ...]:
-        if ones_count(branch.cycle) == 0:
+        if branch.cycle.count(1) == 0:
             # The parity is frozen past the horizon and the labels walk
             # monotonically to their limit.
-            return (ONE if ones_count(branch.prefix(horizon)) % 2 == 0 else ZERO,)
+            return (ONE if branch.prefix(horizon).count(1) % 2 == 0 else ZERO,)
         return ZERO, ONE
 
 
@@ -212,11 +211,11 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
             # The adjusted value nudged by 2^-(len(node)+2): up after an
             # even zero run of the tree half, down after an odd one.
             tree_half, codec_half = deinterleave(word)
-            node = decode_head(codec_half[: ones_count(tree_half)])
+            node = decode_head(codec_half[: tree_half.count(1)])
             _, zeros = split_trailing_zeros(tree_half)
             return nudged_parts(*self.adjusted(node), len(node) + 2, zeros % 2 == 0)
         tree_half, codec_half = deinterleave(word[:-1])
-        node = bits_to_runs(codec_half[: ones_count(tree_half)] + (1,))
+        node = bits_to_runs(codec_half[: tree_half.count(1)] + (1,))
         return self.adjusted(node)
 
     def hull_horizon(self, branch: Branch, start: int) -> int:
@@ -228,7 +227,7 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
         # with a 1 appends a letter. Adjustments at length m stay below
         # 3 * 2^-(m+2), so the widened closure bounds them all.
         tree_half, codec_half = deinterleave(branch.prefix(2 * (horizon // 2)))
-        anchor = decode_head(codec_half[: ones_count(tree_half)])
+        anchor = decode_head(codec_half[: tree_half.count(1)])
         return anchor, Fraction(3, 1 << (len(anchor) + 2))
 
 

@@ -63,7 +63,7 @@ class Tree:
     ``arity`` is the alphabet size, or None for the natural numbers.
     """
 
-    arity: int | None
+    arity: int | None = 2
 
     def region_key(self, word: Word) -> tuple:
         raise NotImplementedError
@@ -145,8 +145,8 @@ class ExplicitTree(Tree):
         """The policy leaf at or above a word that is not an inner node.
 
         Policy leaves are nodes without explicit children, so the walk
-        from the root meets at most one and stops within the explicit
-        depth.
+        from the root meets at most one. A word that is not an inner node
+        is a policy leaf or not a node at all, so the last cut returns.
         """
         for cut in range(len(word) + 1):
             prefix = word[:cut]
@@ -154,7 +154,6 @@ class ExplicitTree(Tree):
                 return prefix, self.policies[prefix]
             if prefix not in self.nodes:
                 return None
-        return None
 
     def region_key(self, word: Word) -> tuple:
         """A key identifying the shape of the subtree below a word.
@@ -242,7 +241,6 @@ class InterleaveTree(Tree):
             raise ValueError("interleave joins binary presentations")
         self.evens = evens
         self.odds = odds
-        self.arity = 2
 
     def region_key(self, word: Word) -> tuple:
         word = tuple(word)
@@ -263,7 +261,6 @@ class PairInterleaveTree(Tree):
 
     def __init__(self, pairs: ExplicitTree):
         self.pairs = pairs
-        self.arity = 2
 
     def region_key(self, word: Word) -> tuple:
         evens, odds = deinterleave(word)
@@ -284,7 +281,6 @@ class IntersectionTree(Tree):
     def __init__(self, left: Tree, right: Tree):
         self.left = left
         self.right = right
-        self.arity = 2
 
     def region_key(self, word: Word) -> tuple:
         kl = self.left.region_key(word)

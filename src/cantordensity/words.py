@@ -19,20 +19,12 @@ Word = tuple[int, ...]
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def is_binary(word: Word) -> bool:
-    return all(letter in (0, 1) for letter in word)
-
-
 def split_trailing_zeros(word: Word) -> tuple[Word, int]:
     """Split ``word`` as ``head + (0,) * count`` with head empty or ending in 1."""
     count = 0
     while count < len(word) and word[-1 - count] == 0:
         count += 1
     return word[: len(word) - count], count
-
-
-def ones_count(word: Word) -> int:
-    return word.count(1)
 
 
 def runs_to_bits(runs: Word) -> Word:
@@ -52,7 +44,7 @@ def bits_to_runs(bits: Word) -> Word:
     Raises ValueError off the codec's range, i.e. when the word has a
     trailing zero or a letter outside {0, 1}.
     """
-    if not is_binary(bits):
+    if not all(letter in (0, 1) for letter in bits):
         raise ValueError("codec range is binary words")
     if bits and bits[-1] != 1:
         raise ValueError("codec range is words ending in 1")
@@ -135,19 +127,6 @@ def stretch(word: Word) -> Word:
     out: list[int] = []
     for i, letter in enumerate(word):
         out.extend([letter] * (i + 1))
-    return tuple(out)
-
-
-def stretch_prefix(word_letters: Word, depth: int) -> Word:
-    """First ``depth`` letters of the stretched form of a (possibly long) word."""
-    out: list[int] = []
-    for i, letter in enumerate(word_letters):
-        if len(out) >= depth:
-            break
-        take = min(i + 1, depth - len(out))
-        out.extend([letter] * take)
-    if len(out) < depth:
-        raise ValueError("word too short for requested stretch depth")
     return tuple(out)
 
 

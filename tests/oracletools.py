@@ -16,6 +16,7 @@ from cantordensity.approx import (
     InjectivePresentation,
     ReparamPresentation,
 )
+from cantordensity.branches import Branch
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import second_family_words
 from cantordensity.dyadics import RatInterval
@@ -29,7 +30,6 @@ from cantordensity.words import (
     bits_to_runs,
     decode_head,
     deinterleave,
-    ones_count,
     runs_to_bits,
     split_trailing_zeros,
 )
@@ -250,6 +250,30 @@ def interleave_closure(pairs, depth: int):
     return materialize(alive, 2, 2 * depth)
 
 
+def unstretch_by_block_scan(point):
+    """The base stream of an eventually periodic point that is a stretched
+    image, else None, by reading block k, the letters n with
+    triangular(k) <= n < triangular(k + 1), one letter at a time up to
+    the start of the constant tail: each block must be constant, and a
+    block cut by the tail's start must carry the tail's letter."""
+    tail = point.constant_tail()
+    if tail is None:
+        return None
+    letter, start = tail
+    base_letters = []
+    k = 0
+    while k * (k + 1) // 2 < start:
+        begin, end = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
+        block = [point.at(n) for n in range(begin, min(end, start))]
+        if any(b != block[0] for b in block):
+            return None
+        if end > start and block[0] != letter:
+            return None
+        base_letters.append(block[0])
+        k += 1
+    return Branch(tuple(base_letters), (letter,))
+
+
 def value_of_bits(bits) -> Fraction:
     return sum((F(b, 1 << (n + 1)) for n, b in enumerate(bits)), F(0))
 
@@ -416,7 +440,7 @@ def label_reference(labels, node) -> Fraction:
     node = tuple(node)
     if isinstance(labels, OnesParityLabels):
         scale = F(1, 2 ** (len(node) + 1))
-        return 1 - scale if ones_count(node) % 2 == 0 else scale
+        return 1 - scale if node.count(1) % 2 == 0 else scale
     if isinstance(labels, TailAlternationLabels):
         head, zeros = split_trailing_zeros(node)
         below, above = _nudged_pair_reference(_canonical_reference(labels.presentation, head),
@@ -425,13 +449,13 @@ def label_reference(labels, node) -> Fraction:
     if isinstance(labels, InterleavedAdjustedLabels):
         if len(node) % 2 == 0:
             tree_half, codec_half = deinterleave(node)
-            run_node = decode_head(codec_half[: ones_count(tree_half)])
+            run_node = decode_head(codec_half[: tree_half.count(1)])
             below, above = _nudged_pair_reference(
                 _adjusted_label_reference(labels.presentation, run_node), len(run_node))
             _, zeros = split_trailing_zeros(tree_half)
             return above if zeros % 2 == 0 else below
         tree_half, codec_half = deinterleave(node[:-1])
-        run_node = bits_to_runs(codec_half[: ones_count(tree_half)] + (1,))
+        run_node = bits_to_runs(codec_half[: tree_half.count(1)] + (1,))
         return _adjusted_label_reference(labels.presentation, run_node)
     raise TypeError(f"no reference labels for {labels!r}")
 

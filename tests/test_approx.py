@@ -107,7 +107,7 @@ def test_affine_value_frozen():
     presentation = AffineImagePresentation(F(1, 3), F(2, 3))
     point = Branch((1, 0), (1,))
     assert presentation.value(point) == F(7, 12)
-    zero = presentation.value(Branch.zeros())
+    zero = presentation.value(Branch((), (0,)))
     assert zero == F(1, 3)
 
 

@@ -170,7 +170,7 @@ def test_spongy_spine_bound():
 
 def test_spongy_spine_certificate():
     oracle = SpongyMeasureOracle(F(5, 24))
-    cert = oracle.tail_certificate(Branch.zeros(), effort=40)
+    cert = oracle.tail_certificate(Branch((), (0,)), effort=40)
     assert cert.interval.lo == 0
     assert cert.interval.hi <= F(4, 3) / 2**cert.start
     dead = oracle.tail_certificate(Branch((0, 0, 1, 0), (0,)), effort=40)
@@ -253,7 +253,7 @@ def test_solid_range_designated_points():
         assert cert.interval == RatInterval.point(value)
         trace = list(solid.oracle.trace(point, 12))
         assert trace[-1].contains(value)
-    spine = solid.oracle.tail_certificate(Branch.zeros(), effort=30)
+    spine = solid.oracle.tail_certificate(Branch((), (0,)), effort=30)
     assert spine.interval == RatInterval.point(F(0))
 
 

@@ -73,7 +73,7 @@ def test_tree_spec_rejects_structural_defects():
 
 def test_branch_kinds():
     zeros = branch_from_spec({"kind": "ev_periodic", "head": "", "period": "0"})
-    assert zeros == Branch.zeros()
+    assert zeros == Branch((), (0,))
     baire = branch_from_spec({"kind": "baire", "head": [0, 2], "period": [1]})
     assert baire.prefix(6) == (1, 0, 0, 1, 0, 1)
     stretched = branch_from_spec(

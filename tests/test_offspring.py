@@ -525,7 +525,7 @@ def test_localized_oracle_gives_no_root_certificate():
     # Tail certificates read the point from the root; below it they
     # would certify the wrong set.
     oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(3, 8)))
-    point = StretchedBranch(Branch.ones())
+    point = StretchedBranch(Branch((), (1,)))
     assert oracle.tail_certificate(point, 20) is not None
     assert oracle.localize((1, 1)).tail_certificate(point, 20) is None
 

@@ -27,7 +27,6 @@ from cantordensity.oracles import (
 )
 from cantordensity.reductions import second_reduction
 from cantordensity.trees import ExplicitTree
-from cantordensity.words import ones_count
 from oracletools import (
     antichain_measure,
     certified_oscillation_reference,
@@ -86,7 +85,7 @@ def test_complement_oracle_reflects():
     oracle = ComplementOracle(ClopenOracle(piece_of_measure(F(1, 4))))
     assert oracle.measure_bounds() == RatInterval.point(F(3, 4))
     assert oracle.local_bounds((0, 0), 0) == RatInterval.point(F(0))
-    cert = oracle.tail_certificate(Branch.zeros(), effort=8)
+    cert = oracle.tail_certificate(Branch((), (0,)), effort=8)
     assert cert.interval == RatInterval.point(F(0))
 
 
@@ -206,7 +205,7 @@ def test_spine_prefix_constant_rate_on_spine():
 def test_spine_prefix_certificates():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(piece, F(1, 4))
-    spine = oracle.tail_certificate(Branch.zeros(), effort=10)
+    spine = oracle.tail_certificate(Branch((), (0,)), effort=10)
     assert spine.interval == RatInterval.point(F(1, 4))
     assert spine.start == 0
     leaver = oracle.tail_certificate(Branch((0, 0, 1), (0,)), effort=10)
@@ -216,7 +215,7 @@ def test_spine_prefix_certificates():
 def test_classify_converges_on_exact_point():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(piece, F(1, 4))
-    verdict = oracle.classify(Branch.zeros())
+    verdict = oracle.classify(Branch((), (0,)))
     assert verdict.kind == "converges"
     assert verdict.interval.contains(F(1, 4))
     assert verdict.interval.width <= F(1, 256)
@@ -236,7 +235,7 @@ def test_classify_cross_check_rejects_inconsistent_certificate():
             return TailCertificate(RatInterval.point(F(1)), 0)
 
     with pytest.raises(RuntimeError):
-        Lying().classify(Branch.zeros())
+        Lying().classify(Branch((), (0,)))
 
 
 def test_certified_oscillation_detects_alternation():
@@ -294,7 +293,7 @@ def test_certified_oscillation_matches_pairwise_search():
     for base in (Branch((), (1,)), Branch((), (1, 0)), Branch((), (1, 1, 0))):
         traces.append(list(oracle.trace(StretchedBranch(base), 78)))
     table = {
-        word: F(1, 7) if ones_count(word) % 2 else F(5, 6)
+        word: F(1, 7) if word.count(1) % 2 else F(5, 6)
         for length in range(1, 7)
         for word in itertools.product((0, 1), repeat=length)
     }
@@ -313,7 +312,7 @@ def test_certified_oscillation_matches_pairwise_search():
 
 def test_at_reads_both_presentations():
     assert Branch((), (1,)).at(5) == 1
-    assert interleave_branches(Branch.zeros(), Branch.ones()).at(3) == 1
+    assert interleave_branches(Branch((), (0,)), Branch((), (1,))).at(3) == 1
     stretched = StretchedBranch(Branch((), (1, 0)))
     assert stretched.prefix(6) == (1, 0, 0, 1, 1, 1)
     assert stretched.at(2) == 0

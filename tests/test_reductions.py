@@ -35,7 +35,6 @@ from cantordensity.reductions import (
     uniformity_pipeline,
 )
 from cantordensity.trees import ExplicitTree, PairInterleaveTree, materialize, periodic, section
-from cantordensity.words import ones_count
 from oracletools import (
     dyadic_value,
     interleave_closure,
@@ -79,7 +78,7 @@ def test_ones_parity_complement_law():
 
 def test_second_full_tree_oscillates():
     oracle = second_reduction(ExplicitTree.full_binary())
-    verdict = oracle.classify(StretchedBranch(Branch.ones()), max_depth=78)
+    verdict = oracle.classify(StretchedBranch(Branch((), (1,))), max_depth=78)
     assert verdict.kind == "blurry"
     assert verdict.delta >= 1 - F(1, 16)
 
@@ -87,7 +86,7 @@ def test_second_full_tree_oscillates():
 def test_second_zeros_tree_converges_to_one():
     zeros_tree = ExplicitTree([()], {(): "zeros"})
     oracle = second_reduction(zeros_tree)
-    verdict = oracle.classify(StretchedBranch(Branch.zeros()))
+    verdict = oracle.classify(StretchedBranch(Branch((), (0,))))
     assert verdict.kind == "converges"
     assert verdict.interval.lo >= 1 - F(1, 256)
     assert verdict.interval.hi <= 1
@@ -195,7 +194,7 @@ def test_offspring_asks_each_node_once():
 def test_first_reduction_periodic_branch_converges():
     tree = ExplicitTree([(), (0,), (1,)], {(0,): "zeros", (1,): periodic((1,))})
     oracle = first_reduction(HALF, tree)
-    verdict = oracle.classify(StretchedBranch(Branch.ones()), eps=F(1, 64))
+    verdict = oracle.classify(StretchedBranch(Branch((), (1,))), eps=F(1, 64))
     assert verdict.kind == "converges"
     assert abs(verdict.interval.midpoint - F(1, 2)) + verdict.interval.width / 2 <= F(1, 64)
 
@@ -203,7 +202,7 @@ def test_first_reduction_periodic_branch_converges():
 def test_first_reduction_spine_oscillates():
     tree = ExplicitTree([(), (0,), (1,)], {(0,): "zeros", (1,): periodic((1,))})
     oracle = first_reduction(HALF, tree)
-    verdict = oracle.classify(StretchedBranch(Branch.zeros()), max_depth=78)
+    verdict = oracle.classify(StretchedBranch(Branch((), (0,))), max_depth=78)
     assert verdict.kind == "blurry"
     assert verdict.delta >= F(1, 4)
 
@@ -388,7 +387,7 @@ def test_third_reduction_rejects_wide_presentation():
 
 
 def test_third_designated_point_converges():
-    point = StretchedBranch(Branch.ones())
+    point = StretchedBranch(Branch((), (1,)))
     for presentation, value in ((HALF, F(1, 2)), (INJ, F(3, 4))):
         assert presentation.value(Branch((0,), (0,))) == value
         oracle = third_reduction(presentation, ExplicitTree.full_binary())
@@ -406,8 +405,8 @@ def test_third_dead_codec_half_oscillates():
 
 
 def test_decoded_branch():
-    assert decoded_branch(Branch.ones()) == Branch((0,), (0,))
-    assert decoded_branch(Branch.zeros()) is None
+    assert decoded_branch(Branch((), (1,))) == Branch((0,), (0,))
+    assert decoded_branch(Branch((), (0,))) is None
     assert decoded_branch(Branch((1, 0), (0, 1))) == Branch((0, 2), (1,))
 
 
@@ -425,11 +424,11 @@ def test_solid_analytic_enumerated_values():
 
 def test_solid_analytic_designated_values():
     built = solid_analytic(AFFINE, DYADICS)
-    assert built.designated_value(Branch.ones()) == AFFINE.value(Branch((0,), (0,)))
+    assert built.designated_value(Branch((), (1,))) == AFFINE.value(Branch((0,), (0,)))
     assert built.designated_value(Branch((1,), (0,))) == built.oracle.labels.value_at((0,))
-    verdict = built.oracle.classify(StretchedBranch(Branch.ones()), eps=F(1, 32))
+    verdict = built.oracle.classify(StretchedBranch(Branch((), (1,))), eps=F(1, 32))
     assert verdict.kind == "converges"
-    target = built.designated_value(Branch.ones())
+    target = built.designated_value(Branch((), (1,)))
     assert verdict.interval.lo >= target - F(1, 32)
     assert verdict.interval.hi <= target + F(1, 32)
 
@@ -507,7 +506,7 @@ def test_pair_interleavings_match_the_materialized_closure():
     rng = random.Random(16)
     depth = 4
     pair_trees = [section(diagonal_triple_tree(depth), z, depth)
-                  for z in (Branch.zeros(), Branch.ones(), Branch((1, 0), (0, 1)))]
+                  for z in (Branch((), (0,)), Branch((), (1,)), Branch((1, 0), (0, 1)))]
     pair_trees += [materialize(lambda word: rng.random() < 0.7, 4, depth) for _ in range(12)]
     for pairs in pair_trees:
         lazy, closure = PairInterleaveTree(pairs), interleave_closure(pairs, depth)
@@ -519,7 +518,7 @@ def test_pair_interleavings_match_the_materialized_closure():
 
 
 def test_uniformity_full_product_is_unpruned():
-    pruned = uniformity_pipeline(full_triple_tree(), Branch.zeros(), HALF, 8)
+    pruned = uniformity_pipeline(full_triple_tree(), Branch((), (0,)), HALF, 8)
     free = third_reduction(HALF, ExplicitTree.full_binary())
     samples = list(words_up_to(3)) + [(1,) * 10, (0,) * 10, (1, 0, 1, 1, 0, 0, 1)]
     for word in samples:
@@ -527,7 +526,7 @@ def test_uniformity_full_product_is_unpruned():
 
 
 def test_uniformity_diagonal_prunes_to_spine():
-    pruned = uniformity_pipeline(diagonal_triple_tree(5), Branch.zeros(), HALF, 5)
+    pruned = uniformity_pipeline(diagonal_triple_tree(5), Branch((), (0,)), HALF, 5)
     assert pruned.tree.member((0, 0, 0, 0))
     assert not pruned.tree.member((1,))
     assert not pruned.tree.member((0, 1))
@@ -544,4 +543,4 @@ def test_uniformity_agreement_on_shared_prefix():
 
 def test_uniformity_rejects_flat_alphabet():
     with pytest.raises(ValueError, match="arity 8"):
-        uniformity_pipeline(ExplicitTree.full_binary(), Branch.zeros(), HALF, 4)
+        uniformity_pipeline(ExplicitTree.full_binary(), Branch((), (0,)), HALF, 4)

@@ -21,6 +21,9 @@ from cantordensity.trees import (
     section,
     star,
 )
+from cantordensity.words import stretch
+
+from oracletools import unstretch_by_block_scan
 
 
 def test_validation_catches_gaps():
@@ -280,10 +283,10 @@ def test_section_of_diagonal():
         frontier = [w + (l,) for w in frontier for l in (pair_letter(0, 0), pair_letter(1, 1))]
         nodes.extend(frontier)
     diag = ExplicitTree(nodes, {w: "full" for w in frontier}, arity=4)
-    sliced = section(diag, Branch.zeros(), 3)
+    sliced = section(diag, Branch((), (0,)), 3)
     assert sliced.member((0, 0, 0))
     assert not sliced.member((1,))
-    sliced_ones = section(diag, Branch.ones(), 3)
+    sliced_ones = section(diag, Branch((), (1,)), 3)
     assert sliced_ones.member((1, 1, 1))
     assert not sliced_ones.member((0,))
 
@@ -317,11 +320,11 @@ def test_section_of_triple_tree():
         frontier = [w + (l,) for w in frontier for l in (4, 5, 7)]
         nodes.extend(frontier)
     triple = ExplicitTree(nodes, {w: "full" for w in frontier}, arity=8)
-    sliced = section(triple, Branch.ones(), 3)
+    sliced = section(triple, Branch((), (1,)), 3)
     assert sliced.arity == 4
     assert sliced.member((0, 1, 3))
     assert not sliced.member((2,))
-    dead = section(triple, Branch.zeros(), 3)
+    dead = section(triple, Branch((), (0,)), 3)
     assert not dead.member((3,)) and not dead.member((1,))
 
 
@@ -337,7 +340,7 @@ def test_branch_basics():
     b = Branch((0, 1), (1, 0))
     assert b.prefix(6) == (0, 1, 1, 0, 1, 0)
     assert 1 in b.cycle
-    assert Branch.zeros().constant_tail() == (0, 0)
+    assert Branch((), (0,)).constant_tail() == (0, 0)
     assert Branch((1, 0, 0), (0,)).constant_tail() == (0, 1)
     assert Branch((0, 1), (1, 0)).constant_tail() is None
 
@@ -360,8 +363,28 @@ def test_stretched_branch():
 
 
 def test_as_stretched():
-    assert as_stretched(StretchedBranch(Branch.ones())) == Branch.ones()
+    assert as_stretched(StretchedBranch(Branch((), (1,)))) == Branch((), (1,))
     assert as_stretched(Branch((1,), (0,))) == Branch((1,), (0,))
     assert as_stretched(Branch((1, 1, 0), (0,))) is None
     assert as_stretched(Branch((), (0, 1))) is None
     assert as_stretched(Branch((1, 0, 0, 1, 1, 1), (1,))) == Branch((1, 0), (1,))
+
+
+def test_as_stretched_agrees_with_the_block_scan():
+    # Stretched heads, some cut short inside a block or with one letter
+    # flipped, then a constant tail, now and then behind a longer cycle.
+    rng = Random(2205)
+    images = 0
+    for _ in range(20_000):
+        head = list(stretch(tuple(rng.randrange(2) for _ in range(rng.randrange(9)))))
+        if head and rng.random() < 0.4:
+            del head[rng.randrange(len(head)):]
+        if head and rng.random() < 0.2:
+            head[rng.randrange(len(head))] ^= 1
+        letter = rng.randrange(2)
+        cycle = (letter,) * rng.randrange(1, 3) if rng.random() < 0.9 else (letter, 1 - letter)
+        point = Branch(tuple(head), cycle)
+        expected = unstretch_by_block_scan(point)
+        assert as_stretched(point) == expected, point
+        images += expected is not None
+    assert images >= 10_000, images

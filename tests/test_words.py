@@ -1,21 +1,18 @@
-import random
-
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.words import (
     bits_to_runs,
     decode_head,
     deinterleave,
     interleave,
     is_prefix,
-    ones_count,
     order_at_depth,
     runs_to_bits,
     splice_runs,
     split_trailing_zeros,
     stretch,
-    stretch_prefix,
     triangular,
 )
 
@@ -64,18 +61,6 @@ def test_decode_head_ignores_trailing_zeros():
     assert decode_head((0, 1, 0, 0)) == (1,)
     assert decode_head((1, 1)) == (0, 0)
     assert decode_head((0, 0)) == ()
-
-
-def test_ones_count():
-    assert ones_count(()) == 0
-    assert ones_count((0, 1, 1, 0, 1)) == 3
-
-
-def test_ones_count_matches_the_counting_generator():
-    rng = random.Random(1705)
-    for _ in range(2000):
-        word = tuple(rng.randrange(4) for _ in range(rng.randrange(25)))
-        assert ones_count(word) == sum(1 for letter in word if letter == 1), word
 
 
 def test_interleave_examples():
@@ -137,9 +122,10 @@ def test_stretch_length_is_triangular(word):
 
 def test_stretch_prefix_matches_stretch():
     word = (1, 0, 1, 1)
-    full = stretch(word)
+    full = stretch(word + (0, 0, 0))
+    point = StretchedBranch(Branch(word, (0,)))
     for depth in range(len(full) + 1):
-        assert stretch_prefix(word, depth) == full[:depth]
+        assert point.prefix(depth) == full[:depth]
 
 
 def test_mixed_blocks():
@@ -189,5 +175,5 @@ def test_splice_runs_needs_one_run_per_one():
 
 @given(binary_words)
 def test_splice_runs_ones_add_up(word):
-    extra = tuple(range(ones_count(word)))
-    assert ones_count(splice_runs(word, extra)) == 2 * ones_count(word)
+    extra = tuple(range(word.count(1)))
+    assert splice_runs(word, extra).count(1) == 2 * word.count(1)
