@@ -101,8 +101,7 @@ def as_stretched(point: "Branch | StretchedBranch") -> Branch | None:
     if tail is None:
         return None
     letter, start = tail
-    blocks = order_at_depth(start - 1) + 1 if start else 0
-    head = tuple(point.at(triangular(k)) for k in range(blocks))
-    if stretch(head) != point.prefix(triangular(blocks)):
+    head = tuple(point.at(triangular(k)) for k in range(start) if triangular(k) < start)
+    if stretch(head) != point.prefix(triangular(len(head))):
         return None
     return Branch(head, (letter,))
