@@ -372,7 +372,7 @@ def test_as_stretched():
 
 def test_as_stretched_agrees_with_the_block_scan():
     # Stretched heads, some cut short inside a block or with one letter
-    # flipped, then a constant tail, now and then behind a longer cycle.
+    # flipped, then a constant tail or, one time in ten, a cycle 01 or 10.
     rng = Random(2205)
     images = 0
     for _ in range(20_000):
