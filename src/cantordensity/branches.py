@@ -2,14 +2,17 @@
 
 Two presentations: an eventually periodic letter stream, and the
 stretched image of such a stream (the i-th letter repeated i+1 times).
-Both answer ``at``/``prefix`` exactly at every position, and both
+Both answer ``at``/``prefix`` exactly at every position, read their
+letters as runs of equal ones (``runs``) without building a prefix, and
 expose enough structure for the oracles to certify tail behavior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from math import lcm
+from typing import Iterator
 
 from .words import Word, interleave, order_at_depth, stretch, triangular
 
@@ -36,6 +39,21 @@ class Branch:
             return head[:n]
         laps, rest = divmod(n - len(head), len(cycle))
         return head + cycle * laps + cycle[:rest]
+
+    def runs(self, start: int = 0) -> Iterator[tuple[int, int | None]]:
+        """The maximal runs of equal letters from position ``start`` on, as
+        (letter, count); once the branch is constant for good, the last
+        count is None."""
+        tail = self.constant_tail()
+        if tail is None:
+            rest = self.drop(start)
+            letters = chain(rest.head, chain.from_iterable(repeat(rest.cycle)))
+        else:
+            letters = self.head[start:tail[1]]
+        for letter, group in groupby(letters):
+            yield letter, sum(1 for _ in group)
+        if tail is not None:
+            yield tail[0], None
 
     def constant_tail(self) -> tuple[int, int] | None:
         """(letter, start) when the branch is that letter from start on."""
@@ -68,6 +86,21 @@ class StretchedBranch:
     def prefix(self, n: int) -> Word:
         # Blocks 0 .. order_at_depth(n) cover positions 0 .. n.
         return stretch(self.base.prefix(order_at_depth(n) + 1))[:n]
+
+    def runs(self, start: int = 0) -> Iterator[tuple[int, int | None]]:
+        """The maximal runs of equal letters from position ``start`` on, as
+        (letter, count): a run of m base letters from base position k on
+        spans positions triangular(k) to triangular(k + m) - 1, and the
+        last count is None from triangular(k) on when the base is constant
+        from k on."""
+        k = order_at_depth(start)
+        for letter, count in self.base.runs(k):
+            if count is None:
+                yield letter, None
+                return
+            k += count
+            yield letter, triangular(k) - start
+            start = triangular(k)
 
 
 def interleave_branches(x: Branch, y: Branch) -> Branch:

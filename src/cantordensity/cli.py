@@ -1,7 +1,10 @@
 """Command-line surface: measure, trace, classify, build, verify.
 
 Set specs and branches arrive as JSON files; results leave as JSON on
-stdout, one object per line for traces. Exit codes: 0 on success, 1 when
+stdout, one object per line for traces, written one run of equal bounds
+at a time (at most ``jsonio.TRACE_CHUNK_LINES`` lines per write) with one
+flush per write, so a failing trace keeps the lines of the runs before
+it. Exit codes: 0 on success, 1 when
 a construction rejects its values, a tail certificate is contradicted
 (the module's message is printed verbatim), bounds are too long to
 print (exact ones or a budget's), an evaluation opens more states than
@@ -81,8 +84,9 @@ def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     oracle = jsonio.oracle_from_spec(_load_document(set_path))
     point = jsonio.branch_from_spec(_load_document(branch_path))
     _check_printable(budget)
-    for line in jsonio.trace_lines(oracle.trace(point, steps - 1, window=budget)):
-        print(line, flush=True)
+    for text in jsonio.trace_lines(oracle.bound_runs(point, 0, steps, window=budget)):
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
 
 
 def classify(set_path: str, branch_path: str, eps: str, max_depth: int) -> None:

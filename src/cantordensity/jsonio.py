@@ -21,7 +21,7 @@ natural-number words (a clopen array of "01" strings is checked in
 one pass over its joined text, any other is read word by word, so the
 first bad word names the error); every record this module emits formats
 rationals the same way, and ``trace_lines`` formats a run of one
-interval object once.
+interval object once and gives its lines as a few texts.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .oracles import ClopenOracle, ComplementOracle, GraftedUnionOracle, Measure
 from .reductions import first_reduction, second_reduction, third_reduction
 from .trees import ExplicitTree, Policy, periodic
 from .words import DIGIT_VALUES, Word, runs_to_bits
+
+
+TRACE_CHUNK_LINES = 4096
 
 
 class SpecError(ValueError):
@@ -278,16 +281,28 @@ def interval_record(interval: RatInterval) -> dict:
     return {"lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
 
 
-def trace_lines(bounds: Iterable[RatInterval]) -> Iterator[str]:
+def trace_lines(runs: Iterable[tuple[RatInterval, int]]) -> Iterator[str]:
     """The JSON text of each record {"n", "lo", "hi"}, n from 0, as
     ``json.dumps`` writes it (formatted rationals hold only digits, "-"
-    and "/", which JSON strings carry unescaped), one body per run."""
-    last = body = None
-    for n, interval in enumerate(bounds):
+    and "/", which JSON strings carry unescaped), one line per depth.
+
+    Takes (bounds, count) runs and formats one body per run. A run's
+    lines come as texts joined by newlines, each of at most
+    ``TRACE_CHUNK_LINES`` lines, so no text grows with the run.
+    """
+    n = 0
+    last = glue = None
+    for interval, count in runs:
         if interval is not last:
             last = interval
-            body = f'"lo": "{format_fraction(interval.lo)}", "hi": "{format_fraction(interval.hi)}"}}'
-        yield f'{{"n": {n}, {body}'
+            glue = f', "lo": "{format_fraction(interval.lo)}", "hi": "{format_fraction(interval.hi)}"}}'
+        if count == 1:
+            yield f'{{"n": {n}{glue}'
+        else:
+            for first in range(n, n + count, TRACE_CHUNK_LINES):
+                numbers = map(str, range(first, min(first + TRACE_CHUNK_LINES, n + count)))
+                yield '{"n": ' + (glue + '\n{"n": ').join(numbers) + glue
+        n += count
 
 
 def verdict_record(verdict: Verdict) -> dict:

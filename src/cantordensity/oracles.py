@@ -7,7 +7,8 @@ set seen from inside that letter's cylinder, again an oracle, and
 the set's measure, refined with ``budget`` letters of lookahead. Exact
 oracles ignore the budget and answer with point intervals. The
 localized measure at a word is the measure of the set reached by one
-``child`` per letter, so a walk along a point costs one step per depth.
+``child`` per letter, so a walk along a point costs at most one step
+per depth.
 
 By the density theorem almost every point sees the localized set
 settle to full or empty, and the exact constructions here settle after
@@ -18,10 +19,13 @@ equal: a settled piece answers the point interval at 1 or 0 that the
 structure it replaces answers, an empty part adds exactly 0 to a
 disjoint sum, and the complement of a settled set is the other one.
 
-On top of these sit traces (bounds along a branch's prefixes, one
-``child`` step and one fresh evaluation per depth; past settling, or on
-a spine that is its own child, every depth answers one shared interval
-object, which a printer formats once) and a classifier with three verdicts:
+On top of these sit traces (bounds along a branch's prefixes, walked
+by ``bound_runs`` one run of equal letters at a time: one ``child`` step
+and one fresh evaluation per depth until the localized oracle is its own
+child on the run's letter, then the rest of the run as one (bounds,
+count) pair, and past settling, where it is its own child on both
+letters, the rest of the trace as one pair; a printer formats each run
+once) and a classifier with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, repeat, starmap
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -100,17 +104,50 @@ class MeasureOracle:
     def local_bounds(self, word: Word, budget: int) -> RatInterval:
         return self.localize(word).measure_bounds(max(budget, len(word)) - len(word))
 
-    def _bounds_along(self, point: Point, start: int, window: int) -> Iterator[RatInterval]:
-        """Bounds at every prefix of the point from depth ``start`` on,
-        one ``child`` step and one fresh ``measure_bounds`` per depth."""
+    def bound_runs(self, point: Point, start: int, stop: int,
+                   window: int = DEFAULT_WINDOW) -> Iterator[tuple[RatInterval, int]]:
+        """Bounds at the prefixes of the point of lengths ``start`` to
+        ``stop - 1``, as (bounds, count): the next ``count`` depths share
+        the interval object ``bounds``.
+
+        Each depth costs one ``child`` step and one fresh
+        ``measure_bounds``, until the localized oracle is its own child on
+        the letter of a run of the point: the rest of that run has the same
+        bounds, and it is one pair with no further step. An oracle found
+        its own child on both letters (a settled segment) is the oracle of
+        every later depth, so the rest of the walk is one pair. ``child``
+        is asked only for depths below ``stop``.
+        """
+        if start >= stop:
+            return
         oracle = self.localize(point.prefix(start))
-        while True:
-            yield oracle.measure_bounds(window)
-            oracle = oracle.child(point.at(start))
-            start += 1
+        bounds = oracle.measure_bounds(window)
+        yield bounds, 1
+        depth = start + 1
+        own = 0  # bit c set: the current oracle is its own child on letter c
+        for letter, count in point.runs(start):
+            left = stop - depth if count is None else min(count, stop - depth)
+            while left:
+                inner = oracle.child(letter)
+                if inner is oracle:
+                    own |= 1 << letter
+                    if own == 3:
+                        left = stop - depth
+                    yield bounds, left
+                    depth += left
+                    break
+                oracle, own = inner, 0
+                bounds = oracle.measure_bounds(window)
+                yield bounds, 1
+                depth += 1
+                left -= 1
+            if depth == stop:
+                return
 
     def trace(self, point: Point, depth: int, window: int = DEFAULT_WINDOW) -> Iterator[RatInterval]:
-        yield from islice(self._bounds_along(point, 0, window), depth + 1)
+        """Bounds at every prefix of the point up to length ``depth``, one
+        interval per depth."""
+        return chain.from_iterable(starmap(repeat, self.bound_runs(point, 0, depth + 1, window)))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         return None
@@ -131,8 +168,9 @@ class MeasureOracle:
                     depth=cert.start,
                     detail="tail certificate",
                 )
-            bounds = list(self.trace(point, max_depth))
-            swing = certified_oscillation(bounds)
+            runs = list(self.bound_runs(point, 0, max_depth + 1))
+            # A run repeats one interval: its entries add no mark or threshold.
+            swing = certified_oscillation([bounds for bounds, _ in runs])
             if swing is not None:
                 delta, low, high = swing
                 return Verdict(
@@ -152,7 +190,7 @@ class MeasureOracle:
                 )
             return Verdict(
                 kind="undetermined",
-                interval=bounds[-1],
+                interval=runs[-1][0],
                 depth=max_depth,
                 detail="no certificate within depth",
             )
@@ -160,13 +198,14 @@ class MeasureOracle:
             return Verdict(kind="undetermined", depth=max_depth, detail=str(err))
 
     def _cross_check(self, point: Point, cert: TailCertificate) -> None:
-        probes = islice(self._bounds_along(point, cert.start, DEFAULT_WINDOW), CROSS_CHECK_STEPS)
-        for n, probe in enumerate(probes, cert.start):
+        n = cert.start
+        for probe, count in self.bound_runs(point, n, n + CROSS_CHECK_STEPS):
             if not probe.intersects(cert.interval):
                 raise RuntimeError(
                     f"tail certificate {cert.interval} contradicts certified "
                     f"bounds {probe} at depth {n}"
                 )
+            n += count
 
 
 def entered_certificate(part: MeasureOracle, point: Point, depth: int,

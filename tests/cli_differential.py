@@ -14,7 +14,12 @@ some as integer arrays and some with a malformed entry. Traces and
 classifications of the exact kinds mostly run along eventually
 periodic points that enter a graft: a compose prefix, a 0^n 1^n site
 or a clopen word. After them come ``verify SUITE --seed S`` for the
-four suites at seeds 0, 1 and 7. The script writes the documents to a
+four suites at seeds 0, 1 and 7, then ``LONG_TRACES`` traces of 4 097
+to 20 000 steps on sets that settle early along their points (clopen
+sets, countable-range sets at their designated points, and compose
+documents over both), so that runs of equal bounds cross the
+command's chunks of ``jsonio.TRACE_CHUNK_LINES`` = 4 096 lines. The
+script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
@@ -37,6 +42,7 @@ from random import Random
 
 SEED = 17
 CALLS = 600
+LONG_TRACES = 12
 VERIFY_SUITES = ("branch-lemma", "dualistic-measure", "clopen-laws", "codec")
 VERIFY_SEEDS = (0, 1, 7)
 
@@ -108,7 +114,7 @@ def _clopen_words(rng: Random) -> list:
     return words
 
 
-def _set(rng: Random, nesting: int = 0) -> dict:
+def random_set(rng: Random, nesting: int = 0) -> dict:
     kind = rng.randrange(9 if nesting < 2 else 6)
     if kind < 3:
         doc = {"kind": "reduction", "which": ("first", "second", "third")[kind]}
@@ -130,11 +136,11 @@ def _set(rng: Random, nesting: int = 0) -> dict:
     if kind == 6:
         return {"kind": "clopen", "words": _clopen_words(rng)}
     if kind == 7:
-        return {"kind": "complement", "of": _set(rng, nesting + 1)}
+        return {"kind": "complement", "of": random_set(rng, nesting + 1)}
     prefixes = rng.choice((["0", "10", "11"], ["00", "01", "1"], [""], ["1"], ["000", "001", "01"]))
     chosen = rng.sample(prefixes, rng.randrange(1, len(prefixes) + 1))
     return {"kind": "compose", "complemented": rng.random() < 0.5,
-            "parts": [{"prefix": prefix, "set": _set(rng, nesting + 1)} for prefix in chosen]}
+            "parts": [{"prefix": prefix, "set": random_set(rng, nesting + 1)} for prefix in chosen]}
 
 
 def _entering_head(rng: Random, doc: dict) -> str:
@@ -153,7 +159,7 @@ def _entering_head(rng: Random, doc: dict) -> str:
     return ""
 
 
-def _branch(rng: Random, doc: dict) -> dict:
+def random_branch(rng: Random, doc: dict) -> dict:
     if doc["kind"] not in ("reduction", "offspring") and rng.random() < 0.7:
         return {"kind": "ev_periodic", "head": _entering_head(rng, doc) + _word(rng, rng.randrange(3)),
                 "period": _word(rng, rng.randrange(1, 4))}
@@ -177,7 +183,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
     out = []
     for index in range(calls):
         set_path = folder / f"set{index}.json"
-        doc = _set(rng)
+        doc = random_set(rng)
         set_path.write_text(json.dumps(doc), encoding="utf-8")
         verb = ("measure", "trace", "classify")[index % 3]
         if verb == "measure":
@@ -185,7 +191,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
                         "--budget", str(rng.randrange(41))])
             continue
         branch_path = folder / f"branch{index}.json"
-        branch_path.write_text(json.dumps(_branch(rng, doc)), encoding="utf-8")
+        branch_path.write_text(json.dumps(random_branch(rng, doc)), encoding="utf-8")
         if verb == "trace":
             out.append(["trace", "--set", str(set_path), "--branch", str(branch_path),
                         "--steps", str(rng.randrange(1, 61)), "--budget", str(rng.randrange(25))])
@@ -195,6 +201,40 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
                         "--max-depth", str(rng.randrange(20, 161))])
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
+    return out + _long_traces(Random(seed + 1), folder)
+
+
+def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
+    """A set and an eventually periodic point along which it settles: a
+    clopen set along any point, a countable-range set along a designated
+    point 0^n 1^n 0^w, or a compose document entered through a prefix."""
+    kind = rng.randrange(3 if nesting == 0 else 2)
+    if kind == 0:
+        words = [_word(rng, rng.randrange(8)) for _ in range(rng.randrange(1, 5))]
+        point = {"head": _word(rng, rng.randrange(6)), "period": _word(rng, rng.randrange(1, 4))}
+        return {"kind": "clopen", "words": words}, point
+    if kind == 1:
+        values = list(dict.fromkeys(_fraction(rng) for _ in range(rng.randrange(1, 5))))
+        n = rng.randrange(1, len(values) + 1)
+        return {"kind": "countable-range", "values": values}, {"head": "0" * n + "1" * n, "period": "0"}
+    prefixes = rng.choice((["0", "10", "11"], ["00", "01", "1"], ["1"]))
+    parts = [(prefix, *_settling_set(rng, nesting + 1)) for prefix in prefixes]
+    prefix, _, point = rng.choice(parts)
+    doc = {"kind": "compose", "complemented": rng.random() < 0.5,
+           "parts": [{"prefix": p, "set": part} for p, part, _ in parts]}
+    return doc, {"head": prefix + point["head"], "period": point["period"]}
+
+
+def _long_traces(rng: Random, folder: Path) -> list[list[str]]:
+    """``LONG_TRACES`` traces of 4 097 to 20 000 steps along settling points."""
+    out = []
+    for index in range(LONG_TRACES):
+        doc, point = _settling_set(rng)
+        set_path, branch_path = folder / f"long-set{index}.json", folder / f"long-branch{index}.json"
+        set_path.write_text(json.dumps(doc), encoding="utf-8")
+        branch_path.write_text(json.dumps({"kind": "ev_periodic", **point}), encoding="utf-8")
+        out.append(["trace", "--set", str(set_path), "--branch", str(branch_path),
+                    "--steps", str(rng.randrange(4097, 20001)), "--budget", str(rng.randrange(25))])
     return out
 
 

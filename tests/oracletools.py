@@ -19,7 +19,8 @@ from cantordensity.approx import (
 from cantordensity.branches import Branch
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import second_family_words
-from cantordensity.dyadics import RatInterval
+from cantordensity.dyadics import RatInterval, format_fraction
+from cantordensity.oracles import DEFAULT_WINDOW
 from cantordensity.reductions import (
     InterleavedAdjustedLabels,
     OnesParityLabels,
@@ -272,6 +273,52 @@ def unstretch_by_block_scan(point):
         base_letters.append(block[0])
         k += 1
     return Branch(tuple(base_letters), (letter,))
+
+
+# ----- traces one depth at a time -----------------------------------------
+
+
+def bounds_along_by_depths(oracle, point, start, window):
+    """Bounds at every prefix of the point from depth ``start`` on, one
+    ``child`` step and one fresh ``measure_bounds`` per depth, with no
+    run of the point read as a whole."""
+    oracle = oracle.localize(point.prefix(start))
+    while True:
+        yield oracle.measure_bounds(window)
+        oracle = oracle.child(point.at(start))
+        start += 1
+
+
+def bound_runs_by_depths(oracle, point, start, stop, window=DEFAULT_WINDOW):
+    """``MeasureOracle.bound_runs`` with one (bounds, 1) pair per depth,
+    from ``bounds_along_by_depths``: the drop-in the parity tests patch in."""
+    depths = itertools.islice(bounds_along_by_depths(oracle, point, start, window),
+                              max(stop - start, 0))
+    return ((bounds, 1) for bounds in depths)
+
+
+def trace_lines_by_depths(bounds):
+    """The JSON text of each record {"n", "lo", "hi"}, one line per
+    interval, formatting one body per run of one interval object."""
+    last = body = None
+    for n, interval in enumerate(bounds):
+        if interval is not last:
+            last = interval
+            body = f'"lo": "{format_fraction(interval.lo)}", "hi": "{format_fraction(interval.hi)}"}}'
+        yield f'{{"n": {n}, {body}'
+
+
+def trace_output_by_depths(oracle, point, steps, window):
+    """What ``trace --steps steps --budget window`` prints, one line and
+    one flush at a time: (stdout, the error's message or None)."""
+    printed = []
+    bounds = itertools.islice(bounds_along_by_depths(oracle, point, 0, window), steps)
+    try:
+        for line in trace_lines_by_depths(bounds):
+            printed.append(line + "\n")
+    except (ValueError, RuntimeError) as err:
+        return "".join(printed), str(err)
+    return "".join(printed), None
 
 
 def value_of_bits(bits) -> Fraction:

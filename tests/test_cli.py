@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from clirunner import invoke
 
-from cantordensity import offspring
+from cantordensity import jsonio, offspring
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import ClopenOracle, MeasureOracle, TailCertificate, Verdict
@@ -496,18 +496,19 @@ def test_unprintable_exact_bounds_exit_one(tmp_path, monkeypatch):
         assert result.stderr == message
     half = RatInterval(Fraction(1, 2), Fraction(1, 2))
     tiny = RatInterval(Fraction(0), Fraction(1, 1 << 20000))
-    monkeypatch.setattr(MeasureOracle, "trace", lambda self, point, depth, window: iter([half, tiny]))
+    monkeypatch.setattr(MeasureOracle, "bound_runs",
+                        lambda self, point, start, stop, window: iter([(half, 1), (tiny, 1)]))
     result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "2")
     assert result.exit_code == 1
     assert result.stdout == '{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
     assert result.stderr == message
 
     # Domain errors raised while the trace runs keep their own text.
-    def failing(self, point, depth, window):
-        yield half
+    def failing(self, point, start, stop, window):
+        yield half, 1
         raise ValueError("not a point of the set's domain")
 
-    monkeypatch.setattr(MeasureOracle, "trace", failing)
+    monkeypatch.setattr(MeasureOracle, "bound_runs", failing)
     result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "2")
     assert result.exit_code == 1
     assert result.stdout == '{"n": 0, "lo": "1/2", "hi": "1/2"}\n'
@@ -580,3 +581,67 @@ def test_in_process_calls_leave_no_captured_buffer_alive(tmp_path):
         del buffer
     gc.collect()
     assert [ref for ref in buffers if ref() is not None] == []
+
+
+class _LineCounter:
+    """A stdout that keeps counts and the last line, not the text."""
+
+    def __init__(self):
+        self.lines = self.most = self.writes = self.flushes = 0
+        self.last = ""
+
+    def write(self, text: str) -> int:
+        count = text.count("\n")
+        self.lines += count
+        self.most = max(self.most, count)
+        self.writes += 1
+        self.last = text.rstrip("\n").rpartition("\n")[2]
+        return len(text)
+
+    def flush(self) -> None:
+        self.flushes += 1
+
+
+def _oracle_classes(cls=MeasureOracle):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _oracle_classes(sub)
+
+
+@pytest.mark.parametrize("doc, head, period, settled_by, bounds", [
+    # A clopen set of depth 5 is a settled segment from depth 5 on.
+    ({"kind": "clopen", "words": ["01101", "1"]}, "011", "01", 5, '"lo": "1", "hi": "1"'),
+    # The designated point 0^3 1^3 0^w of 3/5 rides a spine from depth 6 on.
+    ({"kind": "countable-range", "values": ["1/4", "2/7", "3/5"]}, "000111", "0", 6,
+     '"lo": "3/5", "hi": "3/5"'),
+])
+def test_settled_traces_take_bounded_work_and_writes(tmp_path, monkeypatch, doc, head, period,
+                                                     settled_by, bounds):
+    # Outermost calls only: the ones the trace makes, not a part's inside them.
+    calls = {"child": 0, "measure_bounds": 0}
+    inside = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += not inside
+            inside.append(name)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for cls in _oracle_classes():
+        for name in calls:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+    spec = write(tmp_path / "set.json", doc)
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "head": head, "period": period})
+    out = _LineCounter()
+    with contextlib.redirect_stdout(out):
+        main(["trace", "--set", spec, "--branch", branch, "--steps", "1000000"])
+    assert calls["child"] <= settled_by + 3 and calls["measure_bounds"] <= settled_by + 3, calls
+    assert out.most <= jsonio.TRACE_CHUNK_LINES
+    assert out.flushes == out.writes
+    assert out.lines == 1000000
+    assert out.last == f'{{"n": 999999, {bounds}}}'

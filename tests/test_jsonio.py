@@ -249,8 +249,8 @@ def test_digit_string_clopen_words_skip_the_per_word_decoder(monkeypatch):
 def test_output_records():
     assert interval_record(RatInterval(F(1, 3), F(1, 2))) == {"lo": "1/3", "hi": "1/2"}
     box = RatInterval(F(3, 8), F(13, 32))
-    assert list(trace_lines([box, box])) == ['{"n": 0, "lo": "3/8", "hi": "13/32"}',
-                                             '{"n": 1, "lo": "3/8", "hi": "13/32"}']
+    assert list(trace_lines([(box, 1), (box, 1)])) == ['{"n": 0, "lo": "3/8", "hi": "13/32"}',
+                                                       '{"n": 1, "lo": "3/8", "hi": "13/32"}']
     verdict = Verdict(kind="blurry", interval=RatInterval(F(0), F(1)), delta=F(1, 4), depth=30)
     record = verdict_record(verdict)
     assert record["verdict"] == "blurry"
@@ -277,7 +277,7 @@ def test_trace_lines_are_the_json_of_their_records():
             q = rng.choice((1, 3, 1 << rng.randrange(1, 40), rng.randrange(1, 10**30)))
             lo, hi = sorted(F(rng.randrange(-q, 2 * q + 1), q) for _ in range(2))
         bounds.append(RatInterval(lo, hi))
-    lines = list(trace_lines(bounds))
+    lines = list(trace_lines([(interval, 1) for interval in bounds]))
     assert len(lines) == len(bounds)
     for n, (line, interval) in enumerate(zip(lines, bounds)):
         record = {"n": n, "lo": format_fraction(interval.lo), "hi": format_fraction(interval.hi)}
@@ -299,6 +299,6 @@ def test_trace_lines_format_each_repeated_interval_once(monkeypatch, spec, point
         return format_fraction(value)
 
     monkeypatch.setattr(jsonio, "format_fraction", counted)
-    lines = list(trace_lines(oracle_from_spec(spec).trace(point, 199)))
+    lines = "\n".join(trace_lines(oracle_from_spec(spec).bound_runs(point, 0, 200))).split("\n")
     assert len(lines) == 200
     assert len(calls) <= 2 * (settled_by + 1)

@@ -1,7 +1,9 @@
 """Oracle framework: exact clopen oracles, combinators, classification."""
 
+import collections
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import dualistic_of_measure, solid_countable_range
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, RatInterval, is_dyadic
-from cantordensity.jsonio import oracle_from_spec
+from cantordensity.jsonio import branch_from_spec, oracle_from_spec
 from cantordensity.offspring import ExplicitLabels, OffspringOracle
 from cantordensity.oracles import (
     EMPTY_SEGMENT,
@@ -23,17 +25,22 @@ from cantordensity.oracles import (
     MeasureOracle,
     SegmentOracle,
     SpinePrefixOracle,
+    TailCertificate,
     certified_oscillation,
 )
 from cantordensity.reductions import second_reduction
 from cantordensity.trees import ExplicitTree
+from cli_differential import random_branch, random_set
+from clirunner import invoke
 from oracletools import (
     antichain_measure,
+    bound_runs_by_depths,
     certified_oscillation_reference,
     cylinder_local_measure,
     grafted_union_bounds_reference,
     piece_of_measure,
     spongy_local_measure,
+    trace_output_by_depths,
 )
 
 F = Fraction
@@ -479,3 +486,67 @@ def test_exact_traces_match_independent_references():
         trace = list(oracle_from_spec(doc).trace(point, 119))
         expected = [RatInterval.point(reference(word[:n])) for n in range(120)]
         assert trace == expected, (doc, point)
+
+
+def _outcome(call):
+    """A call's value, or the type and text of the error it raised."""
+    try:
+        return "value", call()
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_bound_runs_match_the_per_depth_walk(tmp_path, monkeypatch):
+    # Reading a run in one pair once the oracle is its own child on its
+    # letter changes no trace byte, verdict or cross-check message against
+    # the walk that steps and evaluates every depth (oracletools). Caught
+    # mutant: a walk that collapses every run at a SpinePrefixOracle, so a
+    # run of 1s keeps the spine's bounds instead of entering the piece.
+    rng = random.Random(2305)
+    seen = collections.Counter()
+    spec, branch = tmp_path / "set.json", tmp_path / "branch.json"
+    for _ in range(150):
+        doc = random_set(rng)
+        branch_doc = random_branch(rng, doc)
+        try:
+            oracle, point = oracle_from_spec(doc), branch_from_spec(branch_doc)
+        except ValueError:  # a malformed document or a rejected value
+            continue
+        seen[doc["kind"]] += 1
+        seen[branch_doc["kind"]] += 1
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        branch.write_text(json.dumps(branch_doc), encoding="utf-8")
+        steps = rng.randrange(1, 81)
+        for window in (0, -3, 16):
+            runs = _outcome(lambda: list(oracle.bound_runs(point, 0, steps, window)))
+            reference = _outcome(lambda: list(bound_runs_by_depths(oracle, point, 0, steps, window)))
+            if runs[0] != "value":
+                assert runs == reference, (doc, branch_doc, window)
+                continue
+            expanded = [bounds for bounds, count in runs[1] for _ in range(count)]
+            assert expanded == [bounds for bounds, _ in reference[1]], (doc, branch_doc, window)
+            seen["collapsed"] += sum(count > 1 for _, count in runs[1])
+            heads = [bounds for bounds, _ in runs[1]]
+            assert certified_oscillation(heads) == certified_oscillation(expanded)
+            if window < 0:
+                continue
+            printed = invoke("trace", "--set", str(spec), "--branch", str(branch),
+                             "--steps", str(steps), "--budget", str(window))
+            text, error = trace_output_by_depths(oracle, point, steps, window)
+            assert printed.stdout == text, (doc, branch_doc, window)
+            assert printed.stderr == ("" if error is None else error + "\n")
+        eps = rng.choice((F(1, 16), F(1, 256)))
+        max_depth = rng.randrange(20, 81)
+        forged = [TailCertificate(RatInterval.point(F(rng.randrange(9), 8)), rng.randrange(40))
+                  for _ in range(3)]
+        verdict = _outcome(lambda: oracle.classify(point, eps, max_depth))
+        checks = [_outcome(lambda: oracle._cross_check(point, cert)) for cert in forged]
+        with monkeypatch.context() as patched:
+            patched.setattr(MeasureOracle, "bound_runs", bound_runs_by_depths)
+            assert verdict == _outcome(lambda: oracle.classify(point, eps, max_depth))
+            assert checks == [_outcome(lambda: oracle._cross_check(point, cert)) for cert in forged]
+        seen["contradicted"] += sum(kind == "RuntimeError" for kind, _ in checks)
+    kinds = {"clopen", "dualistic", "countable-range", "offspring", "reduction", "compose",
+             "complement", "ev_periodic", "stretch", "interleave", "baire"}
+    assert kinds <= set(seen), seen
+    assert seen["collapsed"] > 100 and seen["contradicted"] > 100, seen

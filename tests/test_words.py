@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -126,6 +128,27 @@ def test_stretch_prefix_matches_stretch():
     point = StretchedBranch(Branch(word, (0,)))
     for depth in range(len(full) + 1):
         assert point.prefix(depth) == full[:depth]
+
+
+@given(binary_words, st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+       st.integers(0, 30), st.booleans())
+def test_runs_spell_the_point(head, cycle, start, stretched):
+    base = Branch(head, cycle)
+    point = StretchedBranch(base) if stretched else base
+    runs = list(itertools.islice(point.runs(start), 80))
+    letters = []
+    for letter, count in runs:
+        letters += [letter] * (80 if count is None else count)
+    assert tuple(letters[:60]) == point.prefix(start + 60)[start:]
+    # Maximal runs: no empty one, and neighbours differ.
+    assert all(count is None or count > 0 for _, count in runs)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    # The count is None exactly from where the point is constant for good.
+    tail = base.constant_tail()
+    assert (runs[-1][1] is None) == (tail is not None)
+    if tail is not None:
+        constant_from = triangular(tail[1]) if stretched else tail[1]
+        assert start + sum(count for _, count in runs[:-1]) == max(start, constant_from)
 
 
 def test_mixed_blocks():
