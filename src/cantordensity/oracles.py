@@ -480,11 +480,9 @@ class SpinePrefixOracle(MeasureOracle):
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         if not isinstance(point, Branch):
             return None
-        if point.constant_tail() == (0, 0):
+        letter, count = next(point.runs())
+        if letter == 0 and count is None:
             # The all-zeros point rides the spine forever.
             return TailCertificate(self.bounds, 0)
         # Any other point leaves the spine at its first 1.
-        first_one = 0
-        while point.at(first_one) == 0:
-            first_one += 1
-        return entered_certificate(self.piece, point, first_one + 1, effort)
+        return entered_certificate(self.piece, point, (count if letter == 0 else 0) + 1, effort)
