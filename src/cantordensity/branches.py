@@ -51,7 +51,7 @@ class Branch:
         else:
             letters = self.head[start:tail[1]]
         for letter, group in groupby(letters):
-            yield letter, sum(1 for _ in group)
+            yield letter, len(list(group))
         if tail is not None:
             yield tail[0], None
 

@@ -126,21 +126,20 @@ class MeasureOracle:
         depth = start + 1
         own = 0  # bit c set: the current oracle is its own child on letter c
         for letter, count in point.runs(start):
-            left = stop - depth if count is None else min(count, stop - depth)
-            while left:
+            end = stop if count is None else min(depth + count, stop)
+            while depth < end:
                 inner = oracle.child(letter)
                 if inner is oracle:
                     own |= 1 << letter
                     if own == 3:
-                        left = stop - depth
-                    yield bounds, left
-                    depth += left
+                        end = stop
+                    yield bounds, end - depth
+                    depth = end
                     break
                 oracle, own = inner, 0
                 bounds = oracle.measure_bounds(window)
                 yield bounds, 1
                 depth += 1
-                left -= 1
             if depth == stop:
                 return
 
