@@ -11,11 +11,18 @@ print (exact ones or a budget's), an evaluation opens more states than
 its cap ("budget exhausted: ..."; a jump over a block counts one state
 per letter it spans up to the horizon), memory runs out ("out of
 memory") or the run is interrupted ("Aborted!"), and silently when the
-reader of stdout closes the pipe; 2 when a document ("spec error: ...")
-or the command line is malformed (a usage line, then the error). The
+reader of stdout closes the pipe; 2 when a document ("spec error: ...",
+also for a file that is not UTF-8, nests too deeply or holds an integer
+past the interpreter's digit limit) or the command line is malformed
+(a usage line, then the error). The
 verbs and their options are one table, ``_VERBS``, parsed with the
 standard library alone. Verify suites are seeded, so equal invocations
 print equal bytes.
+
+Every call is one process, so its import counts in each verb's time:
+a construction module is imported by the verify suite that uses it, or
+by ``jsonio`` for the kind of document read, never when this module
+loads.
 """
 
 from __future__ import annotations
@@ -25,16 +32,12 @@ import os
 import sys
 from fractions import Fraction
 from random import Random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import jsonio
 from .branches import Branch, StretchedBranch
-from .clopen import ClopenSet, subset_of_measure
-from .dualistic import dualistic_of_measure
 from .dyadics import format_fraction
-from .offspring import ExplicitLabels, offspring_build
 from .oracles import ClopenOracle
-from .trees import ExplicitTree, Policy, periodic
 from .words import (
     Word,
     bits_to_runs,
@@ -46,6 +49,10 @@ from .words import (
     triangular,
 )
 
+if TYPE_CHECKING:
+    from .offspring import ExplicitLabels
+    from .trees import ExplicitTree, Policy
+
 
 def _load_document(path: str):
     try:
@@ -55,6 +62,14 @@ def _load_document(path: str):
         raise jsonio.SpecError(f"cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise jsonio.SpecError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} "
+                               f"at offset {err.start}") from None
+    except RecursionError:
+        raise jsonio.SpecError(f"{path} nests arrays or objects too deeply") from None
+    except ValueError:  # only from an integer literal past the interpreter's digit limit
+        raise jsonio.SpecError(f"{path} holds an integer of over "
+                               f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _check_printable(budget: int, offset: int = 0) -> None:
@@ -186,6 +201,8 @@ def _function_doc(preset: str, value: str | None, a: str | None,
 
 def random_tree(rng: Random, depth_cap: int) -> ExplicitTree:
     """A random pruned binary tree with live policies on every leaf."""
+    from .trees import ExplicitTree, periodic
+
     nodes: list[Word] = [()]
     policies: dict[Word, Policy] = {}
     frontier: list[Word] = [()]
@@ -206,6 +223,7 @@ def random_tree(rng: Random, depth_cap: int) -> ExplicitTree:
 
 def random_labels(rng: Random, tree: ExplicitTree) -> ExplicitLabels:
     """Random dyadic labels on the explicit nodes, random dyadic default."""
+    from .offspring import ExplicitLabels
 
     def dyadic() -> Fraction:
         exponent = rng.randrange(2, 6)
@@ -230,6 +248,8 @@ def random_tree_branch(rng: Random, tree: ExplicitTree) -> Branch:
 
 def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
     """Trace midpoints along a stretched branch track the branch labels."""
+    from .offspring import offspring_build
+
     failures = []
     for index in range(cases):
         tree = random_tree(rng, depth_cap=4)
@@ -249,6 +269,8 @@ def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
 
 def _suite_dualistic_measure(rng: Random, cases: int) -> list[str]:
     """Exact prescribed measures and the spine tail bound."""
+    from .dualistic import dualistic_of_measure
+
     failures = []
     for index in range(cases):
         r = Fraction(rng.randrange(1, 10_000), 10_000)
@@ -271,6 +293,7 @@ def _suite_dualistic_measure(rng: Random, cases: int) -> list[str]:
 
 def _suite_clopen_laws(rng: Random, cases: int) -> list[str]:
     """Inclusion-exclusion and prescribed-measure subsets, exactly."""
+    from .clopen import ClopenSet, subset_of_measure
 
     def random_clopen() -> ClopenSet:
         words = []

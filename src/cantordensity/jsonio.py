@@ -22,27 +22,25 @@ one pass over its joined text, any other is read word by word, so the
 first bad word names the error); every record this module emits formats
 rationals the same way, and ``trace_lines`` formats a run of one
 interval object once and gives its lines as a few texts.
+
+Every command-line call is one process that reads one set document, so
+each construction module is imported where the kind of document that
+needs it is read, not when this module loads: a clopen document loads
+no offspring, reduction or dualistic code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .approx import (
-    AffineImagePresentation,
-    ConstantPresentation,
-    InjectivePresentation,
-)
 from .branches import Branch, StretchedBranch, interleave_branches
-from .clopen import ClopenSet
-from .dualistic import dualistic_of_measure, solid_countable_range
 from .dyadics import RatInterval, format_fraction, parse_fraction
-from .offspring import ExplicitLabels, offspring_build
 from .oracles import ClopenOracle, ComplementOracle, GraftedUnionOracle, MeasureOracle, Verdict
-from .reductions import first_reduction, second_reduction, third_reduction
-from .trees import ExplicitTree, Policy, periodic
 from .words import DIGIT_VALUES, Word, runs_to_bits
+
+if TYPE_CHECKING:
+    from .trees import ExplicitTree, Policy
 
 
 TRACE_CHUNK_LINES = 4096
@@ -110,6 +108,8 @@ _POLICY_NAMES = ("zeros", "full", "stop", "fan_stop")
 
 
 def _policy_from_spec(value) -> Policy:
+    from .trees import periodic
+
     if isinstance(value, str):
         if value not in _POLICY_NAMES:
             raise SpecError(f"unknown policy {value!r}; expected one of: {', '.join(_POLICY_NAMES)}")
@@ -120,6 +120,8 @@ def _policy_from_spec(value) -> Policy:
 
 
 def tree_from_spec(doc) -> ExplicitTree:
+    from .trees import ExplicitTree
+
     if not isinstance(doc, dict):
         raise SpecError(f"tree spec must be an object, got {doc!r}")
     raw_nodes = _require(doc, "nodes")
@@ -203,6 +205,8 @@ _PRESET_KINDS = ("constant", "interval", "injective")
 
 
 def presentation_from_spec(doc):
+    from .approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
+
     preset = _kind_of(doc, _PRESET_KINDS, key="preset")
     if preset == "constant":
         return ConstantPresentation(fraction_from_spec(_require(doc, "value")))
@@ -217,6 +221,8 @@ def presentation_from_spec(doc):
 def oracle_from_spec(doc) -> MeasureOracle:
     kind = _kind_of(doc, _SET_KINDS)
     if kind == "clopen":
+        from .clopen import ClopenSet
+
         raw = _require(doc, "words")
         if not isinstance(raw, list):
             raise SpecError('"words" must be an array')
@@ -229,13 +235,19 @@ def oracle_from_spec(doc) -> MeasureOracle:
         words = [binary_word_from_spec(w, "clopen word") for w in raw]
         return ClopenOracle(ClopenSet.from_words(words))
     if kind == "dualistic":
+        from .dualistic import dualistic_of_measure
+
         return dualistic_of_measure(fraction_from_spec(_require(doc, "measure"))).oracle
     if kind == "countable-range":
+        from .dualistic import solid_countable_range
+
         raw = _require(doc, "values")
         if not isinstance(raw, list):
             raise SpecError('"values" must be an array')
         return solid_countable_range([fraction_from_spec(v) for v in raw]).oracle
     if kind == "offspring":
+        from .offspring import ExplicitLabels, offspring_build
+
         tree = tree_from_spec(_require(doc, "tree"))
         raw_labels = doc.get("labels", {})
         if not isinstance(raw_labels, dict):
@@ -247,6 +259,9 @@ def oracle_from_spec(doc) -> MeasureOracle:
         default = fraction_from_spec(doc.get("default_label", "1/2"))
         return offspring_build(tree, ExplicitLabels(mapping, default))
     if kind == "reduction":
+        from .reductions import first_reduction, second_reduction, third_reduction
+        from .trees import ExplicitTree
+
         which = _kind_of(doc, ("first", "second", "third"), key="which")
         tree = tree_from_spec(doc["tree"]) if "tree" in doc else ExplicitTree.full_binary()
         if which == "second":

@@ -40,7 +40,10 @@ reads each tree node's region, label key and label at most once and
 keeps the states they give; label maps stay pure rules of the node.
 Those node states are shared: a localized oracle is a light view
 holding the shared node states and its own current state, so a child
-step builds one small object and copies nothing.
+step builds one small object and copies nothing. A view that settles
+(off the tree, or in an empty or full copy) is the shared
+``EMPTY_SEGMENT`` or ``FULL_SEGMENT`` instead, its own child, so a
+walk past that depth builds nothing.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -54,10 +57,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .branches import Branch, StretchedBranch, as_stretched
-from .dualistic import dualistic_of_measure
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
-from .oracles import (BudgetExhausted, MeasureOracle, Point, SegmentOracle, TailCertificate,
-                      entered_certificate, segment_step)
+from .oracles import (EMPTY_SEGMENT, FULL_SEGMENT, BudgetExhausted, MeasureOracle, Point,
+                      SegmentOracle, TailCertificate, entered_certificate, segment_step)
 from .trees import DEAD, ExplicitTree, IntersectionTree, Tree
 from .words import Word, triangular
 
@@ -204,6 +206,8 @@ class _NodeStates:
             else:
                 # Nodes with equal values share one exact stand-in oracle.
                 if parts not in self.stand_ins:
+                    from .dualistic import dualistic_of_measure
+
                     self.stand_ins[parts] = dualistic_of_measure(parts).oracle
                 state = (("stand-in", parts), self.stand_ins[parts])
             self.flagged[t] = state
@@ -318,9 +322,16 @@ class OffspringOracle(MeasureOracle):
         return ends
 
     def child(self, letter: int) -> MeasureOracle:
+        state = self._step(self.state, letter)
+        key = state[0]
+        kind = key[0]
+        if kind == "dead":
+            return EMPTY_SEGMENT
+        if kind == "copy" and not key[2]:
+            return FULL_SEGMENT if key[1] else EMPTY_SEGMENT
         inner = object.__new__(OffspringOracle)
         inner._nodes = self._nodes
-        inner.state = self._step(self.state, letter)
+        inner.state = state
         return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:

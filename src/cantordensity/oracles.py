@@ -49,12 +49,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from math import lcm
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
-from .clopen import ClopenSet
 from .dyadics import EMPTY_MASS, FULL_MASS, ONE, ZERO, RatInterval, dyadic_exponent
 from .words import Word, is_prefix
+
+if TYPE_CHECKING:
+    from .clopen import ClopenSet
 
 Point = Branch | StretchedBranch
 

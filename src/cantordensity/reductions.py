@@ -46,7 +46,6 @@ from itertools import product
 
 from .approx import FunctionPresentation, canonical_parts, nudged_parts
 from .branches import Branch
-from .dualistic import solid_countable_range
 from .dyadics import ONE, ZERO, clip_to_unit, dyadic_of_rank, least_dyadic_parts
 from .offspring import LabelMap, OffspringOracle, label_parts_of
 from .oracles import GraftedUnionOracle, MeasureOracle
@@ -452,6 +451,8 @@ def solid_injective(
     body = OffspringOracle(
         ExplicitTree.full_binary(), GreedyInjectiveLabels(presentation, table)
     )
+    from .dualistic import solid_countable_range
+
     spare = solid_countable_range(list(leftovers))
     oracle = GraftedUnionOracle([((0,), body), ((1,), spare.oracle)])
     return SolidInjectiveSet(tuple(sorted(table.items())), leftovers, oracle)

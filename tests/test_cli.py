@@ -194,6 +194,18 @@ _MALFORMED_SETS = [
     ({"kind": "compose", "parts": [{"prefix": "0", "set": {"kind": "clopen", "words": []}}],
       "complemented": 1}, '"complemented" must be a boolean'),
 ]
+# Files the JSON reader cannot decode, as bytes, and the message after
+# "spec error: <path> ".
+_UNREADABLE_DOCUMENTS = [
+    (b"\xff\xfe{}", "is not UTF-8: byte 0xff at offset 0"),
+    (b'{"kind": "clopen", "words": ["0\xc3"]}', "is not UTF-8: byte 0xc3 at offset 31"),
+    (b"[" * 100_000, "nests arrays or objects too deeply"),
+    (b"1" * 5_000, f"holds an integer of over {sys.get_int_max_str_digits()} digits"),
+    (b"\xef\xbb\xbf{}",
+     "is not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"{", "is not JSON: Expecting property name enclosed in double quotes: "
+           "line 1 column 2 (char 1)"),
+]
 _MALFORMED_BRANCHES = [
     ("0", "expected an object carrying 'kind', got '0'"),
     ({"kind": "baire", "period": []}, "period must be non-empty"),
@@ -209,6 +221,12 @@ def test_malformed_documents_exit_two_with_their_message(tmp_path):
         result = invoke("measure", "--set", spec)
         assert (result.exit_code, result.stdout) == (2, ""), document
         assert result.stderr == f"spec error: {message}\n", document
+    for raw, message in _UNREADABLE_DOCUMENTS:
+        spec = tmp_path / "set.json"
+        spec.write_bytes(raw)
+        result = invoke("measure", "--set", str(spec))
+        assert (result.exit_code, result.stdout) == (2, ""), raw[:40]
+        assert result.stderr == f"spec error: {spec} {message}\n", raw[:40]
     spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
     for document, message in _MALFORMED_BRANCHES:
         write(tmp_path / "branch.json", document)
@@ -614,6 +632,10 @@ def _oracle_classes(cls=MeasureOracle):
     # The designated point 0^3 1^3 0^w of 3/5 rides a spine from depth 6 on.
     ({"kind": "countable-range", "values": ["1/4", "2/7", "3/5"]}, "000111", "0", 6,
      '"lo": "3/5", "hi": "3/5"'),
+    # stretch(1^w) is 1^w, which leaves the tree {"", "0"} at depth 1: the
+    # offspring view there is the empty segment.
+    ({"kind": "offspring", "tree": {"nodes": ["", "0"], "policies": {"0": "zeros"}}}, "", "1", 1,
+     '"lo": "0", "hi": "0"'),
 ])
 def test_settled_traces_take_bounded_work_and_writes(tmp_path, monkeypatch, doc, head, period,
                                                      settled_by, bounds):

@@ -4,6 +4,7 @@ looked up as an attribute somewhere, and every attribute a class
 declares or stores on its instances is read somewhere."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -15,23 +16,55 @@ ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "cantordensity").glob("*.py"))
 
 
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list[str]:
+    """Imports their scope never reads: one at module level (under ``if
+    TYPE_CHECKING:`` too) must be read somewhere in the module, one inside
+    a function somewhere in that function."""
     tree = ast.parse(source)
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    unused = []
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        imported: dict[str, int] = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused.extend((line, name) for name, line in imported.items() if name not in used)
+    return [f"{name} (line {line})" for line, name in sorted(unused)]
 
 
 def test_detector_flags_an_unused_import():
     assert unused_imports("from typing import Iterator\nx = 1\n") == ["Iterator (line 1)"]
     assert unused_imports("from typing import Iterator\ndef f() -> Iterator: ...\n") == []
+
+
+def test_detector_flags_an_import_its_function_does_not_use():
+    # A function's import counts only where that function reads it: here
+    # g reads a Fraction that f imports, which is no use of f's import.
+    source = ("from typing import Iterator\n"
+              "def f():\n    from fractions import Fraction\n    return 1\n"
+              "def g() -> Iterator:\n    return Fraction(1)\n")
+    assert unused_imports(source) == ["Fraction (line 3)"]
+    # Reading it in a function nested inside is a use, and so is reading a
+    # module-level import, one under TYPE_CHECKING included, in a function.
+    assert unused_imports("from typing import TYPE_CHECKING\nimport json\n"
+                          "if TYPE_CHECKING:\n    from fractions import Fraction\n"
+                          "def f(x: Fraction):\n    from math import lcm\n"
+                          "    def g():\n        return lcm(json.loads(x))\n    return g\n") == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -213,3 +246,42 @@ def test_cli_import_leaves_click_out():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                           check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+# Each set document in order, and the modules of the package loaded after
+# parsing it: every construction is imported where its kind needs it.
+_COLD_BASE = {"cli", "jsonio", "oracles", "branches", "dyadics", "words"}
+_COLD_DOCUMENTS = [
+    ({"kind": "clopen", "words": ["01", "10"]}, _COLD_BASE | {"clopen"}),
+    ({"kind": "dualistic", "measure": "1/3"}, _COLD_BASE | {"clopen", "dualistic"}),
+    ({"kind": "countable-range", "values": ["1/3", "3/4"]}, _COLD_BASE | {"clopen", "dualistic"}),
+    ({"kind": "offspring", "tree": {"nodes": ["", "0"], "policies": {"0": "zeros"}},
+      "labels": {"0": "3/8"}, "default_label": "1/4"},
+     _COLD_BASE | {"clopen", "dualistic", "offspring", "trees"}),
+    ({"kind": "reduction", "which": "second"},
+     _COLD_BASE | {"clopen", "dualistic", "offspring", "trees", "approx", "reductions"}),
+]
+
+
+def _modules_after_each(documents: list) -> list[set[str]]:
+    """The package's modules loaded in a fresh interpreter after importing
+    the CLI and parsing each set document in turn."""
+    probe = ("import json, sys, cantordensity.cli\n"
+             "from cantordensity import jsonio\n"
+             "for doc in json.loads(sys.argv[1]):\n"
+             "    jsonio.oracle_from_spec(doc)\n"
+             "    print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+             "                            if m.startswith('cantordensity.'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(documents)],
+                          capture_output=True, text=True, env=env, check=True, timeout=60)
+    return [set(json.loads(line)) for line in done.stdout.splitlines()]
+
+
+def test_each_document_loads_only_the_constructions_it_needs():
+    documents = [doc for doc, _ in _COLD_DOCUMENTS]
+    assert _modules_after_each(documents) == [loaded for _, loaded in _COLD_DOCUMENTS]
+    # Offspring and reduction documents alone, with dyadic labels, need
+    # neither the clopen layer nor the dualistic sets.
+    alone = _modules_after_each(documents[3:])
+    assert alone[-1] == _COLD_BASE | {"offspring", "trees", "approx", "reductions"}

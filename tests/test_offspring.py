@@ -398,7 +398,12 @@ def test_block_jumps_equal_letterwise_evaluation():
             window, start = next(windows), rng.randrange(4)
             for depth in range(start, start + 24):
                 local = oracle.localize(point.prefix(depth))
-                assert local.measure_bounds(window) == letterwise_offspring_bounds(local, window), \
+                # A settled view is a shared segment with no state; the
+                # reference steps a view of its own letter by letter.
+                view = copy.copy(oracle)
+                for letter in point.prefix(depth):
+                    view.state = view._step(view.state, letter)
+                assert local.measure_bounds(window) == letterwise_offspring_bounds(view, window), \
                     (depth, window, point)
 
 
