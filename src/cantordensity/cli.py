@@ -202,7 +202,6 @@ def _function_doc(preset: str, value: str | None, a: str | None,
 def random_tree(rng: Random, depth_cap: int) -> ExplicitTree:
     """A random pruned binary tree with live policies on every leaf."""
     from .trees import ExplicitTree, periodic
-
     nodes: list[Word] = [()]
     policies: dict[Word, Policy] = {}
     frontier: list[Word] = [()]
@@ -249,7 +248,6 @@ def random_tree_branch(rng: Random, tree: ExplicitTree) -> Branch:
 def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
     """Trace midpoints along a stretched branch track the branch labels."""
     from .offspring import offspring_build
-
     failures = []
     for index in range(cases):
         tree = random_tree(rng, depth_cap=4)
@@ -270,7 +268,6 @@ def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
 def _suite_dualistic_measure(rng: Random, cases: int) -> list[str]:
     """Exact prescribed measures and the spine tail bound."""
     from .dualistic import dualistic_of_measure
-
     failures = []
     for index in range(cases):
         r = Fraction(rng.randrange(1, 10_000), 10_000)

@@ -109,7 +109,6 @@ _POLICY_NAMES = ("zeros", "full", "stop", "fan_stop")
 
 def _policy_from_spec(value) -> Policy:
     from .trees import periodic
-
     if isinstance(value, str):
         if value not in _POLICY_NAMES:
             raise SpecError(f"unknown policy {value!r}; expected one of: {', '.join(_POLICY_NAMES)}")
@@ -121,7 +120,6 @@ def _policy_from_spec(value) -> Policy:
 
 def tree_from_spec(doc) -> ExplicitTree:
     from .trees import ExplicitTree
-
     if not isinstance(doc, dict):
         raise SpecError(f"tree spec must be an object, got {doc!r}")
     raw_nodes = _require(doc, "nodes")
@@ -206,7 +204,6 @@ _PRESET_KINDS = ("constant", "interval", "injective")
 
 def presentation_from_spec(doc):
     from .approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
-
     preset = _kind_of(doc, _PRESET_KINDS, key="preset")
     if preset == "constant":
         return ConstantPresentation(fraction_from_spec(_require(doc, "value")))
@@ -222,7 +219,6 @@ def oracle_from_spec(doc) -> MeasureOracle:
     kind = _kind_of(doc, _SET_KINDS)
     if kind == "clopen":
         from .clopen import ClopenSet
-
         raw = _require(doc, "words")
         if not isinstance(raw, list):
             raise SpecError('"words" must be an array')
@@ -236,18 +232,15 @@ def oracle_from_spec(doc) -> MeasureOracle:
         return ClopenOracle(ClopenSet.from_words(words))
     if kind == "dualistic":
         from .dualistic import dualistic_of_measure
-
         return dualistic_of_measure(fraction_from_spec(_require(doc, "measure"))).oracle
     if kind == "countable-range":
         from .dualistic import solid_countable_range
-
         raw = _require(doc, "values")
         if not isinstance(raw, list):
             raise SpecError('"values" must be an array')
         return solid_countable_range([fraction_from_spec(v) for v in raw]).oracle
     if kind == "offspring":
         from .offspring import ExplicitLabels, offspring_build
-
         tree = tree_from_spec(_require(doc, "tree"))
         raw_labels = doc.get("labels", {})
         if not isinstance(raw_labels, dict):
@@ -261,7 +254,6 @@ def oracle_from_spec(doc) -> MeasureOracle:
     if kind == "reduction":
         from .reductions import first_reduction, second_reduction, third_reduction
         from .trees import ExplicitTree
-
         which = _kind_of(doc, ("first", "second", "third"), key="which")
         tree = tree_from_spec(doc["tree"]) if "tree" in doc else ExplicitTree.full_binary()
         if which == "second":

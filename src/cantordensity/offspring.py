@@ -207,7 +207,6 @@ class _NodeStates:
                 # Nodes with equal values share one exact stand-in oracle.
                 if parts not in self.stand_ins:
                     from .dualistic import dualistic_of_measure
-
                     self.stand_ins[parts] = dualistic_of_measure(parts).oracle
                 state = (("stand-in", parts), self.stand_ins[parts])
             self.flagged[t] = state

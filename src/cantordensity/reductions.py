@@ -452,7 +452,6 @@ def solid_injective(
         ExplicitTree.full_binary(), GreedyInjectiveLabels(presentation, table)
     )
     from .dualistic import solid_countable_range
-
     spare = solid_countable_range(list(leftovers))
     oracle = GraftedUnionOracle([((0,), body), ((1,), spare.oracle)])
     return SolidInjectiveSet(tuple(sorted(table.items())), leftovers, oracle)
