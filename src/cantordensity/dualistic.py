@@ -141,15 +141,15 @@ class SpongyMeasureOracle(MeasureOracle):
             start = max(1, effort - 20)
             bound = Fraction(4, 3) * Fraction(1, 1 << start)
             return TailCertificate(RatInterval(ZERO, min(bound, ONE)), start)
-        first_one = 0
-        while point.at(first_one) == 0:
-            first_one += 1
-        n = first_one
-        if n == 0:
+        # The point is 0^n 1^m ...: past 0^n 1 only the graft at 0^n 1^n
+        # meets it, and a run of 1s shorter than n leaves that too.
+        runs = point.runs()
+        letter, n = next(runs)
+        if letter == 1:
             return TailCertificate(RatInterval.point(ZERO), 1)
-        for j in range(n + 1, 2 * n):
-            if point.at(j) != 1:
-                return TailCertificate(RatInterval.point(ZERO), j + 1)
+        m = next(runs)[1]
+        if m is not None and m < n:
+            return TailCertificate(RatInterval.point(ZERO), n + m + 1)
         return entered_certificate(SegmentOracle(self.piece_measure(n)), point, 2 * n, effort)
 
 

@@ -108,12 +108,12 @@ _POLICY_NAMES = ("zeros", "full", "stop", "fan_stop")
 
 
 def _policy_from_spec(value) -> Policy:
-    from .trees import periodic
     if isinstance(value, str):
         if value not in _POLICY_NAMES:
             raise SpecError(f"unknown policy {value!r}; expected one of: {', '.join(_POLICY_NAMES)}")
         return value
     if isinstance(value, dict) and set(value) == {"periodic"}:
+        from .trees import periodic
         return periodic(word_from_spec(value["periodic"], "periodic cycle"))
     raise SpecError(f'policy must be a name or {{"periodic": word}}, got {value!r}')
 

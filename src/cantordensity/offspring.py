@@ -5,7 +5,7 @@ k + 1 letters. A block written with a single letter walks from the
 current tree node to the matching child; the first block mixing both
 letters flags the stream, and from the next position membership is
 decided inside a copy whose measure m is the flagged node's label.
-Streams walking into nodes outside the tree are out.
+Streams walking off the tree are out, as inside an empty copy.
 
 A dyadic label m is copied as the segment [0, m) of points read as
 binary expansions, the lexicographically first clopen set of that
@@ -15,7 +15,7 @@ dyadic label over as integers (numerator, exponent), which become the
 copy's state as they are; only other labels arrive as Fractions.
 
 The evaluator returns certified interval bounds: regions resolved
-within the horizon (dead nodes, settled copies) contribute exact mass,
+within the horizon (settled copies, off the tree) contribute exact mass,
 every unresolved region contributes its full [0, 1] of slack. With
 dyadic labels the bounds agree, at tolerance zero, with what exhaustive
 cell enumeration to the horizon depth gives. Non-dyadic labels hang
@@ -24,26 +24,27 @@ exactly at every depth, tighter than any enumeration.
 
 The evaluator walks forward a block at a time. Nothing settles inside
 a block, so it jumps each open state straight to its block's end: a
-node's 2^n continuations enter its two children once each and flag
-with the other 2^n - 2, and a block with r letters left enters at most
-one child and flags the rest. Its frontier holds the open states at
-one block end, each key once with the number of paths that reach it;
-one level of keys is enough, since equal keys promise equal futures
-and a key other than a leaf's fixes its stream position. A leaf
-settles where it is reached, so with h letters of lookahead the bounds
-are numerators over 2^h: paths times leaf numerators, integers while
-every region met is dyadic, exact Fractions once a stand-in's value
-enters, and 2^g units of slack per path still open in a block that
-crosses the horizon g letters below it. A trace evaluates each depth
-afresh; the jumps keep that to a few blocks per bound. The oracle
-reads each tree node's region, label key and label at most once and
-keeps the states they give; label maps stay pure rules of the node.
+fresh block's 2^n continuations enter the node's two children once
+each and flag with the other 2^n - 2, and a block with r letters left
+enters at most one child and flags the rest. Its frontier holds the
+open states at one block end, each key once with the number of paths
+that reach it; one level of keys is enough, since equal keys promise
+equal futures and a key other than a leaf's fixes its stream position.
+A leaf settles where it is reached, so with h letters of lookahead the
+bounds are numerators over 2^h: paths times leaf numerators, integers
+while every region met is dyadic, exact Fractions once a stand-in's
+value enters, and 2^g units of slack per path still open in a block
+that crosses the horizon g letters below it. A trace evaluates each
+depth afresh; the jumps keep that to a few blocks per bound. The
+oracle reads each tree node's region, label key and label at most once
+and keeps the states they give; label maps stay pure rules of the node.
 Those node states are shared: a localized oracle is a light view
-holding the shared node states and its own current state, so a child
-step builds one small object and copies nothing. A view that settles
-(off the tree, or in an empty or full copy) is the shared
-``EMPTY_SEGMENT`` or ``FULL_SEGMENT`` instead, its own child, so a
-walk past that depth builds nothing.
+holding them and its own block or unsettled copy state, so a child
+step builds one small object and copies nothing. A step that settles
+(off the tree, or into an empty or full copy) gives the shared
+``EMPTY_SEGMENT`` or ``FULL_SEGMENT`` instead, its own child, and a
+step that flags into a stand-in gives the shared stand-in oracle, so
+a walk past that depth builds no view.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -76,11 +77,13 @@ Frontier = dict[tuple, list]
 # the block is jumped or crosses the horizon.
 MAX_STATES = 1 << 18
 
+# A block state's ``seen`` once both letters are read.
+MIXED = 2
+
 
 def _letters_left(key: tuple) -> int:
-    """The letters left in the block of a node, pure or mixed state."""
-    size = key[1][0] + 1
-    return size if key[0] == "node" else size - key[-1]
+    """The letters left in the block of a block state."""
+    return key[1][0] + 1 - key[3]
 
 
 def label_parts_of(value: Fraction) -> tuple[int, int] | Fraction:
@@ -191,9 +194,9 @@ class _NodeStates:
         if state is None:
             region = self.tree.region_key(t)
             if region == DEAD:
-                state = (DEAD, ())
+                state = (("copy", 0, 0), t)
             else:
-                state = (("node", (len(t), region, self.labels.node_key(t))), t)
+                state = (("block", (len(t), region, self.labels.node_key(t)), None, 0), t)
             self.entered[t] = state
         return state
 
@@ -241,50 +244,35 @@ class OffspringOracle(MeasureOracle):
     # its children. A node's keys share ctx = (len(t), region, label key);
     # the states entering and flagging t are kept per node in _NodeStates.
     #
-    # ("dead",)                  off the tree
-    # ("node", ctx)              at the block boundary of tree node t
-    # ("pure", ctx, letter, m)   m letters into t's block, all equal
-    # ("mixed", ctx, m)          m letters into t's block, both letters seen
+    # ("block", ctx, seen, m)    m letters into t's block of len(t) + 1;
+    #                            seen is None before the first letter,
+    #                            that letter while all are equal, MIXED
+    #                            once both letters are read
     # ("copy", a, k)             flagged with a dyadic label: the segment
     #                            [0, a/2^k) of its copy seen from here,
-    #                            a/2^k reduced; (0, 0) empty, (1, 0) full
+    #                            a/2^k reduced; (0, 0) empty, also off
+    #                            the tree, (1, 0) full
     # ("stand-in", value)        flagged with any other label; t is the
     #                            stand-in set as seen from here
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state
         kind = key[0]
-        if kind == "dead":
-            return state
         if kind == "copy":
             return (("copy",) + segment_step(key[1], key[2], letter), t)
         if kind == "stand-in":
             return (key, t.child(letter))
-        if kind == "node":
-            if len(t) == 0:
-                # The root block has a single letter; it is always pure.
-                return self._nodes.enter(t + (letter,))
-            return (("pure", key[1], letter, 1), t)
-        size = len(t) + 1
-        if kind == "pure":
-            _, ctx, first, m = key
-            if letter == first:
-                if m + 1 == size:
-                    return self._nodes.enter(t + (first,))
-                return (("pure", ctx, first, m + 1), t)
-        else:
-            _, ctx, m = key
-        if m + 1 == size:
-            return self._nodes.flag(t)
-        return (("mixed", ctx, m + 1), t)
+        _, ctx, seen, m = key
+        seen = letter if seen is None or seen == letter else MIXED
+        if m == len(t):  # the block's last letter
+            return self._nodes.flag(t) if seen == MIXED else self._nodes.enter(t + (seen,))
+        return (("block", ctx, seen, m + 1), t)
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
         """Bounds of a state that needs no lookahead, or None when its
         children must be evaluated."""
         key = state[0]
         kind = key[0]
-        if kind == "dead":
-            return (0, 0)
         if kind == "stand-in":
             # The stand-in set answers exactly at every depth.
             value = state[1].measure_bounds().lo * (1 << h)
@@ -302,17 +290,17 @@ class OffspringOracle(MeasureOracle):
         return None
 
     def _jump(self, state: State) -> list[tuple[State, int]]:
-        """The states that a node, pure or mixed state reaches at the end
-        of its block, each with the number of continuations reaching it.
+        """The states that a block state reaches at the end of its block,
+        each with the number of continuations reaching it.
 
         A block written with one letter enters that child and every other
         block flags, so these are all the block's outcomes."""
         key, t = state
         nodes = self._nodes
         left = _letters_left(key)
-        if key[0] == "mixed":
+        if key[2] == MIXED:
             return [(nodes.flag(t), 1 << left)]
-        if key[0] == "pure":
+        if key[2] is not None:
             return [(nodes.enter(t + (key[2],)), 1), (nodes.flag(t), (1 << left) - 1)]
         ends = [(nodes.enter(t + (0,)), 1), (nodes.enter(t + (1,)), 1)]
         if t:
@@ -324,8 +312,8 @@ class OffspringOracle(MeasureOracle):
         state = self._step(self.state, letter)
         key = state[0]
         kind = key[0]
-        if kind == "dead":
-            return EMPTY_SEGMENT
+        if kind == "stand-in":
+            return state[1]
         if kind == "copy" and not key[2]:
             return FULL_SEGMENT if key[1] else EMPTY_SEGMENT
         inner = object.__new__(OffspringOracle)
@@ -397,15 +385,13 @@ class OffspringOracle(MeasureOracle):
         return TailCertificate(EMPTY_MASS, triangular(death))
 
     def _walking_certificate(self, point: Branch, guard: int, effort: int) -> TailCertificate | None:
-        """Follow the point letter by letter; dead walks and flagged walks
-        settle into exact sub-certificates."""
+        """Follow the point letter by letter; walks that flag or leave the
+        tree settle into exact sub-certificates."""
         state = self.state
         for pos in range(guard):
             state = self._step(state, point.at(pos))
             key = state[0]
-            if key[0] == "dead":
-                return TailCertificate(EMPTY_MASS, pos + 1)
-            if key[0] in ("copy", "stand-in"):
+            if key[0] != "block":
                 inside = (SegmentOracle(Fraction(key[1], 1 << key[2])) if key[0] == "copy"
                           else state[1])
                 return (entered_certificate(inside, point, pos + 1, effort)

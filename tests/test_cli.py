@@ -636,6 +636,10 @@ def _oracle_classes(cls=MeasureOracle):
     # offspring view there is the empty segment.
     ({"kind": "offspring", "tree": {"nodes": ["", "0"], "policies": {"0": "zeros"}}}, "", "1", 1,
      '"lo": "0", "hi": "0"'),
+    # 0 enters node 0, whose mixed block 01 flags into the 1/3 stand-in at
+    # depth 3; its child on 1 is the empty segment.
+    ({"kind": "offspring", "tree": {"nodes": ["", "0"], "policies": {"0": "full"}},
+      "default_label": "1/3"}, "001", "1", 4, '"lo": "0", "hi": "0"'),
 ])
 def test_settled_traces_take_bounded_work_and_writes(tmp_path, monkeypatch, doc, head, period,
                                                      settled_by, bounds):

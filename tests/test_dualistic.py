@@ -179,6 +179,24 @@ def test_spongy_spine_certificate():
     assert oracle.child(0).tail_certificate(Branch((0, 1), (0,)), effort=40) is None
 
 
+@pytest.mark.parametrize("head, cycle, start, value", [
+    # n = 0: a first letter 1 leaves every graft.
+    ((), (1, 0), 1, F(0)),
+    # m < n: 0^3 1 0 leaves the graft at 0^3 1^3 one letter past the 1s.
+    ((0, 0, 0, 1), (0,), 5, F(0)),
+    # m = n: 0^3 1^3 enters the piece 1/4 at depth 6, and 0^w stays in it.
+    ((0, 0, 0, 1, 1, 1), (0,), 8, F(1)),
+    # m > n: the fourth 1 is the piece's first letter, which leaves it.
+    ((0, 0, 0, 1, 1, 1, 1), (0,), 8, F(0)),
+    # A 1^w tail: 0^2 1^w enters the piece 1/4 at depth 4.
+    ((0, 0), (1,), 6, F(0)),
+])
+def test_spongy_certificate_reads_the_first_two_runs(head, cycle, start, value):
+    # The point 0^n 1^m ...: pieces are 3/4, then 1/4 from n = 2 on.
+    cert = SpongyMeasureOracle(F(5, 24)).tail_certificate(Branch(head, cycle), effort=40)
+    assert (cert.start, cert.interval) == (start, RatInterval.point(value))
+
+
 def test_dualistic_small_rate_is_pure_graft():
     built = dualistic_of_measure(F(1, 5))
     assert built.clopen_part is None

@@ -361,8 +361,11 @@ def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
     bounds = list(oracle.trace(Branch((0, 0, 1), (1, 0)), 2000, window=16))
     assert all(b.is_point() for b in bounds[3:])
-    assert jumped and set(jumped) <= {"node", "pure", "mixed"}
-    assert oracle.localize((0, 0, 1, 1)).state[0] == ("stand-in", F(2, 7))
+    assert jumped and set(jumped) <= {"block"}
+    # The step that flags hands the view over to the shared stand-in.
+    stand_in = oracle._nodes.stand_ins[F(2, 7)]
+    assert oracle.localize((0, 0, 1)) is stand_in
+    assert oracle.localize((0, 0, 1, 1)) is stand_in.child(1)
 
 
 def _window_sets(rng):
@@ -408,14 +411,14 @@ def test_block_jumps_equal_letterwise_evaluation():
 
 
 def _block_states(rng):
-    """The node, pure and mixed states that the window grid's oracles
-    reach along its points, each once."""
+    """The block states that the window grid's oracles reach along its
+    points, each once."""
     seen = {}
     for oracle in _window_sets(rng):
         for point in _window_points(rng):
             state = oracle.state
             for depth in range(24):
-                if state[0][0] in ("node", "pure", "mixed"):
+                if state[0][0] == "block":
                     seen.setdefault((id(oracle.tree), state[0]), (oracle, state))
                 state = oracle._step(state, point.at(depth))
     return seen.values()
@@ -436,7 +439,7 @@ def test_jump_groups_every_continuation_of_the_block():
     checked = 0
     for oracle, state in _block_states(random.Random(1705)):
         left, probe = 1, oracle._step(state, 0)
-        while probe[0][0] in ("pure", "mixed"):
+        while probe[0][0] == "block" and probe[0][3]:
             left, probe = left + 1, oracle._step(probe, 0)
         stepped = []
         for word in itertools.product((0, 1), repeat=left):

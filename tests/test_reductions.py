@@ -544,3 +544,45 @@ def test_uniformity_agreement_on_shared_prefix():
 def test_uniformity_rejects_flat_alphabet():
     with pytest.raises(ValueError, match="arity 8"):
         uniformity_pipeline(ExplicitTree.full_binary(), Branch((), (0,)), HALF, 4)
+
+
+# ----- reduction contracts -----------------------------------------------
+
+
+def _second_on_full_tree():
+    return second_reduction(ExplicitTree.full_binary())
+
+
+def _first_third_on_full_tree():
+    return first_reduction(ConstantPresentation(F(1, 3)), ExplicitTree.full_binary())
+
+
+@pytest.mark.parametrize("build, head, cycle, value", [
+    # Second reduction: infinitely many 1s in b never converge; finitely
+    # many converge to 1 when their count is even and to 0 when odd.
+    (_second_on_full_tree, (), (1,), None),
+    (_second_on_full_tree, (), (1, 0), None),
+    (_second_on_full_tree, (1, 1), (0,), F(1)),
+    (_second_on_full_tree, (1, 0, 1), (0,), F(1)),
+    (_second_on_full_tree, (1,), (0,), F(0)),
+    # First reduction, constant 1/3: a 0-tailed b never converges, and
+    # infinitely many 1s converge to the constant.
+    (_first_third_on_full_tree, (1, 1), (0,), None),
+    (_first_third_on_full_tree, (1, 0, 1), (0,), None),
+    (_first_third_on_full_tree, (), (1,), F(1, 3)),
+    (_first_third_on_full_tree, (), (1, 0), F(1, 3)),
+])
+def test_reductions_keep_their_contracts_along_stretched_bases(build, head, cycle, value):
+    # value None: the verdict is blurry; otherwise it converges to value.
+    verdict = build().classify(StretchedBranch(Branch(head, cycle)), max_depth=200)
+    if value is None:
+        assert verdict.kind == "blurry", verdict
+    else:
+        assert verdict.kind == "converges" and verdict.interval.contains(value), verdict
+
+
+def test_countable_range_converges_to_each_value_at_its_designated_point():
+    solid = solid_countable_range([F(1, 3), F(3, 4), F(2, 5)])
+    for point, value in solid.designated_points():
+        verdict = solid.oracle.classify(point, max_depth=200)
+        assert verdict.kind == "converges" and verdict.interval.contains(value), (point, verdict)
