@@ -242,17 +242,17 @@ def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     """A solid set realizing the given density values on designated points.
 
     An empty list yields a proper nonempty clopen set (solid, nothing
-    designated). Values must lie strictly between 0 and 1.
+    designated). Values must lie strictly between 0 and 1. Each spine
+    builds its piece on entry, so a query builds at most one piece.
     """
     for v in values:
-        if not (ZERO < v < ONE):
+        if not 0 < v.numerator < v.denominator:  # integer compares: v is reduced
             raise ValueError(f"density values must be in (0;1): {v}")
     if len(set(values)) != len(values):
         raise ValueError("density values must be pairwise distinct")
     if not values:
         return SolidCountableRange((), SegmentOracle(Fraction(1, 2)))
-    parts: list[tuple[Word, MeasureOracle]] = []
-    for n, value in enumerate(values, start=1):
-        piece = SegmentOracle(value) if is_dyadic(value) else dualistic_of_measure(value).oracle
-        parts.append((first_family_word(n), SpinePrefixOracle(piece, value)))
+    def piece(value: Fraction) -> MeasureOracle:
+        return SegmentOracle(value) if is_dyadic(value) else dualistic_of_measure(value).oracle
+    parts = [(first_family_word(n), SpinePrefixOracle(piece, v)) for n, v in enumerate(values, 1)]
     return SolidCountableRange(tuple(values), GraftedUnionOracle(parts))

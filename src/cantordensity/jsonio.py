@@ -113,13 +113,13 @@ def _policy_from_spec(value) -> Policy:
             raise SpecError(f"unknown policy {value!r}; expected one of: {', '.join(_POLICY_NAMES)}")
         return value
     if isinstance(value, dict) and set(value) == {"periodic"}:
-        from .trees import periodic
-        return periodic(word_from_spec(value["periodic"], "periodic cycle"))
+        import cantordensity.trees
+        return cantordensity.trees.periodic(word_from_spec(value["periodic"], "periodic cycle"))
     raise SpecError(f'policy must be a name or {{"periodic": word}}, got {value!r}')
 
 
 def tree_from_spec(doc) -> ExplicitTree:
-    from .trees import ExplicitTree
+    import cantordensity.trees
     if not isinstance(doc, dict):
         raise SpecError(f"tree spec must be an object, got {doc!r}")
     raw_nodes = _require(doc, "nodes")
@@ -137,7 +137,7 @@ def tree_from_spec(doc) -> ExplicitTree:
         arity = doc.get("arity", 2)
         if arity is not None and (type(arity) is not int or arity < 2):  # bool is not int
             raise SpecError(f'"arity" must be null or an integer >= 2, got {arity!r}')
-        return ExplicitTree(nodes, policies, arity=arity)
+        return cantordensity.trees.ExplicitTree(nodes, policies, arity=arity)
     except ValueError as err:
         # Structural defects of the node/policy table, an empty periodic
         # cycle among them, are the document's fault, same as a syntax error.
@@ -203,22 +203,22 @@ _PRESET_KINDS = ("constant", "interval", "injective")
 
 
 def presentation_from_spec(doc):
-    from .approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
+    import cantordensity.approx
     preset = _kind_of(doc, _PRESET_KINDS, key="preset")
     if preset == "constant":
-        return ConstantPresentation(fraction_from_spec(_require(doc, "value")))
+        return cantordensity.approx.ConstantPresentation(fraction_from_spec(_require(doc, "value")))
     if preset == "interval":
-        return AffineImagePresentation(
+        return cantordensity.approx.AffineImagePresentation(
             fraction_from_spec(_require(doc, "a")),
             fraction_from_spec(_require(doc, "b")),
         )
-    return InjectivePresentation(fraction_from_spec(_require(doc, "eps")))
+    return cantordensity.approx.InjectivePresentation(fraction_from_spec(_require(doc, "eps")))
 
 
 def oracle_from_spec(doc) -> MeasureOracle:
     kind = _kind_of(doc, _SET_KINDS)
     if kind == "clopen":
-        from .clopen import ClopenSet
+        import cantordensity.clopen
         raw = _require(doc, "words")
         if not isinstance(raw, list):
             raise SpecError('"words" must be an array')
@@ -227,41 +227,42 @@ def oracle_from_spec(doc) -> MeasureOracle:
         except TypeError:  # an entry that is not a string
             binary = False
         if binary:
-            return ClopenOracle(ClopenSet.from_digits(raw))
+            return ClopenOracle(cantordensity.clopen.ClopenSet.from_digits(raw))
         words = [binary_word_from_spec(w, "clopen word") for w in raw]
-        return ClopenOracle(ClopenSet.from_words(words))
+        return ClopenOracle(cantordensity.clopen.ClopenSet.from_words(words))
     if kind == "dualistic":
-        from .dualistic import dualistic_of_measure
-        return dualistic_of_measure(fraction_from_spec(_require(doc, "measure"))).oracle
+        import cantordensity.dualistic
+        measure = fraction_from_spec(_require(doc, "measure"))
+        return cantordensity.dualistic.dualistic_of_measure(measure).oracle
     if kind == "countable-range":
-        from .dualistic import solid_countable_range
+        import cantordensity.dualistic
         raw = _require(doc, "values")
         if not isinstance(raw, list):
             raise SpecError('"values" must be an array')
-        return solid_countable_range([fraction_from_spec(v) for v in raw]).oracle
+        return cantordensity.dualistic.solid_countable_range([fraction_from_spec(v) for v in raw]).oracle
     if kind == "offspring":
-        from .offspring import ExplicitLabels, offspring_build
+        import cantordensity.offspring
         tree = tree_from_spec(_require(doc, "tree"))
         raw_labels = doc.get("labels", {})
         if not isinstance(raw_labels, dict):
             raise SpecError('"labels" must be an object keyed by words')
-        mapping = {
+        labels = cantordensity.offspring.ExplicitLabels({
             word_from_spec(key, "label node"): fraction_from_spec(value)
             for key, value in raw_labels.items()
-        }
-        default = fraction_from_spec(doc.get("default_label", "1/2"))
-        return offspring_build(tree, ExplicitLabels(mapping, default))
+        }, fraction_from_spec(doc.get("default_label", "1/2")))
+        return cantordensity.offspring.offspring_build(tree, labels)
     if kind == "reduction":
-        from .reductions import first_reduction, second_reduction, third_reduction
-        from .trees import ExplicitTree
+        import cantordensity.reductions
+        import cantordensity.trees
         which = _kind_of(doc, ("first", "second", "third"), key="which")
-        tree = tree_from_spec(doc["tree"]) if "tree" in doc else ExplicitTree.full_binary()
+        tree = (tree_from_spec(doc["tree"]) if "tree" in doc
+                else cantordensity.trees.ExplicitTree.full_binary())
         if which == "second":
-            return second_reduction(tree)
+            return cantordensity.reductions.second_reduction(tree)
         presentation = presentation_from_spec(_require(doc, "function"))
         if which == "first":
-            return first_reduction(presentation, tree)
-        return third_reduction(presentation, tree)
+            return cantordensity.reductions.first_reduction(presentation, tree)
+        return cantordensity.reductions.third_reduction(presentation, tree)
     if kind == "compose":
         raw = _require(doc, "parts")
         if not isinstance(raw, list) or not raw:

@@ -45,11 +45,13 @@ meet its interval; a contradiction raises instead of classifying.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from functools import cached_property
+from itertools import accumulate, chain, repeat, starmap
 from math import lcm
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
 from .dyadics import EMPTY_MASS, FULL_MASS, ONE, ZERO, RatInterval, dyadic_exponent
@@ -409,44 +411,58 @@ class GraftedUnionOracle(MeasureOracle):
     """Union of copies of sets grafted inside pairwise incomparable cylinders.
 
     Mass lives only inside the grafts: the set seen from a cylinder off
-    every graft is empty.
+    every graft is empty. Each localization is a view of one table of the
+    graft words, sorted (a prefix then sits next to an extension), and their
+    parts: a depth d and an index range, with ``parts`` cut at d. If all parts
+    are spines, the table keeps integer prefix sums of m * 2^-len(w) over one
+    denominator, and a view's bounds are one difference times 2^d.
     """
 
+    parts = cached_property(lambda self: [(w[self.depth:], p) for w, p in self.root.table[self.lo:self.hi]])
+
     def __init__(self, parts: list[tuple[Word, MeasureOracle]]):
-        for i, (a, _) in enumerate(parts):
-            for b, _ in parts[i + 1:]:
-                if is_prefix(a, b) or is_prefix(b, a):
-                    raise ValueError(f"graft words {a} and {b} are comparable")
         self.parts = [(tuple(w), oracle) for w, oracle in parts]
+        self.table = table = sorted(self.parts, key=lambda part: part[0])
+        if any(is_prefix(a, b) for (a, _), (b, _) in zip(table, table[1:])):
+            for i, (a, _) in enumerate(self.parts):
+                for b, _ in self.parts[i + 1:]:
+                    if is_prefix(a, b) or is_prefix(b, a):
+                        raise ValueError(f"graft words {a} and {b} are comparable")
+        self.root, self.depth, self.lo, self.hi, self.sums = self, 0, 0, len(table), None
+        if all(isinstance(oracle, SpinePrefixOracle) for _, oracle in table):
+            scaled = [(o.bounds.lo.numerator, o.bounds.lo.denominator << len(w)) for w, o in table]
+            self.den = lcm(*(q for _, q in scaled))
+            self.sums = [0, *accumulate(p * (self.den // q) for p, q in scaled)]
 
     def child(self, letter: int) -> MeasureOracle:
-        tails = []
-        for graft, part in self.parts:
-            if not graft:
-                return part.child(letter)
-            if graft[0] == letter:
-                if len(graft) == 1:
-                    return part
-                tails.append((graft[1:], part))
-        if not tails:
+        table, d, i, j = self.root.table, self.depth, self.lo, self.hi
+        if not table[i][0]:  # the empty graft word: the part is the union
+            return table[i][1].child(letter)
+        split = bisect_left(table, 1, i, j, key=lambda part: part[0][d])
+        i, j = (split, j) if letter else (i, split)
+        if i == j:
             return EMPTY_SEGMENT
-        # Tails of incomparable words are incomparable: no check needed.
+        if len(table[i][0]) == d + 1:  # a word that no other one extends
+            return table[i][1]
         inner = object.__new__(GraftedUnionOracle)
-        inner.parts = tails
+        inner.root, inner.depth, inner.lo, inner.hi = self.root, d + 1, i, j
         return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        # Integer numerators over one common denominator, the lcm of the
-        # parts' scaled ones: one Fraction per endpoint, built at the end.
+        root, d = self.root, self.depth
+        if root.sums is not None:
+            return RatInterval.point(Fraction((root.sums[self.hi] - root.sums[self.lo]) << d, root.den))
+        # Integer numerators over one common denominator, the lcm of the parts'
+        # ones times 2^len(word): one Fraction per endpoint, shifted to depth d.
         lo, hi, den = 0, 0, 1
-        for graft, part in self.parts:
-            bounds = part.measure_bounds(budget - len(graft))
-            d_lo, d_hi = bounds.lo.denominator << len(graft), bounds.hi.denominator << len(graft)
+        for word, part in root.table[self.lo:self.hi]:
+            bounds = part.measure_bounds(budget + d - len(word))
+            d_lo, d_hi = bounds.lo.denominator << len(word), bounds.hi.denominator << len(word)
             common = lcm(den, d_lo, d_hi)
             lo = lo * (common // den) + bounds.lo.numerator * (common // d_lo)
             hi = hi * (common // den) + bounds.hi.numerator * (common // d_hi)
             den = common
-        return RatInterval(Fraction(lo, den), Fraction(hi, den))
+        return RatInterval(Fraction(lo << d, den), Fraction(hi << d, den))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # No graft word is longer than this prefix, so by now the point
@@ -466,11 +482,14 @@ class SpinePrefixOracle(MeasureOracle):
     at every single depth: the grafted copies below 0^m contribute the
     geometric series sum 2^m * sum_{j >= m} 2^-(j+1) * r = r exactly.
     The piece must be exact, of measure r: the bounds are that value.
+    ``build(r)`` makes the piece the first time a walk or certificate enters it.
     """
 
-    def __init__(self, piece: MeasureOracle, measure: Fraction):
-        self.piece = piece
+    def __init__(self, build: Callable[[Fraction], MeasureOracle], measure: Fraction):
+        self.build = build
         self.bounds = RatInterval.point(measure)
+
+    piece = cached_property(lambda self: self.build(self.bounds.lo))
 
     def child(self, letter: int) -> MeasureOracle:
         return self if letter == 0 else self.piece

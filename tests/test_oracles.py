@@ -201,7 +201,7 @@ def test_grafted_union_certificates():
 
 def test_spine_prefix_constant_rate_on_spine():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     for m in range(8):
         assert oracle.local_bounds((0,) * m, 0) == RatInterval.point(F(1, 4))
     # Beyond the first 1 the piece takes over.
@@ -211,7 +211,7 @@ def test_spine_prefix_constant_rate_on_spine():
 
 def test_spine_prefix_certificates():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     spine = oracle.tail_certificate(Branch((), (0,)), effort=10)
     assert spine.interval == RatInterval.point(F(1, 4))
     assert spine.start == 0
@@ -221,7 +221,7 @@ def test_spine_prefix_certificates():
 
 def test_classify_converges_on_exact_point():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
-    oracle = SpinePrefixOracle(piece, F(1, 4))
+    oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     verdict = oracle.classify(Branch((), (0,)))
     assert verdict.kind == "converges"
     assert verdict.interval.contains(F(1, 4))
