@@ -18,7 +18,12 @@ four suites at seeds 0, 1 and 7, then ``LONG_TRACES`` traces of 4 097
 to 20 000 steps on sets that settle early along their points (clopen
 sets, countable-range sets at their designated points, and compose
 documents over both), so that runs of equal bounds cross the
-command's chunks of ``jsonio.TRACE_CHUNK_LINES`` = 4 096 lines. The
+command's chunks of ``jsonio.TRACE_CHUNK_LINES`` = 4 096 lines. Last
+come fixed cases: ``compose`` documents whose prefixes are comparable,
+in several orders, so that the exit-1 message is compared, then
+countable-range sets of 12 to 20 values and ``compose`` documents over
+them, complemented and not, traced and classified along designated
+points and along points that enter a graft's piece. The
 script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
@@ -37,6 +42,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -201,7 +207,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
                         "--max-depth", str(rng.randrange(20, 161))])
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
-    return out + _long_traces(Random(seed + 1), folder)
+    return out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -235,6 +241,59 @@ def _long_traces(rng: Random, folder: Path) -> list[list[str]]:
         branch_path.write_text(json.dumps({"kind": "ev_periodic", **point}), encoding="utf-8")
         out.append(["trace", "--set", str(set_path), "--branch", str(branch_path),
                     "--steps", str(rng.randrange(4097, 20001)), "--budget", str(rng.randrange(25))])
+    return out
+
+
+# Prefix orders of compose documents whose prefixes are comparable: the
+# exit-1 message must name the same pair whatever order the check walks in.
+COMPARABLE_PREFIXES = (["1", "00", "0"], ["01", "1", "0"], ["0", "01"], ["01", "0"],
+                       ["00", "1", "0"], ["1", "0", "0"], ["", "1"], ["10", "", "0"])
+
+
+def _many_values(rng: Random, count: int) -> list[str]:
+    """``count`` distinct values in (0;1), dyadic and not, on both sides of 1/3."""
+    values: dict[Fraction, str] = {}
+    while len(values) < count:
+        q = rng.choice((4, 8, 16, 32, 7, 9, 13, 50, 99))
+        p = rng.randrange(1, q)
+        values.setdefault(Fraction(p, q), f"{p}/{q}")
+    return list(values.values())
+
+
+def _fixed_cases(rng: Random, folder: Path) -> list[list[str]]:
+    """Compose documents with comparable prefixes in several orders, then
+    countable-range sets of 12 to 20 values and compose documents over
+    them (complemented and not), traced and classified along designated
+    points 0^n 1^n 0^w and along points that enter a graft's piece."""
+    out = []
+
+    def document(name: str, doc: dict) -> str:
+        path = folder / f"fixed-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    for index, prefixes in enumerate(COMPARABLE_PREFIXES):
+        parts = [{"prefix": prefix, "set": {"kind": "clopen", "words": ["1"]}} for prefix in prefixes]
+        out.append(["measure", "--set", document(f"comparable{index}", {"kind": "compose", "parts": parts})])
+    sets = []
+    for index, count in enumerate((12, 16, 20)):
+        doc = {"kind": "countable-range", "values": _many_values(rng, count)}
+        sets.append((doc, "", count))
+        sets.append(({"kind": "compose", "complemented": index % 2 == 1,
+                      "parts": [{"prefix": "0", "set": doc},
+                                {"prefix": "10", "set": {"kind": "dualistic", "measure": "2/7"}},
+                                {"prefix": "11", "set": {"kind": "clopen", "words": ["01"]}}]},
+                     "0", count))
+    for index, (doc, prefix, count) in enumerate(sets):
+        set_path = document(f"set{index}", doc)
+        for n in (1, rng.randrange(2, count), count):
+            site = prefix + "0" * n + "1" * n
+            for head, period in ((site, "0"), (site + "1" + _word(rng, rng.randrange(4)), _word(rng, 2) + "1")):
+                branch = document(f"branch{index}-{n}-{len(head)}", {"kind": "ev_periodic", "head": head,
+                                                                      "period": period})
+                out.append(["trace", "--set", set_path, "--branch", branch, "--steps", str(4 * n + 40)])
+                out.append(["classify", "--set", set_path, "--branch", branch, "--max-depth", "120"])
+        out.append(["measure", "--set", set_path, "--prefix", prefix + "0" * rng.randrange(count)])
     return out
 
 

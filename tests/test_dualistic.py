@@ -1,5 +1,6 @@
 """Prescribed-measure constructions against the independent series oracle."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantordensity import dualistic
 from cantordensity.branches import Branch
 from cantordensity.dualistic import (
     SpongyMeasureOracle,
@@ -17,8 +19,8 @@ from cantordensity.dualistic import (
     second_family_words,
     solid_countable_range,
 )
-from cantordensity.dyadics import RatInterval
-from cantordensity.oracles import ClopenOracle, ComplementOracle
+from cantordensity.dyadics import RatInterval, is_dyadic
+from cantordensity.oracles import ClopenOracle, ComplementOracle, SegmentOracle, SpinePrefixOracle
 from oracletools import (
     antichain_measure,
     base4_digit_reference,
@@ -159,6 +161,49 @@ def test_spine_bounds_read_the_prescribed_values():
     spines = solid_countable_range(values).oracle.parts
     for value, (_, spine) in zip(values, spines):
         assert spine.bounds == spine.piece.measure_bounds() == RatInterval.point(value)
+
+# Dyadic and non-dyadic values, on both sides of 1/3.
+LAZY_VALUES = [F(1, 4), F(2, 7), F(3, 8), F(5, 13), F(1, 2), F(3, 10), F(5, 8), F(7, 9)]
+
+
+def _countable_range_work(monkeypatch, values, head, cycle, depth) -> collections.Counter:
+    """Calls made while building the countable-range set of the values and
+    tracing it along head cycle^w: ``dualistic_of_measure`` calls,
+    ``SegmentOracle`` constructions and spine ``measure_bounds`` calls."""
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dualistic, "dualistic_of_measure",
+                      counting("dualistic", dualistic.dualistic_of_measure))
+        patch.setattr(SegmentOracle, "__init__", counting("segment", SegmentOracle.__init__))
+        patch.setattr(SpinePrefixOracle, "measure_bounds",
+                      counting("spine bounds", SpinePrefixOracle.measure_bounds))
+        list(solid_countable_range(values).oracle.trace(Branch(head, cycle), depth))
+    return counts
+
+
+def test_countable_range_builds_only_the_entered_piece(monkeypatch):
+    for n, value in enumerate(LAZY_VALUES, start=1):
+        # The designated point 0^n 1^n 0^w rides spine n and enters no piece.
+        designated = _countable_range_work(monkeypatch, LAZY_VALUES, (0,) * n + (1,) * n, (0,), 60)
+        assert designated["dualistic"] == designated["segment"] == 0, (n, designated)
+        # 0^n 1^n 1 0^w enters piece n, and only that one is built: a
+        # segment for a dyadic value, a dualistic set otherwise.
+        entering = _countable_range_work(monkeypatch, LAZY_VALUES, (0,) * n + (1,) * (n + 1), (0,), 60)
+        expected = (1, 0) if is_dyadic(value) else (0, 1)
+        assert (entering["segment"], entering["dualistic"]) == expected, (n, entering)
+    # Along 0^w the views sum the spines' prescribed values without asking
+    # the spines, so the work does not grow with the number of values.
+    more = LAZY_VALUES + [F(1, 8), F(4, 11), F(3, 16), F(6, 7), F(1, 3), F(7, 16), F(2, 5), F(9, 17)]
+    few, many = (_countable_range_work(monkeypatch, values, (), (0,), 40) for values in (LAZY_VALUES[:4], more))
+    assert few["spine bounds"] == many["spine bounds"], (few, many)
+
 
 def test_spongy_spine_bound():
     oracle = SpongyMeasureOracle(F(5, 24))

@@ -190,6 +190,16 @@ def test_spec_errors_vs_domain_errors():
                 ],
             }
         )
+    # Prefixes out of sorted order: the message names the first comparable
+    # pair in the given order, whatever order the check itself walks in.
+    for prefixes, message in [
+        (["1", "00", "0"], "graft words (0, 0) and (0,) are comparable"),
+        (["01", "1", "0"], "graft words (0, 1) and (0,) are comparable"),
+    ]:
+        parts = [{"prefix": prefix, "set": {"kind": "clopen", "words": [""]}} for prefix in prefixes]
+        with pytest.raises(ValueError) as raised:
+            oracle_from_spec({"kind": "compose", "parts": parts})
+        assert str(raised.value) == message
 
 
 def _per_word_decode(raw: list) -> ClopenSet:
