@@ -253,15 +253,13 @@ class OffspringOracle(MeasureOracle):
     #                            a/2^k reduced; (0, 0) empty, also off
     #                            the tree, (1, 0) full
     # ("stand-in", value)        flagged with any other label; t is the
-    #                            stand-in set as seen from here
+    #                            shared stand-in set, never stepped:
+    #                            _leaf settles it, child hands over to it
 
     def _step(self, state: State, letter: int) -> State:
         key, t = state
-        kind = key[0]
-        if kind == "copy":
+        if key[0] == "copy":
             return (("copy",) + segment_step(key[1], key[2], letter), t)
-        if kind == "stand-in":
-            return (key, t.child(letter))
         _, ctx, seen, m = key
         seen = letter if seen is None or seen == letter else MIXED
         if m == len(t):  # the block's last letter

@@ -10,38 +10,29 @@ Policies on binary (or any finite-alphabet) trees:
 * ``full``          the complete subtree is present
 * ``periodic(q)``   exactly the continuation cycling through q survives
 
-Trees over the natural-number alphabet (used as inputs to ``star``) may
-also use:
+Trees over the natural-number alphabet (``arity`` None) may also use:
 
 * ``stop``          the leaf is terminal, nothing below
 * ``fan_stop``      every one-letter extension is present and terminal
 
-With ``stop``/``fan_stop`` the tree is no longer pruned; the binary
-image produced by ``star`` restores pruned-ness by closing finite
-maximal nodes with zero-tails.
+With ``stop``/``fan_stop`` the tree is no longer pruned: a terminal
+node is alive, and every word below it is off the tree.
 
-Depth-bounded operators (``explode``, ``star``, ``section``) are exact
-up to their requested depth and census-faithful where the module
-contract asks for it; they cannot certify perfect-set containment,
-only membership and branch-census facts about the presented class.
-``explode`` and ``section`` are calls to ``materialize``, which grows
-the words up to a depth level by level through a membership test,
-drops those dying before the depth, and closes the frontier with
-zero-tails; ``star`` walks its own codec images and closes them the
-same way.
+``section`` is the one depth-bounded operator. Through ``materialize``
+it grows the words up to a depth level by level by a membership test,
+drops those dying before the depth and closes the frontier with
+zero-tails. It is exact up to that depth and cannot certify
+perfect-set containment, only membership.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Literal, Union
 
 from .branches import Branch
-from .words import Word, deinterleave, runs_to_bits
+from .words import Word, deinterleave
 
 Policy = Union[Literal["zeros", "full", "stop", "fan_stop"], tuple[Literal["periodic"], Word]]
-
-CONTINUUM = "continuum"
 
 DEAD = ("dead",)
 
@@ -118,28 +109,23 @@ class ExplicitTree(Tree):
         self.arity = arity
         self.nodes = frozenset(node_set)
         self.policies = {tuple(k): _check_policy(v, arity, k) for k, v in policies.items()}
-        self._children: dict[Word, list[int]] = {w: [] for w in node_set}
+        children: dict[Word, list[int]] = {w: [] for w in node_set}
         for w in node_set:
             if w:
-                self._children[w[:-1]].append(w[-1])
+                children[w[:-1]].append(w[-1])
         for w in self.policies:
             if w not in node_set:
                 raise ValueError(f"policy at {w} is not a tree node")
         for w in node_set:
             if w in self.policies:
-                if self._children[w]:
+                if children[w]:
                     raise ValueError(f"policy leaf {w} has explicit children")
-            elif not self._children[w]:
+            elif not children[w]:
                 raise ValueError(f"leaf {w} has no policy")
 
     @staticmethod
     def full_binary() -> "ExplicitTree":
         return ExplicitTree([()], {(): "full"}, arity=2)
-
-    @staticmethod
-    def single_branch(head: Word, cycle: Word, arity: int | None = 2) -> "ExplicitTree":
-        nodes = [head[:i] for i in range(len(head) + 1)]
-        return ExplicitTree(nodes, {tuple(head): periodic(cycle)}, arity=arity)
 
     def _governing(self, word: Word) -> tuple[Word, Policy] | None:
         """The policy leaf at or above a word that is not an inner node.
@@ -169,27 +155,6 @@ class ExplicitTree(Tree):
             return DEAD
         leaf, policy = found
         return _policy_region(policy, word[len(leaf):], self.arity)
-
-    def census(self) -> int | str:
-        """How many branches carry infinitely many 1s (finite arity only).
-
-        Returns the exact count or the string "continuum". Every branch
-        of the presented tree eventually follows a single policy leaf,
-        and distinct leaves are incomparable, so counting is local.
-        """
-        if self.arity is None:
-            raise ValueError("census is for finite-arity presentations")
-        total = 0
-        for leaf, policy in self.policies.items():
-            if policy == "full":
-                return CONTINUUM
-            if isinstance(policy, tuple) and policy[0] == "periodic":
-                if any(l == 1 for l in policy[1]):
-                    total += 1
-            if policy in ("stop", "fan_stop"):
-                raise ValueError("census needs a pruned presentation")
-        return total
-
 
 def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
     if policy in ("zeros", "full"):
@@ -290,15 +255,6 @@ class IntersectionTree(Tree):
         return ("meet", kl, kr)
 
 
-def _close_with_zeros(nodes: set[Word], policies: dict[Word, Policy], arity: int) -> ExplicitTree:
-    """The tree on ``nodes`` in which every childless word without a
-    policy continues with the zero-tail."""
-    for w in nodes:
-        if w not in policies and not any(w + (i,) in nodes for i in range(arity)):
-            policies[w] = "zeros"
-    return ExplicitTree(nodes, policies, arity=arity)
-
-
 def materialize(alive: Callable[[Word], bool], arity: int, depth: int) -> ExplicitTree:
     """The words up to ``depth`` all of whose prefixes pass ``alive``.
 
@@ -314,72 +270,9 @@ def materialize(alive: Callable[[Word], bool], arity: int, depth: int) -> Explic
     for level in reversed(levels[:depth]):
         nodes.update(w for w in level if any(w + (i,) in nodes for i in range(arity)))
     nodes.add(())
-    return _close_with_zeros(nodes, {}, arity)
-
-
-def explode(tree: ExplicitTree, depth: int) -> ExplicitTree:
-    """Materialize a finite-arity presentation to a depth, zeros beyond.
-
-    Membership agrees with the input on all words up to ``depth``. The
-    completion below the frontier is the zero-tail, so a presentation
-    with no surviving 1-heavy branches explodes to one with none either.
-    """
-    if tree.arity is None:
-        raise ValueError("explode needs a finite alphabet")
-    return materialize(tree.member, tree.arity, depth)
-
-
-def star(tree: ExplicitTree, depth: int) -> ExplicitTree:
-    """Binary image of a natural-number tree under the run-length codec.
-
-    A node (a0, ..., ak) contributes the binary prefix closure of
-    ``0^a0 1 ... 0^ak 1``. Terminal leaves close with zero-tails; the
-    policies of infinite regions map exactly: a zeros fan becomes the
-    all-ones tail, a full fan becomes a full binary subtree, a periodic
-    fan becomes the encoded cycle. Exact to the requested depth.
-    """
-    if tree.arity is not None:
-        raise ValueError("star expects a tree on the natural numbers")
-    nodes: set[Word] = {()}
-    policies: dict[Word, Policy] = {}
-
-    def add_chain(base: Word, letters: Word) -> Word:
-        current = base
-        for letter in letters:
-            current = current + (letter,)
-            if len(current) <= depth:
-                nodes.add(current)
-        return current
-
-    def place(word: Word, policy: Policy) -> None:
-        if len(word) <= depth:
-            policies[word] = policy
-
-    def walk(u: Word, encoded: Word) -> None:
-        if len(encoded) > depth:
-            return
-        if u in tree.policies:
-            policy = tree.policies[u]
-            if policy == "stop":
-                place(encoded, "zeros")
-            elif policy == "zeros":
-                place(encoded, periodic((1,)))
-            elif policy == "full":
-                place(encoded, "full")
-            elif policy == "fan_stop":
-                # Every child k is a stop leaf, encoded 0^k 1.
-                for k in range(depth - len(encoded) + 1):
-                    place(add_chain(encoded, (0,) * k + (1,)), "zeros")
-            else:
-                place(encoded, periodic(runs_to_bits(policy[1])))
-            return
-        for k in sorted(tree._children[u]):
-            end = add_chain(encoded, (0,) * k + (1,))
-            walk(u + (k,), end)
-
-    walk((), ())
-    # Frontier nodes truncated mid-way get the zero-tail completion.
-    return _close_with_zeros(nodes, policies, 2)
+    policies: dict[Word, Policy] = {
+        w: "zeros" for w in nodes if not any(w + (i,) in nodes for i in range(arity))}
+    return ExplicitTree(nodes, policies, arity=arity)
 
 
 def section(product_tree: ExplicitTree, first_coordinate, depth: int) -> ExplicitTree:
@@ -407,39 +300,3 @@ def section(product_tree: ExplicitTree, first_coordinate, depth: int) -> Explici
 
 def pair_letter(a: int, b: int) -> int:
     return 2 * a + b
-
-
-def graft(left: ExplicitTree, right: ExplicitTree) -> ExplicitTree:
-    """The tree whose 0-subtree is ``left`` and 1-subtree is ``right``."""
-    if left.arity != 2 or right.arity != 2:
-        raise ValueError("graft is for binary presentations")
-    nodes: list[Word] = [()]
-    policies: dict[Word, Policy] = {}
-    for letter, part in ((0, left), (1, right)):
-        nodes.extend((letter,) + w for w in part.nodes)
-        for leaf, policy in part.policies.items():
-            policies[(letter,) + leaf] = policy
-    return ExplicitTree(nodes, policies, arity=2)
-
-
-def level_stat(tree: ExplicitTree, depth: int) -> Fraction:
-    """Share of level-``depth`` words alive, computed per policy region.
-
-    Zero-tail and periodic regions contribute one word per level, full
-    regions a whole subtree; nothing is enumerated.
-    """
-    if tree.arity != 2:
-        raise ValueError("level_stat is for binary presentations")
-    count = 0
-    for w in tree.nodes:
-        if len(w) == depth:
-            count += 1
-    for leaf, policy in tree.policies.items():
-        gap = depth - len(leaf)
-        if gap <= 0:
-            continue
-        if policy == "full":
-            count += 1 << gap
-        elif policy == "zeros" or (isinstance(policy, tuple) and policy[0] == "periodic"):
-            count += 1
-    return Fraction(count, 1 << depth)

@@ -1,9 +1,12 @@
 """Every name a source module imports is used in that module, every
 name it defines at top level is used somewhere, every class method is
 looked up as an attribute somewhere, and every attribute a class
-declares or stores on its instances is read somewhere."""
+declares or stores on its instances is read somewhere. Outside tests/,
+everything in src/ is reached but an allowlist of constructions and
+readers that only tests use."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -117,8 +120,10 @@ def looked_up_attributes(tree: ast.Module) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
+@functools.cache
 def parsed_modules() -> dict[Path, ast.Module]:
-    """Every module under src/, tests/ and bench/, parsed."""
+    """Every module under src/, tests/ and bench/, parsed once for the
+    three checks that read them all."""
     files = [p for folder in ("src", "tests", "bench") for p in sorted((ROOT / folder).rglob("*.py"))]
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
 
@@ -207,6 +212,63 @@ def test_detector_flags_an_unread_class_attribute():
 
 def test_every_class_attribute_is_read():
     assert unread_attributes() == []
+
+
+# What in src/ only tests reach: the constructions kept out of the
+# command line's scope, and the readers that tests check them with.
+# Anything else that only tests reach does not belong in the package.
+TEST_ONLY = {
+    "approx.ReparamPresentation", "clopen.union_all", "dyadics.dyadic_rank",
+    "jsonio.tree_to_spec", "offspring.offspring_prune", "reductions.solid_analytic",
+    "reductions.solid_injective", "reductions.uniformity_pipeline",
+    "clopen.ClopenSet.cylinder", "dualistic.DualisticSet.spongy_rate",
+    "dualistic.SolidCountableRange.audit", "dyadics.RatInterval.contains",
+    "reductions.SolidAnalyticSet.designated_value", "reductions.SolidInjectiveSet.audit",
+    "reductions.SolidInjectiveSet.leftovers",
+}
+
+
+def reached_only_by_tests(sources: dict[str, ast.Module], outside: list[ast.Module]) -> list[str]:
+    """Top-level names, methods and class attributes of the named source
+    modules that no module in ``outside`` reaches. A top-level name is
+    reached by a read in its own module, and from another module by an
+    import or an attribute lookup: a local variable of the same name
+    there does not reach it."""
+    imported = {alias.name for tree in outside for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    looked_up = set().union(*map(looked_up_attributes, outside))
+    read = set().union(*map(read_attributes, outside))
+    found = []
+    for module, tree in sources.items():
+        reached = imported | looked_up | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        found.extend(f"{module}.{name}" for name in defined_names(tree) if name not in reached)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                alone = ast.Module(body=[node], type_ignores=[])
+                found.extend(f"{module}.{node.name}.{name}" for name in defined_methods(alone)
+                             if name not in looked_up)
+                found.extend(f"{module}.{node.name}.{name}" for name in class_attributes(alone)
+                             if name not in read)
+    return found
+
+
+def test_detector_flags_what_only_tests_reach():
+    module = ast.parse("def used(): ...\ndef lonely(): ...\n"
+                       "class C:\n    tag = 1\n    def m(self): ...\n    def n(self): ...\n"
+                       "used()\n")
+    # The user's local variable named like the function does not reach it.
+    user = ast.parse("from mod import C\nlonely = C().m()\nprint(lonely)\n")
+    assert reached_only_by_tests({"mod": module}, [module, user]) == [
+        "mod.lonely", "mod.C.n", "mod.C.tag"]
+
+
+def test_only_the_allowlist_is_reached_only_by_tests():
+    trees = parsed_modules()
+    outside = [tree for path, tree in trees.items() if path.relative_to(ROOT).parts[0] != "tests"]
+    found = reached_only_by_tests({path.stem: trees[path] for path in SOURCES}, outside)
+    assert sorted(found) == sorted(TEST_ONLY)
 
 
 def imported_modules(source: str) -> set[str]:

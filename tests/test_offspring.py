@@ -402,24 +402,29 @@ def test_block_jumps_equal_letterwise_evaluation():
             for depth in range(start, start + 24):
                 local = oracle.localize(point.prefix(depth))
                 # A settled view is a shared segment with no state; the
-                # reference steps a view of its own letter by letter.
+                # reference steps a view of its own letter by letter, and
+                # once it flags into a stand-in, steps the stand-in set.
                 view = copy.copy(oracle)
                 for letter in point.prefix(depth):
-                    view.state = view._step(view.state, letter)
+                    key, t = view.state
+                    view.state = ((key, t.child(letter)) if key[0] == "stand-in"
+                                  else view._step(view.state, letter))
                 assert local.measure_bounds(window) == letterwise_offspring_bounds(view, window), \
                     (depth, window, point)
 
 
 def _block_states(rng):
     """The block states that the window grid's oracles reach along its
-    points, each once."""
+    points, each once. No step leads from another state back into a
+    block, so each walk stops at its first state that is not one."""
     seen = {}
     for oracle in _window_sets(rng):
         for point in _window_points(rng):
             state = oracle.state
             for depth in range(24):
-                if state[0][0] == "block":
-                    seen.setdefault((id(oracle.tree), state[0]), (oracle, state))
+                if state[0][0] != "block":
+                    break
+                seen.setdefault((id(oracle.tree), state[0]), (oracle, state))
                 state = oracle._step(state, point.at(depth))
     return seen.values()
 

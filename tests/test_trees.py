@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -7,19 +6,14 @@ import pytest
 from cantordensity.branches import Branch, StretchedBranch, as_stretched, interleave_branches
 from cantordensity.cli import random_tree
 from cantordensity.trees import (
-    CONTINUUM,
     DEAD,
     ExplicitTree,
     InterleaveTree,
     IntersectionTree,
-    explode,
-    graft,
-    level_stat,
     materialize,
     pair_letter,
     periodic,
     section,
-    star,
 )
 from cantordensity.words import stretch
 
@@ -69,7 +63,6 @@ def test_alive_children():
     t = ExplicitTree([(), (1,)], {(1,): "zeros"})
     assert [i for i in (0, 1) if t.member((i,))] == [1]
     assert [i for i in (0, 1) if t.member((1, i))] == [0]
-    assert explode(t, 2).nodes == {(), (1,), (1, 0)}
 
 
 def test_materialize_drops_words_dying_early():
@@ -197,25 +190,6 @@ def test_death_depth_matches_prefix_membership():
     assert dead > 300 and alive > 300
 
 
-def test_census_counting():
-    t = ExplicitTree([(), (0,), (1,)], {(0,): "zeros", (1,): periodic((1, 0))})
-    assert t.census() == 1
-    t2 = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): "zeros"})
-    assert t2.census() == CONTINUUM
-    t3 = ExplicitTree([()], {(): "zeros"})
-    assert t3.census() == 0
-
-
-def test_explode_exact_to_depth():
-    t = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): periodic((1, 1))})
-    flat = explode(t, 4)
-    for word in [(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)]:
-        assert flat.member(word) == t.member(word)
-    assert not flat.member((0, 1, 0, 1, 1))  # zeros completion beyond depth
-    assert flat.member((0, 1, 0, 1, 0))
-    assert flat.census() == 0
-
-
 def test_interleave_membership():
     evens = ExplicitTree([(), (1,)], {(1,): "zeros"})
     odds = ExplicitTree.full_binary()
@@ -239,43 +213,6 @@ def test_intersection_tree():
     assert meet.member((0,)) and meet.member((1,))
 
 
-def test_star_explicit_children():
-    u = ExplicitTree(
-        [(), (0,), (2,)],
-        {(0,): "stop", (2,): "zeros"},
-        arity=None,
-    )
-    image = star(u, 8)
-    assert image.member((1, 0, 0, 0))
-    assert image.member((0, 0, 1, 1, 1, 1))
-    assert not image.member((0, 1))
-    assert not image.member((0, 0, 1, 0, 1))
-    assert image.census() == 1
-
-
-def test_star_full_fan_is_full_binary():
-    u = ExplicitTree([()], {(): "full"}, arity=None)
-    image = star(u, 6)
-    assert image.member((0, 1, 1, 0, 0, 1))
-    assert image.census() == CONTINUUM
-
-
-def test_star_periodic_fan_encodes_its_cycle():
-    u = ExplicitTree([()], {(): periodic((2,))}, arity=None)
-    image = star(u, 6)
-    assert image.member((0, 0, 1, 0, 0, 1))
-    assert not image.member((0, 1))
-
-
-def test_star_fan_stop_closes_with_zero_tails():
-    u = ExplicitTree([()], {(): "fan_stop"}, arity=None)
-    image = star(u, 4)
-    assert image.member((0, 0, 1, 0))
-    assert image.member((0, 0, 0, 0))
-    assert not image.member((0, 1, 1))
-    assert image.census() == 0
-
-
 def test_section_of_diagonal():
     nodes = [()]
     frontier = [()]
@@ -289,19 +226,6 @@ def test_section_of_diagonal():
     sliced_ones = section(diag, Branch((), (1,)), 3)
     assert sliced_ones.member((1, 1, 1))
     assert not sliced_ones.member((0,))
-
-
-def test_graft_splices_subtrees():
-    left = ExplicitTree([()], {(): "zeros"})
-    right = ExplicitTree([(), (1,)], {(1,): periodic((1,))})
-    both = graft(left, right)
-    assert both.member((0, 0, 0))
-    assert not both.member((0, 1))
-    assert both.member((1, 1, 1, 1))
-    assert not both.member((1, 0))
-    assert both.census() == left.census() + right.census() == 1
-    doubled = graft(right, right)
-    assert doubled.census() == 2
 
 
 def test_interleave_tree_joins_slots():
@@ -326,14 +250,6 @@ def test_section_of_triple_tree():
     assert not sliced.member((2,))
     dead = section(triple, Branch((), (0,)), 3)
     assert not dead.member((3,)) and not dead.member((1,))
-
-
-def test_level_stat():
-    t = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): "zeros"})
-    assert level_stat(t, 3) == Fraction(5, 8)
-    assert level_stat(t, 1) == 1
-    assert level_stat(ExplicitTree.full_binary(), 5) == 1
-    assert level_stat(ExplicitTree.single_branch((1, 0), (1,)), 4) == Fraction(1, 16)
 
 
 def test_branch_basics():
