@@ -413,6 +413,41 @@ def test_block_jumps_equal_letterwise_evaluation():
                     (depth, window, point)
 
 
+def test_no_view_holds_a_stand_in_state():
+    # The step that flags into a stand-in hands the view over to the
+    # shared stand-in oracle, so an offspring view only ever holds a
+    # block or a copy state.
+    rng = random.Random(2285)
+    handed = 0
+    for oracle in _window_sets(rng):
+        for point in _window_points(rng):
+            for depth in range(24):
+                view = oracle.localize(point.prefix(depth))
+                if isinstance(view, OffspringOracle):
+                    assert view.state[0][0] in ("block", "copy"), (depth, point)
+                handed += isinstance(view, SpongyMeasureOracle)
+    assert handed
+
+
+def test_steps_never_start_from_a_stand_in(monkeypatch):
+    # Traces settle a stand-in state as a leaf and the certificate walk
+    # returns at it, so no caller steps from one.
+    step = OffspringOracle._step
+    kinds = set()
+
+    def recorded(self, state, letter):
+        kinds.add(state[0][0])
+        return step(self, state, letter)
+
+    monkeypatch.setattr(OffspringOracle, "_step", recorded)
+    tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
+    oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
+    for point in (Branch((0, 0, 1), (1, 0)), Branch((1, 0, 1), (1,)), Branch((), (0, 1, 1))):
+        list(oracle.trace(point, 200, window=8))
+        oracle.classify(point, max_depth=40)
+    assert "block" in kinds and "stand-in" not in kinds
+
+
 def _block_states(rng):
     """The block states that the window grid's oracles reach along its
     points, each once. No step leads from another state back into a

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from random import Random
 
@@ -74,6 +75,47 @@ def test_materialize_drops_words_dying_early():
     assert materialize(lambda word: len(word) < 2, 2, 3).policies == {(): "zeros"}
 
 
+def test_materialize_is_exact_to_its_depth():
+    t = ExplicitTree([(), (0,), (1,)], {(0,): "full", (1,): periodic((1, 1))})
+    flat = materialize(t.member, 2, 4)
+    for word in [(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0), (1, 0), (1, 1, 0)]:
+        assert flat.member(word) == t.member(word)
+    assert not flat.member((0, 1, 0, 1, 1))  # zeros completion beyond depth
+    assert flat.member((0, 1, 0, 1, 0))
+    assert set(flat.policies.values()) == {"zeros"}
+
+
+def test_materialize_closes_a_pruned_tree_with_zero_tails():
+    # No word of a pruned tree dies before the depth, so the result
+    # agrees with it up to the depth; below, only zero-tails survive.
+    rng = Random(320)
+    for _ in range(10):
+        tree = random_tree(rng, 4)
+        flat = materialize(tree.member, 2, 5)
+        assert set(flat.policies.values()) == {"zeros"}
+        for length in range(9):
+            for word in product((0, 1), repeat=length):
+                assert flat.member(word) == (tree.member(word[:5]) and not any(word[5:])), word
+
+
+def test_policy_validation_names_the_leaf():
+    cases = [
+        ({(): ("periodic", ())}, 2, "empty cycle at ()"),
+        ({(): periodic((0, 2))}, 2, "cycle letter out of alphabet at ()"),
+        ({(): "fan_stop"}, 2, "policy fan_stop at () needs the natural-number alphabet"),
+        ({(): "ones"}, None, "unknown policy 'ones' at ()"),
+    ]
+    for policies, arity, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExplicitTree([()], policies, arity=arity)
+    with pytest.raises(ValueError, match=re.escape("policy leaf (0,) has explicit children")):
+        ExplicitTree([(), (0,), (0, 1)], {(0,): "full", (0, 1): "zeros"})
+    with pytest.raises(ValueError, match=re.escape("letter out of alphabet in node (2,)")):
+        ExplicitTree([(), (2,)], {(2,): "zeros"})
+    with pytest.raises(ValueError, match="periodic policy needs a non-empty cycle"):
+        periodic(())
+
+
 def _contract_trees():
     rng = Random(5)
     trees = [random_tree(rng, 4) for _ in range(12)]
@@ -101,6 +143,33 @@ def test_stop_regions_are_alive_and_childless():
     nat = ExplicitTree([(), (0,), (1,)], {(0,): "stop", (1,): "fan_stop"}, arity=None)
     assert nat.region_key((0,)) == nat.region_key((1, 7)) == ("stop",)
     assert nat.member((1, 7)) and not nat.member((1, 7, 0)) and not nat.member((0, 0))
+
+
+def test_fan_stop_opens_every_letter_once():
+    fan = ExplicitTree([()], {(): "fan_stop"}, arity=None)
+    assert fan.region_key(()) == ("fan_stop",)
+    assert all(fan.region_key((n,)) == ("stop",) for n in (0, 1, 9, 1000))
+    assert not fan.member((0, 0)) and not fan.member((3, 1))
+    assert fan.death_depth(Branch((), (5,))) == 2
+    stop = ExplicitTree([(), (1,)], {(1,): "stop"}, arity=None)
+    assert stop.death_depth(Branch((1,), (0,))) == 2
+    assert stop.death_depth(Branch((), (0,))) == 1
+
+
+def test_periodic_policy_on_the_natural_numbers_reads_its_cycle():
+    t = ExplicitTree([()], {(): periodic((2, 0))}, arity=None)
+    assert t.member((2, 0, 2)) and not t.member((2, 1)) and not t.member((0,))
+    assert t.region_key((2,)) == t.region_key((2, 0, 2)) != t.region_key((2, 0))
+    assert t.death_depth(Branch((2,), (0, 2))) is None
+    assert t.death_depth(Branch((2, 0, 2), (1,))) == 4
+
+
+def test_full_policy_bounds_only_finite_alphabets():
+    nat = ExplicitTree([()], {(): "full"}, arity=None)
+    assert nat.member((0, 100, 7)) and nat.region_key((100,)) == ("full",)
+    ternary = ExplicitTree([()], {(): "full"}, arity=3)
+    assert ternary.member((2, 0, 1))
+    assert not ternary.member((3,)) and not ternary.member((0, -1))
 
 
 def test_accepts_branch_exact():
