@@ -40,10 +40,8 @@ from .dyadics import format_fraction
 from .oracles import ClopenOracle
 from .words import (
     Word,
-    bits_to_runs,
     decode_head,
     runs_to_bits,
-    splice_runs,
     split_trailing_zeros,
     stretch,
     triangular,
@@ -247,12 +245,12 @@ def random_tree_branch(rng: Random, tree: ExplicitTree) -> Branch:
 
 def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
     """Trace midpoints along a stretched branch track the branch labels."""
-    from .offspring import offspring_build
+    from .offspring import OffspringOracle
     failures = []
     for index in range(cases):
         tree = random_tree(rng, depth_cap=4)
         labels = random_labels(rng, tree)
-        oracle = offspring_build(tree, labels)
+        oracle = OffspringOracle(tree, labels)
         base = random_tree_branch(rng, tree)
         bounds = list(oracle.trace(StretchedBranch(base), triangular(5), window=12))
         for k in range(1, 6):
@@ -320,7 +318,7 @@ def _suite_clopen_laws(rng: Random, cases: int) -> list[str]:
 
 
 def _suite_codec(rng: Random, cases: int) -> list[str]:
-    """Round-trips and guards of the word codecs."""
+    """Round-trips of the word codecs."""
     failures = []
     for index in range(cases):
         runs = tuple(rng.randrange(0, 5) for _ in range(rng.randrange(0, 7)))
@@ -331,24 +329,9 @@ def _suite_codec(rng: Random, cases: int) -> list[str]:
             head + (0,) * zeros == bits,
             runs_to_bits(runs).count(1) == len(runs),
             len(stretch(bits)) == triangular(len(bits)),
-            splice_runs(bits, tuple(range(bits.count(1))))
-            == runs_to_bits(
-                tuple(
-                    entry
-                    for pair in zip(bits_to_runs(head), range(bits.count(1)))
-                    for entry in pair
-                )
-            )
-            + (0,) * zeros,
         )
         if not all(checks):
             failures.append(f"case {index}: check vector {checks}")
-            continue
-        try:
-            splice_runs(bits, tuple(range(bits.count(1) + 1)))
-            failures.append(f"case {index}: arity guard missing")
-        except ValueError:
-            pass
     return failures
 
 

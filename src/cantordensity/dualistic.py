@@ -248,7 +248,7 @@ def solid_countable_range(values: list[Fraction]) -> SolidCountableRange:
     for v in values:
         if not 0 < v.numerator < v.denominator:  # integer compares: v is reduced
             raise ValueError(f"density values must be in (0;1): {v}")
-    if len(set(values)) != len(values):
+    if len({(v.numerator, v.denominator) for v in values}) != len(values):
         raise ValueError("density values must be pairwise distinct")
     if not values:
         return SolidCountableRange((), SegmentOracle(Fraction(1, 2)))

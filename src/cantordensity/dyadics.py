@@ -100,7 +100,7 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @staticmethod
@@ -123,11 +123,6 @@ class RatInterval:
 
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "RatInterval") -> "RatInterval":
-        if not self.intersects(other):
-            raise ValueError(f"disjoint intervals {self} and {other}")
-        return RatInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)

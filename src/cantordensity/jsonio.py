@@ -250,7 +250,13 @@ def oracle_from_spec(doc) -> MeasureOracle:
             word_from_spec(key, "label node"): fraction_from_spec(value)
             for key, value in raw_labels.items()
         }, fraction_from_spec(doc.get("default_label", "1/2")))
-        return cantordensity.offspring.offspring_build(tree, labels)
+        # A document's labels lie strictly between 0 and 1.
+        for node, value in labels.mapping.items():
+            if not 0 < value < 1:
+                raise ValueError(f"label at {node} must lie in (0;1): {value}")
+        if not 0 < labels.default < 1:
+            raise ValueError(f"default label must lie in (0;1): {labels.default}")
+        return cantordensity.offspring.OffspringOracle(tree, labels)
     if kind == "reduction":
         import cantordensity.reductions
         import cantordensity.trees

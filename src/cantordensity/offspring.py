@@ -50,14 +50,18 @@ Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
 completions of the next block carry the label's copies and everything
 else has mass at most 2^-k. Tail certificates combine this with a
-certified hull of the labels along the branch.
+certified hull of the labels along the branch. A stretched image never
+flags, since each of its blocks repeats one letter, so its certificate
+is the hull, or empty from where ``Tree.death_depth`` says it leaves the
+tree. Any other point is walked up to a guard, and only a walk that
+flags or leaves the tree certifies it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .branches import Branch, StretchedBranch, as_stretched
+from .branches import Branch, as_stretched
 from .dyadics import EMPTY_MASS, HALF, UNIT, ONE, ZERO, RatInterval, is_dyadic
 from .oracles import (EMPTY_SEGMENT, FULL_SEGMENT, BudgetExhausted, MeasureOracle, Point,
                       SegmentOracle, TailCertificate, entered_certificate, segment_step)
@@ -144,7 +148,8 @@ class LabelMap:
 
 
 class ExplicitLabels(LabelMap):
-    """A finite table of labels; everything beyond it gets the default."""
+    """A finite table of labels in [0, 1]; everything beyond it gets the
+    default. A document's labels lie in (0;1), which ``jsonio`` checks."""
 
     def __init__(self, mapping: dict[Word, Fraction], default: Fraction = HALF):
         for node, value in mapping.items():
@@ -364,13 +369,9 @@ class OffspringOracle(MeasureOracle):
             # The certificates below read the point from the root.
             return None
         start_order = max(2, effort // 4)
-        if not isinstance(point, StretchedBranch):
-            structural = self._walking_certificate(point, triangular(start_order), effort)
-            if structural is not None:
-                return structural
         base = as_stretched(point)
         if base is None:
-            return None
+            return self._walking_certificate(point, triangular(start_order), effort)
         death = self.tree.death_depth(base)
         if death is None:
             hull = self.labels.branch_label_hull(base, start_order)
@@ -408,23 +409,3 @@ def offspring_prune(offspring: OffspringOracle, subtree: ExplicitTree) -> Offspr
         if not offspring.tree.member(node):
             raise ValueError(f"not a subtree: {node} is outside the offspring tree")
     return OffspringOracle(IntersectionTree(offspring.tree, subtree), offspring.labels)
-
-
-def offspring_build(tree: Tree, labels) -> OffspringOracle:
-    """Build the offspring oracle of a labeled tree.
-
-    ``labels`` is either a mapping from nodes to rationals, wrapped into
-    an explicit table over the default 1/2, or a ready-made label map.
-    Explicit labels must lie strictly between 0 and 1; a dyadic one m
-    gets the segment [0, m) as its copy, the rest exact measured
-    stand-ins.
-    """
-    if isinstance(labels, dict):
-        labels = ExplicitLabels(labels)
-    if isinstance(labels, ExplicitLabels):
-        for node, value in labels.mapping.items():
-            if not ZERO < value < ONE:
-                raise ValueError(f"label at {node} must lie in (0;1): {value}")
-        if not ZERO < labels.default < ONE:
-            raise ValueError(f"default label must lie in (0;1): {labels.default}")
-    return OffspringOracle(tree, labels)

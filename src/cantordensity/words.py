@@ -8,6 +8,8 @@ binary words through the run-length codec below.
 The codec: a natural-number word ``(a0, a1, ..., ak)`` becomes the binary
 word ``0^a0 1 0^a1 1 ... 0^ak 1``. Every binary word ending in 1 (and the
 empty word) decodes uniquely; ``bits_to_runs`` is the left inverse.
+Pair trees and interleaved points merge and split words letter by letter
+(``interleave``); stretched points repeat letter i i+1 times (``stretch``).
 """
 
 from __future__ import annotations
@@ -88,23 +90,6 @@ def interleave(evens: Word, odds: Word) -> Word:
 
 def deinterleave(word: Word) -> tuple[Word, Word]:
     return word[0::2], word[1::2]
-
-
-def splice_runs(bits: Word, runs: Word) -> Word:
-    """Insert a block ``0^runs[i] 1`` after the i-th 1 of a binary word.
-
-    Needs exactly one run entry per 1 in ``bits``. Equivalently: decode
-    the head, interleave the run words, re-encode, restore the trailing
-    zeros.  Example: splice_runs((0,1,0,0), (3,)) == (0,1,0,0,0,1,0,0).
-    """
-    head, zeros = split_trailing_zeros(bits)
-    base = bits_to_runs(head)
-    if len(base) != len(runs):
-        raise ValueError(
-            f"need {len(base)} run entries for this word, got {len(runs)}"
-        )
-    woven = interleave(base, runs)
-    return runs_to_bits(woven) + (0,) * zeros
 
 
 def triangular(order: int) -> int:

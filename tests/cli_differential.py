@@ -23,8 +23,11 @@ come fixed cases: ``compose`` documents whose prefixes are comparable,
 in several orders, so that the exit-1 message is compared, then
 countable-range sets of 12 to 20 values and ``compose`` documents over
 them, complemented and not, traced and classified along designated
-points and along points that enter a graft's piece. The
-script writes the documents to a
+points and along points that enter a graft's piece, and last
+``classify`` and ``trace`` along plain stretched images stretch(w) c^w
+on explicit offspring documents and the three reductions over pruned
+and full trees, some leaving the tree inside the certificate walk's
+guard and some past it. The script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
@@ -207,7 +210,8 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
                         "--max-depth", str(rng.randrange(20, 161))])
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
-    return out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
+    return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
+            + _stretched_image_cases(folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -294,6 +298,47 @@ def _fixed_cases(rng: Random, folder: Path) -> list[list[str]]:
                 out.append(["trace", "--set", set_path, "--branch", branch, "--steps", str(4 * n + 40)])
                 out.append(["classify", "--set", set_path, "--branch", branch, "--max-depth", "120"])
         out.append(["measure", "--set", set_path, "--prefix", prefix + "0" * rng.randrange(count)])
+    return out
+
+
+# Trees where some stretched images leave early: "0" stays on zeros, "10"
+# repeats 1, and the last tree keeps only 1 1 (1 1 0)^w below its root.
+PRUNED_TREES = ({"nodes": ["", "0", "1", "10", "11"],
+                 "policies": {"0": "zeros", "10": {"periodic": "1"}, "11": "full"}},
+                {"nodes": ["", "1", "11"], "policies": {"11": {"periodic": "110"}}})
+FULL_TREE = {"nodes": [""], "policies": {"": "full"}}
+STRETCHED_SETS = (
+    {"kind": "offspring", "tree": PRUNED_TREES[0], "labels": {"1": "1/3", "11": "3/4"},
+     "default_label": "5/8"},
+    {"kind": "offspring", "tree": PRUNED_TREES[1], "labels": {"11": "2/7"}, "default_label": "1/4"},
+    {"kind": "offspring", "tree": FULL_TREE, "labels": {"0": "1/4", "01": "2/7"}, "default_label": "1/3"},
+    {"kind": "reduction", "which": "second", "tree": PRUNED_TREES[0]},
+    {"kind": "reduction", "which": "first", "function": {"preset": "constant", "value": "1/3"},
+     "tree": PRUNED_TREES[1]},
+    {"kind": "reduction", "which": "third", "function": {"preset": "injective", "eps": "1/8"},
+     "tree": PRUNED_TREES[0]},
+)
+# (base head, its constant letter, classify's --max-depth): the guard of the
+# walk is triangular(max(2, max_depth // 4)) letters.
+STRETCHED_POINTS = (("", "1", 24), ("1", "0", 60), ("110", "1", 120), ("0101", "0", 20),
+                    ("11", "1", 200), ("1011", "0", 40), ("", "1", 12), ("10", "0", 8))
+
+
+def _stretched_image_cases(folder: Path) -> list[list[str]]:
+    """``classify`` and ``trace`` along plain points stretch(w) c^w, on
+    explicit offspring documents and the three reductions."""
+    out = []
+    for index, doc in enumerate(STRETCHED_SETS):
+        set_path = folder / f"stretched-set{index}.json"
+        set_path.write_text(json.dumps(doc), encoding="utf-8")
+        for head, letter, max_depth in STRETCHED_POINTS:
+            branch_path = folder / f"stretched-branch{index}-{head}-{letter}.json"
+            stretched = "".join(bit * (i + 1) for i, bit in enumerate(head))
+            branch_path.write_text(json.dumps({"kind": "ev_periodic", "head": stretched, "period": letter}),
+                                   encoding="utf-8")
+            out.append(["classify", "--set", str(set_path), "--branch", str(branch_path),
+                        "--max-depth", str(max_depth)])
+            out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "60"])
     return out
 
 

@@ -9,13 +9,15 @@ from fractions import Fraction as F
 import pytest
 
 from cantordensity.approx import AffineImagePresentation, ConstantPresentation, InjectivePresentation
-from cantordensity.branches import Branch, StretchedBranch, interleave_branches
+from cantordensity.branches import Branch, StretchedBranch, as_stretched, interleave_branches
 from cantordensity.dualistic import SpongyMeasureOracle, dualistic_of_measure
 from cantordensity.dyadics import EMPTY_MASS, FULL_MASS, UNIT, RatInterval
-from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_build, offspring_prune
+from cantordensity.jsonio import oracle_from_spec
+from cantordensity.offspring import ExplicitLabels, OffspringOracle, offspring_prune
+from cantordensity.oracles import TailCertificate
 from cantordensity.reductions import first_reduction, second_reduction, third_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
-from cantordensity.words import triangular
+from cantordensity.words import stretch, triangular
 from oracletools import (letterwise_offspring_bounds, offspring_cell_bounds,
                          spongy_local_measure)
 
@@ -258,6 +260,53 @@ def test_classify_converges_on_stretched_branches():
         assert verdict.interval.width <= F(2, 1 << 12)
 
 
+def _hull_or_death(oracle, base: Branch, start_order: int):
+    """The certificate of the stretched image of ``base`` past the walk:
+    the labels' padded hull, or empty from where the branch leaves the tree."""
+    death = oracle.tree.death_depth(base)
+    if death is None:
+        hull = oracle.labels.branch_label_hull(base, start_order)
+        pad = F(1, 1 << start_order)
+        interval = RatInterval(max(F(0), hull.lo - pad), min(F(1), hull.hi + pad))
+        return TailCertificate(interval, triangular(start_order))
+    if death > 4 * (start_order + len(base.head) + len(base.cycle)) + 64:
+        return None
+    return TailCertificate(EMPTY_MASS, triangular(death))
+
+
+def test_stretched_images_skip_the_walk(monkeypatch):
+    # Each block of a stretched image repeats one letter, so its walk never
+    # flags and can only leave the tree where Tree.death_depth finds it:
+    # the certificate equals the walk, then the hull or the death.
+    walk = OffspringOracle._walking_certificate
+
+    def refuse(*_):
+        raise AssertionError("walked a stretched image")
+
+    monkeypatch.setattr(OffspringOracle, "_walking_certificate", refuse)
+    rng = random.Random(28)
+    presentation = InjectivePresentation(F(1, 8))
+    outcomes = {"walk": 0, "hull": 0, "death": 0}
+    for case in range(240):
+        tree = _random_tree(rng)
+        oracle = (OffspringOracle(tree, _random_labels(rng, WITH_THIRDS)), second_reduction(tree),
+                  first_reduction(presentation, tree), third_reduction(presentation, tree))[case % 4]
+        word = tuple(rng.randrange(2) for _ in range(rng.randrange(7)))
+        point, effort = Branch(stretch(word), (rng.randrange(2),)), rng.randrange(8, 41)
+        start_order = max(2, effort // 4)
+        walked = walk(oracle, point, triangular(start_order), effort)
+        expected = walked or _hull_or_death(oracle, as_stretched(point), start_order)
+        cert = oracle.tail_certificate(point, effort)
+        assert cert == expected, (case, point)
+        if walked is not None:
+            assert cert.interval == EMPTY_MASS
+            outcomes["walk"] += 1
+        else:
+            outcomes["hull" if cert.interval != EMPTY_MASS else "death"] += 1
+    # Deaths inside the guard, past it, and hulls all occur.
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 # ----- label tables --------------------------------------------------------
 
 
@@ -271,19 +320,29 @@ def test_labels_validation():
 
 
 def test_build_rejects_degenerate_labels():
-    tree = ExplicitTree.full_binary()
-    with pytest.raises(ValueError):
-        offspring_build(tree, {(0,): F(0)})
-    with pytest.raises(ValueError):
-        offspring_build(tree, ExplicitLabels({}, F(1)))
-    built = offspring_build(tree, {(0,): F(1, 3)})
+    # A document's labels lie in (0;1); a label table takes [0, 1], where
+    # 0 and 1 copy as the empty and the full segment. A table's own check
+    # comes first, then the document's labels, then its default.
+    def message(labels: dict, default: str) -> str:
+        doc = {"kind": "offspring", "tree": {"nodes": [""], "policies": {"": "full"}},
+               "labels": labels, "default_label": default}
+        with pytest.raises(ValueError) as raised:
+            oracle_from_spec(doc)
+        return str(raised.value)
+
+    assert message({"0": "0"}, "1") == "label at (0,) must lie in (0;1): 0"
+    assert message({"0": "1/3"}, "1") == "default label must lie in (0;1): 1"
+    assert message({"0": "0"}, "3/2") == "default label must lie in [0, 1]: 3/2"
+    built = oracle_from_spec({"kind": "offspring", "tree": {"nodes": [""], "policies": {"": "full"}},
+                              "labels": {"0": "1/3"}})
     assert built.labels.label((0,)) == F(1, 3)
+    assert ExplicitLabels({(0,): F(0)}, F(1)).label((0,)) == F(0)
 
 
 def test_non_dyadic_copies_answer_exactly():
     # Flagging into a copy of mass 1/3 settles the localized measure to
     # the exact point 1/3, and tail certificates pin the branch there.
-    third = offspring_build(ExplicitTree.full_binary(), ExplicitLabels({}, F(1, 3)))
+    third = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(1, 3)))
     flagged = (0, 1, 0)  # root block 0, then the mixed block (1, 0)
     assert third.local_bounds(flagged, 10) == RatInterval.point(F(1, 3))
     deeper = third.local_bounds(flagged + (0,), 12)
@@ -551,7 +610,7 @@ def test_child_views_copy_nothing(monkeypatch):
     oracles = [second_reduction(ExplicitTree.full_binary()),
                first_reduction(presentation, ExplicitTree.full_binary()),
                third_reduction(presentation, ExplicitTree.full_binary()),
-               offspring_build(ExplicitTree.full_binary(), {(1,): F(2, 7)})]
+               OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({(1,): F(2, 7)}))]
     prefix = point.prefix(300)
     for oracle in oracles:
         view = oracle

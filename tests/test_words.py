@@ -12,7 +12,6 @@ from cantordensity.words import (
     is_prefix,
     order_at_depth,
     runs_to_bits,
-    splice_runs,
     split_trailing_zeros,
     stretch,
     triangular,
@@ -75,20 +74,6 @@ def test_interleave_examples():
 def test_deinterleave_undoes_interleave(word):
     evens, odds = deinterleave(word)
     assert interleave(evens, odds) == word
-
-
-def test_splice_runs_example():
-    assert splice_runs((0, 1, 0, 0), (3,)) == (0, 1, 0, 0, 0, 1, 0, 0)
-    assert splice_runs((1, 1), (0, 2)) == (1, 1, 1, 0, 0, 1)
-    assert splice_runs((0, 0), ()) == (0, 0)
-
-
-@given(nat_words, nat_words)
-def test_splice_runs_interleaves_run_words(base, extra):
-    if len(base) != len(extra):
-        return
-    spliced = splice_runs(runs_to_bits(base), extra)
-    assert bits_to_runs(spliced) == interleave(base, extra)
 
 
 def test_triangular_and_order():
@@ -179,24 +164,7 @@ def test_combinatorial_names_bind_the_right_ops():
     assert runs_to_bits(()) == ()
     assert decode_head((0, 0, 1, 1, 0, 1, 0)) == (2, 0, 1)
     assert decode_head((0, 0)) == ()
-    assert splice_runs((0, 1, 0, 0), (3,)) == (0, 1, 0, 0, 0, 1, 0, 0)
-    assert splice_runs((1, 1), (0, 0)) == (1, 1, 1, 1)
     assert mixed_blocks(0) == ()
     assert mixed_blocks(1) == ((0, 1), (1, 0))
     assert runs_to_bits((0, 2)) == (1, 0, 0, 1)
     assert runs_to_bits((1,)) == (0, 1)
-
-
-def test_splice_runs_needs_one_run_per_one():
-    try:
-        splice_runs((1, 1, 0), (4,))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("accepted a run word of the wrong length")
-
-
-@given(binary_words)
-def test_splice_runs_ones_add_up(word):
-    extra = tuple(range(word.count(1)))
-    assert splice_runs(word, extra).count(1) == 2 * word.count(1)
