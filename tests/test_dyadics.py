@@ -86,6 +86,31 @@ def test_interval_basics():
         RatInterval(F(1), F(0))
 
 
+def test_interval_intersects_is_closed_and_symmetric():
+    box = RatInterval(F(1, 4), F(3, 4))
+    for other, meets in ((RatInterval(F(1, 2), F(2)), True),
+                         (RatInterval(F(3, 4), F(1)), True),   # a shared endpoint
+                         (RatInterval.point(F(1, 4)), True),
+                         (RatInterval(F(0), F(1)), True),      # containing the box
+                         (RatInterval(F(0), F(1, 5)), False),
+                         (RatInterval(F(4, 5), F(1)), False)):
+        assert box.intersects(other) == meets, other
+        assert other.intersects(box) == meets, other
+
+
+def test_point_intervals_with_equal_or_identical_endpoints():
+    # A point interval may share one endpoint object or hold two equal
+    # ones; either way it is a point, and only a reversed pair is empty.
+    third = F(1, 3)
+    for interval in (RatInterval.point(third), RatInterval(third, third),
+                     RatInterval(F(1, 3), F(2, 6))):
+        assert interval.is_point()
+        assert interval.width == 0
+        assert interval.contains(third)
+    with pytest.raises(ValueError, match="empty interval"):
+        RatInterval(F(1, 3), F(1, 4))
+
+
 def test_fraction_io():
     assert parse_fraction("5/8") == F(5, 8)
     assert parse_fraction("2") == F(2)

@@ -202,6 +202,17 @@ def test_spec_errors_vs_domain_errors():
         assert str(raised.value) == message
 
 
+def test_countable_range_values_are_distinct_as_rationals():
+    # Values are compared as reduced rationals: two spellings of one value
+    # repeat it, while values that share only a numerator or only a
+    # denominator are distinct.
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        oracle_from_spec({"kind": "countable-range", "values": ["1/3", "2/6"]})
+    oracle = oracle_from_spec({"kind": "countable-range", "values": ["1/3", "1/4", "2/3"]})
+    total = oracle.measure_bounds()
+    assert total.is_point() and 0 < total.lo < 1
+
+
 def _per_word_decode(raw: list) -> ClopenSet:
     """A clopen "words" array read word by word, raising the first bad
     word's SpecError."""

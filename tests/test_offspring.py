@@ -307,6 +307,30 @@ def test_stretched_images_skip_the_walk(monkeypatch):
     assert min(outcomes.values()) >= 10, outcomes
 
 
+def test_stretched_branch_points_skip_the_walk(monkeypatch):
+    # A StretchedBranch hands over its base even when the base is not
+    # eventually constant, so no plain point spells it; its certificate
+    # is the hull or the death all the same, without a walk.
+    def refuse(*_):
+        raise AssertionError("walked a stretched image")
+
+    monkeypatch.setattr(OffspringOracle, "_walking_certificate", refuse)
+    rng = random.Random(29)
+    presentation = InjectivePresentation(F(1, 8))
+    outcomes = {"hull": 0, "death": 0}
+    for case in range(160):
+        tree = _random_tree(rng)
+        oracle = (OffspringOracle(tree, _random_labels(rng, WITH_THIRDS)), second_reduction(tree),
+                  first_reduction(presentation, tree), third_reduction(presentation, tree))[case % 4]
+        base = Branch(tuple(rng.randrange(2) for _ in range(rng.randrange(5))),
+                      ((0, 1), (1, 0), (0,), (1,))[rng.randrange(4)])
+        effort = rng.randrange(8, 41)
+        cert = oracle.tail_certificate(StretchedBranch(base), effort)
+        assert cert == _hull_or_death(oracle, base, max(2, effort // 4)), (case, base)
+        outcomes["hull" if cert.interval != EMPTY_MASS else "death"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 # ----- label tables --------------------------------------------------------
 
 
