@@ -2,15 +2,16 @@
 
 Two presentations: an eventually periodic letter stream, and the
 stretched image of such a stream (the i-th letter repeated i+1 times).
-Both answer ``at``/``prefix`` exactly at every position, read their
-letters as runs of equal ones (``runs``) without building a prefix, and
-expose enough structure for the oracles to certify tail behavior.
+Both answer ``prefix`` exactly at every length, read their letters from
+position 0 as runs of equal ones (``runs``) without building a prefix,
+and expose enough structure for the oracles to certify tail behavior;
+only the plain stream answers ``at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, cycle, groupby
 from math import lcm
 from typing import Iterator
 
@@ -40,16 +41,12 @@ class Branch:
         laps, rest = divmod(n - len(head), len(cycle))
         return head + cycle * laps + cycle[:rest]
 
-    def runs(self, start: int = 0) -> Iterator[tuple[int, int | None]]:
-        """The maximal runs of equal letters from position ``start`` on, as
+    def runs(self) -> Iterator[tuple[int, int | None]]:
+        """The maximal runs of equal letters from position 0 on, as
         (letter, count); once the branch is constant for good, the last
         count is None."""
         tail = self.constant_tail()
-        if tail is None:
-            rest = self.drop(start)
-            letters = chain(rest.head, chain.from_iterable(repeat(rest.cycle)))
-        else:
-            letters = self.head[start:tail[1]]
+        letters = chain(self.head, cycle(self.cycle)) if tail is None else self.head[:tail[1]]
         for letter, group in groupby(letters):
             yield letter, len(list(group))
         if tail is not None:
@@ -79,28 +76,23 @@ class StretchedBranch:
 
     base: Branch
 
-    def at(self, n: int) -> int:
-        # Position n lies in block k exactly when triangular(k) <= n.
-        return self.base.at(order_at_depth(n))
-
     def prefix(self, n: int) -> Word:
         # Blocks 0 .. order_at_depth(n) cover positions 0 .. n.
         return stretch(self.base.prefix(order_at_depth(n) + 1))[:n]
 
-    def runs(self, start: int = 0) -> Iterator[tuple[int, int | None]]:
-        """The maximal runs of equal letters from position ``start`` on, as
+    def runs(self) -> Iterator[tuple[int, int | None]]:
+        """The maximal runs of equal letters from position 0 on, as
         (letter, count): a run of m base letters from base position k on
         spans positions triangular(k) to triangular(k + m) - 1, and the
         last count is None from triangular(k) on when the base is constant
         from k on."""
-        k = order_at_depth(start)
-        for letter, count in self.base.runs(k):
+        k = 0
+        for letter, count in self.base.runs():
             if count is None:
                 yield letter, None
                 return
+            yield letter, triangular(k + count) - triangular(k)
             k += count
-            yield letter, triangular(k) - start
-            start = triangular(k)
 
 
 def interleave_branches(x: Branch, y: Branch) -> Branch:
@@ -110,13 +102,9 @@ def interleave_branches(x: Branch, y: Branch) -> Branch:
     covers the lcm of the two cycle lengths.
     """
     m = max(len(x.head), len(y.head))
-    span = lcm(len(x.cycle), len(y.cycle))
-    head = interleave(x.prefix(m), y.prefix(m))
-    cycle = interleave(
-        tuple(x.at(m + i) for i in range(span)),
-        tuple(y.at(m + i) for i in range(span)),
-    )
-    return Branch(head, cycle)
+    n = m + lcm(len(x.cycle), len(y.cycle))
+    woven = interleave(x.prefix(n), y.prefix(n))
+    return Branch(woven[:2 * m], woven[2 * m:])
 
 
 def as_stretched(point: "Branch | StretchedBranch") -> Branch | None:

@@ -20,12 +20,10 @@ structure it replaces answers, an empty part adds exactly 0 to a
 disjoint sum, and the complement of a settled set is the other one.
 
 On top of these sit traces (bounds along a branch's prefixes, walked
-by ``bound_runs`` one run of equal letters at a time: one ``child`` step
-and one fresh evaluation per depth until the localized oracle is its own
-child on the run's letter, then the rest of the run as one (bounds,
-count) pair, and past settling, where it is its own child on both
-letters, the rest of the trace as one pair; a printer formats each run
-once) and a classifier with three verdicts:
+by ``bound_runs`` from the root: below the first depth asked it only
+steps, then yields one (bounds, count) pair per oracle it holds, the rest
+of a run or, past settling, of the trace being one more pair; a printer
+formats each run once) and a classifier with three verdicts:
 
 * ``converges``     a structural tail certificate confines every deep
                     enough localized measure to a narrow interval
@@ -112,31 +110,37 @@ class MeasureOracle:
                    window: int = DEFAULT_WINDOW) -> Iterator[tuple[RatInterval, int]]:
         """Bounds at the prefixes of the point of lengths ``start`` to
         ``stop - 1``, as (bounds, count): the next ``count`` depths share
-        the interval object ``bounds``.
+        the interval object ``bounds`` of one oracle the walk holds.
 
-        Each depth costs one ``child`` step and one fresh
-        ``measure_bounds``, until the localized oracle is its own child on
-        the letter of a run of the point: the rest of that run has the same
-        bounds, and it is one pair with no further step. An oracle found
-        its own child on both letters (a settled segment) is the oracle of
-        every later depth, so the rest of the walk is one pair. ``child``
-        is asked only for depths below ``stop``.
+        The walk reads the point's runs from the root, building no prefix,
+        and below ``start`` only steps, one ``child`` per letter. Each later
+        depth costs one ``child`` step and one fresh ``measure_bounds``,
+        until the oracle is its own child on the letter of a run: the rest
+        of that run is one pair with no further step. An oracle that is its
+        own child on both letters (a settled segment) holds every later
+        depth, so the rest of the walk is one pair. ``child`` is asked only
+        for depths below ``stop``.
         """
         if start >= stop:
             return
-        oracle = self.localize(point.prefix(start))
-        bounds = oracle.measure_bounds(window)
-        yield bounds, 1
-        depth = start + 1
-        own = 0  # bit c set: the current oracle is its own child on letter c
-        for letter, count in point.runs(start):
-            end = stop if count is None else min(depth + count, stop)
+        oracle, depth, own, bounds, last = self, 0, 0, None, stop - 1  # depth is the oracle's
+        for letter, count in point.runs():
+            end = last if count is None else min(depth + count, last)
+            if bounds is None:
+                ahead = min(end, start) - depth
+                for _ in range(ahead):
+                    oracle = oracle.child(letter)
+                depth += ahead
+                if depth < start:
+                    continue
+                bounds = oracle.measure_bounds(window)
+                yield bounds, 1
             while depth < end:
                 inner = oracle.child(letter)
                 if inner is oracle:
-                    own |= 1 << letter
+                    own |= 1 << letter  # bit c set: the oracle is its own child on c
                     if own == 3:
-                        end = stop
+                        end = last
                     yield bounds, end - depth
                     depth = end
                     break
@@ -144,7 +148,7 @@ class MeasureOracle:
                 bounds = oracle.measure_bounds(window)
                 yield bounds, 1
                 depth += 1
-            if depth == stop:
+            if depth == last:
                 return
 
     def trace(self, point: Point, depth: int, window: int = DEFAULT_WINDOW) -> Iterator[RatInterval]:
@@ -299,7 +303,7 @@ class ClopenOracle(MeasureOracle):
         # Once the prefix is as long as the deepest word, the localized
         # set is full or empty and stays that way.
         depth = self.piece.depth
-        return TailCertificate(self.localize(point.prefix(depth)).measure_bounds(), depth)
+        return TailCertificate(next(self.bound_runs(point, depth, depth + 1))[0], depth)
 
 
 def segment_step(a: int, k: int, letter: int) -> tuple[int, int]:
@@ -348,7 +352,7 @@ class SegmentOracle(MeasureOracle):
         return RatInterval.point(Fraction(self.a, 1 << self.k))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
-        return TailCertificate(self.localize(point.prefix(self.k)).measure_bounds(), self.k)
+        return TailCertificate(next(self.bound_runs(point, self.k, self.k + 1))[0], self.k)
 
 
 EMPTY_SEGMENT = SegmentOracle(ZERO)

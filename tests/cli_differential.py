@@ -27,7 +27,12 @@ points and along points that enter a graft's piece, and last
 ``classify`` and ``trace`` along plain stretched images stretch(w) c^w
 on explicit offspring documents and the three reductions over pruned
 and full trees, some leaving the tree inside the certificate walk's
-guard and some past it. The script writes the documents to a
+guard and some past it, and after them 24 deep ``classify`` calls at
+--max-depth 400 to 2 000: full-tree offspring documents and the three
+reductions along 1^w, (10)^w and stretched points, whose cross-checks
+walk up to 125 250 letters to their start, and clopen and
+countable-range sets whose certificates start inside a long run of
+their point. The script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
@@ -211,7 +216,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
-            + _stretched_image_cases(folder))
+            + _stretched_image_cases(folder) + _deep_walk_cases(folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -339,6 +344,59 @@ def _stretched_image_cases(folder: Path) -> list[list[str]]:
             out.append(["classify", "--set", str(set_path), "--branch", str(branch_path),
                         "--max-depth", str(max_depth)])
             out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "60"])
+    return out
+
+
+# Deep walks: classify's cross-check walks from the root to its
+# certificate's start, triangular(max_depth // 4) letters (125 250 at
+# --max-depth 2000) on an offspring set along a stretched image.
+DEEP_DEPTHS = ("400", "1000", "2000")
+DEEP_SETS = (
+    {"kind": "offspring", "tree": FULL_TREE, "default_label": "1/3"},
+    STRETCHED_SETS[2],
+    {"kind": "reduction", "which": "first", "function": {"preset": "constant", "value": "1/3"}},
+    {"kind": "reduction", "which": "second"},
+    {"kind": "reduction", "which": "third", "function": {"preset": "injective", "eps": "1/8"}},
+)
+DEEP_POINTS = ({"kind": "ev_periodic", "period": "1"}, {"kind": "ev_periodic", "period": "10"},
+               {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "10", "period": "1"}},
+               {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "0110", "period": "0"}})
+# Exact sets along points where the certificate's start lies inside a long
+# run: a clopen set whose deepest word has 251 letters, and countable-range
+# sets whose certificates start at depths 6 to 10, inside runs of 300 or
+# more letters, or of a constant tail.
+CLOPEN_DEEP = {"kind": "clopen", "words": ["1" * 250 + "0", "0" + "1" * 40]}
+EXACT_DEEP_CASES = (
+    (CLOPEN_DEEP, {"kind": "ev_periodic", "period": "1"}),
+    (CLOPEN_DEEP, {"kind": "ev_periodic", "head": "1" * 300, "period": "0"}),
+    (CLOPEN_DEEP, {"kind": "ev_periodic", "head": "0" * 300 + "1", "period": "0"}),
+    (CLOPEN_DEEP, {"kind": "stretch", "of": {"kind": "ev_periodic", "period": "10"}}),
+    (CLOPEN_DEEP, {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "10", "period": "0"}}),
+    ({"kind": "countable-range", "values": ["1/3", "2/5", "3/7"]},
+     {"kind": "ev_periodic", "head": "1" * 300, "period": "0"}),
+    ({"kind": "countable-range", "values": ["1/3", "2/5", "3/7"]},
+     {"kind": "ev_periodic", "head": "0011" + "1" * 300, "period": "0"}),
+    ({"kind": "countable-range", "values": ["1/4", "2/7", "5/8", "1/2", "3/5"]},
+     {"kind": "ev_periodic", "period": "0"}),
+    ({"kind": "countable-range", "values": ["1/4", "2/7", "5/8", "1/2", "3/5"]},
+     {"kind": "ev_periodic", "period": "1"}),
+)
+
+
+def _deep_walk_cases(folder: Path) -> list[list[str]]:
+    """``classify`` at --max-depth 400, 1 000 or 2 000: the full-tree
+    offspring documents and the three reductions along 1^w, (10)^w and a
+    stretched point, then clopen and countable-range sets along points
+    whose certificate starts inside a long run."""
+    cases = [(doc, point) for index, doc in enumerate(DEEP_SETS)
+             for point in (*DEEP_POINTS[:2], DEEP_POINTS[2 + index % 2])]
+    out = []
+    for index, (doc, point) in enumerate(cases + list(EXACT_DEEP_CASES)):
+        set_path, branch_path = folder / f"deep-set{index}.json", folder / f"deep-branch{index}.json"
+        set_path.write_text(json.dumps(doc), encoding="utf-8")
+        branch_path.write_text(json.dumps(point), encoding="utf-8")
+        out.append(["classify", "--set", str(set_path), "--branch", str(branch_path),
+                    "--max-depth", DEEP_DEPTHS[(index + index // 3) % 3]])
     return out
 
 

@@ -278,23 +278,25 @@ def unstretch_by_block_scan(point):
 # ----- traces one depth at a time -----------------------------------------
 
 
-def bounds_along_by_depths(oracle, point, start, window):
-    """Bounds at every prefix of the point from depth ``start`` on, one
-    ``child`` step and one fresh ``measure_bounds`` per depth, with no
-    run of the point read as a whole."""
-    oracle = oracle.localize(point.prefix(start))
-    while True:
+def bounds_along_by_depths(oracle, point, start, stop, window):
+    """Bounds at the prefixes of the point of lengths ``start`` to
+    ``stop - 1``: one ``child`` step per letter of ``point.prefix(stop -
+    1)``, and from depth ``start`` on one fresh ``measure_bounds`` per
+    depth, with no run of the point read as a whole."""
+    if start >= stop:
+        return
+    letters = point.prefix(stop - 1)
+    oracle = oracle.localize(letters[:start])
+    yield oracle.measure_bounds(window)
+    for letter in letters[start:]:
+        oracle = oracle.child(letter)
         yield oracle.measure_bounds(window)
-        oracle = oracle.child(point.at(start))
-        start += 1
 
 
 def bound_runs_by_depths(oracle, point, start, stop, window=DEFAULT_WINDOW):
     """``MeasureOracle.bound_runs`` with one (bounds, 1) pair per depth,
     from ``bounds_along_by_depths``: the drop-in the parity tests patch in."""
-    depths = itertools.islice(bounds_along_by_depths(oracle, point, start, window),
-                              max(stop - start, 0))
-    return ((bounds, 1) for bounds in depths)
+    return ((bounds, 1) for bounds in bounds_along_by_depths(oracle, point, start, stop, window))
 
 
 def trace_lines_by_depths(bounds):
@@ -312,7 +314,7 @@ def trace_output_by_depths(oracle, point, steps, window):
     """What ``trace --steps steps --budget window`` prints, one line and
     one flush at a time: (stdout, the error's message or None)."""
     printed = []
-    bounds = itertools.islice(bounds_along_by_depths(oracle, point, 0, window), steps)
+    bounds = bounds_along_by_depths(oracle, point, 0, steps, window)
     try:
         for line in trace_lines_by_depths(bounds):
             printed.append(line + "\n")

@@ -539,11 +539,11 @@ def _block_states(rng):
     for oracle in _window_sets(rng):
         for point in _window_points(rng):
             state = oracle.state
-            for depth in range(24):
+            for letter in point.prefix(24):
                 if state[0][0] != "block":
                     break
                 seen.setdefault((id(oracle.tree), state[0]), (oracle, state))
-                state = oracle._step(state, point.at(depth))
+                state = oracle._step(state, letter)
     return seen.values()
 
 

@@ -322,7 +322,6 @@ def test_at_reads_both_presentations():
     assert interleave_branches(Branch((), (0,)), Branch((), (1,))).at(3) == 1
     stretched = StretchedBranch(Branch((), (1, 0)))
     assert stretched.prefix(6) == (1, 0, 0, 1, 1, 1)
-    assert stretched.at(2) == 0
 
 
 def test_interleave_branches_alternates_the_streams():
@@ -496,13 +495,34 @@ def _outcome(call):
         return type(err).__name__, str(err)
 
 
+def _drawn_starts(oracle, point, stop, rng):
+    """Starts of walks to ``stop`` by case: inside a run of the point, on
+    a run boundary (the first letter of a run), past the depth at which
+    the oracle settles to a shared segment, and ``stop - 1``. A case with
+    no depth in (0; stop) is left out."""
+    letters = point.prefix(stop)
+    depths = {"inside": [d for d in range(1, stop) if letters[d] == letters[d - 1]],
+              "boundary": [d for d in range(1, stop) if letters[d] != letters[d - 1]],
+              "last": [stop - 1] if stop > 1 else []}
+    local = oracle
+    for depth, letter in enumerate(letters[:stop - 2]):
+        if local is EMPTY_SEGMENT or local is FULL_SEGMENT:
+            depths["settled"] = list(range(depth + 1, stop))
+            break
+        local = local.child(letter)
+    return {case: rng.choice(found) for case, found in depths.items() if found}
+
+
 def test_bound_runs_match_the_per_depth_walk(tmp_path, monkeypatch):
     # Reading a run in one pair once the oracle is its own child on its
     # letter changes no trace byte, verdict or cross-check message against
-    # the walk that steps and evaluates every depth (oracletools). Caught
-    # mutant: a walk that collapses every run at a SpinePrefixOracle, so a
-    # run of 1s keeps the spine's bounds instead of entering the piece.
-    rng = random.Random(2305)
+    # the walk that steps and evaluates every depth (oracletools), and a
+    # walk from a later start gives the reference's bounds too, whether it
+    # starts inside a run, on a run boundary, past settling or one depth
+    # before its stop. Caught mutant: a walk that collapses every run at a
+    # SpinePrefixOracle, so a run of 1s keeps the spine's bounds instead
+    # of entering the piece.
+    rng, start_rng = random.Random(2305), random.Random(2906)
     seen = collections.Counter()
     spec, branch = tmp_path / "set.json", tmp_path / "branch.json"
     for _ in range(150):
@@ -517,14 +537,20 @@ def test_bound_runs_match_the_per_depth_walk(tmp_path, monkeypatch):
         spec.write_text(json.dumps(doc), encoding="utf-8")
         branch.write_text(json.dumps(branch_doc), encoding="utf-8")
         steps = rng.randrange(1, 81)
+        starts = _drawn_starts(oracle, point, steps, start_rng)
+        seen.update(starts.keys())
         for window in (0, -3, 16):
-            runs = _outcome(lambda: list(oracle.bound_runs(point, 0, steps, window)))
-            reference = _outcome(lambda: list(bound_runs_by_depths(oracle, point, 0, steps, window)))
+            for start in (*starts.values(), 0):
+                runs = _outcome(lambda: list(oracle.bound_runs(point, start, steps, window)))
+                reference = _outcome(lambda: list(bound_runs_by_depths(oracle, point, start, steps, window)))
+                if runs[0] != "value":
+                    assert runs == reference, (doc, branch_doc, start, window)
+                    continue
+                expanded = [bounds for bounds, count in runs[1] for _ in range(count)]
+                assert expanded == [bounds for bounds, _ in reference[1]], (doc, branch_doc, start, window)
+            # The whole trace, from start 0: its oscillation and its printed bytes.
             if runs[0] != "value":
-                assert runs == reference, (doc, branch_doc, window)
                 continue
-            expanded = [bounds for bounds, count in runs[1] for _ in range(count)]
-            assert expanded == [bounds for bounds, _ in reference[1]], (doc, branch_doc, window)
             seen["collapsed"] += sum(count > 1 for _, count in runs[1])
             heads = [bounds for bounds, _ in runs[1]]
             assert certified_oscillation(heads) == certified_oscillation(expanded)
@@ -550,3 +576,36 @@ def test_bound_runs_match_the_per_depth_walk(tmp_path, monkeypatch):
              "complement", "ev_periodic", "stretch", "interleave", "baire"}
     assert kinds <= set(seen), seen
     assert seen["collapsed"] > 100 and seen["contradicted"] > 100, seen
+    assert min(seen[case] for case in ("inside", "boundary", "settled", "last")) > 50, seen
+
+
+def test_bound_runs_build_no_prefix(monkeypatch):
+    # The walk reads the point's runs from the root: with ``prefix`` of
+    # both presentations patched to raise, every document kind still
+    # walks from a drawn start to the bounds that the per-depth reference
+    # reads off ``prefix``.
+    def no_prefix(self, n):
+        raise AssertionError(f"bound_runs built a prefix of length {n}")
+
+    rng = random.Random(2907)
+    walked = collections.Counter()
+    for _ in range(120):
+        doc = random_set(rng)
+        try:
+            oracle, point = oracle_from_spec(doc), branch_from_spec(random_branch(rng, doc))
+        except ValueError:
+            continue
+        stop = rng.randrange(1, 121)
+        start = rng.randrange(stop)
+        reference = _outcome(lambda: list(bound_runs_by_depths(oracle, point, start, stop)))
+        with monkeypatch.context() as patched:
+            patched.setattr(Branch, "prefix", no_prefix)
+            patched.setattr(StretchedBranch, "prefix", no_prefix)
+            runs = _outcome(lambda: list(oracle.bound_runs(point, start, stop)))
+        if runs[0] != "value":
+            assert runs == reference, doc
+            continue
+        assert [b for b, count in runs[1] for _ in range(count)] == [b for b, _ in reference[1]], doc
+        walked[doc["kind"]] += 1
+    kinds = {"clopen", "dualistic", "countable-range", "offspring", "reduction", "compose", "complement"}
+    assert set(walked) == kinds, walked

@@ -336,14 +336,16 @@ def test_prefix_reads_at_letter_by_letter():
         head = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
         cycle = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
         n = rng.randrange(40)
-        for point in (Branch(head, cycle), StretchedBranch(Branch(head, cycle))):
-            assert point.prefix(n) == tuple(point.at(i) for i in range(n))
+        point = Branch(head, cycle)
+        assert point.prefix(n) == tuple(point.at(i) for i in range(n))
+        # Letter i of the base fills positions triangular(i) .. triangular(i + 1) - 1.
+        stretched = tuple(point.at(i) for i in range(n) for _ in range(i + 1))
+        assert StretchedBranch(point).prefix(n) == stretched[:n]
 
 
 def test_stretched_branch():
     s = StretchedBranch(Branch((1, 0), (1,)))
     assert s.prefix(6) == (1, 0, 0, 1, 1, 1)
-    assert s.at(0) == 1 and s.at(2) == 0 and s.at(5) == 1
     assert s.base.prefix(3) == (1, 0, 1)
 
 

@@ -116,15 +116,15 @@ def test_stretch_prefix_matches_stretch():
 
 
 @given(binary_words, st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
-       st.integers(0, 30), st.booleans())
-def test_runs_spell_the_point(head, cycle, start, stretched):
+       st.booleans())
+def test_runs_spell_the_point(head, cycle, stretched):
     base = Branch(head, cycle)
     point = StretchedBranch(base) if stretched else base
-    runs = list(itertools.islice(point.runs(start), 80))
+    runs = list(itertools.islice(point.runs(), 90))
     letters = []
     for letter, count in runs:
-        letters += [letter] * (80 if count is None else count)
-    assert tuple(letters[:60]) == point.prefix(start + 60)[start:]
+        letters += [letter] * (90 if count is None else count)
+    assert tuple(letters[:90]) == point.prefix(90)
     # Maximal runs: no empty one, and neighbours differ.
     assert all(count is None or count > 0 for _, count in runs)
     assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
@@ -133,7 +133,7 @@ def test_runs_spell_the_point(head, cycle, start, stretched):
     assert (runs[-1][1] is None) == (tail is not None)
     if tail is not None:
         constant_from = triangular(tail[1]) if stretched else tail[1]
-        assert start + sum(count for _, count in runs[:-1]) == max(start, constant_from)
+        assert sum(count for _, count in runs[:-1]) == constant_from
 
 
 def test_mixed_blocks():
