@@ -35,16 +35,18 @@ bounds are numerators over 2^h: paths times leaf numerators, integers
 while every region met is dyadic, exact Fractions once a stand-in's
 value enters, and 2^g units of slack per path still open in a block
 that crosses the horizon g letters below it. A trace evaluates each
-depth afresh; the jumps keep that to a few blocks per bound. The
-oracle reads each tree node's region, label key and label at most once
-and keeps the states they give; label maps stay pure rules of the node.
-Those node states are shared: a localized oracle is a light view
-holding them and its own block or unsettled copy state, so a child
-step builds one small object and copies nothing. A step that settles
-(off the tree, or into an empty or full copy) gives the shared
-``EMPTY_SEGMENT`` or ``FULL_SEGMENT`` instead, its own child, and a
-step that flags into a stand-in gives the shared stand-in oracle, so
-a walk past that depth builds no view.
+depth afresh; the jumps keep that to a few blocks per bound. The root
+oracle owns the node states. Evaluations read each tree node's region,
+label key and label at most once and fill the root's states with what
+they give; label maps stay pure rules of the node. A walk reads the
+entered states and adds none: a node it enters that no evaluation met
+is read afresh, and its word is not kept. A localized oracle is a
+light view holding the root and its own block or unsettled copy state,
+so a child step builds one small object and copies nothing. A step
+that settles (off the tree, or into an empty or full copy) gives the
+shared ``EMPTY_SEGMENT`` or ``FULL_SEGMENT`` instead, its own child,
+and a step that flags into a stand-in gives the shared stand-in
+oracle, so a walk past that depth builds no view.
 
 Along a stretched tree branch the localized measure at the block
 boundary of depth k lies within 2^-k of the node's label: the mixed
@@ -178,34 +180,39 @@ class ExplicitLabels(LabelMap):
         return (self.default,)
 
 
-class _NodeStates:
-    """The states entering and flagging each tree node, read once.
+class OffspringOracle(MeasureOracle):
+    """Certified localized measures of the offspring of a labeled tree.
 
-    One offspring oracle and every view localized from it share this:
-    the tree, the labels, the states of the nodes asked about so far and
-    one exact stand-in oracle per non-dyadic label value.
+    The closed and open offspring differ by a null set, so one oracle
+    serves both. The root oracle owns the tree, the labels, the states
+    entering and flagging the nodes met so far and one exact stand-in
+    oracle per non-dyadic label value; ``child`` builds a view holding
+    only that ``root`` and the next state.
     """
 
     def __init__(self, tree: Tree, labels: LabelMap):
+        self.root = self
         self.tree = tree
         self.labels = labels
         self.stand_ins: dict[Fraction, MeasureOracle] = {}
         self.entered: dict[Word, State] = {}
         self.flagged: dict[Word, State] = {}
-        self.root = self.enter(())
+        self.state = self._enter(())
 
-    def enter(self, t: Word) -> State:
+    def _entering(self, t: Word) -> State:
+        """The state entering node t, read from the tree and the labels."""
+        region = self.tree.region_key(t)
+        if region == DEAD:
+            return (("copy", 0, 0), t)
+        return (("block", (len(t), region, self.labels.node_key(t)), None, 0), t)
+
+    def _enter(self, t: Word) -> State:
         state = self.entered.get(t)
         if state is None:
-            region = self.tree.region_key(t)
-            if region == DEAD:
-                state = (("copy", 0, 0), t)
-            else:
-                state = (("block", (len(t), region, self.labels.node_key(t)), None, 0), t)
-            self.entered[t] = state
+            state = self.entered[t] = self._entering(t)
         return state
 
-    def flag(self, t: Word) -> State:
+    def _flag(self, t: Word) -> State:
         state = self.flagged.get(t)
         if state is None:
             parts = self.labels.label_parts(t)
@@ -220,34 +227,13 @@ class _NodeStates:
             self.flagged[t] = state
         return state
 
-
-class OffspringOracle(MeasureOracle):
-    """Certified localized measures of the offspring of a labeled tree.
-
-    The closed and open offspring differ by a null set, so one oracle
-    serves both. An oracle is its shared node states plus one current
-    state; ``child`` builds a view with the next state.
-    """
-
-    def __init__(self, tree: Tree, labels: LabelMap):
-        self._nodes = _NodeStates(tree, labels)
-        self.state = self._nodes.root
-
-    @property
-    def tree(self) -> Tree:
-        return self._nodes.tree
-
-    @property
-    def labels(self) -> LabelMap:
-        return self._nodes.labels
-
     # ----- the block state machine -------------------------------------
     #
     # A state is a pair (key, t). The key holds everything the state's
     # future depends on, so it keys the frontier; t is the tree node whose
     # block is being read, kept only to ask the tree and the labels about
     # its children. A node's keys share ctx = (len(t), region, label key);
-    # the states entering and flagging t are kept per node in _NodeStates.
+    # the root keeps the states entering and flagging t per node.
     #
     # ("block", ctx, seen, m)    m letters into t's block of len(t) + 1;
     #                            seen is None before the first letter,
@@ -268,7 +254,12 @@ class OffspringOracle(MeasureOracle):
         _, ctx, seen, m = key
         seen = letter if seen is None or seen == letter else MIXED
         if m == len(t):  # the block's last letter
-            return self._nodes.flag(t) if seen == MIXED else self._nodes.enter(t + (seen,))
+            if seen == MIXED:
+                return self.root._flag(t)
+            # A walk reads the entered states but keeps none: only the
+            # evaluator's jumps fill them, so a walk keeps no word it passes.
+            t += (seen,)
+            return self.root.entered.get(t) or self.root._entering(t)
         return (("block", ctx, seen, m + 1), t)
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
@@ -299,16 +290,16 @@ class OffspringOracle(MeasureOracle):
         A block written with one letter enters that child and every other
         block flags, so these are all the block's outcomes."""
         key, t = state
-        nodes = self._nodes
+        root = self.root
         left = _letters_left(key)
         if key[2] == MIXED:
-            return [(nodes.flag(t), 1 << left)]
+            return [(root._flag(t), 1 << left)]
         if key[2] is not None:
-            return [(nodes.enter(t + (key[2],)), 1), (nodes.flag(t), (1 << left) - 1)]
-        ends = [(nodes.enter(t + (0,)), 1), (nodes.enter(t + (1,)), 1)]
+            return [(root._enter(t + (key[2],)), 1), (root._flag(t), (1 << left) - 1)]
+        ends = [(root._enter(t + (0,)), 1), (root._enter(t + (1,)), 1)]
         if t:
             # The root block has a single letter; it never flags.
-            ends.append((nodes.flag(t), (1 << left) - 2))
+            ends.append((root._flag(t), (1 << left) - 2))
         return ends
 
     def child(self, letter: int) -> MeasureOracle:
@@ -320,7 +311,7 @@ class OffspringOracle(MeasureOracle):
         if kind == "copy" and not key[2]:
             return FULL_SEGMENT if key[1] else EMPTY_SEGMENT
         inner = object.__new__(OffspringOracle)
-        inner._nodes = self._nodes
+        inner.root = self.root
         inner.state = state
         return inner
 
@@ -365,7 +356,7 @@ class OffspringOracle(MeasureOracle):
     # ----- tail certificates --------------------------------------------
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
-        if self.state != self._nodes.root:
+        if self is not self.root:
             # The certificates below read the point from the root.
             return None
         start_order = max(2, effort // 4)

@@ -127,20 +127,6 @@ class ExplicitTree(Tree):
     def full_binary() -> "ExplicitTree":
         return ExplicitTree([()], {(): "full"}, arity=2)
 
-    def _governing(self, word: Word) -> tuple[Word, Policy] | None:
-        """The policy leaf at or above a word that is not an inner node.
-
-        Policy leaves are nodes without explicit children, so the walk
-        from the root meets at most one. A word that is not an inner node
-        is a policy leaf or not a node at all, so the last cut returns.
-        """
-        for cut in range(len(word) + 1):
-            prefix = word[:cut]
-            if prefix in self.policies:
-                return prefix, self.policies[prefix]
-            if prefix not in self.nodes:
-                return None
-
     def region_key(self, word: Word) -> tuple:
         """A key identifying the shape of the subtree below a word.
 
@@ -150,11 +136,16 @@ class ExplicitTree(Tree):
         word = tuple(word)
         if word in self.nodes and word not in self.policies:
             return ("node", word)
-        found = self._governing(word)
-        if found is None:
-            return DEAD
-        leaf, policy = found
-        return _policy_region(policy, word[len(leaf):], self.arity)
+        # Policy leaves are nodes without explicit children, so the walk
+        # from the root meets at most one, which rules the rest of the
+        # word; a word that is no inner node and meets none is off the tree.
+        for cut in range(len(word) + 1):
+            prefix = word[:cut]
+            if prefix in self.policies:
+                return _policy_region(self.policies[prefix], word[cut:], self.arity)
+            if prefix not in self.nodes:
+                break
+        return DEAD
 
 def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
     if policy in ("zeros", "full"):

@@ -446,7 +446,7 @@ def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
     assert all(b.is_point() for b in bounds[3:])
     assert jumped and set(jumped) <= {"block"}
     # The step that flags hands the view over to the shared stand-in.
-    stand_in = oracle._nodes.stand_ins[F(2, 7)]
+    stand_in = oracle.stand_ins[F(2, 7)]
     assert oracle.localize((0, 0, 1)) is stand_in
     assert oracle.localize((0, 0, 1, 1)) is stand_in.child(1)
 
@@ -623,8 +623,8 @@ def test_second_trace_step_costs_no_more_than_the_first(monkeypatch):
 
 
 def test_child_views_copy_nothing(monkeypatch):
-    # A child step builds a light view on the shared node states; no
-    # oracle is copied, however long the walk.
+    # A child step builds a light view holding the root oracle and its
+    # own state; no oracle is copied, however long the walk.
     def refuse(_):
         raise AssertionError("copy.copy called")
 
@@ -641,8 +641,8 @@ def test_child_views_copy_nothing(monkeypatch):
         for letter in prefix:
             view = view.child(letter)
             if isinstance(view, OffspringOracle):
-                assert view._nodes.entered is oracle._nodes.entered
-                assert vars(view).keys() == vars(oracle).keys()
+                assert view.root is oracle
+                assert vars(view).keys() == {"root", "state"}
         assert oracle.localize(prefix).measure_bounds(4) == view.measure_bounds(4)
     spongy = dualistic_of_measure(F(1, 5)).oracle
     # A view carries every attribute that __init__ sets.
@@ -650,6 +650,18 @@ def test_child_views_copy_nothing(monkeypatch):
     for word in ((0,) * 300, (0,) * 150 + (1,) * 150):
         assert spongy.localize(word).measure_bounds() == RatInterval.point(
             spongy_local_measure(spongy.measure, word))
+
+
+def test_walks_keep_no_node_words():
+    # Along 1^w the nodes walked are 1, 11, 111, ...; keeping each word
+    # would make memory quadratic in the depth. A walk reads the root's
+    # entered states but only evaluations fill them, and a block of 61
+    # letters crosses the window, so nothing past the root is entered.
+    oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(1, 3)))
+    start = triangular(60)
+    runs = list(oracle.bound_runs(Branch((), (1,)), start, start + 20))
+    assert sum(count for _, count in runs) == 20
+    assert len(oracle.entered) == 1
 
 
 def test_localized_oracle_gives_no_root_certificate():

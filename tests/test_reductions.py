@@ -142,12 +142,12 @@ def test_labels_match_the_fraction_reference_and_keys_stay_reduced():
         label_maps += [TailAlternationLabels(preset), InterleavedAdjustedLabels(preset)]
     seen = Counter()
     for labels in label_maps:
-        nodes = OffspringOracle(ExplicitTree.full_binary(), labels)._nodes
+        oracle = OffspringOracle(ExplicitTree.full_binary(), labels)
         for _ in range(60):
             node = tuple(rng.randrange(2) for _ in range(rng.randrange(13)))
             expected = label_reference(labels, node)
             assert labels.label(node) == expected, (labels, node)
-            key = nodes.flag(node)[0]
+            key = oracle._flag(node)[0]
             assert key[0] == "copy" and _reduced_copy_key(key), (labels, node, key)
             assert dyadic_value(key[1:]) == expected
             seen[type(labels).__name__] += 1
@@ -156,12 +156,12 @@ def test_labels_match_the_fraction_reference_and_keys_stay_reduced():
         table = {tuple(rng.randrange(2) for _ in range(rng.randrange(6))): rng.choice(values)
                  for _ in range(8)}
         labels = ExplicitLabels(table, rng.choice(values))
-        nodes = OffspringOracle(ExplicitTree.full_binary(), labels)._nodes
+        oracle = OffspringOracle(ExplicitTree.full_binary(), labels)
         for node in points_at_depth(5):
             node = node[: rng.randrange(6)]
             expected = table.get(node, labels.default)
             assert labels.label(node) == expected
-            key = nodes.flag(node)[0]
+            key = oracle._flag(node)[0]
             if key[0] == "copy":
                 assert _reduced_copy_key(key) and dyadic_value(key[1:]) == expected
             else:
