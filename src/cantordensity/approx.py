@@ -7,8 +7,9 @@ It gives the interval as integers (lo, hi, scale), the endpoints'
 numerators over one positive scale, so that the label hot path never
 builds a Fraction; a caller that needs the values divides at its own
 site. The canonical approximation picks at each node the dyadic of
-least rank inside the presented interval, as (numerator, exponent).
-Rank order makes the choice canonical: two nodes with overlapping
+least rank inside the presented interval, as (numerator, exponent):
+``least_dyadic_parts`` of ``presented_numerators``. Rank order makes
+the choice canonical: two nodes with overlapping
 presentations tend to agree, and sibling jumps are controlled by the
 parent's interval width. Values just below or above a dyadic, in the
 first and third reductions' labels, come from one nudge rule on the
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Protocol
 
 from .branches import Branch
-from .dyadics import least_dyadic_parts
 from .words import Word, runs_to_bits
 
 
@@ -45,12 +45,6 @@ class FunctionPresentation(Protocol):
     def value(self, point: Branch) -> Fraction | None:
         """Exact value at an eventually periodic point, when computable."""
         ...
-
-
-def canonical_parts(presentation: FunctionPresentation, node: Word) -> tuple[int, int]:
-    """The dyadic of least rank inside the presented interval at a node,
-    as (numerator, exponent)."""
-    return least_dyadic_parts(*presentation.presented_numerators(node))
 
 
 def nudged_parts(numerator: int, exponent: int, offset: int, up: bool) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from itertools import chain, cycle, groupby
 from math import lcm
 from typing import Iterator
 
-from .words import Word, interleave, order_at_depth, stretch, triangular
+from .words import Word, order_at_depth, stretch, triangular
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def interleave_branches(x: Branch, y: Branch) -> Branch:
     """
     m = max(len(x.head), len(y.head))
     n = m + lcm(len(x.cycle), len(y.cycle))
-    woven = interleave(x.prefix(n), y.prefix(n))
+    woven = tuple(chain.from_iterable(zip(x.prefix(n), y.prefix(n))))
     return Branch(woven[:2 * m], woven[2 * m:])
 
 

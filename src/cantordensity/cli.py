@@ -12,12 +12,12 @@ its cap ("budget exhausted: ..."; a jump over a block counts one state
 per letter it spans up to the horizon), memory runs out ("out of
 memory") or the run is interrupted ("Aborted!"), and silently when the
 reader of stdout closes the pipe; 2 when a document ("spec error: ...",
-also for a file that is not UTF-8, nests too deeply or holds an integer
-past the interpreter's digit limit) or the command line is malformed
-(a usage line, then the error). The
-verbs and their options are one table, ``_VERBS``, parsed with the
-standard library alone. Verify suites are seeded, so equal invocations
-print equal bytes.
+also for a file that is not UTF-8, holds an integer past the
+interpreter's digit limit, or nests too deeply for the readers or the
+walks through its sets) or the command line is malformed (a usage line,
+then the error). The verbs and their options are one table, ``_VERBS``,
+parsed with the standard library alone. Verify suites are seeded, so
+equal invocations print equal bytes.
 
 Every call is one process, so its import counts in each verb's time:
 a construction module is imported by the verify suite that uses it, or
@@ -27,12 +27,13 @@ loads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import jsonio
 from .branches import Branch, StretchedBranch
@@ -52,22 +53,31 @@ if TYPE_CHECKING:
     from .trees import ExplicitTree, Policy
 
 
-def _load_document(path: str):
+@contextlib.contextmanager
+def _nested(path: str):
+    """A RecursionError in the readers or the walks is the document nesting too deeply."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as err:
-        raise jsonio.SpecError(f"cannot read {path}: {err.strerror}") from None
-    except json.JSONDecodeError as err:
-        raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
-    except UnicodeDecodeError as err:
-        raise jsonio.SpecError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} "
-                               f"at offset {err.start}") from None
+        yield
     except RecursionError:
         raise jsonio.SpecError(f"{path} nests arrays or objects too deeply") from None
-    except ValueError:  # only from an integer literal past the interpreter's digit limit
-        raise jsonio.SpecError(f"{path} holds an integer of over "
-                               f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _load_document(path: str, read: Callable = lambda doc: doc):
+    with _nested(path):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except OSError as err:
+            raise jsonio.SpecError(f"cannot read {path}: {err.strerror}") from None
+        except json.JSONDecodeError as err:
+            raise jsonio.SpecError(f"{path} is not JSON: {err}") from None
+        except UnicodeDecodeError as err:
+            raise jsonio.SpecError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} "
+                                   f"at offset {err.start}") from None
+        except ValueError:  # only from an integer literal past the interpreter's digit limit
+            raise jsonio.SpecError(f"{path} holds an integer of over "
+                                   f"{sys.get_int_max_str_digits()} digits") from None
+        return read(doc)
 
 
 def _check_printable(budget: int, offset: int = 0) -> None:
@@ -85,31 +95,34 @@ def _check_printable(budget: int, offset: int = 0) -> None:
 
 def measure(set_path: str, prefix: str, budget: int) -> None:
     """Certified bounds on the measure of a set, localized to a prefix."""
-    oracle = jsonio.oracle_from_spec(_load_document(set_path))
+    oracle = _load_document(set_path, jsonio.oracle_from_spec)
     word = jsonio.binary_word_from_spec(prefix, "prefix")
     _check_printable(budget, len(word))
-    bounds = oracle.local_bounds(word, budget)
+    with _nested(set_path):
+        bounds = oracle.localize(word).measure_bounds(max(budget, len(word)) - len(word))
     print(json.dumps(jsonio.interval_record(bounds)))
 
 
 def trace(set_path: str, branch_path: str, steps: int, budget: int) -> None:
     """Density trace along a branch, one JSON line per depth."""
-    oracle = jsonio.oracle_from_spec(_load_document(set_path))
-    point = jsonio.branch_from_spec(_load_document(branch_path))
+    oracle = _load_document(set_path, jsonio.oracle_from_spec)
+    point = _load_document(branch_path, jsonio.branch_from_spec)
     _check_printable(budget)
-    for text in jsonio.trace_lines(oracle.bound_runs(point, 0, steps, window=budget)):
-        sys.stdout.write(text + "\n")
-        sys.stdout.flush()
+    with _nested(set_path):
+        for text in jsonio.trace_lines(oracle.bound_runs(point, 0, steps, window=budget)):
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
 
 
 def classify(set_path: str, branch_path: str, eps: str, max_depth: int) -> None:
     """Classify a point's density: converges, blurry, or undetermined."""
-    oracle = jsonio.oracle_from_spec(_load_document(set_path))
-    point = jsonio.branch_from_spec(_load_document(branch_path))
+    oracle = _load_document(set_path, jsonio.oracle_from_spec)
+    point = _load_document(branch_path, jsonio.branch_from_spec)
     epsilon = jsonio.fraction_from_spec(eps)
     if epsilon <= 0:
         raise ValueError(f"eps must be positive: {eps}")
-    verdict = oracle.classify(point, eps=epsilon, max_depth=max_depth)
+    with _nested(set_path):
+        verdict = oracle.classify(point, eps=epsilon, max_depth=max_depth)
     try:
         record = jsonio.verdict_record(verdict)
     except ValueError:  # only from an integer too long to print
@@ -251,11 +264,10 @@ def _suite_branch_lemma(rng: Random, cases: int) -> list[str]:
         tree = random_tree(rng, depth_cap=4)
         labels = random_labels(rng, tree)
         oracle = OffspringOracle(tree, labels)
-        base = random_tree_branch(rng, tree)
-        bounds = list(oracle.trace(StretchedBranch(base), triangular(5), window=12))
+        point = StretchedBranch(random_tree_branch(rng, tree))
         for k in range(1, 6):
-            box = bounds[triangular(k)]
-            target = labels.label(base.prefix(k))
+            box = next(oracle.bound_runs(point, triangular(k), triangular(k) + 1, window=12))[0]
+            target = labels.label(point.base.prefix(k))
             gap = abs(box.midpoint - target)
             allowed = Fraction(1, 1 << k) + box.width
             if gap > allowed:
@@ -276,10 +288,10 @@ def _suite_dualistic_measure(rng: Random, cases: int) -> list[str]:
             continue
         clopen_depth = built.clopen_part.depth if built.clopen_part else 0
         for m in range(max(10, clopen_depth), 14):
-            local = built.oracle.local_bounds((0,) * m, 0)
+            local = built.oracle.localize((0,) * m).measure_bounds(0)
             bound = Fraction(4, 3) / (1 << m)
             if built.clopen_part is not None:
-                bound += ClopenOracle(built.clopen_part).local_bounds((0,) * m, 0).hi
+                bound += ClopenOracle(built.clopen_part).localize((0,) * m).measure_bounds(0).hi
             if local.hi > bound or local.width != 0:
                 failures.append(f"case {index}: spine bound broken at depth {m}")
                 break

@@ -140,14 +140,6 @@ EMPTY_MASS = RatInterval.point(ZERO)
 FULL_MASS = RatInterval.point(ONE)
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q", an integer, or an exact decimal literal."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
-
-
 def format_fraction(q: Fraction) -> str:
     try:
         return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)

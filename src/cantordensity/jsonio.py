@@ -15,13 +15,13 @@ premises raises whatever the construction raises (a ValueError with
 the module's own message); the command line maps the two onto
 different exit codes.
 
-Conventions: rationals are reduced "p/q" strings; words are digit
-strings ("" is the root), with integer arrays also accepted for
-natural-number words (a clopen array of "01" strings is checked in
-one pass over its joined text, any other is read word by word, so the
-first bad word names the error); every record this module emits formats
-rationals the same way, and ``trace_lines`` formats a run of one
-interval object once and gives its lines as a few texts.
+Conventions: rationals are reduced "p/q" strings, parsed by
+``fraction_from_spec``; words are digit strings ("" is the root), with
+integer arrays also accepted for natural-number words (a clopen array of
+"01" strings is checked in one pass over its joined text, any other is
+read word by word, so the first bad word names the error); every record
+this module emits formats rationals the same way, and ``trace_lines``
+formats a run of one interval object once and gives its lines as a few texts.
 
 Every command-line call is one process that reads one set document, so
 each construction module is imported where the kind of document that
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .branches import Branch, StretchedBranch, interleave_branches
-from .dyadics import RatInterval, format_fraction, parse_fraction
+from .dyadics import RatInterval, format_fraction
 from .oracles import ClopenOracle, ComplementOracle, GraftedUnionOracle, MeasureOracle, Verdict
 from .words import DIGIT_VALUES, Word, runs_to_bits
 
@@ -69,9 +69,9 @@ def fraction_from_spec(value) -> Fraction:
     if not isinstance(value, str):
         raise SpecError(f'expected a "p/q" string, got {value!r}')
     try:
-        return parse_fraction(value)
-    except ValueError as err:
-        raise SpecError(str(err)) from None
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"not a rational: {value!r}") from None
 
 
 _NOT_BINARY = str.maketrans("", "", "01")  # deletes 0s and 1s

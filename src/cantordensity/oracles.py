@@ -7,8 +7,8 @@ set seen from inside that letter's cylinder, again an oracle, and
 the set's measure, refined with ``budget`` letters of lookahead. Exact
 oracles ignore the budget and answer with point intervals. The
 localized measure at a word is the measure of the set reached by one
-``child`` per letter, so a walk along a point costs at most one step
-per depth.
+``child`` per letter. A word is walked by ``localize`` and a point by
+``bound_runs``, so a walk along a point costs at most one step per depth.
 
 By the density theorem almost every point sees the localized set
 settle to full or empty, and the exact constructions here settle after
@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -103,9 +103,6 @@ class MeasureOracle:
             oracle = oracle.child(letter)
         return oracle
 
-    def local_bounds(self, word: Word, budget: int) -> RatInterval:
-        return self.localize(word).measure_bounds(max(budget, len(word)) - len(word))
-
     def bound_runs(self, point: Point, start: int, stop: int,
                    window: int = DEFAULT_WINDOW) -> Iterator[tuple[RatInterval, int]]:
         """Bounds at the prefixes of the point of lengths ``start`` to
@@ -150,11 +147,6 @@ class MeasureOracle:
                 depth += 1
             if depth == last:
                 return
-
-    def trace(self, point: Point, depth: int, window: int = DEFAULT_WINDOW) -> Iterator[RatInterval]:
-        """Bounds at every prefix of the point up to length ``depth``, one
-        interval per depth."""
-        return chain.from_iterable(starmap(repeat, self.bound_runs(point, 0, depth + 1, window)))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         return None

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .approx import FunctionPresentation, canonical_parts, nudged_parts
+from .approx import FunctionPresentation, nudged_parts
 from .branches import Branch
 from .dyadics import ONE, ZERO, clip_to_unit, dyadic_of_rank, least_dyadic_parts
 from .offspring import LabelMap, OffspringOracle, label_parts_of
@@ -160,7 +160,7 @@ class TailAlternationLabels(AnchoredHullLabels):
         # The canonical value at the head nudged by 2^-(len(head)+2):
         # down after an even zero run, up after an odd one.
         head, zeros = split_trailing_zeros(tuple(node))
-        middle = canonical_parts(self.presentation, head)
+        middle = least_dyadic_parts(*self.presentation.presented_numerators(head))
         return nudged_parts(*middle, len(head) + 2, zeros % 2 == 1)
 
     def hull_anchor(self, branch: Branch, horizon: int) -> tuple[Word, Fraction]:
@@ -201,7 +201,7 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
         (numerator, exponent)."""
         node = tuple(node)
         if not node:
-            return canonical_parts(self.presentation, node)
+            return least_dyadic_parts(*self.presentation.presented_numerators(node))
         return _adjusted_parts(self.presentation.presented_numerators(node), node)
 
     def label_parts(self, word: Word) -> tuple[int, int]:
@@ -392,7 +392,7 @@ class GreedyInjectiveLabels(HeadValueLabels):
         got = self.table.get(node)
         if got is not None:
             return got
-        numerator, exponent = canonical_parts(self.presentation, node)
+        numerator, exponent = least_dyadic_parts(*self.presentation.presented_numerators(node))
         return Fraction(numerator, 1 << exponent)
 
 

@@ -90,8 +90,8 @@ class Tree:
 class ExplicitTree(Tree):
     """A pruned tree given by explicit nodes plus frontier policies.
 
-    ``arity`` is the alphabet size, or None for the natural numbers.
-    """
+    ``arity`` is the alphabet size, or None for the natural numbers, and
+    ``region_key`` reads only the prefixes of a word at the leaf depths."""
 
     def __init__(
         self,
@@ -109,6 +109,7 @@ class ExplicitTree(Tree):
         self.arity = arity
         self.nodes = frozenset(node_set)
         self.policies = {tuple(k): _check_policy(v, arity, k) for k, v in policies.items()}
+        self.leaf_depths = sorted({len(w) for w in self.policies})
         children: dict[Word, list[int]] = {w: [] for w in node_set}
         for w in node_set:
             if w:
@@ -136,15 +137,12 @@ class ExplicitTree(Tree):
         word = tuple(word)
         if word in self.nodes and word not in self.policies:
             return ("node", word)
-        # Policy leaves are nodes without explicit children, so the walk
-        # from the root meets at most one, which rules the rest of the
-        # word; a word that is no inner node and meets none is off the tree.
-        for cut in range(len(word) + 1):
+        # Leaves have no children, so at most one prefix of a word is a leaf, at a
+        # leaf depth, and it rules the rest of the word; with none it is off the tree.
+        for cut in self.leaf_depths:
             prefix = word[:cut]
             if prefix in self.policies:
                 return _policy_region(self.policies[prefix], word[cut:], self.arity)
-            if prefix not in self.nodes:
-                break
         return DEAD
 
 def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
@@ -199,7 +197,6 @@ class InterleaveTree(Tree):
         self.odds = odds
 
     def region_key(self, word: Word) -> tuple:
-        word = tuple(word)
         e, o = deinterleave(word)
         ke = self.evens.region_key(e)
         ko = self.odds.region_key(o)

@@ -8,8 +8,8 @@ binary words through the run-length codec below.
 The codec: a natural-number word ``(a0, a1, ..., ak)`` becomes the binary
 word ``0^a0 1 0^a1 1 ... 0^ak 1``. Every binary word ending in 1 (and the
 empty word) decodes uniquely; ``bits_to_runs`` is the left inverse.
-Pair trees and interleaved points merge and split words letter by letter
-(``interleave``); stretched points repeat letter i i+1 times (``stretch``).
+Pair trees split words letter by letter (``deinterleave``), as interleaved
+points merge them; stretched points repeat letter i i+1 times (``stretch``).
 """
 
 from __future__ import annotations
@@ -69,23 +69,6 @@ def decode_head(bits: Word) -> Word:
     """
     head, _ = split_trailing_zeros(bits)
     return bits_to_runs(head)
-
-
-def interleave(evens: Word, odds: Word) -> Word:
-    """Merge two words letter by letter, the first word supplying even slots.
-
-    The first word must be the same length as the second or one longer.
-    """
-    if len(evens) not in (len(odds), len(odds) + 1):
-        raise ValueError(
-            f"cannot interleave lengths {len(evens)} and {len(odds)}"
-        )
-    out: list[int] = []
-    for i, letter in enumerate(evens):
-        out.append(letter)
-        if i < len(odds):
-            out.append(odds[i])
-    return tuple(out)
 
 
 def deinterleave(word: Word) -> tuple[Word, Word]:

@@ -26,7 +26,7 @@ from cantordensity.reductions import (
     OnesParityLabels,
     TailAlternationLabels,
 )
-from cantordensity.trees import materialize
+from cantordensity.trees import DEAD, _policy_region, materialize
 from cantordensity.words import (
     bits_to_runs,
     decode_head,
@@ -249,6 +249,23 @@ def interleave_closure(pairs, depth: int):
                    for tail in partners)
 
     return materialize(alive, 2, 2 * depth)
+
+
+def region_key_by_cuts(tree, word):
+    """``ExplicitTree.region_key`` by a walk over every cut of the word from
+    the root: an inner node is its own key, the first policy leaf met rules
+    the rest of the word, and a cut that is no node ends the walk off the
+    tree. Each key costs a slice per cut, about L^2 / 2 letters under a
+    leaf at depth L."""
+    if word in tree.nodes and word not in tree.policies:
+        return ("node", word)
+    for cut in range(len(word) + 1):
+        prefix = word[:cut]
+        if prefix in tree.policies:
+            return _policy_region(tree.policies[prefix], word[cut:], tree.arity)
+        if prefix not in tree.nodes:
+            break
+    return DEAD
 
 
 def unstretch_by_block_scan(point):

@@ -14,7 +14,6 @@ from cantordensity.approx import (
     ConstantPresentation,
     InjectivePresentation,
     ReparamPresentation,
-    canonical_parts,
     nudged_parts,
 )
 from cantordensity.branches import Branch
@@ -47,12 +46,12 @@ def binary_nodes(depth):
 
 
 def canonical_approx(presentation, node):
-    return dyadic_value(canonical_parts(presentation, node))
+    return dyadic_value(least_dyadic_parts(*presentation.presented_numerators(node)))
 
 
 def approx_pair(presentation, node):
     """The canonical value nudged down and up by 2^-(len(node)+2)."""
-    middle = canonical_parts(presentation, node)
+    middle = least_dyadic_parts(*presentation.presented_numerators(node))
     return tuple(dyadic_value(nudged_parts(*middle, len(node) + 2, up)) for up in (False, True))
 
 

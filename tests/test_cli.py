@@ -128,10 +128,10 @@ def test_contradicted_certificate_exits_one_without_traceback(tmp_path, monkeypa
 
 
 def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch):
-    def exhausted(self, word, budget):
+    def exhausted(self, budget=0):
         raise MemoryError
 
-    monkeypatch.setattr(ClopenOracle, "local_bounds", exhausted)
+    monkeypatch.setattr(ClopenOracle, "measure_bounds", exhausted)
     spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
     result = invoke("measure", "--set", spec)
     assert result.exit_code == 1
@@ -142,10 +142,10 @@ def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch):
 
 
 def test_interrupt_exits_one_without_traceback(tmp_path, monkeypatch):
-    def interrupted(self, word, budget):
+    def interrupted(self, budget=0):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ClopenOracle, "local_bounds", interrupted)
+    monkeypatch.setattr(ClopenOracle, "measure_bounds", interrupted)
     spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["0"]})
     result = invoke("measure", "--set", spec)
     assert result.exit_code == 1
@@ -233,6 +233,31 @@ def test_malformed_documents_exit_two_with_their_message(tmp_path):
         result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "1")
         assert (result.exit_code, result.stdout) == (2, ""), document
         assert result.stderr == f"spec error: {message}\n", document
+
+
+def test_documents_nested_near_the_recursion_limit_are_spec_errors(tmp_path):
+    # Complement chains from well below the recursion limit to past it. The
+    # JSON reader accepts chains a little deeper than the spec reader and the
+    # walks through the oracle it builds, which recurse once per level; each
+    # chain must answer or exit 2 as a spec error, never with the
+    # interpreter's bare "maximum recursion depth exceeded".
+    spec = tmp_path / "set.json"
+    branch = write(tmp_path / "branch.json", {"kind": "ev_periodic", "period": "01"})
+    leaf = json.dumps({"kind": "clopen", "words": ["0", "10"]})
+    verbs = [("measure", "--prefix", "0101"), ("trace", "--branch", branch, "--steps", "5"),
+             ("classify", "--branch", branch)]
+    limit = sys.getrecursionlimit()
+    codes = set()
+    for depth in range(limit - 100, limit + 5):
+        spec.write_text('{"kind": "complement", "of": ' * depth + leaf + "}" * depth,
+                        encoding="utf-8")
+        for verb, *options in verbs:
+            result = invoke(verb, "--set", str(spec), *options)
+            codes.add(result.exit_code)
+            if result.exit_code:
+                assert (result.exit_code, result.stdout) == (2, ""), (verb, depth)
+                assert result.stderr == f"spec error: {spec} nests arrays or objects too deeply\n"
+    assert codes == {0, 2}
 
 
 def test_usage_errors_exit_two_naming_the_culprit(tmp_path):

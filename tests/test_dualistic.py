@@ -74,15 +74,15 @@ def test_piece_profiles_match_frozen_values():
 
 def test_spongy_localizations_frozen():
     oracle = SpongyMeasureOracle(F(5, 24))
-    assert oracle.local_bounds((), 0) == RatInterval.point(F(5, 24))
-    assert oracle.local_bounds((0,), 0) == RatInterval.point(F(5, 12))
-    assert oracle.local_bounds((0, 1), 0) == RatInterval.point(F(3, 4))
-    assert oracle.local_bounds((0, 1, 0), 0) == RatInterval.point(F(1))
-    assert oracle.local_bounds((0, 1, 1), 0) == RatInterval.point(F(1, 2))
-    assert oracle.local_bounds((0, 0, 1, 1), 0) == RatInterval.point(F(1, 4))
-    assert oracle.local_bounds((0, 0, 0), 0) == RatInterval.point(F(1, 24))
-    assert oracle.local_bounds((1,), 0) == RatInterval.point(F(0))
-    assert oracle.local_bounds((0, 0, 1, 0), 0) == RatInterval.point(F(0))
+    assert oracle.measure_bounds() == RatInterval.point(F(5, 24))
+    assert oracle.localize((0,)).measure_bounds() == RatInterval.point(F(5, 12))
+    assert oracle.localize((0, 1)).measure_bounds() == RatInterval.point(F(3, 4))
+    assert oracle.localize((0, 1, 0)).measure_bounds() == RatInterval.point(F(1))
+    assert oracle.localize((0, 1, 1)).measure_bounds() == RatInterval.point(F(1, 2))
+    assert oracle.localize((0, 0, 1, 1)).measure_bounds() == RatInterval.point(F(1, 4))
+    assert oracle.localize((0, 0, 0)).measure_bounds() == RatInterval.point(F(1, 24))
+    assert oracle.localize((1,)).measure_bounds() == RatInterval.point(F(0))
+    assert oracle.localize((0, 0, 1, 0)).measure_bounds() == RatInterval.point(F(0))
 
 
 @given(
@@ -93,11 +93,11 @@ def test_spongy_localizations_frozen():
 def test_spongy_halves_average(rate, word):
     oracle = SpongyMeasureOracle(rate)
     word = tuple(word)
-    here = oracle.local_bounds(word, 0).lo
-    assert oracle.local_bounds(word, 0).is_point()
+    here = oracle.localize(word).measure_bounds().lo
+    assert oracle.localize(word).measure_bounds().is_point()
     assert 0 <= here <= 1
-    left = oracle.local_bounds(word + (0,), 0).lo
-    right = oracle.local_bounds(word + (1,), 0).lo
+    left = oracle.localize(word + (0,)).measure_bounds().lo
+    right = oracle.localize(word + (1,)).measure_bounds().lo
     assert here == (left + right) / 2
 
 
@@ -184,7 +184,7 @@ def _countable_range_work(monkeypatch, values, head, cycle, depth) -> collection
         patch.setattr(SegmentOracle, "__init__", counting("segment", SegmentOracle.__init__))
         patch.setattr(SpinePrefixOracle, "measure_bounds",
                       counting("spine bounds", SpinePrefixOracle.measure_bounds))
-        list(solid_countable_range(values).oracle.trace(Branch(head, cycle), depth))
+        list(solid_countable_range(values).oracle.bound_runs(Branch(head, cycle), 0, depth + 1))
     return counts
 
 
@@ -208,7 +208,7 @@ def test_countable_range_builds_only_the_entered_piece(monkeypatch):
 def test_spongy_spine_bound():
     oracle = SpongyMeasureOracle(F(5, 24))
     for m in range(1, 20):
-        value = oracle.local_bounds((0,) * m, 0)
+        value = oracle.localize((0,) * m).measure_bounds()
         assert value.is_point()
         assert value.lo <= F(4, 3) / 2**m
 
@@ -299,9 +299,9 @@ def test_dualistic_spine_trace_obeys_tail_bound():
     chunk = built.clopen_part
     for m in range(10, 31):
         word = (0,) * m
-        value = built.oracle.local_bounds(word, 0)
+        value = built.oracle.localize(word).measure_bounds()
         assert value.is_point()
-        clopen_term = ClopenOracle(chunk).local_bounds(word, 0).lo
+        clopen_term = ClopenOracle(chunk).localize(word).measure_bounds().lo
         assert value.lo <= clopen_term + F(4, 3) / 2**m
         if m > chunk.depth:
             assert clopen_term == 0
@@ -314,8 +314,8 @@ def test_solid_range_designated_points():
     for point, value in solid.designated_points():
         cert = solid.oracle.tail_certificate(point, effort=30)
         assert cert.interval == RatInterval.point(value)
-        trace = list(solid.oracle.trace(point, 12))
-        assert trace[-1].contains(value)
+        runs = list(solid.oracle.bound_runs(point, 0, 13))
+        assert runs[-1][0].contains(value)
     spine = solid.oracle.tail_certificate(Branch((), (0,)), effort=30)
     assert spine.interval == RatInterval.point(F(0))
 

@@ -11,7 +11,6 @@ from cantordensity.dyadics import (
     format_fraction,
     is_dyadic,
     least_dyadic_parts,
-    parse_fraction,
 )
 
 F = Fraction
@@ -112,9 +111,6 @@ def test_point_intervals_with_equal_or_identical_endpoints():
 
 
 def test_fraction_io():
-    assert parse_fraction("5/8") == F(5, 8)
-    assert parse_fraction("2") == F(2)
     assert format_fraction(F(5, 8)) == "5/8"
     assert format_fraction(F(3)) == "3"
-    with pytest.raises(ValueError):
-        parse_fraction("0.5x")
+    assert format_fraction(F(-1, 3)) == "-1/3"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,11 @@ F = Fraction
 
 def test_fraction_and_word_parsing():
     assert fraction_from_spec("5/8") == F(5, 8)
+    assert fraction_from_spec("2") == F(2)
+    assert fraction_from_spec(" 0.25 ") == F(1, 4)
+    for bad in ("0.5x", "1/0"):
+        with pytest.raises(SpecError, match=re.escape(f"not a rational: {bad!r}")):
+            fraction_from_spec(bad)
     assert word_from_spec("") == ()
     assert word_from_spec("0110") == (0, 1, 1, 0)
     assert word_from_spec([0, 3, 2]) == (0, 3, 2)
@@ -137,12 +143,12 @@ def test_set_spec_kinds_evaluate():
         {"kind": "complement", "of": {"kind": "clopen", "words": ["0"]}}
     )
     assert flipped.measure_bounds() == RatInterval.point(F(1, 2))
-    assert flipped.local_bounds((0,), 0) == RatInterval.point(F(0))
+    assert flipped.localize((0,)).measure_bounds() == RatInterval.point(F(0))
 
 
 def test_reduction_specs_evaluate():
     second = oracle_from_spec({"kind": "reduction", "which": "second"})
-    assert second.local_bounds((), 10).contains(F(1, 2))
+    assert second.measure_bounds(10).contains(F(1, 2))
     first = oracle_from_spec(
         {
             "kind": "reduction",

@@ -18,8 +18,8 @@ from cantordensity.oracles import TailCertificate
 from cantordensity.reductions import first_reduction, second_reduction, third_reduction
 from cantordensity.trees import ExplicitTree, InterleaveTree, periodic
 from cantordensity.words import stretch, triangular
-from oracletools import (letterwise_offspring_bounds, offspring_cell_bounds,
-                         spongy_local_measure)
+from oracletools import (bounds_along_by_depths, letterwise_offspring_bounds,
+                         offspring_cell_bounds, spongy_local_measure)
 
 HALF_TABLE = ExplicitLabels({}, F(1, 2))
 EIGHTHS = tuple(F(k, 8) for k in range(9))
@@ -75,19 +75,19 @@ def test_root_bounds_by_hand():
     # the next letter decides membership (4 cells in, 4 out); a pure
     # second block leaves the third block unfinished (8 cells open).
     oracle = full_half()
-    assert oracle.local_bounds((), 4) == RatInterval(F(1, 4), F(3, 4))
+    assert oracle.measure_bounds(4) == RatInterval(F(1, 4), F(3, 4))
 
 
 def test_flagged_word_settles():
     oracle = full_half()
-    assert oracle.local_bounds((0, 1, 0), 4) == RatInterval.point(F(1, 2))
+    assert oracle.localize((0, 1, 0)).measure_bounds(1) == RatInterval.point(F(1, 2))
 
 
 def test_off_tree_words_are_empty():
     tree = ExplicitTree([()], {(): "zeros"})
     oracle = OffspringOracle(tree, HALF_TABLE)
-    assert oracle.local_bounds((1,), 6) == EMPTY_MASS
-    assert oracle.local_bounds((0, 1, 1), 8) == EMPTY_MASS
+    assert oracle.localize((1,)).measure_bounds(5) == EMPTY_MASS
+    assert oracle.localize((0, 1, 1)).measure_bounds(5) == EMPTY_MASS
 
 
 def test_zero_budget_is_unit():
@@ -105,7 +105,7 @@ def test_bounds_equal_cell_enumeration():
         oracle = OffspringOracle(tree, labels)
         for word in _binary_words(3):
             lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
-            got = oracle.local_bounds(word, 11)
+            got = oracle.localize(word).measure_bounds(11 - len(word))
             assert (got.lo, got.hi) == (lo, hi), (word, sorted(tree.nodes))
 
 
@@ -121,7 +121,7 @@ def test_fine_labels_equal_cell_enumeration():
         oracle = OffspringOracle(tree, labels)
         for word in _binary_words(3):
             lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
-            got = oracle.local_bounds(word, 11)
+            got = oracle.localize(word).measure_bounds(11 - len(word))
             assert (got.lo, got.hi) == (lo, hi), (word, sorted(tree.nodes))
 
 
@@ -132,7 +132,7 @@ def test_interleave_tree_matches_enumeration():
     oracle = OffspringOracle(tree, labels)
     for word in _binary_words(3):
         lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
-        got = oracle.local_bounds(word, 11)
+        got = oracle.localize(word).measure_bounds(11 - len(word))
         assert (got.lo, got.hi) == (lo, hi), word
 
 
@@ -147,7 +147,7 @@ def test_stand_ins_answer_inside_cell_enumeration():
         oracle = OffspringOracle(tree, labels)
         for word in _binary_words(3):
             lo, hi = offspring_cell_bounds(tree.member, labels.label, word, 11)
-            got = oracle.local_bounds(word, 11)
+            got = oracle.localize(word).measure_bounds(11 - len(word))
             assert lo <= got.lo <= got.hi <= hi, (word, sorted(tree.nodes))
             tighter += (got.lo, got.hi) != (lo, hi)
     assert tighter > 0
@@ -166,11 +166,13 @@ def test_reuse_respects_horizon():
 def _check_reuse(tree, labels):
     warm = OffspringOracle(tree, labels)
     for word in _binary_words(3):
-        warm.local_bounds(word, 12)
+        warm.localize(word).measure_bounds(12 - len(word))
     for word in _binary_words(3):
         for budget in (0, 3, 6):
             cold = OffspringOracle(tree, labels)
-            assert warm.local_bounds(word, budget) == cold.local_bounds(word, budget)
+            lookahead = max(budget - len(word), 0)
+            assert (warm.localize(word).measure_bounds(lookahead)
+                    == cold.localize(word).measure_bounds(lookahead))
 
 
 def test_bounds_tighten_with_budget():
@@ -200,7 +202,7 @@ def test_boundary_bounds_track_labels():
                 target = labels.label(base.prefix(order))
                 margin = F(1, 1 << order)
                 nearby = RatInterval(max(F(0), target - margin), min(F(1), target + margin))
-                bounds = oracle.local_bounds(point.prefix(triangular(order)), triangular(order) + 12)
+                bounds = oracle.localize(point.prefix(triangular(order))).measure_bounds(12)
                 assert bounds.intersects(nearby)
 
 
@@ -368,8 +370,8 @@ def test_non_dyadic_copies_answer_exactly():
     # the exact point 1/3, and tail certificates pin the branch there.
     third = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(1, 3)))
     flagged = (0, 1, 0)  # root block 0, then the mixed block (1, 0)
-    assert third.local_bounds(flagged, 10) == RatInterval.point(F(1, 3))
-    deeper = third.local_bounds(flagged + (0,), 12)
+    assert third.localize(flagged).measure_bounds(7) == RatInterval.point(F(1, 3))
+    deeper = third.localize(flagged + (0,)).measure_bounds(8)
     assert deeper == RatInterval.point(F(2, 3))
     cert = third.tail_certificate(Branch(flagged, (0,)), 40)
     assert cert is not None
@@ -402,8 +404,8 @@ def test_trace_steps_once_per_depth(monkeypatch):
     depth = 150
     point = StretchedBranch(Branch((), (1, 0)))
     oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels({}, F(3, 8)))
-    bounds = list(oracle.trace(point, depth, window=0))
-    assert len(bounds) == depth + 1
+    runs = list(oracle.bound_runs(point, 0, depth + 1, window=0))
+    assert sum(count for _, count in runs) == depth + 1
     assert len(calls) <= depth
 
 
@@ -423,8 +425,8 @@ def test_stand_in_trace_steps_once_per_depth(monkeypatch):
     # 0 enters node 0, whose mixed block 01 flags into the 2/7 stand-in.
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
     depth = 200
-    bounds = list(oracle.trace(Branch((0, 0, 1), (0,)), depth, window=0))
-    assert all(b.is_point() for b in bounds[3:])
+    runs = oracle.bound_runs(Branch((0, 0, 1), (0,)), 3, depth + 1, window=0)
+    assert all(b.is_point() for b, _ in runs)
     assert 0 < len(calls) <= depth
 
 
@@ -442,7 +444,7 @@ def test_stand_in_states_stay_out_of_the_memo(monkeypatch):
     monkeypatch.setattr(OffspringOracle, "_jump", counted)
     tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
-    bounds = list(oracle.trace(Branch((0, 0, 1), (1, 0)), 2000, window=16))
+    bounds = list(bounds_along_by_depths(oracle, Branch((0, 0, 1), (1, 0)), 0, 2001, 16))
     assert all(b.is_point() for b in bounds[3:])
     assert jumped and set(jumped) <= {"block"}
     # The step that flags hands the view over to the shared stand-in.
@@ -526,7 +528,7 @@ def test_steps_never_start_from_a_stand_in(monkeypatch):
     tree = ExplicitTree([(), (0,), (1,), (1, 0)], {(0,): "full", (1, 0): periodic((1,))})
     oracle = OffspringOracle(tree, ExplicitLabels({(): F(1, 3)}, F(2, 7)))
     for point in (Branch((0, 0, 1), (1, 0)), Branch((1, 0, 1), (1,)), Branch((), (0, 1, 1))):
-        list(oracle.trace(point, 200, window=8))
+        list(oracle.bound_runs(point, 0, 201, window=8))
         oracle.classify(point, max_depth=40)
     assert "block" in kinds and "stand-in" not in kinds
 
@@ -578,7 +580,8 @@ def test_jump_groups_every_continuation_of_the_block():
 def test_negative_window_reads_as_zero():
     oracle = second_reduction(ExplicitTree.full_binary())
     point = StretchedBranch(Branch((), (1, 0)))
-    assert list(oracle.trace(point, 30, window=-3)) == list(oracle.trace(point, 30, window=0))
+    assert (list(oracle.bound_runs(point, 0, 31, window=-3))
+            == list(oracle.bound_runs(point, 0, 31, window=0)))
 
 
 def _count_jumps_and_steps(monkeypatch) -> list[int]:
@@ -604,7 +607,7 @@ def test_trace_jumps_a_few_times_per_depth(monkeypatch):
     # per depth.
     calls = _count_jumps_and_steps(monkeypatch)
     point = StretchedBranch(Branch((), (1, 0)))
-    list(second_reduction(ExplicitTree.full_binary()).trace(point, 199, window=16))
+    list(second_reduction(ExplicitTree.full_binary()).bound_runs(point, 0, 200, window=16))
     assert calls[0] <= 3 * 200
 
 
@@ -617,7 +620,8 @@ def test_second_trace_step_costs_no_more_than_the_first(monkeypatch):
     costs = []
     for depth in (0, 1):
         calls[0] = 0
-        list(second_reduction(ExplicitTree.full_binary()).trace(point, depth, window=4000))
+        oracle = second_reduction(ExplicitTree.full_binary())
+        list(oracle.bound_runs(point, 0, depth + 1, window=4000))
         costs.append(calls[0])
     assert 0 < costs[1] <= 2 * costs[0]
 

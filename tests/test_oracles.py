@@ -35,6 +35,7 @@ from clirunner import invoke
 from oracletools import (
     antichain_measure,
     bound_runs_by_depths,
+    bounds_along_by_depths,
     certified_oscillation_reference,
     cylinder_local_measure,
     grafted_union_bounds_reference,
@@ -49,9 +50,9 @@ F = Fraction
 def test_clopen_oracle_is_exact_everywhere():
     oracle = ClopenOracle(ClopenSet.from_words([(0, 0), (1,)]))
     assert oracle.measure_bounds() == RatInterval.point(F(3, 4))
-    assert oracle.local_bounds((0,), 0) == RatInterval.point(F(1, 2))
-    assert oracle.local_bounds((0, 1), 50) == RatInterval.point(F(0))
-    assert oracle.local_bounds((1, 1, 0), 0) == RatInterval.point(F(1))
+    assert oracle.localize((0,)).measure_bounds() == RatInterval.point(F(1, 2))
+    assert oracle.localize((0, 1)).measure_bounds(48) == RatInterval.point(F(0))
+    assert oracle.localize((1, 1, 0)).measure_bounds() == RatInterval.point(F(1))
 
 
 def test_clopen_oracle_certificate_settles_at_depth():
@@ -67,7 +68,8 @@ def test_clopen_trace_matches_localization():
     body = ClopenSet.from_words([(0, 1), (1, 0, 0)])
     oracle = ClopenOracle(body)
     point = Branch((0, 1, 1), (0,))
-    for depth, bounds in enumerate(oracle.trace(point, 6)):
+    runs = oracle.bound_runs(point, 0, 7)
+    for depth, bounds in enumerate(b for b, count in runs for _ in range(count)):
         expected = cylinder_local_measure(body.words, point.prefix(depth), 6)
         assert bounds == RatInterval.point(expected)
 
@@ -82,16 +84,16 @@ def test_clopen_trace_takes_one_half_per_depth(monkeypatch):
 
     monkeypatch.setattr(ClopenSet, "half", counted)
     body = ClopenSet.from_words([(0, 1) * 100 + (1,), (1, 1, 0)])
-    bounds = list(ClopenOracle(body).trace(Branch((), (0, 1)), 200))
-    assert len(bounds) == 201
-    assert bounds[-1] == RatInterval.point(F(1, 2))
+    runs = list(ClopenOracle(body).bound_runs(Branch((), (0, 1)), 0, 201))
+    assert sum(count for _, count in runs) == 201
+    assert runs[-1][0] == RatInterval.point(F(1, 2))
     assert len(calls) <= 201
 
 
 def test_complement_oracle_reflects():
     oracle = ComplementOracle(ClopenOracle(piece_of_measure(F(1, 4))))
     assert oracle.measure_bounds() == RatInterval.point(F(3, 4))
-    assert oracle.local_bounds((0, 0), 0) == RatInterval.point(F(0))
+    assert oracle.localize((0, 0)).measure_bounds() == RatInterval.point(F(0))
     cert = oracle.tail_certificate(Branch((), (0,)), effort=8)
     assert cert.interval == RatInterval.point(F(0))
 
@@ -101,7 +103,7 @@ def test_disjoint_sum_adds_bounds_and_certificates():
     right = ClopenOracle(ClopenSet.from_words([(1, 1)]))
     both = DisjointSumOracle([left, right])
     assert both.measure_bounds() == RatInterval.point(F(1, 2))
-    assert both.local_bounds((0,), 0) == RatInterval.point(F(1, 2))
+    assert both.localize((0,)).measure_bounds() == RatInterval.point(F(1, 2))
     cert = both.tail_certificate(Branch((1,), (1,)), effort=10)
     assert cert.interval == RatInterval.point(F(1))
 
@@ -124,13 +126,13 @@ def _grafted_example() -> GraftedUnionOracle:
 def test_grafted_union_bounds_by_case():
     oracle = _grafted_example()
     # Inside the first graft site: delegate to the inner piece.
-    assert oracle.local_bounds((0, 1, 0), 0) == RatInterval.point(F(1))
-    assert oracle.local_bounds((0, 1, 1), 0) == RatInterval.point(F(0))
+    assert oracle.localize((0, 1, 0)).measure_bounds() == RatInterval.point(F(1))
+    assert oracle.localize((0, 1, 1)).measure_bounds() == RatInterval.point(F(0))
     # Above the sites: scaled sum, exactly.
-    assert oracle.local_bounds((), 0) == RatInterval.point(F(1, 8) + F(1, 8))
-    assert oracle.local_bounds((1,), 0) == RatInterval.point(F(1, 4))
+    assert oracle.measure_bounds() == RatInterval.point(F(1, 8) + F(1, 8))
+    assert oracle.localize((1,)).measure_bounds() == RatInterval.point(F(1, 4))
     # Off every site: empty.
-    assert oracle.local_bounds((1, 1), 0) == RatInterval.point(F(0))
+    assert oracle.localize((1, 1)).measure_bounds() == RatInterval.point(F(0))
 
 
 def _random_graft_part(rng, nesting):
@@ -203,10 +205,10 @@ def test_spine_prefix_constant_rate_on_spine():
     piece = ClopenOracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     for m in range(8):
-        assert oracle.local_bounds((0,) * m, 0) == RatInterval.point(F(1, 4))
+        assert oracle.localize((0,) * m).measure_bounds() == RatInterval.point(F(1, 4))
     # Beyond the first 1 the piece takes over.
-    assert oracle.local_bounds((0, 0, 1, 0, 0), 0) == RatInterval.point(F(1))
-    assert oracle.local_bounds((0, 1, 1), 0) == RatInterval.point(F(0))
+    assert oracle.localize((0, 0, 1, 0, 0)).measure_bounds() == RatInterval.point(F(1))
+    assert oracle.localize((0, 1, 1)).measure_bounds() == RatInterval.point(F(0))
 
 
 def test_spine_prefix_certificates():
@@ -298,7 +300,7 @@ def test_certified_oscillation_matches_pairwise_search():
     traces += [_mixed_trace(rng) for _ in range(500)]
     oracle = second_reduction(ExplicitTree.full_binary())
     for base in (Branch((), (1,)), Branch((), (1, 0)), Branch((), (1, 1, 0))):
-        traces.append(list(oracle.trace(StretchedBranch(base), 78)))
+        traces.append(list(bounds_along_by_depths(oracle, StretchedBranch(base), 0, 79, 16)))
     table = {
         word: F(1, 7) if word.count(1) % 2 else F(5, 6)
         for length in range(1, 7)
@@ -306,7 +308,7 @@ def test_certified_oscillation_matches_pairwise_search():
     }
     oracle = OffspringOracle(ExplicitTree.full_binary(), ExplicitLabels(table, default=F(1, 3)))
     for base in (Branch((), (1,)), Branch((), (1, 0))):
-        bounds = list(oracle.trace(StretchedBranch(base), 60))
+        bounds = list(bounds_along_by_depths(oracle, StretchedBranch(base), 0, 61, 16))
         assert not all(is_dyadic(end) for b in bounds for end in (b.lo, b.hi))
         traces.append(bounds)
     found = 0
@@ -338,10 +340,10 @@ def test_compose_grafts_and_complements():
         [((0,), ClopenOracle(ClopenSet.full())), ((1,), ClopenOracle(ClopenSet.empty()))]
     )
     assert plain.measure_bounds() == RatInterval.point(F(1, 2))
-    assert plain.local_bounds((0,), 0) == RatInterval.point(F(1))
+    assert plain.localize((0,)).measure_bounds() == RatInterval.point(F(1))
     flipped = ComplementOracle(GraftedUnionOracle([((0,), ClopenOracle(ClopenSet.full()))]))
     assert flipped.measure_bounds() == RatInterval.point(F(1, 2))
-    assert flipped.local_bounds((0, 1), 0) == RatInterval.point(F(0))
+    assert flipped.localize((0, 1)).measure_bounds() == RatInterval.point(F(0))
     with pytest.raises(ValueError):
         GraftedUnionOracle([((0,), plain), ((0, 1), plain)])
 
@@ -356,7 +358,8 @@ def test_segment_oracle_reads_the_lex_first_piece():
         segment = SegmentOracle(m)
         piece = ClopenOracle(piece_of_measure(m))
         word = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 17)))
-        assert segment.local_bounds(word, 0) == piece.local_bounds(word, 0), (m, word)
+        assert (segment.localize(word).measure_bounds()
+                == piece.localize(word).measure_bounds()), (m, word)
         head = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 17)))
         cycle = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
         point = Branch(head, cycle)
@@ -482,7 +485,8 @@ def test_exact_traces_match_independent_references():
         if rng.random() < 0.2:
             point = StretchedBranch(point)
         word = point.prefix(119)
-        trace = list(oracle_from_spec(doc).trace(point, 119))
+        runs = oracle_from_spec(doc).bound_runs(point, 0, 120)
+        trace = [bounds for bounds, count in runs for _ in range(count)]
         expected = [RatInterval.point(reference(word[:n])) for n in range(120)]
         assert trace == expected, (doc, point)
 

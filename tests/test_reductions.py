@@ -11,12 +11,11 @@ from cantordensity.approx import (
     AffineImagePresentation,
     ConstantPresentation,
     InjectivePresentation,
-    canonical_parts,
     nudged_parts,
 )
 from cantordensity.branches import Branch, StretchedBranch
 from cantordensity.dualistic import solid_countable_range
-from cantordensity.dyadics import RatInterval, dyadic_of_rank
+from cantordensity.dyadics import RatInterval, dyadic_of_rank, least_dyadic_parts
 from cantordensity.offspring import ExplicitLabels, OffspringOracle
 from cantordensity.reductions import (
     EXPLORED_NODES,
@@ -121,7 +120,7 @@ def test_tail_alternation_parity_law(presentation):
         while head and head[-1] == 0:
             head = head[:-1]
             zeros += 1
-        middle = canonical_parts(presentation, head)
+        middle = least_dyadic_parts(*presentation.presented_numerators(head))
         below, above = (nudged_parts(*middle, len(head) + 2, up) for up in (False, True))
         expected = below if zeros % 2 == 0 else above
         assert labels.label(t) == dyadic_value(expected)
@@ -185,8 +184,8 @@ def test_offspring_asks_each_node_once():
 
     oracle = OffspringOracle(ExplicitTree.full_binary(), CountedParity())
     point = StretchedBranch(Branch((), (1, 0)))
-    reference = list(second_reduction(ExplicitTree.full_binary()).trace(point, 40, window=12))
-    assert list(oracle.trace(point, 40, window=12)) == reference
+    reference = second_reduction(ExplicitTree.full_binary()).bound_runs(point, 0, 41, window=12)
+    assert list(oracle.bound_runs(point, 0, 41, window=12)) == list(reference)
     assert asked
     assert max(asked.values()) == 1
 
@@ -452,7 +451,8 @@ def test_solid_injective_greedy_assignment():
     assignments = dict(built.assignments)
     deep = (0,) * 9
     assert deep not in assignments
-    assert body.labels.value_at(deep) == dyadic_value(canonical_parts(INJ, deep))
+    canonical = least_dyadic_parts(*INJ.presented_numerators(deep))
+    assert body.labels.value_at(deep) == dyadic_value(canonical)
     assert body.labels.value_at((0, 0, 0)) == assignments[(0, 0, 0)]
 
 
@@ -522,7 +522,9 @@ def test_uniformity_full_product_is_unpruned():
     free = third_reduction(HALF, ExplicitTree.full_binary())
     samples = list(words_up_to(3)) + [(1,) * 10, (0,) * 10, (1, 0, 1, 1, 0, 0, 1)]
     for word in samples:
-        assert pruned.local_bounds(word, 12) == free.local_bounds(word, 12)
+        lookahead = 12 - len(word)
+        assert (pruned.localize(word).measure_bounds(lookahead)
+                == free.localize(word).measure_bounds(lookahead))
 
 
 def test_uniformity_diagonal_prunes_to_spine():
@@ -530,7 +532,7 @@ def test_uniformity_diagonal_prunes_to_spine():
     assert pruned.tree.member((0, 0, 0, 0))
     assert not pruned.tree.member((1,))
     assert not pruned.tree.member((0, 1))
-    assert pruned.local_bounds((1,), 8) == RatInterval.point(F(0))
+    assert pruned.localize((1,)).measure_bounds(7) == RatInterval.point(F(0))
 
 
 def test_uniformity_agreement_on_shared_prefix():
@@ -538,7 +540,9 @@ def test_uniformity_agreement_on_shared_prefix():
     left = uniformity_pipeline(diagonal_triple_tree(5), Branch(shared, (0,)), HALF, 5)
     right = uniformity_pipeline(diagonal_triple_tree(5), Branch(shared, (1,)), HALF, 5)
     for word in [(), (0,), (0, 0), (1,), (0,) * 8]:
-        assert left.local_bounds(word, 15) == right.local_bounds(word, 15)
+        lookahead = 15 - len(word)
+        assert (left.localize(word).measure_bounds(lookahead)
+                == right.localize(word).measure_bounds(lookahead))
 
 
 def test_uniformity_rejects_flat_alphabet():

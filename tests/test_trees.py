@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import product
 from random import Random
 
@@ -18,7 +19,7 @@ from cantordensity.trees import (
 )
 from cantordensity.words import stretch
 
-from oracletools import unstretch_by_block_scan
+from oracletools import region_key_by_cuts, unstretch_by_block_scan
 
 
 def test_validation_catches_gaps():
@@ -170,6 +171,51 @@ def test_full_policy_bounds_only_finite_alphabets():
     ternary = ExplicitTree([()], {(): "full"}, arity=3)
     assert ternary.member((2, 0, 1))
     assert not ternary.member((3,)) and not ternary.member((0, -1))
+
+
+def test_region_key_looks_up_one_cut_per_leaf_depth():
+    # Under the policy leaf 1^400 of a chain no other cut can be a leaf, so
+    # a key costs at most three membership lookups (is the word an inner
+    # node, is the cut at depth 400 a leaf), not two per prefix of the word.
+    lookups = Counter()
+
+    class Nodes(frozenset):
+        def __contains__(self, word):
+            lookups["nodes"] += 1
+            return frozenset.__contains__(self, word)
+
+    class Policies(dict):
+        def __contains__(self, word):
+            lookups["policies"] += 1
+            return dict.__contains__(self, word)
+
+    tree = ExplicitTree([(1,) * n for n in range(401)], {(1,) * 400: "full"})
+    tree.nodes, tree.policies = Nodes(tree.nodes), Policies(tree.policies)
+    for word, key in (((1,) * 401 + (0,), ("full",)), ((1,) * 200 + (0,), DEAD),
+                      ((1,) * 400, ("full",)), ((1,) * 399, ("node", (1,) * 399))):
+        lookups.clear()
+        assert tree.region_key(word) == key
+        assert sum(lookups.values()) <= 3, (len(word), lookups)
+
+
+def test_region_key_matches_the_cut_walk():
+    # Random binary trees and natural-number trees with stop and fan_stop
+    # leaves, on words that stay on the tree, leave it, or run past a
+    # leaf, and a chain whose one leaf sits deep.
+    rng = Random(3105)
+    trees = [_random_presentation(rng, arity) for arity in (2, None) for _ in range(40)]
+    trees += [random_tree(rng, 4) for _ in range(20)]
+    trees.append(ExplicitTree([(1,) * n for n in range(41)], {(1,) * 40: periodic((1, 0))}))
+    compared = 0
+    for tree in trees:
+        letters = 4 if tree.arity is None else tree.arity
+        leaves = sorted(tree.policies)
+        for _ in range(100):
+            word = rng.choice(leaves)[:rng.randrange(50)]
+            word += tuple(rng.randrange(letters) for _ in range(rng.randrange(6)))
+            assert tree.region_key(word) == region_key_by_cuts(tree, word), (tree.policies, word)
+            compared += 1
+    assert compared == 10_100
 
 
 def test_accepts_branch_exact():

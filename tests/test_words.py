@@ -3,12 +3,11 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantordensity.branches import Branch, StretchedBranch
+from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.words import (
     bits_to_runs,
     decode_head,
     deinterleave,
-    interleave,
     is_prefix,
     order_at_depth,
     runs_to_bits,
@@ -65,15 +64,21 @@ def test_decode_head_ignores_trailing_zeros():
 
 
 def test_interleave_examples():
-    assert interleave((1, 0), (0, 1)) == (1, 0, 0, 1)
-    assert interleave((1, 0, 1), (0, 1)) == (1, 0, 0, 1, 1)
-    assert interleave((), ()) == ()
+    assert deinterleave((1, 0, 0, 1)) == ((1, 0), (0, 1))
+    assert deinterleave((1, 0, 0, 1, 1)) == ((1, 0, 1), (0, 1))
+    assert deinterleave(()) == ((), ())
+    woven = interleave_branches(Branch((1,), (0,)), Branch((), (0, 1)))
+    assert woven.prefix(7) == (1, 0, 0, 1, 0, 0, 0)
 
 
 @given(binary_words)
 def test_deinterleave_undoes_interleave(word):
+    # The even slots are one letter longer or as long as the odd ones, and
+    # alternating them letter by letter gives the word back.
     evens, odds = deinterleave(word)
-    assert interleave(evens, odds) == word
+    assert len(evens) - len(odds) in (0, 1)
+    pairs = itertools.zip_longest(evens, odds)
+    assert tuple(letter for pair in pairs for letter in pair if letter is not None) == word
 
 
 def test_triangular_and_order():
