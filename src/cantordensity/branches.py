@@ -17,6 +17,8 @@ from typing import Iterator
 
 from .words import Word, order_at_depth, stretch, triangular
 
+MAX_WOVEN = 1 << 20
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -99,10 +101,14 @@ def interleave_branches(x: Branch, y: Branch) -> Branch:
     """The stream alternating the two inputs, ``x`` on even positions.
 
     Eventually periodic again: past both heads one combined period
-    covers the lcm of the two cycle lengths.
+    covers the lcm of the two cycle lengths. A woven head and cycle of
+    over ``MAX_WOVEN`` letters is refused before any prefix is built.
     """
     m = max(len(x.head), len(y.head))
     n = m + lcm(len(x.cycle), len(y.cycle))
+    if 2 * n > MAX_WOVEN:
+        raise ValueError(f"interleaved stream too long: {2 * n} letters of head and cycle, "
+                         f"over {MAX_WOVEN}")
     woven = tuple(chain.from_iterable(zip(x.prefix(n), y.prefix(n))))
     return Branch(woven[:2 * m], woven[2 * m:])
 

@@ -14,9 +14,10 @@ read off the base-4 digits of r. Larger measures take a clopen chunk
 carved from the second family plus such a remainder set.
 
 All oracles in this module are exact: localized measures come out as
-point intervals at every budget, through closed-form geometric-series
-arithmetic on base-4 digits read off the measure's numerator and
-denominator by integer shifts and remainders, never by enumeration.
+point intervals at every budget, never by enumeration. Along the zero
+spine the spongy set carries r = p/q as one integer x moved by the
+base-4 shift map x -> 4x mod q, the quotient being the next digit, so
+each step costs one division and no digit is read twice.
 """
 
 from __future__ import annotations
@@ -65,73 +66,47 @@ def second_family_words(max_length: int) -> list[Word]:
 class SpongyMeasureOracle(MeasureOracle):
     """The set union over n >= 1 of 0^n 1^n ^ D(f(n)), measure r <= 1/3.
 
-    f comes from the greedy base-4 digits d_1 d_2 ... of r: writing h
-    for the first position with digit 0 (which exists for r < 1/3),
-    f(n) = 1 for n < h and f(n) = d_(n+1)/4 from h on. At r = 1/3 the
-    digits are all 1 and f is constantly 1. Tail sums collapse to
-    digit-prefix arithmetic, so every localized measure is a closed
-    form; nothing depends on the digit cycle length.
+    f comes from the greedy base-4 digits d_1 d_2 ... of r = p/q: writing h
+    for the first position with digit 0 (which exists for r < 1/3; at
+    r = 1/3 the digits are all 1 and h is infinite), f(n) = 1 for n < h
+    and f(n) = d_(n+1)/4 from h on. Below 0^z the state is (x, lead) with
+    x/q = frac(4^z r) and lead = [z < h]: a 0 step is the base-4 shift,
+    d_(z+1), x' = divmod(4x, q), and lead stays while the digit is not 0.
+    The grafts left below 0^z sum to T(z) = sum over n >= z of f(n) 4^-n,
+    and 4^z T(z) = [z < h] + frac(4^z r) (the 1-digits before h sum to
+    the geometric head), so the localized measure 2^z T(z) is
+    (lead q + x) / (q 2^z) for z >= 1; the root answers r itself.
     """
 
     def __init__(self, measure: Fraction):
         if not (ZERO <= measure <= THIRD):
             raise ValueError(f"measure must be in [0, 1/3]: {measure}")
         self.measure = measure
-        self.h = None if measure == THIRD else self._first_zero_digit()
-        # Leading zeros read so far: child steps walk down the spine.
-        self.zeros = 0
+        # Leading zeros read so far, and the shift state below them.
+        self.zeros, self.x, self.lead = 0, measure.numerator, True
 
-    def _digit(self, j: int) -> int:
-        return (self.measure.numerator << 2 * j) // self.measure.denominator % 4
-
-    def _first_zero_digit(self) -> int:
-        j = 1
-        while True:
-            d = self._digit(j)
-            if d == 0:
-                return j
-            if d != 1:
-                raise AssertionError("digits of a value below 1/3 are 1s before the first 0")
-            j += 1
-
-    def piece_measure(self, n: int) -> Fraction:
-        """f(n), the measure of the piece behind 0^n 1^n."""
-        if n < 1:
-            raise ValueError("pieces are indexed from 1")
-        if self.h is None or n < self.h:
-            return ONE
-        return Fraction(self._digit(n + 1), 4)
-
-    def tail_sum(self, m: int) -> Fraction:
-        """Sum over n >= m of f(n) 4^-n, exactly (m >= 1)."""
-        if m < 1:
-            raise ValueError("the series starts at n = 1")
-        if self.h is None:
-            return Fraction(4, 3) * Fraction(1, 4**m)
-        start = max(m, self.h)
-        # Digits from position start+1 on are the base-4 tail of r = p/q.
-        p, q = self.measure.numerator, self.measure.denominator
-        tail = Fraction((p << 2 * start) % q, q << 2 * start)
-        if m < self.h:
-            tail += (Fraction(4, 4**m) - Fraction(4, 4**self.h)) / 3
-        return tail
+    def piece_measure(self) -> Fraction:
+        """f(zeros), the measure of the piece behind 0^n 1^n for n = zeros >= 1."""
+        return ONE if self.lead else Fraction(4 * self.x // self.measure.denominator, 4)
 
     def child(self, letter: int) -> MeasureOracle:
         if letter == 0:
+            digit, x = divmod(4 * self.x, self.measure.denominator)
             inner = object.__new__(SpongyMeasureOracle)
-            inner.measure, inner.h, inner.zeros = self.measure, self.h, self.zeros + 1
+            inner.measure, inner.zeros, inner.x = self.measure, self.zeros + 1, x
+            inner.lead = self.lead and digit != 0
             return inner
         n = self.zeros
         if n == 0:
             return EMPTY_SEGMENT
         # Past 0^n 1 only the graft at 0^n 1^n meets the cylinder.
-        return GraftedUnionOracle([((1,) * (n - 1), SegmentOracle(self.piece_measure(n)))])
+        return GraftedUnionOracle([((1,) * (n - 1), SegmentOracle(self.piece_measure()))])
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
         if not self.zeros:
-            # tail_sum(1) is the whole series, leading 1-digits included.
             return RatInterval.point(self.measure)
-        return RatInterval.point((1 << self.zeros) * self.tail_sum(self.zeros))
+        q = self.measure.denominator
+        return RatInterval.point(Fraction(self.lead * q + self.x, q << self.zeros))
 
     def tail_certificate(self, point, effort: int) -> TailCertificate | None:
         # The certificates below read the point from the root.
@@ -150,7 +125,8 @@ class SpongyMeasureOracle(MeasureOracle):
         m = next(runs)[1]
         if m is not None and m < n:
             return TailCertificate(RatInterval.point(ZERO), n + m + 1)
-        return entered_certificate(SegmentOracle(self.piece_measure(n)), point, 2 * n, effort)
+        piece = self.localize((0,) * n).piece_measure()
+        return entered_certificate(SegmentOracle(piece), point, 2 * n, effort)
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ class ClopenOracle(MeasureOracle):
         # Once the prefix is as long as the deepest word, the localized
         # set is full or empty and stays that way.
         depth = self.piece.depth
-        return TailCertificate(next(self.bound_runs(point, depth, depth + 1))[0], depth)
+        return TailCertificate(self.localize(point.prefix(depth)).measure_bounds(), depth)
 
 
 def segment_step(a: int, k: int, letter: int) -> tuple[int, int]:
@@ -344,7 +344,7 @@ class SegmentOracle(MeasureOracle):
         return RatInterval.point(Fraction(self.a, 1 << self.k))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
-        return TailCertificate(next(self.bound_runs(point, self.k, self.k + 1))[0], self.k)
+        return TailCertificate(self.localize(point.prefix(self.k)).measure_bounds(), self.k)
 
 
 EMPTY_SEGMENT = SegmentOracle(ZERO)

@@ -32,19 +32,27 @@ guard and some past it, and after them 24 deep ``classify`` calls at
 reductions along 1^w, (10)^w and stretched points, whose cross-checks
 walk up to 125 250 letters to their start, and clopen and
 countable-range sets whose certificates start inside a long run of
-their point. The script writes the documents to a
+their point, then 16 deep spongy calls: ``classify`` along
+0^n 1^n 0^w and ``trace`` of 3 000 to 5 000 steps along 0^w on
+dualistic sets, below and above 1/3, whose spongy rates have their
+first zero base-4 digit at 20, 40 or 60, and along 0^n 1^n 1 0^w into
+such a rate's piece on countable-range sets of non-dyadic values. The
+script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
 each call prints the same stdout and stderr and ends with the same exit
 code under both roots, and 1 naming the calls that differ.
 
-A child run (``--run ROOT CASES``) prints one JSON line per call.
+A child run (``--run ROOT CASES``) prints one JSON line per call: the
+first 300 characters of its stdout with a SHA-256 digest of all of it,
+its stderr and its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -216,7 +224,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
-            + _stretched_image_cases(folder) + _deep_walk_cases(folder))
+            + _stretched_image_cases(folder) + _deep_walk_cases(folder) + _deep_spongy_cases(folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -400,6 +408,54 @@ def _deep_walk_cases(folder: Path) -> list[list[str]]:
     return out
 
 
+def _late_zero_rate(h: int) -> Fraction:
+    """A spongy rate below 1/3 whose first zero base-4 digit is the h-th:
+    h - 1 digits 1, then 0, then the digits of 2/7."""
+    return (1 - Fraction(1, 4 ** (h - 1))) / 3 + Fraction(2, 7) / 4**h
+
+
+# Dualistic sets whose spongy rate has its first zero digit at 20, 40 or 60,
+# alone (below 1/3) and beside the chunk of measure 1/2 (above 1/3), then
+# countable-range sets whose non-dyadic values include such rates.
+LATE_ZEROS = (20, 40, 60)
+SPONGY_DEEP_SETS = tuple({"kind": "dualistic", "measure": str(rate)} for h in LATE_ZEROS
+                         for rate in (_late_zero_rate(h), Fraction(1, 2) + _late_zero_rate(h)))
+# (values, n): the n-th value is one of those rates.
+SPONGY_DEEP_RANGES = (
+    ([str(_late_zero_rate(20)), "2/7", str(Fraction(1, 2) + _late_zero_rate(40))], 3),
+    (["3/5", "1/3", str(_late_zero_rate(60)), "5/7"], 3),
+)
+
+
+def _deep_spongy_cases(folder: Path) -> list[list[str]]:
+    """``trace`` of 3 000 to 5 000 steps and ``classify`` on sets whose
+    spongy parts step past their first zero digit: dualistic sets along
+    0^w and along 0^n 1^n 0^w for n one before, at or one past that
+    digit; countable-range sets along the designated point 0^n 1^n 0^w of
+    such a rate and along 0^n 1^n 1 0^w, which walks its piece's spine."""
+    def document(name: str, doc: dict) -> str:
+        path = folder / f"spongy-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def zeros_after(head: str) -> str:
+        return document(f"branch-{len(head)}-{head.count('1')}", {"kind": "ev_periodic", "head": head,
+                                                                     "period": "0"})
+    out = []
+    for index, doc in enumerate(SPONGY_DEEP_SETS):
+        set_path, n = document(f"set{index}", doc), LATE_ZEROS[index // 2] - 1 + index % 3
+        out.append(["trace", "--set", set_path, "--branch", zeros_after(""),
+                    "--steps", str(3000 + 400 * index)])
+        out.append(["classify", "--set", set_path, "--branch", zeros_after("0" * n + "1" * n),
+                    "--max-depth", "200"])
+    for index, (values, n) in enumerate(SPONGY_DEEP_RANGES):
+        set_path = document(f"range{index}", {"kind": "countable-range", "values": values})
+        site = "0" * n + "1" * n
+        out.append(["classify", "--set", set_path, "--branch", zeros_after(site), "--max-depth", "120"])
+        out.append(["trace", "--set", set_path, "--branch", zeros_after(site + "1"), "--steps", "4000"])
+    return out
+
+
 def run_calls(root: Path, calls: list[list[str]]) -> None:
     """Run each call in-process against root's sources; one JSON line each."""
     sys.path.insert(0, str(root / "src"))
@@ -414,7 +470,11 @@ def run_calls(root: Path, calls: list[list[str]]) -> None:
                 code = 0
             except SystemExit as done:
                 code = done.code or 0
-        print(json.dumps({"out": stdout.getvalue(), "err": stderr.getvalue(), "code": code}))
+        # A digest stands for the whole stdout, so that the deep traces' megabytes
+        # of output are not held twice per call by the comparing process.
+        out = stdout.getvalue()
+        print(json.dumps({"out": [out[:300], hashlib.sha256(out.encode()).hexdigest()],
+                          "err": stderr.getvalue(), "code": code}))
 
 
 def _results(root: Path, cases: Path) -> list[dict]:

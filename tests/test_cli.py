@@ -17,6 +17,7 @@ import pytest
 from clirunner import invoke
 
 from cantordensity import jsonio, offspring
+from cantordensity.branches import Branch, interleave_branches
 from cantordensity.cli import main
 from cantordensity.dyadics import RatInterval
 from cantordensity.oracles import ClopenOracle, MeasureOracle, TailCertificate, Verdict
@@ -107,6 +108,34 @@ def test_domain_error_exits_one_with_module_message(tmp_path):
     result = invoke("measure", "--set", spec)
     assert result.exit_code == 1
     assert "measure must be in (0;1): 3/2" in result.stderr
+
+
+def test_long_interleave_exits_one_before_weaving(tmp_path, monkeypatch):
+    # Coprime cycles of 1 023 and 1 024 letters weave into 2 * lcm =
+    # 2 095 104 letters, over the cap of 2^20: refused before any prefix
+    # of either stream is built.
+    built = []
+    prefix = Branch.prefix
+
+    def counted(self, n):
+        built.append(n)
+        return prefix(self, n)
+
+    monkeypatch.setattr(Branch, "prefix", counted)
+    spec = write(tmp_path / "set.json", {"kind": "clopen", "words": ["1"]})
+    x = {"kind": "ev_periodic", "period": "0" * 1022 + "1"}
+    y = {"kind": "ev_periodic", "period": "1" * 1023 + "0"}
+    branch = write(tmp_path / "branch.json", {"kind": "interleave", "x": x, "y": y})
+    result = invoke("trace", "--set", spec, "--branch", branch, "--steps", "3")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "interleaved stream too long: 2095104 letters of head and cycle, over 1048576\n"
+    assert built == []
+    # At the cap the stream is woven; one head letter more is refused.
+    woven = interleave_branches(Branch((), (0,) * (1 << 19)), Branch((), (1,)))
+    assert len(woven.head) + len(woven.cycle) == 1 << 20
+    with pytest.raises(ValueError, match="1048578 letters"):
+        interleave_branches(Branch((1,), (0,) * (1 << 19)), Branch((), (1,)))
 
 
 def test_contradicted_certificate_exits_one_without_traceback(tmp_path, monkeypatch):

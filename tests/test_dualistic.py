@@ -68,7 +68,7 @@ PROFILE_GOLDENS = {
 def test_piece_profiles_match_frozen_values():
     for rate, pieces in PROFILE_GOLDENS.items():
         oracle = SpongyMeasureOracle(rate)
-        assert [oracle.piece_measure(n) for n in (1, 2, 3, 4)] == pieces
+        assert [oracle.localize((0,) * n).piece_measure() for n in (1, 2, 3, 4)] == pieces
         assert spongy_digit_pieces(rate, 4) == pieces
 
 
@@ -110,8 +110,9 @@ def test_spongy_measure_equals_series(rate):
 
 
 def test_spongy_root_bound_is_the_whole_series():
-    # The root answers with the measure itself: tail_sum(1) sums the
-    # whole series, the leading 1-digits included, so the two agree.
+    # The root answers with the measure itself, and the two halves below
+    # it average to that: below 0 the shift state's 1 + frac(4r) counts
+    # the leading 1-digits, below 1 nothing is grafted.
     # Rates with a late first zero digit run long 1-digit heads.
     rng = random.Random(130)
     rates = [THIRD, F(0)]
@@ -126,15 +127,17 @@ def test_spongy_root_bound_is_the_whole_series():
             rates.append(head + tail)
     for rate in rates:
         oracle = SpongyMeasureOracle(rate)
-        assert oracle.measure_bounds() == RatInterval.point(oracle.tail_sum(1)), rate
+        halves = [oracle.child(letter).measure_bounds().lo for letter in (0, 1)]
+        assert oracle.measure_bounds() == RatInterval.point(sum(halves) / 2), rate
         assert oracle.measure_bounds() == RatInterval.point(rate)
 
 
-
 def test_integer_digits_match_fraction_formulas():
-    # (p << 2j) // q % 4 and the remainder (p << 2s) % q over q << 2s must
-    # read what Fraction scaling reads, for rates with long 1-digit heads
-    # and for exact quarters.
+    # Below 0^m the base-4 shift state must give the piece f(m) that
+    # Fraction scaling of the digits reads, at every depth down to the
+    # deepest checked, and 2^m times the series tail at depth 1, at the
+    # first zero digit and at a random depth up to 40, for rates with
+    # long 1-digit heads and for exact quarters.
     rng = random.Random(1804)
     rates = [F(0), F(1, 4), F(5, 16)]
     while len(rates) < 2000:
@@ -146,12 +149,22 @@ def test_integer_digits_match_fraction_formulas():
             head = (1 - F(1, 4 ** (first_zero - 1))) / 3
             rates.append(head + F(rng.randrange(1 << 30), 1 << 30) / 4**first_zero)
     for rate in rates:
+        if rate == THIRD:
+            continue
         oracle = SpongyMeasureOracle(rate)
-        for j in (*range(1, 9), rng.randrange(9, 41)):
-            assert oracle._digit(j) == base4_digit_reference(rate, j), (rate, j)
-        if rate < THIRD:
-            for m in (1, oracle.h, rng.randrange(1, 41)):
-                assert oracle.tail_sum(m) == spongy_tail_sum_reference(rate, m), (rate, m)
+        first_zero = 1
+        while base4_digit_reference(rate, first_zero):
+            first_zero += 1
+        depths = (1, first_zero, rng.randrange(1, 41))
+        # walk[m] is the localization at 0^m.
+        walk = [oracle]
+        for _ in range(max(8, *depths)):
+            walk.append(walk[-1].child(0))
+        pieces = spongy_digit_pieces(rate, len(walk) - 1)
+        assert [below.piece_measure() for below in walk[1:]] == pieces, rate
+        for m in depths:
+            tail = spongy_tail_sum_reference(rate, m)
+            assert walk[m].measure_bounds() == RatInterval.point(2**m * tail), (rate, m)
 
 
 def test_spine_bounds_read_the_prescribed_values():
@@ -338,7 +351,7 @@ def test_solid_range_rejects_duplicates_and_bad_values():
 def test_graft_series_oracle_frozen_measures():
     third = SpongyMeasureOracle(F(1, 3))
     assert third.measure_bounds() == RatInterval.point(F(1, 3))
-    assert all(third.piece_measure(n) == 1 for n in range(1, 6))
+    assert all(third.localize((0,) * n).piece_measure() == 1 for n in range(1, 6))
     assert SpongyMeasureOracle(F(1, 4)).measure_bounds() == RatInterval.point(F(1, 4))
     assert SpongyMeasureOracle(F(1, 8)).measure_bounds() == RatInterval.point(F(1, 8))
 
