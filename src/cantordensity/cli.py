@@ -291,7 +291,8 @@ def _suite_dualistic_measure(rng: Random, cases: int) -> list[str]:
             local = built.oracle.localize((0,) * m).measure_bounds(0)
             bound = Fraction(4, 3) / (1 << m)
             if built.clopen_part is not None:
-                bound += ClopenOracle(built.clopen_part).localize((0,) * m).measure_bounds(0).hi
+                chunk = ClopenOracle(["".join(map(str, w)) for w in built.clopen_part.words])
+                bound += chunk.localize((0,) * m).measure_bounds(0).hi
             if local.hi > bound or local.width != 0:
                 failures.append(f"case {index}: spine bound broken at depth {m}")
                 break

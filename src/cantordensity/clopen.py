@@ -6,8 +6,10 @@ covering the set, where no word extends another and no two sibling words
 are both present (siblings merge into their parent). Two clopen sets are
 equal exactly when they hold the same points, and the dataclass equality
 on the canonical form coincides with that. Words sort alike as binary
-tuples and as "01" strings, so one loop canonicalizes either, and
-strings from documents become tuples only once their antichain is kept.
+tuples and as "01" strings, so one loop, ``canonical_antichain``,
+canonicalizes either. A clopen document's strings stay strings: their
+antichain is the sorted table that ``oracles.ClopenOracle`` walks views
+of, and no document builds a ``ClopenSet``.
 
 The antichain is sorted, which for an antichain is the left-to-right
 order of the cylinders. Every operation is one pass in that order that
@@ -22,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .words import DIGIT_VALUES, Word
-
-_FULL_WORDS: tuple[Word, ...] = ((),)
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ClopenSet:
     words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(_normalize(self.words)))
+        object.__setattr__(self, "words", tuple(canonical_antichain(self.words)))
 
     @staticmethod
     def from_words(generators: tuple[Word, ...] | list[Word]) -> "ClopenSet":
@@ -40,27 +40,16 @@ class ClopenSet:
         return ClopenSet(generators)
 
     @staticmethod
-    def from_digits(strings: list[str]) -> "ClopenSet":
-        """The set covered by words given as "01" strings, canonicalized first."""
-        return _canonical(tuple(tuple(w.encode().translate(DIGIT_VALUES)) for w in _normalize(strings)))
-
-    @staticmethod
     def empty() -> "ClopenSet":
         return _canonical(())
 
     @staticmethod
     def full() -> "ClopenSet":
-        return _canonical(_FULL_WORDS)
+        return _canonical(((),))
 
     @staticmethod
     def cylinder(word: Word) -> "ClopenSet":
         return _canonical((tuple(word),))
-
-    def is_empty(self) -> bool:
-        return not self.words
-
-    def is_full(self) -> bool:
-        return self.words == _FULL_WORDS
 
     @property
     def depth(self) -> int:
@@ -70,14 +59,6 @@ class ClopenSet:
     def measure(self) -> Fraction:
         depth = self.depth
         return Fraction(sum(1 << (depth - len(w)) for w in self.words), 1 << depth)
-
-    def half(self, letter: int) -> "ClopenSet":
-        """The localization below ``letter``: the tails of the words starting with it."""
-        if self.is_full():
-            return self
-        split = bisect_left(self.words, (1,))
-        words = self.words[split:] if letter else self.words[:split]
-        return _canonical(tuple(w[1:] for w in words))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet.from_words(self.words + other.words)
@@ -151,7 +132,7 @@ def _canonical(words: tuple[Word, ...]) -> ClopenSet:
     return clopen
 
 
-def _normalize(generators: tuple | list) -> list:
+def canonical_antichain(generators: tuple | list) -> list:
     """The minimal antichain covering the cylinders of binary words, given
     as tuples or as "01" strings. In sorted order a word extending a kept
     word comes right after it, and a right sibling right after its left

@@ -163,7 +163,8 @@ def dualistic_of_measure(r: Fraction) -> DualisticSet:
     d = Fraction(numerator, 1 << exponent)
     chunk = _second_family_chunk(d)
     remainder = r - d
-    oracle = DisjointSumOracle([ClopenOracle(chunk), SpongyMeasureOracle(remainder)])
+    words = ["".join(map(str, w)) for w in chunk.words]
+    oracle = DisjointSumOracle([ClopenOracle(words), SpongyMeasureOracle(remainder)])
     return DualisticSet(
         measure=r,
         clopen_part=chunk,

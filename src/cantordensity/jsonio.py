@@ -19,7 +19,9 @@ Conventions: rationals are reduced "p/q" strings, parsed by
 ``fraction_from_spec``; words are digit strings ("" is the root), with
 integer arrays also accepted for natural-number words (a clopen array of
 "01" strings is checked in one pass over its joined text, any other is
-read word by word, so the first bad word names the error); every record
+read word by word, so the first bad word names the error, and written
+back as "01" strings: a clopen document is kept as the canonical
+antichain of its strings, with no set built); every record
 this module emits formats rationals the same way, and ``trace_lines``
 formats a run of one interval object once and gives its lines as a few texts.
 
@@ -226,10 +228,9 @@ def oracle_from_spec(doc) -> MeasureOracle:
             binary = not "".join(raw).translate(_NOT_BINARY)
         except TypeError:  # an entry that is not a string
             binary = False
-        if binary:
-            return ClopenOracle(cantordensity.clopen.ClopenSet.from_digits(raw))
-        words = [binary_word_from_spec(w, "clopen word") for w in raw]
-        return ClopenOracle(cantordensity.clopen.ClopenSet.from_words(words))
+        if not binary:
+            raw = ["".join(map(str, binary_word_from_spec(w, "clopen word"))) for w in raw]
+        return ClopenOracle(cantordensity.clopen.canonical_antichain(raw))
     if kind == "dualistic":
         import cantordensity.dualistic
         measure = fraction_from_spec(_require(doc, "measure"))

@@ -49,19 +49,19 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .branches import Branch, StretchedBranch
 from .dyadics import EMPTY_MASS, FULL_MASS, ONE, ZERO, RatInterval, dyadic_exponent
 from .words import Word, is_prefix
 
-if TYPE_CHECKING:
-    from .clopen import ClopenSet
-
 Point = Branch | StretchedBranch
 
 DEFAULT_WINDOW = 16
 CROSS_CHECK_STEPS = 20
+# Bits that a clopen oracle's prefix sums may hold in all, each up to its longest word's length.
+MAX_SUM_BITS = 1 << 26
 
 
 class BudgetExhausted(RuntimeError):
@@ -275,26 +275,56 @@ def _interleaved(ranked: list[tuple[int, int]], low: int, high: int) -> bool:
 
 
 class ClopenOracle(MeasureOracle):
-    """Exact oracle of a clopen set; bounds are always points."""
+    """Exact oracle of a clopen set; bounds are always points.
 
-    def __init__(self, piece: ClopenSet):
-        self.piece = piece
+    The root keeps the canonical antichain as sorted "01" strings, and
+    each localization is a view of it: a depth d and the index range of
+    the words below the view's word, cut from its parent's range by one
+    bisection on the letter at d. A view whose set is full or empty is
+    ``FULL_SEGMENT`` or ``EMPTY_SEGMENT`` instead. The root builds, for
+    the first bound asked, integer prefix sums of 2^(top - len(w)) for
+    the longest word's length top, and a view's bound is one difference
+    of them times 2^d. Past ``MAX_SUM_BITS`` bits of sums (many words
+    beside a long one) none are built, and a bound adds up its view.
+    """
+
+    def __init__(self, words: list[str]):
+        self.words = words
+        self.root, self.depth, self.lo, self.hi = self, 0, 0, len(words)
+
+    @cached_property
+    def sums(self) -> tuple[int, list[int] | None]:
+        top = max(map(len, self.words), default=0)
+        if len(self.words) * top > MAX_SUM_BITS:
+            return top, None
+        return top, [0, *accumulate(1 << (top - len(w)) for w in self.words)]
 
     def child(self, letter: int) -> MeasureOracle:
-        piece = self.piece.half(letter)
-        if piece.is_empty():
+        words, d, i, j = self.root.words, self.depth, self.lo, self.hi
+        if i == j or not words[i]:  # the empty set or the full one, at the root
+            return EMPTY_SEGMENT if i == j else FULL_SEGMENT
+        split = bisect_left(words, "1", i, j, key=itemgetter(d))
+        i, j = (split, j) if letter else (i, split)
+        if i == j:
             return EMPTY_SEGMENT
-        if piece.is_full():
+        if len(words[i]) == d + 1:  # a word that no other one extends
             return FULL_SEGMENT
-        return ClopenOracle(piece)
+        inner = object.__new__(ClopenOracle)
+        inner.root, inner.depth, inner.lo, inner.hi = self.root, d + 1, i, j
+        return inner
 
     def measure_bounds(self, budget: int = 0) -> RatInterval:
-        return RatInterval.point(self.piece.measure())
+        top, sums = self.root.sums
+        if sums is None:
+            total = sum(1 << (top - len(w)) for w in self.root.words[self.lo:self.hi])
+        else:
+            total = sums[self.hi] - sums[self.lo]
+        return RatInterval.point(Fraction(total << self.depth, 1 << top))
 
     def tail_certificate(self, point: Point, effort: int) -> TailCertificate | None:
         # Once the prefix is as long as the deepest word, the localized
         # set is full or empty and stays that way.
-        depth = self.piece.depth
+        depth = max(map(len, self.root.words[self.lo:self.hi]), default=self.depth) - self.depth
         return TailCertificate(self.localize(point.prefix(depth)).measure_bounds(), depth)
 
 

@@ -36,7 +36,12 @@ their point, then 16 deep spongy calls: ``classify`` along
 0^n 1^n 0^w and ``trace`` of 3 000 to 5 000 steps along 0^w on
 dualistic sets, below and above 1/3, whose spongy rates have their
 first zero base-4 digit at 20, 40 or 60, and along 0^n 1^n 1 0^w into
-such a rate's piece on countable-range sets of non-dyadic values. The
+such a rate's piece on countable-range sets of non-dyadic values, and
+last 42 calls on clopen documents of 2 000 to 20 000 words (one under
+the common prefix 0^40, one of integer arrays) and on the empty and
+the full set: ``measure`` at the root, at half a word and at prefixes
+that run past every word, ``trace`` of 60 steps and ``classify`` along
+points that enter a word or miss them all. The
 script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
@@ -224,7 +229,8 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
     for suite in VERIFY_SUITES:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
-            + _stretched_image_cases(folder) + _deep_walk_cases(folder) + _deep_spongy_cases(folder))
+            + _stretched_image_cases(folder) + _deep_walk_cases(folder) + _deep_spongy_cases(folder)
+            + _large_clopen_cases(Random(seed + 3), folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -453,6 +459,58 @@ def _deep_spongy_cases(folder: Path) -> list[list[str]]:
         site = "0" * n + "1" * n
         out.append(["classify", "--set", set_path, "--branch", zeros_after(site), "--max-depth", "120"])
         out.append(["trace", "--set", set_path, "--branch", zeros_after(site + "1"), "--steps", "4000"])
+    return out
+
+
+def _bits(rng: Random, length: int) -> str:
+    return format(rng.getrandbits(length), f"0{length}b") if length else ""
+
+
+def _large_clopen_documents(rng: Random) -> list[list]:
+    """Word lists of 2 000 to 20 000 words: random words of 8 to 24
+    letters with sibling families among them, 5 000 words under the
+    common prefix 0^40, 20 000 words of 20 to 30 letters, 3 000 words as
+    integer arrays, and the empty and the full set."""
+    mixed = [_bits(rng, rng.randrange(8, 25)) for _ in range(1800)]
+    for _ in range(50):
+        stem, depth = _bits(rng, rng.randrange(3, 12)), rng.randrange(1, 3)
+        mixed += [stem + format(k, "b").zfill(depth) for k in range(1 << depth)]
+    rng.shuffle(mixed)
+    prefixed = ["0" * 40 + _bits(rng, rng.randrange(10, 21)) for _ in range(5000)]
+    long = [_bits(rng, rng.randrange(20, 31)) for _ in range(20000)]
+    arrays = [[int(letter) for letter in _bits(rng, rng.randrange(6, 19))] for _ in range(3000)]
+    return [mixed, prefixed, long, arrays, [], [""]]
+
+
+def _large_clopen_cases(rng: Random, folder: Path) -> list[list[str]]:
+    """On each large clopen document: ``measure`` at the root, at half a
+    word and at prefixes that run past every word, one inside a word and
+    one off all of them, then ``trace`` of 60 steps and ``classify`` along
+    a point that enters a word and along one that misses every word."""
+    out = []
+    for index, raw in enumerate(_large_clopen_documents(rng)):
+        words = ["".join(map(str, w)) for w in raw]
+        set_path = folder / f"clopen-large{index}.json"
+        set_path.write_text(json.dumps({"kind": "clopen", "words": raw}), encoding="utf-8")
+        longest = max(map(len, words), default=0)
+        word = rng.choice(words) if words else ""
+        heads = [word + _bits(rng, rng.randrange(1, 6))]
+        for _ in range(200):  # past every word and off them all, leaving a word's prefix
+            stem = word[: rng.randrange(len(word) + 1)]
+            miss = stem + _bits(rng, longest + 1 - len(stem))
+            if not any(miss.startswith(w) for w in words):
+                heads.append(miss)
+                break
+        out.append(["measure", "--set", str(set_path)])
+        out.append(["measure", "--set", str(set_path), "--prefix", word[: len(word) // 2]])
+        for number, head in enumerate(heads):
+            out.append(["measure", "--set", str(set_path), "--prefix", head.ljust(longest + 3, "0")])
+            branch_path = folder / f"clopen-large{index}-branch{number}.json"
+            branch_path.write_text(json.dumps({"kind": "ev_periodic", "head": head,
+                                               "period": rng.choice(("0", "1", "01", "110"))}),
+                                   encoding="utf-8")
+            out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "60"])
+            out.append(["classify", "--set", str(set_path), "--branch", str(branch_path)])
     return out
 
 

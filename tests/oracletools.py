@@ -20,7 +20,7 @@ from cantordensity.branches import Branch
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import second_family_words
 from cantordensity.dyadics import RatInterval, format_fraction
-from cantordensity.oracles import DEFAULT_WINDOW
+from cantordensity.oracles import DEFAULT_WINDOW, ClopenOracle
 from cantordensity.reductions import (
     InterleavedAdjustedLabels,
     OnesParityLabels,
@@ -637,7 +637,7 @@ def certified_oscillation_reference(bounds):
 
 
 def _reference_halves(c: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
-    if c.is_full():
+    if c == ClopenSet.full():
         return c, c
     return tuple(ClopenSet.from_words([w[1:] for w in c.words if w[0] == letter])
                  for letter in (0, 1))
@@ -649,9 +649,9 @@ def _reference_graft(left: ClopenSet, right: ClopenSet) -> ClopenSet:
 
 def reference_complement(c: ClopenSet) -> ClopenSet:
     """The complement, by complementing the two halves and grafting them back."""
-    if c.is_empty():
+    if c == ClopenSet.empty():
         return ClopenSet.full()
-    if c.is_full():
+    if c == ClopenSet.full():
         return ClopenSet.empty()
     left, right = _reference_halves(c)
     return _reference_graft(reference_complement(left), reference_complement(right))
@@ -659,9 +659,9 @@ def reference_complement(c: ClopenSet) -> ClopenSet:
 
 def reference_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     """The intersection, half by half."""
-    if a.is_empty() or b.is_full():
+    if a == ClopenSet.empty() or b == ClopenSet.full():
         return a
-    if a.is_full() or b.is_empty():
+    if a == ClopenSet.full() or b == ClopenSet.empty():
         return b
     a0, a1 = _reference_halves(a)
     b0, b1 = _reference_halves(b)
@@ -707,3 +707,37 @@ def normalize_reference(generators) -> tuple:
             del kept[-2:]
             kept.append(last[:-1])
     return tuple(kept)
+
+
+def random_word_list(rng) -> list[tuple[int, ...]]:
+    """Up to a dozen random words with duplicates, covered extensions and
+    full sibling families (every word of 1 to 3 more letters below a
+    stem, which collapse level by level), shuffled; sometimes the empty
+    list, sometimes holding the empty word."""
+    if rng.randrange(20) == 0:
+        return []
+    words = [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
+             for _ in range(rng.randrange(1, 12))]
+    for _ in range(rng.randrange(3)):
+        stem = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+        depth = rng.randrange(1, 4)
+        family = [stem + tuple((k >> i) & 1 for i in range(depth)) for k in range(1 << depth)]
+        if rng.randrange(4) == 0:
+            family.pop(rng.randrange(len(family)))
+        words += family
+    words += [rng.choice(words) for _ in range(rng.randrange(3))]
+    words += [rng.choice(words) + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+              for _ in range(rng.randrange(3))]
+    if rng.randrange(25) == 0:
+        words.append(())
+    rng.shuffle(words)
+    return words
+
+
+def digit_words(clopen: ClopenSet) -> list[str]:
+    """A clopen set's canonical antichain as the "01" strings a clopen oracle keeps."""
+    return ["".join(map(str, w)) for w in clopen.words]
+
+
+def clopen_oracle(clopen: ClopenSet) -> ClopenOracle:
+    return ClopenOracle(digit_words(clopen))

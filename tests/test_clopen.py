@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from cantordensity.clopen import (
     ClopenSet,
-    _normalize,
+    canonical_antichain,
     subset_of_measure,
     union_all,
 )
+from cantordensity.dyadics import RatInterval
+from cantordensity.jsonio import oracle_from_spec
+from cantordensity.oracles import EMPTY_SEGMENT, FULL_SEGMENT, ClopenOracle
 from oracletools import (
     antichain_measure,
+    clopen_oracle,
+    digit_words,
     normalize_reference,
     piece_of_measure,
+    random_word_list,
     reference_complement,
     reference_intersect,
     reference_take_submass,
@@ -28,7 +34,7 @@ clopens = st.lists(words, max_size=8).map(ClopenSet.from_words)
 
 def test_normal_form_merges_siblings():
     c = ClopenSet.from_words([(0,), (1, 0), (1, 1)])
-    assert c.is_full()
+    assert c == ClopenSet.full()
     c2 = ClopenSet.from_words([(0, 1), (0, 0)])
     assert c2.words == ((0,),)
 
@@ -44,14 +50,24 @@ def test_constructor_keeps_the_canonical_antichain():
     assert raw.words == ((0,),)
     assert raw.measure() == F(1, 2)
     assert raw == ClopenSet.cylinder((0,))
-    assert ClopenSet(((1,), (0,))).is_full()
+    assert ClopenSet(((1,), (0,))) == ClopenSet.full()
+
+
+def _view_tails(view) -> tuple:
+    """The words of a clopen oracle's localization, cut at its depth, as tuples."""
+    return tuple(tuple(map(int, w[view.depth:])) for w in view.root.words[view.lo:view.hi])
 
 
 @given(clopens, clopens)
 def test_operations_build_canonical_sets(a, b):
-    # The operations skip renormalizing; their words must already be canonical.
-    for result in (a.half(0), a.half(1), a.complement(), a.intersect(b), a.union(b), a.difference(b)):
+    # The operations skip renormalizing; their words must already be canonical,
+    # and so must the tails below either letter of a clopen oracle's view.
+    for result in (a.complement(), a.intersect(b), a.union(b), a.difference(b)):
         assert ClopenSet(result.words).words == result.words
+    for letter in (0, 1):
+        view = clopen_oracle(a).child(letter)
+        if isinstance(view, ClopenOracle):
+            assert ClopenSet(_view_tails(view)).words == _view_tails(view)
 
 
 def test_measure_examples():
@@ -61,21 +77,21 @@ def test_measure_examples():
 
 
 def test_localize():
-    c = ClopenSet.from_words([(0, 1), (1, 0, 0)])
-    zero, one = c.half(0), c.half(1)
-    assert zero.words == ((1,),)
-    assert zero.half(1).is_full()
-    assert one.half(1).is_empty()
-    assert c.measure() == F(3, 8)
-    assert one.measure() == F(1, 4)
+    c = clopen_oracle(ClopenSet.from_words([(0, 1), (1, 0, 0)]))
+    zero, one = c.child(0), c.child(1)
+    assert _view_tails(zero) == ((1,),)
+    assert zero.child(1) is FULL_SEGMENT
+    assert one.child(1) is EMPTY_SEGMENT
+    assert c.measure_bounds() == RatInterval.point(F(3, 8))
+    assert one.measure_bounds() == RatInterval.point(F(1, 4))
 
 
 @given(clopens)
 def test_complement_partitions_measure(c):
     comp = c.complement()
     assert c.measure() + comp.measure() == 1
-    assert c.intersect(comp).is_empty()
-    assert c.union(comp).is_full()
+    assert c.intersect(comp) == ClopenSet.empty()
+    assert c.union(comp) == ClopenSet.full()
     assert comp.complement() == c
 
 
@@ -93,16 +109,17 @@ def test_difference(a, b):
 
 @given(clopens)
 def test_halves_average_to_measure(c):
-    left, right = c.half(0), c.half(1)
-    assert (left.measure() + right.measure()) / 2 == c.measure()
+    oracle = clopen_oracle(c)
+    left, right = (oracle.child(letter).measure_bounds().lo for letter in (0, 1))
+    assert (left + right) / 2 == c.measure() == oracle.measure_bounds().lo
 
 
 def test_piece_of_measure_examples():
     assert piece_of_measure(F(1, 2)).words == ((0,),)
     assert piece_of_measure(F(3, 4)).words == ((0,), (1, 0))
     assert piece_of_measure(F(1, 4)).words == ((0, 0),)
-    assert piece_of_measure(F(0)).is_empty()
-    assert piece_of_measure(F(1)).is_full()
+    assert piece_of_measure(F(0)) == ClopenSet.empty()
+    assert piece_of_measure(F(1)) == ClopenSet.full()
 
 
 @given(st.integers(0, 256))
@@ -140,7 +157,7 @@ def test_union_all():
 
 def test_piece_of_measure_is_the_greedy_piece():
     assert piece_of_measure(F(3, 4)) == ClopenSet.from_words([(0,), (1, 0)])
-    assert piece_of_measure(F(1)).is_full()
+    assert piece_of_measure(F(1)) == ClopenSet.full()
     assert piece_of_measure(F(1, 2)).words == ((0,),)
 
 
@@ -185,7 +202,7 @@ def test_deep_word_intersect():
     assert deep.intersect(zero).words == (DEEP,)
     assert zero.intersect(deep).words == (DEEP,)
     assert zero.intersect(deep).measure() == F(1, 2**1500)
-    assert ClopenSet.cylinder((1,)).intersect(deep).is_empty()
+    assert ClopenSet.cylinder((1,)).intersect(deep) == ClopenSet.empty()
 
 
 def test_deep_word_take_submass():
@@ -260,41 +277,16 @@ def test_one_pass_algebra_matches_the_recursion():
         assert taken == _taken_words(lambda: reference_take_submass(a, amount)), (note, amount)
 
 
-def _random_word_list(rng: Random) -> list[tuple[int, ...]]:
-    """Up to a dozen random words with duplicates, covered extensions and
-    full sibling families (every word of 1 to 3 more letters below a
-    stem, which collapse level by level), shuffled; sometimes the empty
-    list, sometimes holding the empty word."""
-    if rng.randrange(20) == 0:
-        return []
-    words = [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
-             for _ in range(rng.randrange(1, 12))]
-    for _ in range(rng.randrange(3)):
-        stem = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
-        depth = rng.randrange(1, 4)
-        family = [stem + tuple((k >> i) & 1 for i in range(depth)) for k in range(1 << depth)]
-        if rng.randrange(4) == 0:
-            family.pop(rng.randrange(len(family)))
-        words += family
-    words += [rng.choice(words) for _ in range(rng.randrange(3))]
-    words += [rng.choice(words) + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
-              for _ in range(rng.randrange(3))]
-    if rng.randrange(25) == 0:
-        words.append(())
-    rng.shuffle(words)
-    return words
-
-
 def test_one_loop_normalize_matches_the_stack_merge():
     # The same loop canonicalizes tuples and "01" strings, and a set read
     # from strings equals the set read from their tuples.
     rng = Random(2285)
     for _ in range(6000):
-        words = _random_word_list(rng)
+        words = random_word_list(rng)
         strings = ["".join(map(str, w)) for w in words]
         expected = normalize_reference(words)
-        assert tuple(_normalize(words)) == expected, words
-        assert tuple(_normalize(strings)) == tuple("".join(map(str, w)) for w in expected), words
-        from_strings = ClopenSet.from_digits(strings)
-        assert from_strings == ClopenSet.from_words(words), words
-        assert all(type(letter) is int for w in from_strings.words for letter in w)
+        assert tuple(canonical_antichain(words)) == expected, words
+        assert tuple(canonical_antichain(strings)) == tuple("".join(map(str, w)) for w in expected), words
+        from_strings = oracle_from_spec({"kind": "clopen", "words": strings})
+        assert from_strings.words == digit_words(ClopenSet.from_words(words)), words
+        assert all(type(w) is str for w in from_strings.words)

@@ -20,10 +20,11 @@ from cantordensity.dualistic import (
     solid_countable_range,
 )
 from cantordensity.dyadics import RatInterval, is_dyadic
-from cantordensity.oracles import ClopenOracle, ComplementOracle, SegmentOracle, SpinePrefixOracle
+from cantordensity.oracles import ComplementOracle, SegmentOracle, SpinePrefixOracle
 from oracletools import (
     antichain_measure,
     base4_digit_reference,
+    clopen_oracle,
     second_family_chunk_reference,
     spongy_digit_pieces,
     spongy_series_measure,
@@ -314,7 +315,7 @@ def test_dualistic_spine_trace_obeys_tail_bound():
         word = (0,) * m
         value = built.oracle.localize(word).measure_bounds()
         assert value.is_point()
-        clopen_term = ClopenOracle(chunk).localize(word).measure_bounds().lo
+        clopen_term = clopen_oracle(chunk).localize(word).measure_bounds().lo
         assert value.lo <= clopen_term + F(4, 3) / 2**m
         if m > chunk.depth:
             assert clopen_term == 0

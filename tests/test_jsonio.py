@@ -26,6 +26,7 @@ from cantordensity.jsonio import (
     word_to_spec,
 )
 from cantordensity.oracles import Verdict
+from oracletools import digit_words
 
 F = Fraction
 
@@ -253,9 +254,9 @@ def test_clopen_words_decode_alike_as_strings_arrays_and_mixed():
         strings = _digit_strings(rng, rng.randrange(40))
         arrays = [[int(d) for d in w] for w in strings]
         mixed = [a if rng.randrange(2) else w for w, a in zip(strings, arrays)]
-        expected = _per_word_decode(strings)
+        expected = digit_words(_per_word_decode(strings))
         for raw in (strings, arrays, mixed):
-            assert oracle_from_spec({"kind": "clopen", "words": raw}).piece == expected, raw
+            assert oracle_from_spec({"kind": "clopen", "words": raw}).words == expected, raw
 
 
 def test_digit_string_clopen_words_skip_the_per_word_decoder(monkeypatch):
@@ -267,7 +268,7 @@ def test_digit_string_clopen_words_skip_the_per_word_decoder(monkeypatch):
 
     monkeypatch.setattr(jsonio, "binary_word_from_spec", counted)
     raw = _digit_strings(random.Random(200), 200)
-    assert oracle_from_spec({"kind": "clopen", "words": raw}).piece == _per_word_decode(raw)
+    assert oracle_from_spec({"kind": "clopen", "words": raw}).words == digit_words(_per_word_decode(raw))
     assert calls == []
     oracle_from_spec({"kind": "clopen", "words": raw + [[1, 0]]})
     assert len(calls) == 201

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cantordensity import oracles
 from cantordensity.branches import Branch, StretchedBranch, interleave_branches
 from cantordensity.clopen import ClopenSet
 from cantordensity.dualistic import dualistic_of_measure, solid_countable_range
@@ -37,9 +38,12 @@ from oracletools import (
     bound_runs_by_depths,
     bounds_along_by_depths,
     certified_oscillation_reference,
+    clopen_oracle,
     cylinder_local_measure,
     grafted_union_bounds_reference,
+    normalize_reference,
     piece_of_measure,
+    random_word_list,
     spongy_local_measure,
     trace_output_by_depths,
 )
@@ -48,7 +52,7 @@ F = Fraction
 
 
 def test_clopen_oracle_is_exact_everywhere():
-    oracle = ClopenOracle(ClopenSet.from_words([(0, 0), (1,)]))
+    oracle = ClopenOracle(["00", "1"])
     assert oracle.measure_bounds() == RatInterval.point(F(3, 4))
     assert oracle.localize((0,)).measure_bounds() == RatInterval.point(F(1, 2))
     assert oracle.localize((0, 1)).measure_bounds(48) == RatInterval.point(F(0))
@@ -56,7 +60,7 @@ def test_clopen_oracle_is_exact_everywhere():
 
 
 def test_clopen_oracle_certificate_settles_at_depth():
-    oracle = ClopenOracle(ClopenSet.from_words([(0, 0), (1,)]))
+    oracle = ClopenOracle(["00", "1"])
     inside = oracle.tail_certificate(Branch((0, 0), (1,)), effort=10)
     assert inside.interval == RatInterval.point(F(1))
     assert inside.start <= 2
@@ -66,7 +70,7 @@ def test_clopen_oracle_certificate_settles_at_depth():
 
 def test_clopen_trace_matches_localization():
     body = ClopenSet.from_words([(0, 1), (1, 0, 0)])
-    oracle = ClopenOracle(body)
+    oracle = clopen_oracle(body)
     point = Branch((0, 1, 1), (0,))
     runs = oracle.bound_runs(point, 0, 7)
     for depth, bounds in enumerate(b for b, count in runs for _ in range(count)):
@@ -75,23 +79,85 @@ def test_clopen_trace_matches_localization():
 
 
 def test_clopen_trace_takes_one_half_per_depth(monkeypatch):
-    half = ClopenSet.half
+    child = ClopenOracle.child
     calls = []
 
     def counted(self, letter):
         calls.append(letter)
-        return half(self, letter)
+        return child(self, letter)
 
-    monkeypatch.setattr(ClopenSet, "half", counted)
-    body = ClopenSet.from_words([(0, 1) * 100 + (1,), (1, 1, 0)])
-    runs = list(ClopenOracle(body).bound_runs(Branch((), (0, 1)), 0, 201))
+    monkeypatch.setattr(ClopenOracle, "child", counted)
+    runs = list(ClopenOracle(["01" * 100 + "1", "110"]).bound_runs(Branch((), (0, 1)), 0, 201))
     assert sum(count for _, count in runs) == 201
     assert runs[-1][0] == RatInterval.point(F(1, 2))
     assert len(calls) <= 201
 
 
+def _views(oracle, word, stop):
+    """(word, localization) for every binary word from ``word`` on, up to length ``stop``."""
+    yield word, oracle
+    if len(word) < stop:
+        for letter in (0, 1):
+            yield from _views(oracle.child(letter), word + (letter,), stop)
+
+
+def test_clopen_views_match_the_cell_count_reference():
+    # Views of one sorted table answer what counting cells answers, settle
+    # into the shared segments exactly where the set turns full or empty,
+    # and certify from the longest word below them, on plain and stretched points.
+    rng = random.Random(3301)
+    lists = [[], [()], [(), (0, 1)]] + [random_word_list(rng) for _ in range(25)]
+    for words in lists:
+        root = oracle_from_spec({"kind": "clopen", "words": ["".join(map(str, w)) for w in words]})
+        canonical = normalize_reference(words)
+        longest = max(map(len, words), default=0)
+        for word, view in _views(root, (), longest + 2):
+            expected = cylinder_local_measure(words, word, max(longest, len(word)))
+            assert view.measure_bounds() == RatInterval.point(expected), (words, word)
+            settled = {F(0): EMPTY_SEGMENT, F(1): FULL_SEGMENT}.get(expected)
+            if word and settled is not None:
+                assert view is settled, (words, word)
+                continue
+            assert type(view) is ClopenOracle and view.root is root and view.depth == len(word)
+            if word:  # a child view holds only its place in the root's table
+                assert vars(view).keys() == {"root", "depth", "lo", "hi"}
+            below = [len(w) for w in canonical if w[: len(word)] == word]
+            start = max(below, default=len(word)) - len(word)
+            for point in (Branch(word[:1], (1, 0)), Branch(word, (0, 0, 1)),
+                          StretchedBranch(Branch((), (1, 0))), StretchedBranch(Branch(word, (0,)))):
+                reached = word + point.prefix(start)
+                cert = view.tail_certificate(point, 0)
+                assert cert == TailCertificate(RatInterval.point(
+                    cylinder_local_measure(words, reached, max(longest, len(reached)))), start)
+
+
+def test_clopen_views_past_the_sum_cap_add_up_their_words(monkeypatch):
+    # Every prefix sum holds up to the longest word's length in bits, so
+    # half the 16-letter words beside one of 12 000 letters build none.
+    words = [format(k, "016b") for k in range(0, 1 << 16, 2)] + ["1" * 12000]
+    wide = ClopenOracle(words)
+    assert wide.measure_bounds() == RatInterval.point(F(1, 2) + F(1, 2**12000))
+    assert wide.sums[1] is None
+    assert wide.localize((1,) * 15).measure_bounds() == RatInterval.point(F(1, 2) + F(1, 2**11985))
+    # Without sums each bound is its view's own sum, the same as with them.
+    rng = random.Random(3302)
+    lists = [["".join(map(str, w)) for w in random_word_list(rng)] for _ in range(20)]
+
+    def bounds(raw):
+        root = oracle_from_spec({"kind": "clopen", "words": raw})
+        stop = max(map(len, raw), default=0) + 2
+        return root, [view.measure_bounds() for _, view in _views(root, (), stop)]
+
+    summed = [bounds(raw)[1] for raw in lists]
+    monkeypatch.setattr(oracles, "MAX_SUM_BITS", 0)
+    for raw, expected in zip(lists, summed):
+        root, fresh = bounds(raw)
+        assert fresh == expected, raw
+        assert root.sums[1] is None or len(root.words) * root.sums[0] == 0
+
+
 def test_complement_oracle_reflects():
-    oracle = ComplementOracle(ClopenOracle(piece_of_measure(F(1, 4))))
+    oracle = ComplementOracle(clopen_oracle(piece_of_measure(F(1, 4))))
     assert oracle.measure_bounds() == RatInterval.point(F(3, 4))
     assert oracle.localize((0, 0)).measure_bounds() == RatInterval.point(F(0))
     cert = oracle.tail_certificate(Branch((), (0,)), effort=8)
@@ -99,8 +165,8 @@ def test_complement_oracle_reflects():
 
 
 def test_disjoint_sum_adds_bounds_and_certificates():
-    left = ClopenOracle(ClopenSet.from_words([(0, 0)]))
-    right = ClopenOracle(ClopenSet.from_words([(1, 1)]))
+    left = ClopenOracle(["00"])
+    right = ClopenOracle(["11"])
     both = DisjointSumOracle([left, right])
     assert both.measure_bounds() == RatInterval.point(F(1, 2))
     assert both.localize((0,)).measure_bounds() == RatInterval.point(F(1, 2))
@@ -109,7 +175,7 @@ def test_disjoint_sum_adds_bounds_and_certificates():
 
 
 def test_grafted_union_requires_incomparable_sites():
-    inner = ClopenOracle(ClopenSet.full())
+    inner = ClopenOracle([""])
     with pytest.raises(ValueError):
         GraftedUnionOracle([((0,), inner), ((0, 1), inner)])
 
@@ -117,8 +183,8 @@ def test_grafted_union_requires_incomparable_sites():
 def _grafted_example() -> GraftedUnionOracle:
     return GraftedUnionOracle(
         [
-            ((0, 1), ClopenOracle(piece_of_measure(F(1, 2)))),
-            ((1, 0, 0), ClopenOracle(ClopenSet.full())),
+            ((0, 1), clopen_oracle(piece_of_measure(F(1, 2)))),
+            ((1, 0, 0), ClopenOracle([""])),
         ]
     )
 
@@ -202,7 +268,7 @@ def test_grafted_union_certificates():
 
 
 def test_spine_prefix_constant_rate_on_spine():
-    piece = ClopenOracle(piece_of_measure(F(1, 4)))
+    piece = clopen_oracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     for m in range(8):
         assert oracle.localize((0,) * m).measure_bounds() == RatInterval.point(F(1, 4))
@@ -212,7 +278,7 @@ def test_spine_prefix_constant_rate_on_spine():
 
 
 def test_spine_prefix_certificates():
-    piece = ClopenOracle(piece_of_measure(F(1, 4)))
+    piece = clopen_oracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     spine = oracle.tail_certificate(Branch((), (0,)), effort=10)
     assert spine.interval == RatInterval.point(F(1, 4))
@@ -222,7 +288,7 @@ def test_spine_prefix_certificates():
 
 
 def test_classify_converges_on_exact_point():
-    piece = ClopenOracle(piece_of_measure(F(1, 4)))
+    piece = clopen_oracle(piece_of_measure(F(1, 4)))
     oracle = SpinePrefixOracle(lambda _: piece, F(1, 4))
     verdict = oracle.classify(Branch((), (0,)))
     assert verdict.kind == "converges"
@@ -337,11 +403,11 @@ def test_interleave_branches_alternates_the_streams():
 
 def test_compose_grafts_and_complements():
     plain = GraftedUnionOracle(
-        [((0,), ClopenOracle(ClopenSet.full())), ((1,), ClopenOracle(ClopenSet.empty()))]
+        [((0,), ClopenOracle([""])), ((1,), ClopenOracle([]))]
     )
     assert plain.measure_bounds() == RatInterval.point(F(1, 2))
     assert plain.localize((0,)).measure_bounds() == RatInterval.point(F(1))
-    flipped = ComplementOracle(GraftedUnionOracle([((0,), ClopenOracle(ClopenSet.full()))]))
+    flipped = ComplementOracle(GraftedUnionOracle([((0,), ClopenOracle([""]))]))
     assert flipped.measure_bounds() == RatInterval.point(F(1, 2))
     assert flipped.localize((0, 1)).measure_bounds() == RatInterval.point(F(0))
     with pytest.raises(ValueError):
@@ -356,7 +422,7 @@ def test_segment_oracle_reads_the_lex_first_piece():
         k = rng.randrange(0, 15)
         m = F(rng.randrange(0, (1 << k) + 1), 1 << k)
         segment = SegmentOracle(m)
-        piece = ClopenOracle(piece_of_measure(m))
+        piece = clopen_oracle(piece_of_measure(m))
         word = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 17)))
         assert (segment.localize(word).measure_bounds()
                 == piece.localize(word).measure_bounds()), (m, word)
@@ -390,15 +456,15 @@ def test_settled_localizations_are_fixed_points():
         (SegmentOracle(F(0)), (1,), EMPTY_SEGMENT),
         (SegmentOracle(F(5, 8)), (1, 0, 1), EMPTY_SEGMENT),
         (SegmentOracle(F(5, 8)), (1, 0, 0), FULL_SEGMENT),
-        (ClopenOracle(ClopenSet.from_words([(0, 0), (1,)])), (1,), FULL_SEGMENT),
-        (ClopenOracle(ClopenSet.from_words([(0, 0), (1,)])), (0, 1, 1), EMPTY_SEGMENT),
+        (ClopenOracle(["00", "1"]), (1,), FULL_SEGMENT),
+        (ClopenOracle(["00", "1"]), (0, 1, 1), EMPTY_SEGMENT),
         # 11100 is a word of the clopen chunk; past its first letter the
         # spongy remainder is empty and drops out of the sum.
         (dualistic_of_measure(F(3, 5)).oracle, (1, 1, 1, 0, 0), FULL_SEGMENT),
         (dualistic_of_measure(F(1, 5)).oracle, (1,), EMPTY_SEGMENT),
         (composed, (1, 0, 1), EMPTY_SEGMENT),
         (composed, (1, 1), FULL_SEGMENT),
-        (ComplementOracle(ClopenOracle(ClopenSet.from_words([(0,)]))), (1, 0), FULL_SEGMENT),
+        (ComplementOracle(ClopenOracle(["0"])), (1, 0), FULL_SEGMENT),
         (countable, (1,), EMPTY_SEGMENT),
         # Through the spine of the designated point 0011 0^w into the
         # segment [0, 3/8), then past its three letters.
