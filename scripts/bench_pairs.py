@@ -9,7 +9,15 @@ Each root is a checkout holding ``bench/run.py`` and ``src/``. Pair k runs
 first when k is even. The last stdout line of every run is kept. The output
 file holds every run's end-to-end metrics and, per metric, both sides'
 medians and quartiles and the pairs the change won; ``--out`` appends a
-workload/seed entry to an existing file.
+workload/seed entry to an existing file. The file's top level names the
+run command, each root's ``git rev-parse HEAD`` (null when the root is
+not the top of a git checkout, or its ``src/`` or ``bench/`` differ from
+HEAD), the platform and the Python version.
+
+The runs neither write nor should read bytecode caches, so a root that
+holds a ``__pycache__`` folder under ``src/`` or ``bench/`` is refused
+with exit code 2, naming the folder: stale ``.pyc`` files there move
+``setup_s``.
 """
 
 from __future__ import annotations
@@ -17,19 +25,43 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 LOWER_IS_BETTER = {"setup_s", "op_p50_s", "op_tail_s", "work_cal", "peak_rss_mb"}
+ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def bench_args(workload: str, seed: object, seconds: object) -> list[str]:
+    return ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
+
+
+def bytecode_folder(root: Path) -> Path | None:
+    """The first ``__pycache__`` folder under the root's src/ or bench/."""
+    found = (path for folder in ("src", "bench") for path in sorted((root / folder).rglob("__pycache__")))
+    return next(found, None)
+
+
+def head_sha(root: Path) -> str | None:
+    """HEAD of the git checkout at root, or None when root is not its top
+    folder or the checkout's src/ or bench/ differ from HEAD."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != root.resolve():
+        return None
+    if git("status", "--porcelain", "--", "src", "bench").stdout.strip():
+        return None
+    return git("rev-parse", "HEAD").stdout.strip()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, *bench_args(workload, seed, seconds)], cwd=root,
+                          env=dict(os.environ, **ENV), capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
@@ -64,6 +96,11 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    for root in (args.parent, args.change):
+        found = bytecode_folder(root)
+        if found is not None:
+            print(f"{found}: bytecode cache in a benchmarked root; remove it and rerun", file=sys.stderr)
+            return 2
     runs = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -76,6 +113,10 @@ def main() -> int:
     entry = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
              "summary": summary(runs), "runs": runs}
     found = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"entries": []}
+    command = [*(f"{k}={v}" for k, v in ENV.items()), Path(sys.executable).name, *bench_args("W", "S", "T")]
+    found.update({"command": " ".join(command),
+                  "parent_sha": head_sha(args.parent), "change_sha": head_sha(args.change),
+                  "platform": platform.platform(), "python": sys.version})
     found["entries"].append(entry)
     args.out.write_text(json.dumps(found, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -14,6 +14,10 @@ nudge rule, ``nudged_parts``. The third's construction check reads each
 presented interval of its explored window once, and computes adjusted
 values only for the first two siblings of a node when they already
 separate, since no spread of four values is less than the gap of two.
+The constant preset and the injective preset with margin at most 2/5
+pass that check by a proof in its docstring and read no interval; the
+interval preset, injective margins above 2/5, and every other
+presentation (wrappers and subclasses included) enumerate.
 
 On top of the same machinery sit two solid-set builders (labels read
 from an enumerated value list, or assigned greedily without repeats)
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .approx import FunctionPresentation, nudged_parts
+from .approx import ConstantPresentation, FunctionPresentation, InjectivePresentation, nudged_parts
 from .branches import Branch
 from .dyadics import ONE, ZERO, clip_to_unit, dyadic_of_rank, least_dyadic_parts
 from .offspring import LabelMap, OffspringOracle, label_parts_of
@@ -230,6 +234,16 @@ class InterleavedAdjustedLabels(AnchoredHullLabels):
         return anchor, Fraction(3, 1 << (len(anchor) + 2))
 
 
+def _spread_by_proof(presentation: FunctionPresentation) -> bool:
+    """Whether ``label_spread_certificate``'s argument decides its check:
+    exactly the constant preset, or the injective preset with margin at
+    most 2/5. Subclasses and wrappers enumerate."""
+    kind = type(presentation)
+    return kind is ConstantPresentation or (
+        kind is InjectivePresentation and presentation.margin <= Fraction(2, 5)
+    )
+
+
 def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
     """Check that the presentation shrinks at node scale and that
     adjusted sibling values spread out at explored nodes.
@@ -247,8 +261,41 @@ def label_spread_certificate(labels: InterleavedAdjustedLabels) -> None:
     children 2 and 3 are then read only for the clipped-emptiness test
     that computing their values would raise on. A node whose first pair
     does not separate computes all four values and takes the spread test.
+
+    Two presets pass by proof and read no presented interval (see
+    ``_spread_by_proof``). Take a node of length n, delta = 2^-(n+2),
+    the least dyadics v0, v1 of children 0 and 1 and their nudged
+    values u0, u1. If v0 >= v1 then u0 - u1 >= delta: without folds it
+    is at least 2 delta; an up fold gives u0 = (1 + v0)/2, so
+    u0 - u1 >= (1 - v0)/2 + delta; a down fold gives u1 = v1/2, so
+    u0 - u1 >= v1/2 + delta; with both it is at least 1/2. So the first
+    pair separates, and every node passes.
+
+    - Constant c: children 0 and 1 have the same length, so the same
+      interval and v0 = v1. The width is 2^-n, which the width test
+      passes (it rejects only wider), and since 0 < c < 1 no clipped
+      interval is empty.
+    - Injective margin m <= 2/5, with s = 1 - 2m, the node's image bits
+      of length l >= n and value v, and X = m + s(2v+1)/2^(l+1).
+      Children 0 and 1 append the image bits 1 and 01, so their
+      intervals are I0 = (X - m/2^(l+2); X + (2s+m)/2^(l+2)) and
+      I1 = (X - s/2^(l+2) - m/2^(l+3); X + m/2^(l+3)). Always
+      sup I1 <= sup I0, and inf I1 <= inf I0 exactly when 2s >= m, that
+      is m <= 2/5. If v0 < v1, then inf I1 <= inf I0 < v0 < v1 < sup I1
+      <= sup I0, so both values lie in both intervals. The dyadic of
+      least exponent in an open interval is unique, so each value's
+      exponent is at most the other's, which forces v0 = v1, a
+      contradiction; so v0 >= v1. The width at a node is
+      (1 - m)/2^l < 2^-n, and every interval lies inside
+      (m/2; 1 - m/2), so nothing clips.
+
+    Both arguments hold at every node, not only in the explored window.
+    Above 2/5, I1 no longer reaches below I0; a seeded sample passed,
+    but no argument covers that range, so those margins enumerate.
     """
     presentation = labels.presentation
+    if _spread_by_proof(presentation):
+        return
     intervals = require_lipschitz(presentation)
     for node in EXPLORED_NODES:
         children: list[tuple[int, int]] = []

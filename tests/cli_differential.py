@@ -36,12 +36,16 @@ their point, then 16 deep spongy calls: ``classify`` along
 0^n 1^n 0^w and ``trace`` of 3 000 to 5 000 steps along 0^w on
 dualistic sets, below and above 1/3, whose spongy rates have their
 first zero base-4 digit at 20, 40 or 60, and along 0^n 1^n 1 0^w into
-such a rate's piece on countable-range sets of non-dyadic values, and
-last 42 calls on clopen documents of 2 000 to 20 000 words (one under
+such a rate's piece on countable-range sets of non-dyadic values, then
+42 calls on clopen documents of 2 000 to 20 000 words (one under
 the common prefix 0^40, one of integer arrays) and on the empty and
 the full set: ``measure`` at the root, at half a word and at prefixes
 that run past every word, ``trace`` of 60 steps and ``classify`` along
-points that enter a word or miss them all. The
+points that enter a word or miss them all, and last 27 calls on the
+third reduction with constants 1/97, 1/2 and 96/97, injective margins
+1/1000, 2/5, 41/100 and 49/100, and a passing and a cancelling
+(exit 1) interval preset: ``measure`` at a prefix, ``trace`` of 30
+steps and ``classify`` along a stretched point. The
 script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
@@ -230,7 +234,7 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
             + _stretched_image_cases(folder) + _deep_walk_cases(folder) + _deep_spongy_cases(folder)
-            + _large_clopen_cases(Random(seed + 3), folder))
+            + _large_clopen_cases(Random(seed + 3), folder) + _third_preset_cases(folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -459,6 +463,36 @@ def _deep_spongy_cases(folder: Path) -> list[list[str]]:
         site = "0" * n + "1" * n
         out.append(["classify", "--set", set_path, "--branch", zeros_after(site), "--max-depth", "120"])
         out.append(["trace", "--set", set_path, "--branch", zeros_after(site + "1"), "--steps", "4000"])
+    return out
+
+
+# Third-reduction presets on both sides of the construction check's proof:
+# constants and injective margins up to 2/5 pass by proof, margins above
+# it and the interval preset enumerate; the last interval preset cancels
+# and exits 1.
+THIRD_PRESETS = ({"preset": "constant", "value": "1/97"}, {"preset": "constant", "value": "1/2"},
+                 {"preset": "constant", "value": "96/97"}, {"preset": "injective", "eps": "1/1000"},
+                 {"preset": "injective", "eps": "2/5"}, {"preset": "injective", "eps": "41/100"},
+                 {"preset": "injective", "eps": "49/100"},
+                 {"preset": "interval", "a": "1/8", "b": "3/8"},
+                 {"preset": "interval", "a": "1/4", "b": "3/4"})
+THIRD_PRESET_POINT = {"kind": "stretch", "of": {"kind": "ev_periodic", "head": "10", "period": "1"}}
+
+
+def _third_preset_cases(folder: Path) -> list[list[str]]:
+    """``measure`` at a prefix, ``trace --steps 30`` and ``classify`` of the
+    third reduction on the full tree for each of ``THIRD_PRESETS``, along a
+    stretched point whose halves both keep infinitely many 1s."""
+    branch_path = folder / "third-preset-branch.json"
+    branch_path.write_text(json.dumps(THIRD_PRESET_POINT), encoding="utf-8")
+    out = []
+    for index, function in enumerate(THIRD_PRESETS):
+        set_path = folder / f"third-preset{index}.json"
+        set_path.write_text(json.dumps({"kind": "reduction", "which": "third", "function": function}),
+                            encoding="utf-8")
+        out.append(["measure", "--set", str(set_path), "--prefix", "0110"])
+        out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "30"])
+        out.append(["classify", "--set", str(set_path), "--branch", str(branch_path)])
     return out
 
 

@@ -1,5 +1,6 @@
 """Label maps, classifications, and builders of the tree-to-set reductions."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -362,6 +363,122 @@ def test_third_reduction_checks_match_enumeration():
         verdicts[(got or "passes").split(" ")[0]] += 1
     # Passes and every kind of rejection: wide, empty, cancelling.
     assert set(verdicts) == {"passes", "presented", "no", "adjusted"}, verdicts
+
+
+PROVED_MARGINS = (F(1, 1000), F(1, 8), F(1, 5), F(2, 5))
+PROVED_CONSTANTS = (F(1, 97), F(1, 3), F(96, 97))
+
+
+def _nat_words_up_to(letters, length):
+    for n in range(length + 1):
+        yield from itertools.product(range(letters), repeat=n)
+
+
+def _at_least(a, b):
+    """Whether the dyadic a = (numerator, exponent) is at least b."""
+    return a[0] << b[1] >= b[0] << a[1]
+
+
+@pytest.mark.parametrize("presentation", [
+    *(InjectivePresentation(m) for m in PROVED_MARGINS),
+    *(ConstantPresentation(c) for c in PROVED_CONSTANTS),
+])
+def test_first_sibling_pair_separates_at_every_node_by_the_proof(presentation):
+    # The steps of the argument in label_spread_certificate's docstring,
+    # at every word over the letters 0-5 up to length 5, well past the
+    # explored window: v0 >= v1 (equal intervals for a constant), so the
+    # nudged values lie at least 2^-(n+2) apart; the width stays within
+    # the node scale and every injective interval strictly inside (0;1),
+    # with I1 reaching at least as low as I0.
+    constant = isinstance(presentation, ConstantPresentation)
+    for node in _nat_words_up_to(6, 5):
+        zero, one = node + (0,), node + (1,)
+        i0, i1 = presentation.presented_numerators(zero), presentation.presented_numerators(one)
+        lo, hi, scale = presentation.presented_numerators(node)
+        if constant:
+            assert i0 == i1 and (hi - lo) << len(node) == scale, node
+        else:
+            assert _at_least(least_dyadic_parts(*i0), least_dyadic_parts(*i1)), node
+            assert (hi - lo) << len(node) < scale and 0 < lo < hi < scale, node
+            assert i1[0] * i0[2] <= i0[0] * i1[2], node
+        (a, e), (b, f) = reductions._adjusted_parts(i0, zero), reductions._adjusted_parts(i1, one)
+        assert ((a << f) - (b << e)) << (len(node) + 2) >= 1 << (e + f), node
+
+
+def test_injective_lower_ends_cross_exactly_above_two_fifths():
+    # inf I1 <= inf I0 holds exactly when m <= 2/5, so the proof stops there.
+    for margin, reaches in ((F(2, 5), True), (F(41, 100), False), (F(49, 100), False)):
+        presentation = InjectivePresentation(margin)
+        i0, i1 = presentation.presented_numerators((0,)), presentation.presented_numerators((1,))
+        assert (i1[0] * i0[2] <= i0[0] * i1[2]) == reaches, margin
+
+
+class CountedClassReads:
+    """Counts presented_numerators calls on a preset class, leaving its
+    instances of exactly that type."""
+
+    def __init__(self, monkeypatch, cls):
+        self.reads = 0
+        inner = cls.presented_numerators
+
+        def counted(presentation, node):
+            self.reads += 1
+            return inner(presentation, node)
+
+        monkeypatch.setattr(cls, "presented_numerators", counted)
+
+
+def test_proved_presets_build_without_reading_an_interval(monkeypatch):
+    counts = {cls: CountedClassReads(monkeypatch, cls)
+              for cls in (ConstantPresentation, InjectivePresentation, AffineImagePresentation)}
+
+    class Subclass(ConstantPresentation):
+        pass
+
+    for preset in (HALF, INJ, InjectivePresentation(F(1, 8)), InjectivePresentation(F(2, 5))):
+        third_reduction(preset, ExplicitTree.full_binary())
+        assert counts[type(preset)].reads == 0, preset
+    # The interval preset, margins above 2/5 and subclasses enumerate:
+    # the 85 explored nodes and their children, 341 words, once each.
+    for preset, cls in ((InjectivePresentation(F(41, 100)), InjectivePresentation),
+                        (AffineImagePresentation(F(1, 8), F(3, 8)), AffineImagePresentation),
+                        (Subclass(F(1, 2)), ConstantPresentation)):
+        before = counts[cls].reads
+        third_reduction(preset, ExplicitTree.full_binary())
+        assert counts[cls].reads - before == 341, preset
+    with pytest.raises(ValueError, match=r"below \(0,\) spread"):
+        third_reduction(AFFINE, ExplicitTree.full_binary())
+
+
+def _proof_parameters(rng, count):
+    """Distinct constants p/q and injective margins across (0;1/2): the
+    margins at and just above 2/5 first, then seeded draws."""
+    drawn = {InjectivePresentation(m) for m in (F(2, 5), F(4001, 10000), F(401, 1000), F(49, 100))}
+    while len(drawn) < count:
+        q = rng.randrange(3, 1000)
+        if rng.randrange(2):
+            drawn.add(ConstantPresentation(F(rng.randrange(1, q), q)))
+        else:
+            drawn.add(InjectivePresentation(F(rng.randrange(1, (q + 1) // 2), q)))
+    return sorted(drawn, key=repr)
+
+
+def test_proved_presets_match_the_enumeration():
+    # The build decides the proved presets without reading; the same
+    # preset behind ReadOnce, which is not a preset type, takes the
+    # package's enumeration (tied to the reference above).
+    taken = Counter()
+    for presentation in _proof_parameters(random.Random(3401), 2000):
+        verdicts = []
+        for build in (presentation, ReadOnce(presentation)):
+            try:
+                third_reduction(build, ExplicitTree.full_binary())
+                verdicts.append(None)
+            except ValueError as err:
+                verdicts.append(str(err))
+        assert verdicts[0] == verdicts[1], presentation
+        taken[reductions._spread_by_proof(presentation)] += 1
+    assert taken[True] >= 1700 and taken[False] >= 150, taken
 
 
 def test_third_reduction_rejects_cancelling_presentation():
