@@ -36,11 +36,20 @@ while every region met is dyadic, exact Fractions once a stand-in's
 value enters, and 2^g units of slack per path still open in a block
 that crosses the horizon g letters below it. A trace evaluates each
 depth afresh; the jumps keep that to a few blocks per bound. The root
-oracle owns the node states. Evaluations read each tree node's region,
-label key and label at most once and fill the root's states with what
-they give; label maps stay pure rules of the node. A walk reads the
-entered states and adds none: a node it enters that no evaluation met
-is read afresh, and its word is not kept. A localized oracle is a
+oracle owns the node states and a jump table, ``jumps``: the ends of
+each block-start key jumped so far. Equal keys promise equal futures, so
+a bound reads a block start's ends from the table and jumps only keys
+it has not met, and the states a trace meets again at every depth are
+jumped once. Only block starts go in; a view's own mid-block key, new
+at each line of a trace, does not, so the table grows with the nodes
+evaluated and not with the steps. Evaluations read each tree node's
+region, label key and label at most once and fill the root's states
+with what they give; label maps stay pure rules of the node. A node is
+entered from its parent: the tree steps the parent's region, which the
+parent's block key holds, by one letter, so no node word is read from
+the root. A walk reads the entered states and adds none: a node it
+enters that no evaluation met is stepped afresh, and its word is not
+kept. A localized oracle is a
 light view holding the root and its own block or unsettled copy state,
 so a child step builds one small object and copies nothing. A step
 that settles (off the tree, or into an empty or full copy) gives the
@@ -185,9 +194,9 @@ class OffspringOracle(MeasureOracle):
 
     The closed and open offspring differ by a null set, so one oracle
     serves both. The root oracle owns the tree, the labels, the states
-    entering and flagging the nodes met so far and one exact stand-in
-    oracle per non-dyadic label value; ``child`` builds a view holding
-    only that ``root`` and the next state.
+    entering and flagging the nodes met so far, the jump table and one
+    exact stand-in oracle per non-dyadic label value; ``child`` builds a
+    view holding only that ``root`` and the next state.
     """
 
     def __init__(self, tree: Tree, labels: LabelMap):
@@ -197,19 +206,21 @@ class OffspringOracle(MeasureOracle):
         self.stand_ins: dict[Fraction, MeasureOracle] = {}
         self.entered: dict[Word, State] = {}
         self.flagged: dict[Word, State] = {}
-        self.state = self._enter(())
+        self.jumps: dict[tuple, list[tuple[State, int]]] = {}
+        self.state = self.entered[()] = self._entering((), tree.root_region)
 
-    def _entering(self, t: Word) -> State:
-        """The state entering node t, read from the tree and the labels."""
-        region = self.tree.region_key(t)
+    def _entering(self, t: Word, region: tuple) -> State:
+        """The state entering node t, whose tree region is ``region``."""
         if region == DEAD:
             return (("copy", 0, 0), t)
         return (("block", (len(t), region, self.labels.node_key(t)), None, 0), t)
 
-    def _enter(self, t: Word) -> State:
-        state = self.entered.get(t)
+    def _enter(self, t: Word, region: tuple, letter: int) -> State:
+        """The state entering t's child by ``letter``, from t's region."""
+        child = t + (letter,)
+        state = self.entered.get(child)
         if state is None:
-            state = self.entered[t] = self._entering(t)
+            state = self.entered[child] = self._entering(child, self.tree.step(region, letter))
         return state
 
     def _flag(self, t: Word) -> State:
@@ -258,8 +269,9 @@ class OffspringOracle(MeasureOracle):
                 return self.root._flag(t)
             # A walk reads the entered states but keeps none: only the
             # evaluator's jumps fill them, so a walk keeps no word it passes.
-            t += (seen,)
-            return self.root.entered.get(t) or self.root._entering(t)
+            child = t + (seen,)
+            root = self.root
+            return root.entered.get(child) or root._entering(child, root.tree.step(ctx[1], seen))
         return (("block", ctx, seen, m + 1), t)
 
     def _leaf(self, state: State, h: int) -> Bounds | None:
@@ -288,18 +300,21 @@ class OffspringOracle(MeasureOracle):
         each with the number of continuations reaching it.
 
         A block written with one letter enters that child and every other
-        block flags, so these are all the block's outcomes."""
+        block flags, so these are all the block's outcomes. The ends of a
+        block start go into the root's ``jumps`` under the state's key."""
         key, t = state
         root = self.root
         left = _letters_left(key)
         if key[2] == MIXED:
             return [(root._flag(t), 1 << left)]
+        region = key[1][1]
         if key[2] is not None:
-            return [(root._enter(t + (key[2],)), 1), (root._flag(t), (1 << left) - 1)]
-        ends = [(root._enter(t + (0,)), 1), (root._enter(t + (1,)), 1)]
+            return [(root._enter(t, region, key[2]), 1), (root._flag(t), (1 << left) - 1)]
+        ends = [(root._enter(t, region, 0), 1), (root._enter(t, region, 1), 1)]
         if t:
             # The root block has a single letter; it never flags.
             ends.append((root._flag(t), (1 << left) - 2))
+        root.jumps[key] = ends
         return ends
 
     def child(self, letter: int) -> MeasureOracle:
@@ -319,7 +334,7 @@ class OffspringOracle(MeasureOracle):
         h = max(budget, 0)
         bounds = self._leaf(self.state, h)
         if bounds is None:
-            leaf, jump = self._leaf, self._jump
+            jumps, jump = self.root.jumps, self._jump
             lo = slack = 0
             front: Frontier = {self.state[0]: [self.state, 1]}
             depth = opened = 0
@@ -335,20 +350,34 @@ class OffspringOracle(MeasureOracle):
                     slack += sum(paths for _, paths in front.values()) << (h - depth)
                     break
                 depth += left
+                g = h - depth
                 below: Frontier = {}
-                for state, paths in front.values():
-                    for end, count in jump(state):
+                for key, (state, paths) in front.items():
+                    # Equal keys promise equal futures: a block start's ends
+                    # are read once per key from the root's table.
+                    for end, count in jumps.get(key) or jump(state):
                         count *= paths
-                        out = leaf(end, h - depth)
-                        if out is not None:
-                            lo += count * out[0]
-                            slack += count * (out[1] - out[0])
-                            continue
-                        entry = below.get(end[0])
-                        if entry is None:
-                            below[end[0]] = [end, count]
+                        end_key = end[0]
+                        kind = end_key[0]
+                        # Settle ends as _leaf does, g letters above the horizon.
+                        if kind == "copy":
+                            _, a, k = end_key
+                            if k <= g:
+                                lo += count * (a << (g - k))
+                            else:
+                                lo += count * (a >> (k - g))
+                                slack += count
+                        elif kind == "stand-in":
+                            lo += count * end[1].measure_bounds().lo * (1 << g)
+                        elif not g:
+                            # At the horizon all of [0, 1] stays open.
+                            slack += count
                         else:
-                            entry[1] += count
+                            entry = below.get(end_key)
+                            if entry is None:
+                                below[end_key] = [end, count]
+                            else:
+                                entry[1] += count
                 front = below
             bounds = (lo, lo + slack)
         return RatInterval(Fraction(bounds[0], 1 << h), Fraction(bounds[1], 1 << h))

@@ -18,6 +18,12 @@ Trees over the natural-number alphabet (``arity`` None) may also use:
 With ``stop``/``fan_stop`` the tree is no longer pruned: a terminal
 node is alive, and every word below it is off the tree.
 
+A presentation is a region automaton: ``root_region`` is the region of
+the empty word and ``step(region, letter)`` the region of a one-letter
+extension, the walk primitive. ``region_key(word)`` is the fold of
+``step`` from ``root_region`` over the word; ``ExplicitTree`` also reads
+it directly, by one lookup per leaf depth, for random access.
+
 ``section`` is the one depth-bounded operator. Through ``materialize``
 it grows the words up to a depth level by level by a membership test,
 drops those dying before the depth and closes the frontier with
@@ -30,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Literal, Union
 
 from .branches import Branch
-from .words import Word, deinterleave
+from .words import Word
 
 Policy = Union[Literal["zeros", "full", "stop", "fan_stop"], tuple[Literal["periodic"], Word]]
 
@@ -46,42 +52,53 @@ def periodic(cycle: Word) -> Policy:
 class Tree:
     """What the offspring evaluator asks of a tree presentation.
 
-    ``region_key`` is the one primitive: it returns ``DEAD``, the key
-    ``("dead",)``, exactly for words off the tree, and equal keys promise
-    identically shaped subtrees below the words. Along an eventually
-    periodic branch the keys take finitely many values. Membership,
-    children and the depth where a branch dies all derive from it.
-    ``arity`` is the alphabet size, or None for the natural numbers.
+    ``step`` is the one primitive: from the region of a word, it gives the
+    region of the word's extension by a letter, and ``root_region`` is the
+    region of the empty word. A region is ``DEAD``, the key ``("dead",)``,
+    exactly for words off the tree, ``step`` is never asked past it, and
+    equal regions promise identically shaped subtrees below the words.
+    Along an eventually periodic branch the regions take finitely many
+    values. ``region_key``, membership and the depth where a branch dies
+    all derive from them. ``arity`` is the alphabet size, or None for the
+    natural numbers.
     """
 
     arity: int | None = 2
+    root_region: tuple
+
+    def step(self, region: tuple, letter: int) -> tuple:
+        raise NotImplementedError
 
     def region_key(self, word: Word) -> tuple:
-        raise NotImplementedError
+        """The region of a word: ``step`` folded over it from the root."""
+        region, step = self.root_region, self.step
+        for letter in word:
+            if region == DEAD:
+                break
+            region = step(region, letter)
+        return region
 
     def death_depth(self, branch: Branch) -> int | None:
         """The first depth whose prefix of ``branch`` is off the tree, or
         None when the whole branch stays on it.
 
-        Past the head, a repeated pair (region key, cycle phase) means the
-        walk repeats from there: equal keys promise equal subtrees, and
-        equal phases read the same letters. Keys along the branch take
+        Past the head, a repeated pair (region, cycle phase) means the walk
+        repeats from there: equal regions promise equal subtrees, and
+        equal phases read the same letters. Regions along the branch take
         finitely many values, so the walk ends.
         """
         head, cycle = branch.head, branch.cycle
         seen: set[tuple] = set()
-        word: Word = ()
-        while True:
-            depth = len(word)
-            key = self.region_key(word)
-            if key == DEAD:
-                return depth
+        region, depth = self.root_region, 0
+        while region != DEAD:
             if depth >= len(head):
-                state = (key, (depth - len(head)) % len(cycle))
+                state = (region, (depth - len(head)) % len(cycle))
                 if state in seen:
                     return None
                 seen.add(state)
-            word += (branch.at(depth),)
+            region = self.step(region, branch.at(depth))
+            depth += 1
+        return depth
 
     def member(self, word: Word) -> bool:
         return self.region_key(word) != DEAD
@@ -90,8 +107,11 @@ class Tree:
 class ExplicitTree(Tree):
     """A pruned tree given by explicit nodes plus frontier policies.
 
-    ``arity`` is the alphabet size, or None for the natural numbers, and
-    ``region_key`` reads only the prefixes of a word at the leaf depths."""
+    ``arity`` is the alphabet size, or None for the natural numbers. An
+    inner node is its own region, ``("node", word)``; below a leaf the
+    region is the policy's: ``("full",)``, ``("zeros",)``, ``("stop",)``,
+    ``("fan_stop",)`` or ``("periodic", cycle, phase)``. ``region_key``
+    reads only the prefixes of a word at the leaf depths."""
 
     def __init__(
         self,
@@ -123,6 +143,10 @@ class ExplicitTree(Tree):
                     raise ValueError(f"policy leaf {w} has explicit children")
             elif not children[w]:
                 raise ValueError(f"leaf {w} has no policy")
+        # The region entering each node: its own, or at a leaf its policy's first.
+        self.node_regions = {w: _policy_region(self.policies[w], (), arity) if w in self.policies
+                             else ("node", w) for w in node_set}
+        self.root_region = self.node_regions[()]
 
     @staticmethod
     def full_binary() -> "ExplicitTree":
@@ -144,6 +168,21 @@ class ExplicitTree(Tree):
             if prefix in self.policies:
                 return _policy_region(self.policies[prefix], word[cut:], self.arity)
         return DEAD
+
+    def step(self, region: tuple, letter: int) -> tuple:
+        kind = region[0]
+        if kind == "node":
+            return self.node_regions.get(region[1] + (letter,), DEAD)
+        if kind == "full":
+            return region if self.arity is None or 0 <= letter < self.arity else DEAD
+        if kind == "zeros":
+            return region if letter == 0 else DEAD
+        if kind == "periodic":
+            _, cycle, phase = region
+            return ("periodic", cycle, (phase + 1) % len(cycle)) if letter == cycle[phase] else DEAD
+        # A fan_stop child is a stop leaf, and nothing lives below a stop leaf.
+        return ("stop",) if kind == "fan_stop" else DEAD
+
 
 def _check_policy(policy: Policy, arity: int | None, at: Word) -> Policy:
     if policy in ("zeros", "full"):
@@ -195,14 +234,15 @@ class InterleaveTree(Tree):
             raise ValueError("interleave joins binary presentations")
         self.evens = evens
         self.odds = odds
+        self.root_region = ("join", evens.root_region, odds.root_region, 0)
 
-    def region_key(self, word: Word) -> tuple:
-        e, o = deinterleave(word)
-        ke = self.evens.region_key(e)
-        ko = self.odds.region_key(o)
-        if ke == DEAD or ko == DEAD:
-            return DEAD
-        return ("join", ke, ko, len(word) % 2)
+    def step(self, region: tuple, letter: int) -> tuple:
+        _, ke, ko, parity = region
+        if parity:
+            ko = self.odds.step(ko, letter)
+            return DEAD if ko == DEAD else ("join", ke, ko, 0)
+        ke = self.evens.step(ke, letter)
+        return DEAD if ke == DEAD else ("join", ke, ko, 1)
 
 
 class PairInterleaveTree(Tree):
@@ -214,18 +254,17 @@ class PairInterleaveTree(Tree):
 
     def __init__(self, pairs: ExplicitTree):
         self.pairs = pairs
+        self.root_region = ("pairs", pairs.root_region, None)
 
-    def region_key(self, word: Word) -> tuple:
-        evens, odds = deinterleave(word)
-        completed = tuple(map(pair_letter, evens, odds))
-        key = self.pairs.region_key(completed)
-        if len(word) % 2 == 0:
-            return DEAD if key == DEAD else ("pairs", key, None)
-        # A dead pair word has no live extension either.
-        pending = evens[-1]
-        if not any(self.pairs.member(completed + (pair_letter(pending, b),)) for b in (0, 1)):
-            return DEAD
-        return ("pairs", key, pending)
+    def step(self, region: tuple, letter: int) -> tuple:
+        _, key, pending = region
+        if pending is None:
+            # A dead pair word has no live extension either.
+            if all(self.pairs.step(key, pair_letter(letter, b)) == DEAD for b in (0, 1)):
+                return DEAD
+            return ("pairs", key, letter)
+        key = self.pairs.step(key, pair_letter(pending, letter))
+        return DEAD if key == DEAD else ("pairs", key, None)
 
 
 class IntersectionTree(Tree):
@@ -234,13 +273,15 @@ class IntersectionTree(Tree):
     def __init__(self, left: Tree, right: Tree):
         self.left = left
         self.right = right
+        self.root_region = ("meet", left.root_region, right.root_region)
 
-    def region_key(self, word: Word) -> tuple:
-        kl = self.left.region_key(word)
-        kr = self.right.region_key(word)
-        if kl == DEAD or kr == DEAD:
+    def step(self, region: tuple, letter: int) -> tuple:
+        _, kl, kr = region
+        kl = self.left.step(kl, letter)
+        if kl == DEAD:
             return DEAD
-        return ("meet", kl, kr)
+        kr = self.right.step(kr, letter)
+        return DEAD if kr == DEAD else ("meet", kl, kr)
 
 
 def materialize(alive: Callable[[Word], bool], arity: int, depth: int) -> ExplicitTree:

@@ -45,7 +45,13 @@ points that enter a word or miss them all, and last 27 calls on the
 third reduction with constants 1/97, 1/2 and 96/97, injective margins
 1/1000, 2/5, 41/100 and 49/100, and a passing and a cancelling
 (exit 1) interval preset: ``measure`` at a prefix, ``trace`` of 30
-steps and ``classify`` along a stretched point. The
+steps and ``classify`` along a stretched point, then 27 calls that
+step every tree region a document reaches: offspring documents on
+natural-number trees (``"arity": null``) with ``stop``, ``fan_stop``,
+``periodic``, ``zeros`` and ``full`` leaves, and third reductions over
+pruned trees with ``zeros``, ``full`` and ``periodic`` leaves, each
+through ``measure --budget 20`` and ``trace --steps 40 --budget 16``
+and ``classify`` along a stretched image and a point that flags. The
 script writes the documents to a
 temporary folder and runs every call once per root, in-process in one
 child interpreter per root. It exits 0 when
@@ -234,7 +240,8 @@ def draw_calls(seed: int, calls: int, folder: Path) -> list[list[str]]:
         out += [["verify", suite, "--seed", str(suite_seed)] for suite_seed in VERIFY_SEEDS]
     return (out + _long_traces(Random(seed + 1), folder) + _fixed_cases(Random(seed + 2), folder)
             + _stretched_image_cases(folder) + _deep_walk_cases(folder) + _deep_spongy_cases(folder)
-            + _large_clopen_cases(Random(seed + 3), folder) + _third_preset_cases(folder))
+            + _large_clopen_cases(Random(seed + 3), folder) + _third_preset_cases(folder)
+            + _policy_step_cases(folder))
 
 
 def _settling_set(rng: Random, nesting: int = 0) -> tuple[dict, dict]:
@@ -493,6 +500,54 @@ def _third_preset_cases(folder: Path) -> list[list[str]]:
         out.append(["measure", "--set", str(set_path), "--prefix", "0110"])
         out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "30"])
         out.append(["classify", "--set", str(set_path), "--branch", str(branch_path)])
+    return out
+
+
+def _stretch(head: str, period: str) -> dict:
+    return {"kind": "stretch", "of": {"kind": "ev_periodic", "head": head, "period": period}}
+
+
+# Region steps of every kind: offspring documents on natural-number trees
+# whose leaves carry each policy, and third reductions over pruned binary
+# trees with zeros, full and periodic leaves. Each comes with a stretched
+# image that stays on the tree or leaves it late and a point that flags.
+POLICY_CASES = (
+    ({"kind": "offspring", "tree": {"nodes": ["", "0", "1", "10", "11"], "arity": None,
+                                    "policies": {"0": "stop", "10": "fan_stop", "11": {"periodic": "10"}}},
+      "labels": {"1": "1/3", "11": "3/4"}, "default_label": "5/8"},
+     (_stretch("11", "10"), {"kind": "ev_periodic", "head": "1", "period": "01"})),
+    ({"kind": "offspring", "tree": {"nodes": ["", "0", "1", "00", "01"], "arity": None,
+                                    "policies": {"00": "zeros", "01": "full", "1": "fan_stop"}},
+      "labels": {"0": "1/4"}, "default_label": "2/7"},
+     (_stretch("01", "1"), _stretch("1", "0"), {"kind": "ev_periodic", "head": "0", "period": "10"})),
+    ({"kind": "offspring", "tree": {"nodes": ["", "0", "1", "11"], "arity": None,
+                                    "policies": {"0": {"periodic": "011"}, "11": "stop"}},
+      "default_label": "1/3"},
+     (_stretch("0", "011"), {"kind": "ev_periodic", "period": "10"})),
+    ({"kind": "reduction", "which": "third", "function": {"preset": "constant", "value": "1/3"},
+      "tree": PRUNED_TREES[0]},
+     (_stretch("", "1"), _stretch("10", "0"))),
+    ({"kind": "reduction", "which": "third", "function": {"preset": "injective", "eps": "1/4"},
+      "tree": {"nodes": ["", "0", "1", "00", "01"],
+               "policies": {"00": "full", "01": {"periodic": "01"}, "1": "zeros"}}},
+     (_stretch("1", "10"), _stretch("", "0011"))),
+)
+
+
+def _policy_step_cases(folder: Path) -> list[list[str]]:
+    """``measure --budget 20``, and ``trace --steps 40 --budget 16`` and
+    ``classify`` along each point, on each of ``POLICY_CASES``."""
+    out = []
+    for index, (doc, points) in enumerate(POLICY_CASES):
+        set_path = folder / f"policy-set{index}.json"
+        set_path.write_text(json.dumps(doc), encoding="utf-8")
+        out.append(["measure", "--set", str(set_path), "--budget", "20"])
+        for point_index, point in enumerate(points):
+            branch_path = folder / f"policy-branch{index}-{point_index}.json"
+            branch_path.write_text(json.dumps(point), encoding="utf-8")
+            out.append(["trace", "--set", str(set_path), "--branch", str(branch_path), "--steps", "40",
+                        "--budget", "16"])
+            out.append(["classify", "--set", str(set_path), "--branch", str(branch_path)])
     return out
 
 

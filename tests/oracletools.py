@@ -26,7 +26,15 @@ from cantordensity.reductions import (
     OnesParityLabels,
     TailAlternationLabels,
 )
-from cantordensity.trees import DEAD, _policy_region, materialize
+from cantordensity.trees import (
+    DEAD,
+    ExplicitTree,
+    InterleaveTree,
+    PairInterleaveTree,
+    _policy_region,
+    materialize,
+    pair_letter,
+)
 from cantordensity.words import (
     bits_to_runs,
     decode_head,
@@ -266,6 +274,33 @@ def region_key_by_cuts(tree, word):
         if prefix not in tree.nodes:
             break
     return DEAD
+
+
+def region_key_by_parts(tree, word):
+    """A tree's region of a word in closed form, from its parts' regions of
+    whole words rather than by steps: an explicit tree's cut lookup, the
+    halves of an interleaving, the completed pairs of a pair interleaving
+    with its pending letter, and both sides of an intersection."""
+    if isinstance(tree, ExplicitTree):
+        return tree.region_key(word)
+    if isinstance(tree, InterleaveTree):
+        evens, odds = deinterleave(word)
+        ke, ko = region_key_by_parts(tree.evens, evens), region_key_by_parts(tree.odds, odds)
+        return DEAD if DEAD in (ke, ko) else ("join", ke, ko, len(word) % 2)
+    if isinstance(tree, PairInterleaveTree):
+        evens, odds = deinterleave(word)
+        completed = tuple(map(pair_letter, evens, odds))
+        key = region_key_by_parts(tree.pairs, completed)
+        if len(word) % 2 == 0:
+            return DEAD if key == DEAD else ("pairs", key, None)
+        # An odd word lives while one letter completes its pending pair.
+        pending = evens[-1]
+        if all(region_key_by_parts(tree.pairs, completed + (pair_letter(pending, b),)) == DEAD
+               for b in (0, 1)):
+            return DEAD
+        return ("pairs", key, pending)
+    kl, kr = region_key_by_parts(tree.left, word), region_key_by_parts(tree.right, word)
+    return DEAD if DEAD in (kl, kr) else ("meet", kl, kr)
 
 
 def unstretch_by_block_scan(point):

@@ -577,6 +577,69 @@ def test_jump_groups_every_continuation_of_the_block():
     assert checked > 200
 
 
+def test_jump_gives_its_own_ends_after_a_sibling_filled_the_table():
+    # Nodes 01 and 10 of the second reduction on the full tree share a key
+    # (depth, region, ones parity). The root's table keeps one end list per
+    # key, but _jump stays a function of its state: the second node's jump
+    # enters and flags the second node, not the first.
+    oracle = second_reduction(ExplicitTree.full_binary())
+    first, second = (oracle._entering(t, oracle.tree.region_key(t)) for t in ((0, 1), (1, 0)))
+    assert first[0] == second[0]
+    oracle._jump(first)
+    assert [end[1] for end, _ in oracle.jumps[first[0]]] == [(0, 1, 0), (0, 1, 1), (0, 1)]
+    ends = oracle._jump(second)
+    assert [(end[1], count) for end, count in ends] == [((1, 0, 0), 1), ((1, 0, 1), 1), ((1, 0), 6)]
+
+
+def _recorded_jumps(monkeypatch) -> list:
+    """The states that OffspringOracle._jump is called on, in order."""
+    jump, jumped = OffspringOracle._jump, []
+
+    def recorded(self, state):
+        jumped.append(state)
+        return jump(self, state)
+
+    monkeypatch.setattr(OffspringOracle, "_jump", recorded)
+    return jumped
+
+
+def test_jump_table_keeps_block_starts_only(monkeypatch):
+    # A trace's views sit mid-block, one new key per line; the table keeps
+    # only the block starts' keys, so it does not grow with the steps.
+    jumped = _recorded_jumps(monkeypatch)
+    oracle = third_reduction(InjectivePresentation(F(1, 8)), ExplicitTree.full_binary())
+    runs = list(oracle.bound_runs(StretchedBranch(Branch((1, 0), (1,))), 0, 2000))
+    assert sum(count for _, count in runs) == 2000
+    block_starts = {state[0] for state in jumped if state[0][2] is None}
+    assert 0 < len(oracle.jumps) <= len(block_starts) < len(jumped) // 10
+    assert all(key[2] is None and key[3] == 0 for key in oracle.jumps)
+
+
+class _ForgetfulTable(dict):
+    """A jump table that never answers, as before the table existed."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_fresh_trace_jumps_each_block_start_once(monkeypatch):
+    # One fresh 48-step trace of the third reduction along a stretched
+    # point: without the table every frontier state is jumped, 172 calls;
+    # with it each block-start key once, plus every line's own mid-block
+    # state, 79 calls, for the same bounds.
+    jumped = _recorded_jumps(monkeypatch)
+    point = StretchedBranch(Branch((1, 0), (1,)))
+    counts, bounds = [], []
+    for table in (_ForgetfulTable, dict):
+        jumped.clear()
+        oracle = third_reduction(InjectivePresentation(F(1, 8)), ExplicitTree.full_binary())
+        oracle.jumps = table()
+        bounds.append(list(oracle.bound_runs(point, 0, 48)))
+        counts.append(len(jumped))
+    assert counts == [172, 79]
+    assert bounds[0] == bounds[1]
+
+
 def test_negative_window_reads_as_zero():
     oracle = second_reduction(ExplicitTree.full_binary())
     point = StretchedBranch(Branch((), (1, 0)))

@@ -12,6 +12,7 @@ from cantordensity.trees import (
     ExplicitTree,
     InterleaveTree,
     IntersectionTree,
+    PairInterleaveTree,
     materialize,
     pair_letter,
     periodic,
@@ -19,7 +20,7 @@ from cantordensity.trees import (
 )
 from cantordensity.words import stretch
 
-from oracletools import region_key_by_cuts, unstretch_by_block_scan
+from oracletools import region_key_by_cuts, region_key_by_parts, unstretch_by_block_scan
 
 
 def test_validation_catches_gaps():
@@ -216,6 +217,62 @@ def test_region_key_matches_the_cut_walk():
             assert tree.region_key(word) == region_key_by_cuts(tree, word), (tree.policies, word)
             compared += 1
     assert compared == 10_100
+
+
+def _walk_word(rng: Random, tree, letters: int, length: int, word: tuple = ()) -> tuple:
+    """``word`` grown by ``length`` letters that mostly keep to the tree,
+    sometimes leave it (by any letter, one past the alphabet too) and then
+    run on past the leaving."""
+    for _ in range(length):
+        alive = [l for l in range(letters) if tree.member(word + (l,))]
+        if alive and rng.random() < 0.9:
+            word += (rng.choice(alive),)
+        else:
+            word += (rng.randrange(letters + 1),)
+    return word
+
+
+def test_folded_steps_match_the_closed_region():
+    # The region reached by stepping from the root, letter by letter, must
+    # equal the closed form at every prefix: the explicit trees' cut lookup
+    # and the lazy joins' regions read off their parts' whole words.
+    rng = Random(3505)
+    binary = [_random_presentation(rng, 2) for _ in range(24)] + [random_tree(rng, 4) for _ in range(12)]
+    nat = [_random_presentation(rng, None) for _ in range(24)]
+    quaternary = [_random_presentation(rng, 4, longest=4) for _ in range(6)]
+    lazy = [InterleaveTree(rng.choice(binary), rng.choice(binary)) for _ in range(10)]
+    lazy += [PairInterleaveTree(pairs) for pairs in quaternary + nat[:6]]
+    lazy += [IntersectionTree(rng.choice(binary), rng.choice(binary)) for _ in range(6)]
+    lazy += [IntersectionTree(rng.choice(nat), rng.choice(nat)) for _ in range(4)]
+    lazy += [IntersectionTree(join, rng.choice(binary)) for join in lazy[:4]]
+    kinds = Counter()
+    compared = 0
+    for tree in binary + nat + lazy:
+        letters = 4 if tree.arity is None else tree.arity
+        for _ in range(16):
+            # From the root, or on the explicit trees from a leaf, to run past it.
+            start = rng.choice(sorted(tree.policies)) if isinstance(tree, ExplicitTree) else ()
+            word = _walk_word(rng, tree, letters, rng.randrange(1, 30), start if rng.random() < 0.5 else ())
+            region = tree.root_region
+            assert region == region_key_by_parts(tree, ())
+            for n, letter in enumerate(word, 1):
+                if region == DEAD:
+                    break
+                region = tree.step(region, letter)
+                assert region == region_key_by_parts(tree, word[:n]), (tree, word[:n])
+                assert region == tree.region_key(word[:n])
+                kinds[_innermost_kind(region)] += 1
+                compared += 1
+    assert compared >= 10_000, compared
+    # Every region kind is stepped into, and every way of dying.
+    assert set(kinds) >= {"node", "full", "zeros", "periodic", "stop", "fan_stop", "dead"}, kinds
+
+
+def _innermost_kind(region: tuple) -> str:
+    """The kind of the first explicit-tree region inside a (joined) region."""
+    while region[0] in ("join", "pairs", "meet"):
+        region = region[1]
+    return region[0]
 
 
 def test_accepts_branch_exact():
