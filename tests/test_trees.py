@@ -264,7 +264,7 @@ def test_folded_steps_match_the_closed_region():
                 kinds[_innermost_kind(region)] += 1
                 compared += 1
     assert compared >= 10_000, compared
-    # Every region kind is stepped into, and every way of dying.
+    # Every region kind is stepped into, and off the tree.
     assert set(kinds) >= {"node", "full", "zeros", "periodic", "stop", "fan_stop", "dead"}, kinds
 
 
